@@ -12,7 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.dataflow import DataflowGraph, DynamicRate
-from repro.mapping import Partition
+from repro.mapping import (
+    EdgeKind,
+    Partition,
+    SynchronizationGraph,
+    TimedEdge,
+    TimedGraph,
+    TimedVertex,
+)
 
 
 def build_pipeline_graph(collect=None, cycles=(10, 20, 5)):
@@ -87,6 +94,58 @@ def build_sequenced_pipeline(n_hops: int, collect: list):
     sink_actor = graph.actor("snk", kernel=sink, cycles=2)
     sink_actor.add_input("i")
     graph.connect((previous, "o"), (sink_actor, "i"))
+    return graph
+
+
+def build_random_timed_graph(rng, max_vertices=10, max_edges=24, max_delay=4):
+    """Random single-PE timed graph: any shape, self-loops, parallel edges."""
+    graph = TimedGraph("random")
+    n = rng.randint(1, max_vertices)
+    for i in range(n):
+        graph.add_vertex(
+            TimedVertex(f"v{i}", cycles=rng.randint(0, 9), pe=0)
+        )
+    for _ in range(rng.randint(0, max_edges)):
+        graph.add_edge(
+            TimedEdge(
+                src=f"v{rng.randrange(n)}",
+                snk=f"v{rng.randrange(n)}",
+                delay=rng.randint(0, max_delay),
+                kind=EdgeKind.SYNC,
+            )
+        )
+    return graph
+
+
+def build_random_sync_graph(rng, trial):
+    """Random live IPC ring over 3 PEs plus random sync/ack edges."""
+    graph = SynchronizationGraph(f"sync{trial}")
+    n = rng.randint(3, 10)
+    for i in range(n):
+        graph.add_vertex(
+            TimedVertex(f"v{i}", cycles=rng.randint(1, 6), pe=rng.randrange(3))
+        )
+    for i in range(n):
+        graph.add_edge(
+            TimedEdge(
+                f"v{i}",
+                f"v{(i + 1) % n}",
+                delay=1 if i == n - 1 else rng.randint(0, 1),
+                kind=EdgeKind.IPC,
+            )
+        )
+    for _ in range(rng.randint(0, 12)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b:
+            continue
+        graph.add_edge(
+            TimedEdge(
+                f"v{a}",
+                f"v{b}",
+                delay=rng.randint(0, 3),
+                kind=rng.choice([EdgeKind.SYNC, EdgeKind.ACK]),
+            )
+        )
     return graph
 
 

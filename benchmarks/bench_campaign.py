@@ -33,11 +33,6 @@ from conftest import QUICK, emit, save_bench_json
 RUNS = 50 if QUICK else 200
 DISTINCT = 4 if QUICK else 10
 SEED_START = 0
-#: cold-miss campaign: every seed distinct, cache off — each run pays
-#: the full analysis pipeline, so this measures raw (PR 10) analysis
-#: throughput rather than cache amortization
-COLD_RUNS = 20 if QUICK else 200
-COLD_SEED_START = 10_000
 #: one-process-per-run sample size (each costs a full interpreter
 #: startup, so the baseline is extrapolated from a sample)
 SERIAL_SAMPLE = 4 if QUICK else 8
@@ -123,58 +118,14 @@ def _service_campaign() -> dict:
     }
 
 
-def _cold_miss_campaign(legacy: bool) -> dict:
-    """Run COLD_RUNS *distinct* seeds with the cache off.
-
-    Every unit is a cold miss, so the runs/sec is set by the analysis
-    pipeline itself; ``legacy`` selects the pre-PR-10 engine via
-    ``REPRO_ANALYSIS_ENGINE`` (the shard pool is inline at workers=1,
-    so the environment reaches the analysis calls).
-    """
-    from repro.service import CampaignPlan, run_service_campaign
-
-    if legacy:
-        os.environ["REPRO_ANALYSIS_ENGINE"] = "legacy"
-    try:
-        plan = CampaignPlan(
-            operation="conform.seed",
-            units=[
-                {"seed": COLD_SEED_START + index, "quick": QUICK, "shrink": False}
-                for index in range(COLD_RUNS)
-            ],
-            workers=1,
-            use_cache=False,
-            quick=QUICK,
-            name="bench-cold-legacy" if legacy else "bench-cold",
-        )
-        report = run_service_campaign(plan)
-    finally:
-        os.environ.pop("REPRO_ANALYSIS_ENGINE", None)
-    wall = report["bench"]["wall_seconds"]
-    assert not report["failures"]
-    return {
-        "runs": COLD_RUNS,
-        "wall_seconds": wall,
-        "runs_per_sec": COLD_RUNS / wall,
-    }
-
-
 @pytest.fixture(scope="module")
 def campaign():
     serial = _serial_one_process_per_run()
     service = _service_campaign()
-    cold_legacy = _cold_miss_campaign(legacy=True)
-    cold_fast = _cold_miss_campaign(legacy=False)
     return {
         "serial": serial,
         "service": service,
         "speedup": service["runs_per_sec"] / serial["runs_per_sec"],
-        "cold_miss": {
-            "legacy": cold_legacy,
-            "fast": cold_fast,
-            "speedup": cold_fast["runs_per_sec"]
-            / cold_legacy["runs_per_sec"],
-        },
     }
 
 
@@ -195,11 +146,6 @@ def test_campaign_report(campaign):
                 f"speedup: {campaign['speedup']:.2f}x",
                 f"cache:   {cache['hits']} hits / {cache['misses']} misses "
                 f"(hit rate {cache['hit_rate']:.3f})",
-                f"cold-miss (cache off, {COLD_RUNS} distinct seeds): "
-                f"legacy {campaign['cold_miss']['legacy']['runs_per_sec']:.2f} "
-                f"runs/s -> "
-                f"{campaign['cold_miss']['fast']['runs_per_sec']:.2f} runs/s "
-                f"({campaign['cold_miss']['speedup']:.2f}x)",
             ]
         ),
     )
@@ -218,16 +164,6 @@ def test_campaign_throughput_beats_serial(campaign):
     floor = 1.2 if QUICK else 2.0
     assert campaign["speedup"] >= floor, (
         f"campaign speedup {campaign['speedup']:.2f}x below {floor}x"
-    )
-
-
-def test_campaign_cold_miss_improved(campaign):
-    """The cache can't help distinct graphs; the analysis engine must.
-    Loose in-test floor — the committed-baseline gate is the strict one."""
-    floor = 1.2 if QUICK else 1.5
-    assert campaign["cold_miss"]["speedup"] >= floor, (
-        f"cold-miss throughput speedup "
-        f"{campaign['cold_miss']['speedup']:.2f}x below {floor}x"
     )
 
 
@@ -270,7 +206,6 @@ def test_campaign_bench_export(campaign):
             },
             "speedup": campaign["speedup"],
             "cache": report["cache"],
-            "cold_miss": campaign["cold_miss"],
         },
     )
     assert path.exists()

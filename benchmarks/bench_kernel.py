@@ -1,28 +1,22 @@
-"""Kernel micro-benchmarks: targeted waitset wakeups vs broadcast retry.
+"""Kernel micro-benchmarks: the park/wakeup machinery under load.
 
 Unlike the figure benches, this suite measures the *simulation kernel*
 itself, not the modelled application: synthetic wide/deep/contended
 task graphs built directly on :class:`~repro.platform.simulator
-.Simulator` stress the park/wakeup machinery, and every workload runs
-under both disciplines (``wakeups="targeted"`` vs ``"broadcast"``) so
-the speedup of the waitset kernel is recorded, not assumed.
+.Simulator` stress the waitset park/wakeup path.
 
 Workloads:
 
-* **wide** — N independent producer->consumer PE pairs.  Broadcast
-  re-evaluates every parked consumer on every completion anywhere;
-  targeted wakes only the pair's own consumer.
+* **wide** — N independent producer->consumer PE pairs; a completion
+  wakes only the pair's own consumer.
 * **deep** — one N-stage pipeline.  Stages park often but only the
   immediate downstream neighbour can progress.
 * **contended** — one producer feeding N consumers round-robin.  At any
-  instant N-1 consumers are parked on queues that did *not* change;
-  broadcast pays N guard re-evaluations per token, targeted pays one.
+  instant N-1 consumers are parked on queues that did *not* change, and
+  each token wakes exactly one of them.
 
-The exported ``BENCH_kernel.json`` additionally records the end-to-end
-wall-clock of the fig6/fig7 application benches at their highest PE
-count under both disciplines — the "does the kernel win survive a real
-workload" check the CI perf-smoke job gates on — and the steady-state
-sweep: the same applications at ``STEADY_ITERATIONS`` with
+The exported ``BENCH_kernel.json`` additionally records the
+steady-state sweep: the same applications at ``STEADY_ITERATIONS`` with
 ``steady_state="off"`` vs ``"auto"``.  fig6 declares
 ``timing_periodic`` actors, so auto locks onto the iteration period
 and extrapolates the remaining iterations analytically; fig7's
@@ -71,16 +65,18 @@ class TokenQueue:
 class ProduceTask:
     """Unconditionally-ready task depositing into one or more queues."""
 
-    def __init__(self, name, queues, cycles, sim, round_robin=False):
+    def __init__(self, name, queues, cycles, round_robin=False):
         self.name = name
         self.queues = list(queues)
         self.cycles = cycles
-        self.sim = sim
         self.round_robin = round_robin
         self._count = 0
 
     def ready(self, now):
         return True
+
+    def wait_on(self, now):
+        return []
 
     def start(self, now):
         return self.cycles
@@ -93,18 +89,16 @@ class ProduceTask:
         self._count += 1
         for queue in targets:
             queue.push()
-        self.sim.notify()
 
 
 class ConsumeTask:
     """Parks until its input queue holds a token; optionally forwards."""
 
-    def __init__(self, name, in_queue, cycles, sim, out_queue=None):
+    def __init__(self, name, in_queue, cycles, out_queue=None):
         self.name = name
         self.in_queue = in_queue
         self.out_queue = out_queue
         self.cycles = cycles
-        self.sim = sim
 
     def ready(self, now):
         return self.in_queue.tokens > 0
@@ -119,15 +113,14 @@ class ConsumeTask:
     def finish(self, now):
         if self.out_queue is not None:
             self.out_queue.push()
-        self.sim.notify()
 
 
-def _run(build, wakeups: str) -> dict:
+def _run(build) -> dict:
     """Build and drain one synthetic graph; return kernel statistics."""
     best_wall = None
     stats = None
     for _ in range(REPEATS):
-        sim = Simulator(wakeups=wakeups)
+        sim = Simulator()
         sequencers = build(sim)
         for sequencer in sequencers:
             sequencer.begin()
@@ -140,14 +133,10 @@ def _run(build, wakeups: str) -> dict:
     events = stats.events_processed
     total_wakeups = stats.total_wakeups
     return {
-        "wakeups": wakeups,
         "wall_seconds": best_wall,
         "events_processed": events,
         "events_per_second": events / best_wall if best_wall > 0 else 0.0,
         "parks": stats.parks,
-        "retry_rounds": stats.retry_rounds,
-        "targeted_wakeups": stats.targeted_wakeups,
-        "broadcast_wakeups": stats.broadcast_wakeups,
         "spurious_wakeups": stats.spurious_wakeups,
         "total_wakeups": total_wakeups,
         "wakeups_per_event": total_wakeups / events if events else 0.0,
@@ -168,8 +157,8 @@ def build_wide(sim):
     sequencers = []
     for i in range(WIDE_PAIRS):
         queue = TokenQueue(f"wide{i}")
-        producer = ProduceTask(f"prod{i}", [queue], cycles=3 + i % 5, sim=sim)
-        consumer = ConsumeTask(f"cons{i}", queue, cycles=2 + i % 3, sim=sim)
+        producer = ProduceTask(f"prod{i}", [queue], cycles=3 + i % 5)
+        consumer = ConsumeTask(f"cons{i}", queue, cycles=2 + i % 3)
         sequencers.append(_sequencer(sim, 2 * i, [producer]))
         sequencers.append(_sequencer(sim, 2 * i + 1, [consumer]))
     return sequencers
@@ -180,25 +169,23 @@ def build_deep(sim):
     queues = [TokenQueue(f"deep{i}") for i in range(DEEP_STAGES)]
     sequencers = [
         _sequencer(
-            sim, 0, [ProduceTask("source", [queues[0]], cycles=4, sim=sim)]
+            sim, 0, [ProduceTask("source", [queues[0]], cycles=4)]
         )
     ]
     for i in range(DEEP_STAGES):
         out_queue = queues[i + 1] if i + 1 < DEEP_STAGES else None
         stage = ConsumeTask(
-            f"stage{i}", queues[i], cycles=4, sim=sim, out_queue=out_queue
+            f"stage{i}", queues[i], cycles=4, out_queue=out_queue
         )
         sequencers.append(_sequencer(sim, i + 1, [stage]))
     return sequencers
 
 
 def build_contended(sim):
-    """One producer feeding N consumers round-robin: the broadcast
-    worst case (every token re-evaluates all N parked guards)."""
+    """One producer feeding N consumers round-robin: N-1 consumers are
+    parked at any instant, and every token wakes exactly one."""
     queues = [TokenQueue(f"cont{i}") for i in range(CONTENDED_CONSUMERS)]
-    producer = ProduceTask(
-        "producer", queues, cycles=1, sim=sim, round_robin=True
-    )
+    producer = ProduceTask("producer", queues, cycles=1, round_robin=True)
     source = PESequencer(
         sim,
         ProcessingElement(index=0, name="PE0"),
@@ -207,7 +194,7 @@ def build_contended(sim):
     )
     sequencers = [source]
     for i, queue in enumerate(queues):
-        consumer = ConsumeTask(f"cons{i}", queue, cycles=2, sim=sim)
+        consumer = ConsumeTask(f"cons{i}", queue, cycles=2)
         sequencers.append(_sequencer(sim, i + 1, [consumer]))
     return sequencers
 
@@ -221,58 +208,27 @@ WORKLOADS = {
 
 @pytest.fixture(scope="module")
 def kernel_sweep():
-    return {
-        (name, wakeups): _run(build, wakeups)
-        for name, build in WORKLOADS.items()
-        for wakeups in ("targeted", "broadcast")
-    }
-
-
-def _speedup(sweep, name: str) -> float:
-    return (
-        sweep[(name, "targeted")]["events_per_second"]
-        / sweep[(name, "broadcast")]["events_per_second"]
-    )
+    return {name: _run(build) for name, build in WORKLOADS.items()}
 
 
 def test_kernel_report(kernel_sweep):
-    rows = ["workload    discipline  events/s      wakeups/evt  spurious"]
-    for (name, wakeups), stats in sorted(kernel_sweep.items()):
+    rows = ["workload    events/s      wakeups/evt  spurious"]
+    for name, stats in sorted(kernel_sweep.items()):
         rows.append(
-            f"{name:<11} {wakeups:<11} {stats['events_per_second']:>12.0f}"
+            f"{name:<11} {stats['events_per_second']:>12.0f}"
             f"  {stats['wakeups_per_event']:>11.3f}"
             f"  {stats['spurious_fraction']:>8.3f}"
         )
-    for name in WORKLOADS:
-        rows.append(f"{name}: targeted/broadcast = {_speedup(kernel_sweep, name):.2f}x")
-    emit("Kernel wakeup disciplines", "\n".join(rows))
+    emit("Kernel park/wakeup workloads", "\n".join(rows))
 
 
-def test_kernel_results_identical_across_disciplines(kernel_sweep):
-    """Same simulation, different kernel: parks and delivered work match
-    in structure (both drain all iterations; wakeup mix differs)."""
-    for name in WORKLOADS:
-        targeted = kernel_sweep[(name, "targeted")]
-        broadcast = kernel_sweep[(name, "broadcast")]
-        assert targeted["broadcast_wakeups"] == 0
-        assert broadcast["targeted_wakeups"] == 0
-        assert broadcast["retry_rounds"] > 0
-
-
-def test_kernel_targeted_wakes_less(kernel_sweep):
-    """The point of the waitset kernel: far fewer guard re-evaluations."""
-    for name in WORKLOADS:
-        targeted = kernel_sweep[(name, "targeted")]
-        broadcast = kernel_sweep[(name, "broadcast")]
-        assert targeted["total_wakeups"] < broadcast["total_wakeups"]
-        assert targeted["spurious_fraction"] <= broadcast["spurious_fraction"]
-
-
-def test_kernel_contended_speedup(kernel_sweep):
-    """The contended workload must show a decisive targeted win.  The
-    committed baseline records >= 2x; the in-test gate is looser so a
-    noisy CI runner cannot flake it."""
-    assert _speedup(kernel_sweep, "contended") >= 1.5
+def test_kernel_wakeups_are_never_spurious(kernel_sweep):
+    """Every queue has exactly one consumer, so every wakeup a waitset
+    delivers finds its guard passing."""
+    for name, stats in kernel_sweep.items():
+        assert stats["parks"] > 0, name
+        assert stats["total_wakeups"] == stats["parks"], name
+        assert stats["spurious_wakeups"] == 0, name
 
 
 def _fig6_system() -> SpiSystem:
@@ -300,20 +256,6 @@ def _fig7_system() -> SpiSystem:
         n_pes=2,
     )
     return SpiSystem.compile(system.graph, system.partition)
-
-
-def _fig6_wall(wakeups: str) -> float:
-    system = _fig6_system()
-    start = time.perf_counter()
-    system.run(iterations=3 if QUICK else 5, wakeups=wakeups)
-    return time.perf_counter() - start
-
-
-def _fig7_wall(wakeups: str) -> float:
-    system = _fig7_system()
-    start = time.perf_counter()
-    system.run(iterations=4 if QUICK else 6, wakeups=wakeups)
-    return time.perf_counter() - start
 
 
 def _steady_measure(build_system, steady_state: str):
@@ -416,24 +358,9 @@ def test_steady_state_speedup(steady_sweep):
 
 
 def test_kernel_bench_export(kernel_sweep, steady_sweep):
-    """Emit BENCH_kernel.json: all workloads x disciplines, the
-    fig6/fig7 wall-clock before/after at their highest PE counts, and
-    the steady-state off-vs-auto sweep."""
-    fig_walls = {}
-    for fig, measure_wall in (("fig6", _fig6_wall), ("fig7", _fig7_wall)):
-        walls = {w: min(measure_wall(w) for _ in range(REPEATS))
-                 for w in ("targeted", "broadcast")}
-        fig_walls[fig] = {
-            "targeted_wall_seconds": walls["targeted"],
-            "broadcast_wall_seconds": walls["broadcast"],
-            "speedup": (
-                walls["broadcast"] / walls["targeted"]
-                if walls["targeted"] > 0
-                else 0.0
-            ),
-        }
-
-    contended = kernel_sweep[("contended", "targeted")]
+    """Emit BENCH_kernel.json: every synthetic workload and the
+    steady-state off-vs-auto sweep."""
+    contended = kernel_sweep["contended"]
     path = save_bench_json(
         "kernel",
         makespan_cycles=contended["events_processed"],
@@ -445,14 +372,7 @@ def test_kernel_bench_export(kernel_sweep, steady_sweep):
         wall_seconds=contended["wall_seconds"],
         extra={
             "periodic": True,
-            "workloads": {
-                f"{name}/{wakeups}": stats
-                for (name, wakeups), stats in kernel_sweep.items()
-            },
-            "speedups": {
-                name: _speedup(kernel_sweep, name) for name in WORKLOADS
-            },
-            "applications": fig_walls,
+            "workloads": kernel_sweep,
             "steady_state": steady_sweep,
         },
     )

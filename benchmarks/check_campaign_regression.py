@@ -5,7 +5,7 @@ Usage::
 
     python benchmarks/check_campaign_regression.py CURRENT.json [BASELINE.json]
 
-Four absolute gates always apply (they are machine-independent — both
+Three absolute gates always apply (they are machine-independent — both
 sides of each ratio run on the same box in the same process):
 
 * **throughput floor** — the service campaign must beat one process per
@@ -14,11 +14,7 @@ sides of each ratio run on the same box in the same process):
 * **cache floor** — the repeated-graph campaign's analysis-cache hit
   rate must stay >= 0.9;
 * **no failed units** — shard-level failure isolation must not be
-  exercised on the healthy workload;
-* **cold-miss floor** (when the document has a ``cold_miss`` section) —
-  on distinct seeds with the cache off, the array-backed analysis
-  engine must keep a >= 1.5x (1.2x quick) throughput win over the
-  legacy engine.
+  exercised on the healthy workload.
 
 When a baseline produced with the same ``quick`` flag is given, the
 speedup and service runs/sec are additionally compared against it with
@@ -44,12 +40,6 @@ SPEEDUP_FLOOR_QUICK = 1.5
 
 #: analysis-cache hit-rate floor on the repeated-graph workload
 HIT_RATE_FLOOR = 0.9
-
-#: cold-miss (cache-off, distinct-seed) fast-vs-legacy engine floors —
-#: the cache can't help distinct graphs, so this isolates the analysis
-#: engine's own win
-COLD_MISS_FLOOR_FULL = 1.5
-COLD_MISS_FLOOR_QUICK = 1.2
 
 
 def _load(path: str) -> dict:
@@ -83,19 +73,6 @@ def check(current: dict, baseline: dict = None) -> list:
         )
     if failed:
         failures.append(f"{failed} campaign unit(s) failed")
-
-    cold = extra.get("cold_miss")
-    if cold is not None:
-        cold_floor = (
-            COLD_MISS_FLOOR_QUICK
-            if current.get("quick")
-            else COLD_MISS_FLOOR_FULL
-        )
-        if cold["speedup"] < cold_floor:
-            failures.append(
-                f"cold-miss engine speedup {cold['speedup']:.2f}x fell "
-                f"below the {cold_floor:.1f}x floor"
-            )
 
     if baseline is None:
         pass

@@ -234,11 +234,8 @@ def render_metrics_summary(document: Dict) -> str:
             f"cycle(s) amortized away"
         )
     lines += [
-        f"simulator: {sim['events_processed']} events, {sim['parks']} parks, "
-        f"{sim['retry_rounds']} retry rounds",
-        f"wakeups ({sim.get('wakeup_policy', 'targeted')}): "
-        f"{sim.get('targeted_wakeups', 0)} targeted, "
-        f"{sim.get('broadcast_wakeups', 0)} broadcast, "
+        f"simulator: {sim['events_processed']} events, {sim['parks']} parks",
+        f"wakeups: {sim.get('targeted_wakeups', 0)} targeted, "
         f"{sim.get('spurious_wakeups', 0)} spurious",
     ]
     detected = sim.get("steady_state_detected_at")

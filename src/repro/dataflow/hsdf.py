@@ -15,13 +15,13 @@ initial tokens) was produced by global producer invocation
 ``(t - d) // p``.  Because one full iteration moves exactly
 ``q_src*p == q_snk*c`` tokens, the iteration offset between a fixed
 ``(i, j)`` invocation pair is constant, so it can be read off at any
-sufficiently late iteration.
+sufficiently late iteration.  The offsets are computed in closed form,
+O(dependencies) per edge rather than O(tokens).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.dataflow.graph import DataflowGraph, GraphError
 from repro.dataflow.sdf import repetitions_vector
@@ -29,29 +29,7 @@ from repro.dataflow.sdf import repetitions_vector
 __all__ = ["hsdf_expand", "invocation_name"]
 
 
-def _legacy_engine() -> bool:
-    value = os.environ.get("REPRO_ANALYSIS_ENGINE", "")
-    return value.strip().lower() == "legacy"
-
-
-def _edge_dependencies_enumerate(
-    p: int, c: int, d: int, q_src: int, q_snk: int, m: int
-) -> Dict[Tuple[int, int], int]:
-    """Per-token enumeration of invocation dependencies (legacy)."""
-    deps: Dict[Tuple[int, int], int] = {}
-    for j in range(q_snk):
-        for offset in range(c):
-            t = (m * q_snk + j) * c + offset
-            producer_global = (t - d) // p
-            n, i = divmod(producer_global, q_src)
-            key = (i, j)
-            delta = m - n
-            if key not in deps or delta < deps[key]:
-                deps[key] = delta
-    return deps
-
-
-def _edge_dependencies_closed_form(
+def _edge_dependencies(
     p: int, c: int, d: int, q_src: int, q_snk: int, m: int
 ) -> Dict[Tuple[int, int], int]:
     """Closed-form invocation dependencies, O(deps) instead of O(tokens).
@@ -90,11 +68,7 @@ def invocation_name(actor_name: str, index: int) -> str:
     return f"{actor_name}#{index}"
 
 
-def hsdf_expand(
-    graph: DataflowGraph,
-    name: str = "",
-    method: Optional[str] = None,
-) -> DataflowGraph:
+def hsdf_expand(graph: DataflowGraph, name: str = "") -> DataflowGraph:
     """Expand a consistent SDF graph into its homogeneous equivalent.
 
     Every port of the result has rate 1.  Invocation vertices inherit the
@@ -102,21 +76,7 @@ def hsdf_expand(
     actor, evaluated at the invocation's local firing index).  Ports are
     synthesised per edge; the result is only meant for precedence/timing
     analysis, not functional execution.
-
-    ``method`` is ``"closed_form"`` (per-(i, j) dependency offsets in
-    O(deps), the default) or ``"enumerate"`` (the original per-token
-    loop, O(tokens)); ``None`` follows the ``REPRO_ANALYSIS_ENGINE``
-    environment default.  Both produce identical graphs.
     """
-    if method is None:
-        method = "enumerate" if _legacy_engine() else "closed_form"
-    if method not in ("closed_form", "enumerate"):
-        raise GraphError(f"unknown HSDF expansion method {method!r}")
-    dependencies = (
-        _edge_dependencies_closed_form
-        if method == "closed_form"
-        else _edge_dependencies_enumerate
-    )
     reps = repetitions_vector(graph)
     expanded = DataflowGraph(name or f"{graph.name}_hsdf")
 
@@ -154,7 +114,7 @@ def hsdf_expand(
             )
         # Late enough that every consumed token has a producer.
         m = d // (q_snk * c) + 1
-        deps = dependencies(p, c, d, q_src, q_snk, m)
+        deps = _edge_dependencies(p, c, d, q_src, q_snk, m)
         if any(delta < 0 for delta in deps.values()):
             raise GraphError(
                 f"internal error: negative iteration offset on "

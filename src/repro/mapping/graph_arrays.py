@@ -1,10 +1,9 @@
 """Array-backed analysis engine for timed graphs (the §3/§4 fast path).
 
 Every exact analysis the SPI methodology runs per graph — maximum cycle
-mean, redundancy detection, resynchronization scoring — used to walk the
-:class:`~repro.mapping.timed_graph.TimedGraph` object graph with
-superlinear pure-Python loops.  This module is the shared fast engine
-underneath them:
+mean, redundancy detection, resynchronization scoring — runs on this
+shared engine instead of walking the
+:class:`~repro.mapping.timed_graph.TimedGraph` object graph:
 
 * :class:`GraphArrays` — a CSR-style numpy view of a timed graph
   (vertex execution times, edge endpoint/delay arrays, out-edges grouped
@@ -13,9 +12,8 @@ underneath them:
   arrays;
 * :func:`howard_mcm` — Howard's policy iteration for the maximum
   cycle-ratio problem ``max over cycles C of sum(t(src)) / sum(delay)``.
-  Unlike Lawler's binary search (~50 Bellman–Ford probes of O(V·E)
-  each), Howard runs a handful of O(V+E) policy-evaluation sweeps and
-  terminates with an **exact** answer: the value is recomputed from the
+  It runs a handful of O(V+E) policy-evaluation sweeps and terminates
+  with an **exact** answer: the value is recomputed from the
   critical cycle's integer execution-time and delay sums, so there is no
   search tolerance, and the critical cycle itself is returned as a
   witness;

@@ -8,38 +8,23 @@ The asymptotic iteration period of a self-timed implementation is the
 
 A cycle with zero total delay means deadlock (infinite period).  Edge
 delays play the role of "tokens" in the ratio, so this is the general
-cost-to-time ratio problem.  Two solvers are provided:
+cost-to-time ratio problem.  It is solved by Howard's policy iteration
+over the array-backed engine (:mod:`repro.mapping.graph_arrays`), which
+converges in a handful of O(V+E) value-determination sweeps and yields
+an **exact** :class:`McmResult`: the value is the float quotient of the
+critical cycle's integer execution-time and delay sums, and the cycle
+itself is returned as a witness.
 
-* ``algorithm="howard"`` (default) — Howard's policy iteration over the
-  array-backed engine (:mod:`repro.mapping.graph_arrays`).  It converges
-  in a handful of O(V+E) value-determination sweeps and yields an
-  **exact** :class:`McmResult` — the value is the float quotient of the
-  critical cycle's integer execution-time and delay sums, and the cycle
-  itself is returned as a witness;
-* ``algorithm="lawler"`` — the original Lawler binary search with a
-  Bellman–Ford positive-cycle test (~50 probes of O(V·E)), kept for A/B
-  comparison and property testing.  It carries a search ``tolerance``
-  and produces no witness.
-
-Set ``REPRO_ANALYSIS_ENGINE=legacy`` in the environment to flip the
-default back to the legacy solver (and the legacy engines of the other
-analysis stages) without touching call sites.
-
-An exact simulation-based cross-check (:func:`simulate_selftimed`)
-executes eq. 3 directly; its default ``engine="vectorized"`` sweeps each
-iteration with numpy over level-grouped edges, while ``engine="python"``
-keeps the original per-edge dictionary loop.
+:func:`simulate_selftimed` executes eq. 3 directly, one per-edge sweep
+per iteration; it is the exact reference the MCM is checked against.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.mapping.graph_arrays import GraphArrays, howard_mcm
 from repro.mapping.timed_graph import TimedGraph
@@ -54,19 +39,12 @@ __all__ = [
 ]
 
 
-def _legacy_engine() -> bool:
-    """True when the environment pins the pre-array analysis engines."""
-    value = os.environ.get("REPRO_ANALYSIS_ENGINE", "")
-    return value.strip().lower() == "legacy"
-
-
 @dataclass(frozen=True)
 class McmResult:
     """Exact MCM with its critical-cycle witness.
 
     ``cycle`` lists the task names along one critical cycle (in edge
-    succession order; empty for acyclic graphs or the witness-less
-    Lawler solver), and ``total_cycles`` / ``total_delay`` are the
+    succession order; empty for acyclic graphs), and ``total_cycles`` / ``total_delay`` are the
     integer sums whose quotient is ``value`` — for a deadlock witness
     ``total_delay`` is 0 and ``value`` is ``math.inf``.
     """
@@ -75,7 +53,6 @@ class McmResult:
     cycle: Tuple[str, ...] = ()
     total_cycles: int = 0
     total_delay: int = 0
-    algorithm: str = "howard"
 
     @property
     def is_deadlock(self) -> bool:
@@ -87,67 +64,17 @@ class McmResult:
             "cycle": list(self.cycle),
             "total_cycles": self.total_cycles,
             "total_delay": self.total_delay,
-            "algorithm": self.algorithm,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "McmResult":
+        """Inverse of :meth:`to_dict`; unknown keys are ignored."""
         return cls(
             value=float(payload["value"]),
             cycle=tuple(payload.get("cycle", ())),
             total_cycles=int(payload.get("total_cycles", 0)),
             total_delay=int(payload.get("total_delay", 0)),
-            algorithm=str(payload.get("algorithm", "howard")),
         )
-
-
-def _has_cycle_with_mean_at_least(graph: TimedGraph, lam: float) -> bool:
-    """Bellman–Ford test: exists cycle with sum(t - lam*delay) >= 0?
-
-    Uses weights w(e) = t(src(e)) - lam*delay(e) and looks for a
-    non-negative-weight cycle via longest-path relaxation.  A tiny
-    epsilon keeps exactly-critical cycles on the "yes" side.
-    """
-    names = [v.name for v in graph.vertices]
-    if not names:
-        return False
-    t = {v.name: float(v.cycles) for v in graph.vertices}
-    # Longest-path Bellman-Ford from a virtual super-source.
-    dist = {name: 0.0 for name in names}
-    eps = 1e-12
-    for iteration in range(len(names)):
-        changed = False
-        for edge in graph.edges:
-            weight = t[edge.src] - lam * edge.delay
-            candidate = dist[edge.src] + weight
-            if candidate > dist[edge.snk] + eps:
-                dist[edge.snk] = candidate
-                changed = True
-        if not changed:
-            return False
-    # Still relaxing after |V| passes -> positive (>=0 after epsilon) cycle.
-    for edge in graph.edges:
-        weight = t[edge.src] - lam * edge.delay
-        if dist[edge.src] + weight > dist[edge.snk] + eps:
-            return True
-    return False
-
-
-def _lawler_mcm(graph: TimedGraph, tolerance: float) -> float:
-    """The original binary-search solver (zero-delay cycles pre-excluded)."""
-    total = sum(v.cycles for v in graph.vertices)
-    if total == 0 or not graph.edges:
-        return 0.0
-    low, high = 0.0, float(total) + 1.0
-    if not _has_cycle_with_mean_at_least(graph, low):
-        return 0.0  # acyclic
-    while high - low > max(tolerance, tolerance * high):
-        mid = (low + high) / 2.0
-        if _has_cycle_with_mean_at_least(graph, mid):
-            low = mid
-        else:
-            high = mid
-    return low
 
 
 def _zero_delay_cycle(graph: TimedGraph) -> List[str]:
@@ -189,23 +116,12 @@ def _zero_delay_cycle(graph: TimedGraph) -> List[str]:
     raise AssertionError("no zero-delay cycle found")  # pragma: no cover
 
 
-def maximum_cycle_mean_result(
-    graph: TimedGraph,
-    tolerance: float = 1e-7,
-    algorithm: Optional[str] = None,
-) -> McmResult:
+def maximum_cycle_mean_result(graph: TimedGraph) -> McmResult:
     """MCM of ``graph`` with a critical-cycle witness.
 
-    ``algorithm`` is ``"howard"`` (exact, witnessed — the default) or
-    ``"lawler"`` (legacy binary search, witness-less); ``None`` follows
-    the ``REPRO_ANALYSIS_ENGINE`` environment default.  Deadlocked
-    graphs return ``math.inf`` with a zero-delay cycle as the witness;
-    acyclic graphs return 0.0.
+    Deadlocked graphs return ``math.inf`` with a zero-delay cycle as the
+    witness; acyclic graphs return 0.0.
     """
-    if algorithm is None:
-        algorithm = "lawler" if _legacy_engine() else "howard"
-    if algorithm not in ("howard", "lawler"):
-        raise ValueError(f"unknown MCM algorithm {algorithm!r}")
     if graph.has_zero_delay_cycle():
         cycle = _zero_delay_cycle(graph)
         return McmResult(
@@ -213,11 +129,6 @@ def maximum_cycle_mean_result(
             cycle=tuple(cycle),
             total_cycles=sum(graph.vertex(name).cycles for name in cycle),
             total_delay=0,
-            algorithm=algorithm,
-        )
-    if algorithm == "lawler":
-        return McmResult(
-            value=_lawler_mcm(graph, tolerance), algorithm="lawler"
         )
     if not graph.edges:
         return McmResult(value=0.0)
@@ -234,20 +145,14 @@ def maximum_cycle_mean_result(
     )
 
 
-def maximum_cycle_mean(
-    graph: TimedGraph,
-    tolerance: float = 1e-7,
-    algorithm: Optional[str] = None,
-) -> float:
+def maximum_cycle_mean(graph: TimedGraph) -> float:
     """MCM of ``graph`` in cycles per iteration.
 
     Returns ``math.inf`` when a zero-delay cycle exists (deadlock), and
     ``0.0`` for acyclic graphs (no throughput constraint).  See
     :func:`maximum_cycle_mean_result` for the witnessed variant.
     """
-    return maximum_cycle_mean_result(
-        graph, tolerance=tolerance, algorithm=algorithm
-    ).value
+    return maximum_cycle_mean_result(graph).value
 
 
 @dataclass
@@ -313,13 +218,20 @@ def zero_delay_topological_order(graph: TimedGraph) -> List[str]:
     return topo
 
 
-def _simulate_python(
-    graph: TimedGraph, iterations: int, topo: List[str]
-) -> SelfTimedTrace:
-    """The original per-edge dictionary sweep (legacy engine)."""
-    names = [v.name for v in graph.vertices]
+def simulate_selftimed(graph: TimedGraph, iterations: int) -> SelfTimedTrace:
+    """Execute the self-timed semantics of eq. 3 exactly.
+
+    ``start(v, k) = max over in-edges e of end(src(e), k - delay(e))``
+    (constraints reaching before iteration 0 are vacuous), and
+    ``end(v, k) = start(v, k) + t(v)``.  Within one iteration the
+    zero-delay edges form a DAG (checked), so a topological sweep per
+    iteration suffices.
+    """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    topo = zero_delay_topological_order(graph)
     t = {v.name: v.cycles for v in graph.vertices}
-    in_edges = {name: graph.in_edges(name) for name in names}
+    in_edges = {name: graph.in_edges(name) for name in topo}
     start: Dict[Tuple[str, int], int] = {}
     end: Dict[Tuple[str, int], int] = {}
     for k in range(iterations):
@@ -333,127 +245,3 @@ def _simulate_python(
             start[(name, k)] = ready_at
             end[(name, k)] = ready_at + t[name]
     return SelfTimedTrace(start=start, end=end, iterations=iterations)
-
-
-def _simulate_vectorized(
-    graph: TimedGraph, iterations: int, topo: List[str]
-) -> SelfTimedTrace:
-    """Numpy sweep: gather per delay group, then per zero-delay level.
-
-    Within an iteration the zero-delay edges form a DAG; vertices are
-    grouped into longest-path *levels* so each level's start times can
-    be gathered in one vectorized max once all shallower levels are
-    settled.  Delayed edges are grouped by delay and applied as one
-    ``np.maximum.at`` per group.  All arithmetic is int64 max/add, so
-    the results are bit-identical to the python engine.
-    """
-    position = {name: i for i, name in enumerate(topo)}
-    n = len(topo)
-    exec_times = np.fromiter(
-        (graph.vertex(name).cycles for name in topo),
-        dtype=np.int64,
-        count=n,
-    )
-    delayed: Dict[int, List[Tuple[int, int]]] = {}
-    for edge in graph.edges:
-        if edge.delay:
-            delayed.setdefault(edge.delay, []).append(
-                (position[edge.src], position[edge.snk])
-            )
-    # Zero-delay levels: level(v) = 1 + max level of zero-delay preds.
-    # Topo positions make every zero-delay edge go forward, so a single
-    # pass over the edges sorted by source position settles all levels.
-    zero_edges = sorted(
-        (position[e.src], position[e.snk])
-        for e in graph.edges
-        if e.delay == 0
-    )
-    level = [0] * n
-    for src, snk in zero_edges:
-        if level[src] + 1 > level[snk]:
-            level[snk] = level[src] + 1
-    n_levels = max(level, default=0) + 1 if n else 0
-    level_edges: List[Tuple[np.ndarray, np.ndarray]] = []
-    by_level: Dict[int, List[Tuple[int, int]]] = {}
-    for src, snk in zero_edges:
-        by_level.setdefault(level[snk], []).append((src, snk))
-    for lvl in range(n_levels):
-        pairs = by_level.get(lvl, [])
-        if pairs:
-            level_edges.append(
-                (
-                    np.array([p[0] for p in pairs], dtype=np.int64),
-                    np.array([p[1] for p in pairs], dtype=np.int64),
-                )
-            )
-        else:
-            level_edges.append((None, None))
-    delay_groups = [
-        (
-            d,
-            np.array([p[0] for p in pairs], dtype=np.int64),
-            np.array([p[1] for p in pairs], dtype=np.int64),
-        )
-        for d, pairs in sorted(delayed.items())
-    ]
-
-    starts = np.zeros((iterations, n), dtype=np.int64)
-    ends = np.zeros((iterations, n), dtype=np.int64)
-    for k in range(iterations):
-        ready = np.zeros(n, dtype=np.int64)
-        for d, src_idx, snk_idx in delay_groups:
-            if d > k:
-                continue
-            np.maximum.at(ready, snk_idx, ends[k - d, src_idx])
-        for src_idx, snk_idx in level_edges:
-            if src_idx is None:
-                continue
-            np.maximum.at(ready, snk_idx, ready[src_idx] + exec_times[src_idx])
-        starts[k] = ready
-        ends[k] = ready + exec_times
-
-    start: Dict[Tuple[str, int], int] = {}
-    end: Dict[Tuple[str, int], int] = {}
-    start_rows = starts.tolist()
-    end_rows = ends.tolist()
-    for k in range(iterations):
-        srow = start_rows[k]
-        erow = end_rows[k]
-        for i, name in enumerate(topo):
-            start[(name, k)] = srow[i]
-            end[(name, k)] = erow[i]
-    return SelfTimedTrace(start=start, end=end, iterations=iterations)
-
-
-def simulate_selftimed(
-    graph: TimedGraph,
-    iterations: int,
-    engine: Optional[str] = None,
-) -> SelfTimedTrace:
-    """Execute the self-timed semantics of eq. 3 exactly.
-
-    ``start(v, k) = max over in-edges e of end(src(e), k - delay(e))``
-    (constraints reaching before iteration 0 are vacuous), and
-    ``end(v, k) = start(v, k) + t(v)``.  Within one iteration the
-    zero-delay edges form a DAG (checked), so a topological sweep per
-    iteration suffices.  ``engine`` is ``"vectorized"`` (numpy sweep),
-    ``"python"`` (the original loop), or ``"auto"`` (the default:
-    vectorized once the graph is large enough for the numpy gathers to
-    amortize their setup, python below that); all engines produce
-    identical traces.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if engine is None:
-        engine = "python" if _legacy_engine() else "auto"
-    if engine == "auto":
-        # numpy per-iteration gathers pay off once the per-iteration
-        # work dwarfs their fixed setup; measured crossover ~500
-        # vertices (see benchmarks/bench_analysis.py)
-        engine = "vectorized" if len(graph.vertices) >= 500 else "python"
-    if engine not in ("vectorized", "python"):
-        raise ValueError(f"unknown simulation engine {engine!r}")
-    topo = zero_delay_topological_order(graph)
-    if engine == "python":
-        return _simulate_python(graph, iterations, topo)
-    return _simulate_vectorized(graph, iterations, topo)

@@ -202,7 +202,6 @@ class _MpiSendTask:
 
             def deliver() -> None:
                 channel.deliver_data(payload, nbytes, config.envelope_bytes)
-                sim.notify()
 
             sim.at(data_arrival, deliver)
             assert self.complete_async is not None
@@ -212,7 +211,6 @@ class _MpiSendTask:
         def rts_arrive() -> None:
             channel.deliver_rts(config.envelope_bytes)
             channel.cts_pending.append(on_cts)
-            sim.notify()
 
         sim.at(rts_arrival, rts_arrive)
         return None
@@ -232,7 +230,6 @@ class _MpiSendTask:
 
         def deliver() -> None:
             channel.deliver_data(tokens, nbytes, envelope)
-            sim.notify()
 
         sim.at(arrival, deliver)
 
@@ -331,7 +328,6 @@ class _MpiCollectiveSendTask:
                 ch=channel, payload=part, size=nbytes
             ) -> None:
                 ch.deliver_data(payload, size, envelope)
-                sim.notify()
 
             sim.at(arrival, deliver)
 
@@ -396,7 +392,6 @@ class _MpiRecvTask:
 
         def cts_arrive() -> None:
             channel.deliver_cts(self.config.envelope_bytes)
-            sim.notify()
 
         sim.at(cts_arrival, cts_arrive)
 
@@ -492,12 +487,11 @@ class MpiSystem:
         self,
         iterations: int = 1,
         max_cycles: Optional[int] = None,
-        wakeups: str = "targeted",
         check_lost_wakeups: bool = False,
     ) -> RunResult:
         if iterations < 1:
             raise GraphError("iterations must be >= 1")
-        sim = Simulator(wakeups=wakeups, check_lost_wakeups=check_lost_wakeups)
+        sim = Simulator(check_lost_wakeups=check_lost_wakeups)
         interconnect = Interconnect(default_spec=self.config.link_spec)
         graph = self.insertion.graph
 

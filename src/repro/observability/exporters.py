@@ -24,10 +24,9 @@ Metrics JSON schema (``repro.metrics/1``)::
                 {"tasks", "total_cycles",    #  acyclic or witness-less
                  "total_delay"},             #  legacy cache entry)
               "batch"},                      # blocking factor (1 = unbatched)
-      "simulator": {"events_processed", "parks", "retry_rounds",
-                    "wakeup_policy", "queue_policy", "targeted_wakeups",
-                    "broadcast_wakeups", "spurious_wakeups",
-                    "total_wakeups", "steady_state_detected_at",
+      "simulator": {"events_processed", "parks", "targeted_wakeups",
+                    "spurious_wakeups", "total_wakeups",
+                    "steady_state_detected_at",
                     "extrapolated_iterations", "compiled_firings",
                     "batched_firings",       # firings run in burst dispatches
                     "batch_dispatches",      # dispatches covering > 1 firing
@@ -200,11 +199,7 @@ def build_metrics_document(
         "simulator": {
             "events_processed": sim.events_processed,
             "parks": sim.parks,
-            "retry_rounds": sim.retry_rounds,
-            "wakeup_policy": sim.wakeups,
-            "queue_policy": sim.queue_policy,
             "targeted_wakeups": sim.targeted_wakeups,
-            "broadcast_wakeups": sim.broadcast_wakeups,
             "spurious_wakeups": sim.spurious_wakeups,
             "total_wakeups": sim.total_wakeups,
             "steady_state_detected_at": result.steady_state_detected_at,
@@ -341,18 +336,11 @@ def validate_metrics(document: Dict[str, object]) -> None:
             f"simulator: {dispatches} batch_dispatches in an unbatched "
             f"(batch = 1) run"
         )
-    if "total_wakeups" in sim:
-        split_sum = sim["targeted_wakeups"] + sim["broadcast_wakeups"]
-        if sim["total_wakeups"] != split_sum:
-            raise MetricsValidationError(
-                f"simulator: total_wakeups {sim['total_wakeups']} != "
-                f"targeted + broadcast ({split_sum})"
-            )
-        if sim["spurious_wakeups"] > sim["total_wakeups"]:
-            raise MetricsValidationError(
-                f"simulator: spurious_wakeups {sim['spurious_wakeups']} "
-                f"exceed total_wakeups {sim['total_wakeups']}"
-            )
+    if sim.get("spurious_wakeups", 0) > sim.get("total_wakeups", 0):
+        raise MetricsValidationError(
+            f"simulator: spurious_wakeups {sim['spurious_wakeups']} "
+            f"exceed total_wakeups {sim['total_wakeups']}"
+        )
     detected = sim.get("steady_state_detected_at")
     extrapolated = sim.get("extrapolated_iterations", 0)
     if detected is None and extrapolated:

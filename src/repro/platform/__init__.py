@@ -18,7 +18,7 @@ from repro.platform.memory import (
     BufferOverflowError,
     BufferUnderflowError,
 )
-from repro.platform.compiled import CalendarQueue, CompiledFiring, CompiledStats
+from repro.platform.compiled import CompiledFiring, CompiledStats
 from repro.platform.pe import GPP, PEClass, ProcessingElement
 from repro.platform.simulator import (
     LostWakeupError,
@@ -39,7 +39,6 @@ from repro.platform.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "AttrMeter",
-    "CalendarQueue",
     "CompiledFiring",
     "CompiledStats",
     "MapMeter",

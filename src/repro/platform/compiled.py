@@ -1,116 +1,22 @@
-"""Compiled execution fast-lane: calendar queue + flat firing scripts.
+"""Compiled execution fast-lane: flat firing scripts.
 
-Two optimizations for the dense-event regime, both strictly
-semantics-preserving:
-
-* :class:`CalendarQueue` — a bucketed event queue (Brown's calendar
-  queue) that can replace the kernel's binary heap
-  (``Simulator(queue="calendar")``).  Events land in a bucket by
-  ``time // bucket_width`` modulo the bucket count; popping scans from
-  the current "day" forward, so for the self-timed dense-event pattern
-  (many events clustered around ``now``) both operations touch one
-  short, sorted bucket.  The total order is identical to the heap's:
-  ``(time, sequence number)``, so simultaneous events preserve their
-  scheduling order exactly.
-
-* :class:`CompiledFiring` — a drop-in replacement for
-  :class:`repro.spi.actors.ComputationTask` built from a
-  :meth:`repro.mapping.selftimed.SelfTimedSchedule.firing_script` entry.
-  When rates are static the task's wait chain is pre-resolved at
-  compile time into flat ``(fifo, rate)`` lists, and a static integer
-  cycle model short-circuits the callable dispatch — the guard check
-  that runs on every park/wake round becomes two tuple walks instead of
-  repeated port-table construction.  Firing semantics (consumption
-  order, kernel invocation, production order) are identical by
-  construction; the conformance tier A/Bs the two task classes.
+:class:`CompiledFiring` is a drop-in replacement for
+:class:`repro.spi.actors.ComputationTask` built from a
+:meth:`repro.mapping.selftimed.SelfTimedSchedule.firing_script` entry.
+When rates are static the task's wait chain is pre-resolved at compile
+time into flat ``(fifo, rate)`` lists, and a static integer cycle model
+short-circuits the callable dispatch — the guard check that runs on
+every park/wake round becomes two tuple walks instead of repeated
+port-table construction.  Firing semantics (consumption order, kernel
+invocation, production order) are identical by construction; the
+conformance tier A/Bs the two task classes.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-__all__ = ["CalendarQueue", "CompiledStats", "CompiledFiring"]
-
-
-class CalendarQueue:
-    """Bucketed event queue with binary-heap ordering semantics.
-
-    Entries are ``(time, seq, callback)`` tuples, exactly as the
-    kernel's heap stores them; ``(time, seq)`` is globally unique so
-    tuple comparison never reaches the callback.  Buckets are kept
-    sorted (insertion via ``bisect``), and the bucket count doubles or
-    halves with the population so bucket scans stay short.
-    """
-
-    __slots__ = ("_width", "_min_buckets", "_nb", "_buckets", "_size", "_floor")
-
-    def __init__(self, bucket_width: int = 16, min_buckets: int = 16) -> None:
-        if bucket_width < 1:
-            raise ValueError("bucket_width must be >= 1")
-        if min_buckets < 2:
-            raise ValueError("min_buckets must be >= 2")
-        self._width = bucket_width
-        self._min_buckets = min_buckets
-        self._nb = min_buckets
-        self._buckets: List[List[Tuple[int, int, Callable[[], None]]]] = [
-            [] for _ in range(min_buckets)
-        ]
-        self._size = 0
-        #: monotone floor: no entry earlier than this is ever pushed
-        #: (the simulator never schedules in the past)
-        self._floor = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, time: int, seq: int, callback: Callable[[], None]) -> None:
-        insort(
-            self._buckets[(time // self._width) % self._nb],
-            (time, seq, callback),
-        )
-        self._size += 1
-        if self._size > 2 * self._nb:
-            self._resize(2 * self._nb)
-
-    def pop(self) -> Tuple[int, int, Callable[[], None]]:
-        if not self._size:
-            raise IndexError("pop from an empty CalendarQueue")
-        day = self._floor // self._width
-        # scan one full rotation starting at the current day's bucket;
-        # a bucket's head is popped only if it falls inside the day
-        # window that maps to that bucket on this rotation
-        for offset in range(self._nb):
-            bucket = self._buckets[(day + offset) % self._nb]
-            if bucket and bucket[0][0] < (day + offset + 1) * self._width:
-                entry = bucket.pop(0)
-                self._finish_pop(entry)
-                return entry
-        # sparse region: every pending event lies beyond this rotation —
-        # jump straight to the global minimum instead of spinning
-        best_bucket: Optional[List] = None
-        for bucket in self._buckets:
-            if bucket and (
-                best_bucket is None or bucket[0][:2] < best_bucket[0][:2]
-            ):
-                best_bucket = bucket
-        assert best_bucket is not None
-        entry = best_bucket.pop(0)
-        self._finish_pop(entry)
-        return entry
-
-    def _finish_pop(self, entry: Tuple[int, int, Callable[[], None]]) -> None:
-        self._size -= 1
-        self._floor = entry[0]
-        if self._nb > self._min_buckets and self._size < self._nb // 4:
-            self._resize(self._nb // 2)
-
-    def _resize(self, n_buckets: int) -> None:
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self._nb = max(self._min_buckets, n_buckets)
-        self._buckets = [[] for _ in range(self._nb)]
-        for entry in entries:
-            insort(self._buckets[(entry[0] // self._width) % self._nb], entry)
+__all__ = ["CompiledStats", "CompiledFiring"]
 
 
 class CompiledStats:

@@ -1,7 +1,7 @@
 """Discrete-event simulation kernel with self-timed PE sequencers.
 
 The kernel is deliberately small: a time-ordered event heap plus a
-blocking/retry discipline for sequencers.
+park/wake discipline for sequencers.
 
 * A **task** is anything implementing the :class:`Task` protocol —
   computation firings, SPI sends/receives, MPI baseline operations.
@@ -10,30 +10,25 @@ blocking/retry discipline for sequencers.
   the self-timed execution model of the paper: assignment and order are
   fixed at compile time, firing instants resolve at run time from data
   availability).
-* When a task's guard fails the sequencer parks.  Tasks that implement
-  the optional ``wait_on()`` hook name the :class:`Waitset` objects of
-  the resources they are blocked on (a starved channel, an empty sync
-  pool, an exhausted credit window); the sequencer then subscribes to
-  those waitsets and is woken **only** when one of them signals — the
-  *targeted* wakeup path.  Tasks without ``wait_on`` fall back to the
-  broadcast discipline: any state change (:meth:`Simulator.notify`)
-  re-evaluates every broadcast-parked sequencer at the current time.
+* When a task's guard fails the sequencer parks.  The task's
+  ``wait_on()`` names the :class:`Waitset` objects of the resources it
+  is blocked on (a starved channel, an empty sync pool, an exhausted
+  credit window); the sequencer subscribes to those waitsets and is
+  woken **only** when one of them signals.
 
-The targeted path is what makes large simulations cheap: with the
-broadcast discipline every event re-evaluates every parked guard
-(O(parked x events)); with waitsets a state change touches exactly the
-sequencers that can make progress.  The ordering contract is unchanged:
-wakeups are delivered through the event heap at the current simulation
-time, after the mutating event completes, in subscription order.
+A state change therefore touches exactly the sequencers that can make
+progress.  Wakeups are delivered through the event heap at the current
+simulation time, after the mutating event completes, in subscription
+order.
 
 Deadlock (all sequencers parked, no events pending) raises
 :class:`SimulationDeadlock` with a description of every blocked task —
 invaluable when a protocol is mis-wired.  If a parked sequencer's guard
-actually *holds* at deadlock time, the kernel raises
-:class:`LostWakeupError` instead: some resource changed state without
-waking its waitset, which is a kernel-integration bug, never an
-application deadlock.  ``Simulator(check_lost_wakeups=True)`` (used by
-the conformance oracles) additionally audits every wakeup round for
+actually *holds* at deadlock time, or a blocked task names no waitset
+to wait on, the kernel raises :class:`LostWakeupError` instead: nothing
+would ever wake that sequencer, which is a kernel-integration bug, never
+an application deadlock.  ``Simulator(check_lost_wakeups=True)`` (used
+by the conformance oracles) additionally audits every wakeup round for
 ready-but-unwoken sequencers instead of waiting for the deadlock.
 """
 
@@ -60,11 +55,12 @@ class SimulationDeadlock(RuntimeError):
 
 
 class LostWakeupError(RuntimeError):
-    """A resource changed state without waking its waitset.
+    """A parked sequencer can never be woken.
 
     Raised when a sequencer parked on waitsets has a passing guard but
     was never woken — i.e. some resource mutation forgot to call
-    :meth:`Waitset.wake`.  This is a kernel/task integration bug, and is
+    :meth:`Waitset.wake` — or when a blocked task names no waitset at
+    all.  This is a kernel/task integration bug, and is
     kept distinct from :class:`SimulationDeadlock` (a property of the
     simulated application) so conformance campaigns can tell them apart.
     """
@@ -89,6 +85,14 @@ class Task(Protocol):
 
     def finish(self, now: int) -> None:
         """Perform end-of-execution effects (produce tokens, send, ...)."""
+
+    def wait_on(self, now: int) -> Sequence["Waitset"]:
+        """Waitsets whose signal may let a failed ``ready`` guard pass.
+
+        Called only after ``ready(now)`` returned False; a blocked task
+        must name at least one waitset.  Tasks that are always ready
+        return an empty list.
+        """
 
 
 class Waitset:
@@ -118,7 +122,7 @@ class Waitset:
         self._waiters.append((sequencer, sequencer.wait_epoch))
 
     def wake(self) -> None:
-        """Schedule a targeted wakeup for every live subscriber."""
+        """Schedule a wakeup for every live subscriber."""
         if not self._waiters:
             return
         waiters, self._waiters = self._waiters, []
@@ -137,36 +141,14 @@ class Waitset:
 class Simulator:
     """Event heap + parked-sequencer bookkeeping.
 
-    ``wakeups`` selects the parking discipline: ``"targeted"`` (the
-    default) uses per-resource waitsets for tasks that declare them and
-    broadcast for the rest; ``"broadcast"`` forces every park onto the
-    broadcast retry path (the pre-waitset kernel — kept for A/B
-    benchmarking and as the conformance reference).
     ``check_lost_wakeups`` audits every wakeup round for ready-but-
-    unwoken targeted sequencers (see :class:`LostWakeupError`).
+    unwoken parked sequencers (see :class:`LostWakeupError`).
     """
 
-    def __init__(
-        self,
-        wakeups: str = "targeted",
-        check_lost_wakeups: bool = False,
-        queue: str = "heap",
-    ) -> None:
-        if wakeups not in ("targeted", "broadcast"):
-            raise ValueError(f"unknown wakeup discipline {wakeups!r}")
-        if queue not in ("heap", "calendar"):
-            raise ValueError(f"unknown event queue {queue!r}")
+    def __init__(self, check_lost_wakeups: bool = False) -> None:
         self.now = 0
-        self.wakeups = wakeups
         self.check_lost_wakeups = check_lost_wakeups
-        self.queue_policy = queue
         self._heap: List[Tuple[int, int, Callable[[], None]]] = []
-        if queue == "calendar":
-            from repro.platform.compiled import CalendarQueue
-
-            self._calendar: Optional[CalendarQueue] = CalendarQueue()
-        else:
-            self._calendar = None
         #: optional steady-state tracker (see
         #: :mod:`repro.platform.steady_state`): while armed, message
         #: deliveries routed through :meth:`schedule_delivery` are
@@ -174,25 +156,20 @@ class Simulator:
         self.state_probe = None
         self._seq = itertools.count()
         self._parked: List["PESequencer"] = []
-        self._targeted: List["PESequencer"] = []
         self._wake_queue: List["PESequencer"] = []
-        self._retry_scheduled = False
         self._wake_scheduled = False
         #: kernel counters (observability: exported into the metrics JSON)
         self.events_processed = 0
         self.parks = 0
-        self.retry_rounds = 0
         #: sequencer re-evaluations delivered through a waitset
         self.targeted_wakeups = 0
-        #: sequencer re-evaluations delivered through the broadcast retry
-        self.broadcast_wakeups = 0
-        #: wakeups (either kind) whose guard still failed — the sequencer
-        #: re-parked without progress
+        #: wakeups whose guard still failed — the sequencer re-parked
+        #: without progress
         self.spurious_wakeups = 0
 
     @property
     def total_wakeups(self) -> int:
-        return self.targeted_wakeups + self.broadcast_wakeups
+        return self.targeted_wakeups
 
     # -- events ---------------------------------------------------------------
 
@@ -202,10 +179,7 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule in the past ({time} < now {self.now})"
             )
-        if self._calendar is not None:
-            self._calendar.push(time, next(self._seq), callback)
-        else:
-            heapq.heappush(self._heap, (time, next(self._seq), callback))
+        heapq.heappush(self._heap, (time, next(self._seq), callback))
 
     def after(self, delay: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` ``delay`` cycles from now."""
@@ -240,32 +214,26 @@ class Simulator:
     # -- parking / wakeups ------------------------------------------------------
 
     def park(
-        self,
-        sequencer: "PESequencer",
-        waitsets: Optional[Sequence[Waitset]] = None,
+        self, sequencer: "PESequencer", waitsets: Sequence[Waitset]
     ) -> None:
-        """Park ``sequencer`` until a wakeup.
-
-        With ``waitsets`` (and the targeted discipline) the sequencer
-        subscribes to exactly those resources; otherwise it joins the
-        broadcast-parked list swept by :meth:`notify`.
-        """
+        """Park ``sequencer`` until one of ``waitsets`` signals."""
         if sequencer.parked:
             return
+        if not waitsets:
+            raise LostWakeupError(
+                f"{sequencer.pe.name}: task {sequencer.current.name!r} is "
+                f"blocked at t={self.now} but names no waitset to wake it"
+            )
         sequencer.parked = True
         self.parks += 1
-        if waitsets and self.wakeups == "targeted":
-            sequencer.parked_targeted = True
-            if not sequencer._tracked:
-                sequencer._tracked = True
-                self._targeted.append(sequencer)
-            for waitset in waitsets:
-                waitset.subscribe(sequencer)
-        else:
+        if not sequencer._tracked:
+            sequencer._tracked = True
             self._parked.append(sequencer)
+        for waitset in waitsets:
+            waitset.subscribe(sequencer)
 
     def _schedule_wake(self, sequencer: "PESequencer") -> None:
-        """Queue a targeted wakeup; coalesces duplicates per round."""
+        """Queue a wakeup; coalesces duplicates per round."""
         if sequencer.wake_pending or not sequencer.parked:
             return
         sequencer.wake_pending = True
@@ -282,22 +250,22 @@ class Simulator:
             self.targeted_wakeups += 1
             sequencer._woken = True
             sequencer.advance()
-        if self._targeted:
+        if self._parked:
             # prune sequencers that were woken (or finished) this round
             kept = []
-            for sequencer in self._targeted:
-                if sequencer.parked_targeted:
+            for sequencer in self._parked:
+                if sequencer.parked:
                     kept.append(sequencer)
                 else:
                     sequencer._tracked = False
-            self._targeted = kept
+            self._parked = kept
         if self.check_lost_wakeups:
-            self._audit_targeted()
+            self._audit_parked()
 
-    def _audit_targeted(self) -> None:
-        """Assert no targeted-parked sequencer is ready but unwoken."""
-        for sequencer in self._targeted:
-            if sequencer.wake_pending or not sequencer.parked_targeted:
+    def _audit_parked(self) -> None:
+        """Assert no parked sequencer is ready but unwoken."""
+        for sequencer in self._parked:
+            if sequencer.wake_pending or not sequencer.parked:
                 continue
             task = sequencer.current
             if task is not None and task.ready(self.now):
@@ -307,28 +275,6 @@ class Simulator:
                     f"(lost wakeup)"
                 )
 
-    def notify(self) -> None:
-        """State changed: re-evaluate broadcast-parked sequencers.
-
-        This is the fallback discipline for tasks without ``wait_on``;
-        under the targeted discipline the list is usually empty and the
-        call returns immediately.
-        """
-        if self._retry_scheduled or not self._parked:
-            return
-        self._retry_scheduled = True
-
-        def retry() -> None:
-            self._retry_scheduled = False
-            self.retry_rounds += 1
-            parked, self._parked = self._parked, []
-            for sequencer in parked:
-                self.broadcast_wakeups += 1
-                sequencer._woken = True
-                sequencer.advance()
-
-        self.at(self.now, retry)
-
     # -- main loop ---------------------------------------------------------------
 
     def run(self, max_cycles: Optional[int] = None) -> int:
@@ -337,33 +283,17 @@ class Simulator:
         ``max_cycles`` guards against runaway simulations (raises
         ``RuntimeError`` when exceeded).
         """
-        if self._calendar is not None:
-            calendar = self._calendar
-            while calendar:
-                time, _, callback = calendar.pop()
-                if max_cycles is not None and time > max_cycles:
-                    raise RuntimeError(
-                        f"simulation exceeded max_cycles={max_cycles} "
-                        f"(next event at {time})"
-                    )
-                self.now = time
-                self.events_processed += 1
-                callback()
-        else:
-            while self._heap:
-                time, _, callback = heapq.heappop(self._heap)
-                if max_cycles is not None and time > max_cycles:
-                    raise RuntimeError(
-                        f"simulation exceeded max_cycles={max_cycles} "
-                        f"(next event at {time})"
-                    )
-                self.now = time
-                self.events_processed += 1
-                callback()
+        while self._heap:
+            time, _, callback = heapq.heappop(self._heap)
+            if max_cycles is not None and time > max_cycles:
+                raise RuntimeError(
+                    f"simulation exceeded max_cycles={max_cycles} "
+                    f"(next event at {time})"
+                )
+            self.now = time
+            self.events_processed += 1
+            callback()
         blocked = [s for s in self._parked if s.parked and not s.done]
-        blocked += [
-            s for s in self._targeted if s.parked_targeted and not s.done
-        ]
         if blocked:
             blocked.sort(key=lambda s: s.pe.index)
             for sequencer in blocked:
@@ -387,6 +317,8 @@ class PESequencer:
     ``program`` is the per-iteration task list; the sequencer runs it
     ``iterations`` times.  Each task may be executed with overlapping of
     *different PEs* but tasks of one PE strictly serialize (one datapath).
+    Every task must implement ``wait_on`` (see :class:`Task`); a program
+    with a task that does not is rejected here with ``TypeError``.
     """
 
     def __init__(
@@ -402,6 +334,13 @@ class PESequencer:
         self.sim = sim
         self.pe = pe
         self.program = list(program)
+        for task in self.program:
+            if not callable(getattr(task, "wait_on", None)):
+                raise TypeError(
+                    f"{pe.name}: task {task.name!r} does not implement "
+                    f"wait_on(now); a blocked task must name the waitsets "
+                    f"that can wake it"
+                )
         self.iterations = iterations
         self.trace = trace
         self.iteration = 0
@@ -417,17 +356,14 @@ class PESequencer:
         self._busy_until: Optional[int] = None
         #: when the current task first failed its guard (None = not blocked)
         self._blocked_since: Optional[int] = None
-        #: parked in either discipline (O(1) membership, replaces the
-        #: kernel's old linear ``sequencer not in parked`` scan)
+        #: parked on waitset subscriptions
         self.parked = False
-        #: parked with waitset subscriptions (targeted discipline)
-        self.parked_targeted = False
         #: queued in the kernel's current wake round
         self.wake_pending = False
         #: bumped every time the sequencer leaves the parked state —
         #: invalidates stale waitset subscriptions
         self.wait_epoch = 0
-        #: membership flag for the kernel's targeted-parked list
+        #: membership flag for the kernel's parked list
         self._tracked = False
         #: the advance() call was delivered by a wakeup (spurious-wakeup
         #: accounting: set by the kernel, cleared on entry to advance)
@@ -453,7 +389,6 @@ class PESequencer:
 
     def _unpark(self) -> None:
         self.parked = False
-        self.parked_targeted = False
         self.wait_epoch += 1
 
     def advance(self) -> None:
@@ -471,8 +406,7 @@ class PESequencer:
             if self._blocked_since is None:
                 self._blocked_since = now
             self.pe.record_block()
-            wait_on = getattr(task, "wait_on", None)
-            self.sim.park(self, wait_on(now) if wait_on is not None else None)
+            self.sim.park(self, task.wait_on(now))
             return
         if self._blocked_since is not None:
             # The blocked interval ends now: attribute it to the task
@@ -512,7 +446,6 @@ class PESequencer:
             )
         task.finish(self.sim.now)
         self._step()
-        self.sim.notify()
         if not self.done:
             self.advance()
 

@@ -313,6 +313,9 @@ class SpiInitTask:
     def ready(self, now: int) -> bool:
         return True
 
+    def wait_on(self, now: int) -> List[Waitset]:
+        return []  # always ready: never parks
+
     def start(self, now: int) -> int:
         if self._done:
             return 0
@@ -433,7 +436,6 @@ class SpiSendTask(_BatchedTaskMixin):
 
         def deliver() -> None:
             channel.deliver(message)
-            self.sim.notify()
 
         if self.transport is not None:
             self.transport.send(
@@ -596,7 +598,6 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             fifo.push(connection.produced_tokens(fifo.edge, tokens))
         if not self.branches:
             return
-        sim = self.sim
         parts = []
         for edge, channel in self.branches:
             payload = connection.produced_tokens(edge, tokens)
@@ -610,7 +611,6 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
 
             def deliver(channel=channel, message=message) -> None:
                 channel.deliver(message)
-                sim.notify()
 
             parts.append(
                 (
@@ -775,11 +775,9 @@ class SyncedTask:
             waitsets.extend(
                 pool.waitset for pool in self.guards if pool.tokens <= 0
             )
-        inner_wait = getattr(self.inner, "wait_on", None)
-        if inner_wait is not None:
-            # the inner hook names only currently-blocking resources,
-            # so it contributes nothing when the inner guard holds
-            waitsets.extend(inner_wait(now))
+        # the inner hook names only currently-blocking resources, so it
+        # contributes nothing when the inner guard holds
+        waitsets.extend(self.inner.wait_on(now))
         return waitsets
 
     def start(self, now: int):
@@ -805,14 +803,8 @@ class SyncedTask:
                         started=start,
                         arrived=arrival,
                     )
-                sim = self.sim
-
-                def deliver(pool=pool) -> None:
-                    pool.deposit()
-                    sim.notify()
-
                 self.sim.schedule_delivery(
-                    arrival, deliver, ("resync", pool.name)
+                    arrival, pool.deposit, ("resync", pool.name)
                 )
         self._count += 1
 
@@ -918,7 +910,6 @@ class SpiReceiveTask(_BatchedTaskMixin):
 
             def deliver_ack() -> None:
                 channel.deliver(ack)
-                self.sim.notify()
 
             self.sim.schedule_delivery(
                 arrival, deliver_ack, ("ack", self.channel.edge.name)

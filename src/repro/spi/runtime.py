@@ -563,11 +563,9 @@ class SpiSystem:
         max_cycles: Optional[int] = None,
         trace: bool = False,
         metrics: bool = False,
-        wakeups: str = "targeted",
         check_lost_wakeups: bool = False,
         steady_state: str = "off",
         compiled: Optional[bool] = None,
-        queue: str = "heap",
     ) -> RunResult:
         """Simulate ``iterations`` graph iterations; returns the metrics.
 
@@ -580,9 +578,6 @@ class SpiSystem:
         inter-PE message — the inputs of the Chrome-trace and metrics
         exporters in :mod:`repro.observability`.
 
-        ``wakeups`` selects the kernel's parking discipline
-        (``"targeted"`` per-resource waitsets, ``"broadcast"`` the
-        legacy retry sweep — kept for A/B benchmarking), and
         ``check_lost_wakeups=True`` arms the kernel's lost-wakeup audit
         (used by the conformance oracles).
 
@@ -607,8 +602,6 @@ class SpiSystem:
         :class:`~repro.platform.compiled.CompiledFiring` fast-lane
         (semantically identical), ``False`` the interpreted
         :class:`~repro.spi.actors.ComputationTask` (kept for A/B).
-        ``queue`` selects the kernel event queue (``"heap"`` or
-        ``"calendar"``).
         """
         if iterations < 1:
             raise GraphError("iterations must be >= 1")
@@ -648,11 +641,7 @@ class SpiSystem:
             from repro.observability import ObservabilityHub
 
             hub = ObservabilityHub()
-        sim = Simulator(
-            wakeups=wakeups,
-            check_lost_wakeups=check_lost_wakeups,
-            queue=queue,
-        )
+        sim = Simulator(check_lost_wakeups=check_lost_wakeups)
         recorder = TraceRecorder() if trace else None
         interconnect = Interconnect(default_spec=self.config.link_spec)
         transport = self._build_transport(sim, interconnect, observer=hub)
@@ -1062,7 +1051,6 @@ class SpiSystem:
                     if s._running and s._busy_until is not None
                     else -1,
                     s.parked,
-                    s.parked_targeted,
                     s.wake_pending,
                     (now - s._blocked_since)
                     if s._blocked_since is not None
@@ -1102,12 +1090,7 @@ class SpiSystem:
             )
 
         def kernel_state(now: int):
-            return (
-                len(sim._wake_queue),
-                sim._wake_scheduled,
-                sim._retry_scheduled,
-                len(sim._parked),
-            )
+            return (len(sim._wake_queue), sim._wake_scheduled)
 
         probes = [
             sequencer_state,

@@ -133,13 +133,21 @@ class TestRunTimeViolations:
 
     def test_deadlock_diagnostic_names_blocked_task(self):
         """A consumer waiting on data that never comes reports itself."""
-        from repro.platform import PESequencer, ProcessingElement, Simulator
+        from repro.platform import (
+            PESequencer,
+            ProcessingElement,
+            Simulator,
+            Waitset,
+        )
 
         class NeverReady:
             name = "starved"
 
             def ready(self, now):
                 return False
+
+            def wait_on(self, now):
+                return [Waitset("data")]
 
             def start(self, now):
                 return 1

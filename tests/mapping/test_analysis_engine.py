@@ -1,14 +1,16 @@
 """Property and exactness tests for the array-backed analysis engine.
 
-Covers the PR-10 fast path end to end: Howard's-iteration MCM against
-the legacy Lawler solver and the self-timed simulation, exactness on the
-deadlock / acyclic / parallel-edge / self-loop corners, the incremental
-all-pairs min-delay oracle against full recomputation, the memoized
-``min_delay_paths`` invalidation rules, deterministic topological
-ordering, the closed-form HSDF expansion, incremental resynchronization,
-and the branch-and-bound exhaustive partitioner.
+Covers the analysis layer end to end: Howard's-iteration MCM against
+the self-timed simulation, exactness on the deadlock / acyclic /
+parallel-edge / self-loop corners, the incremental all-pairs min-delay
+oracle against full recomputation, the memoized ``min_delay_paths``
+invalidation rules, deterministic topological ordering, the closed-form
+HSDF expansion against the per-token definition, and the
+branch-and-bound exhaustive partitioner.  Value-level regressions of the
+whole stack are pinned by ``tests/golden``.
 """
 
+import itertools
 import math
 import random
 
@@ -17,23 +19,21 @@ import pytest
 from repro.conformance.generator import GraphShape, generate_spec
 from repro.conformance.spec import build_case
 from repro.dataflow import DataflowGraph
+from repro.dataflow import hsdf as hsdf_module
 from repro.dataflow.hsdf import hsdf_expand
 from repro.mapping import (
     EdgeKind,
     MinDelayOracle,
     Partition,
-    SynchronizationGraph,
     TimedEdge,
     TimedGraph,
     TimedVertex,
-    maximum_cycle_mean,
     maximum_cycle_mean_result,
-    remove_redundant_synchronizations,
-    resynchronize,
     simulate_selftimed,
 )
 from repro.mapping.mcm import zero_delay_topological_order
 from repro.spi import SpiConfig, SpiSystem
+from tests.conftest import build_random_timed_graph as random_timed_graph
 
 
 def ring(cycles, delays, name="ring"):
@@ -43,25 +43,6 @@ def ring(cycles, delays, name="ring"):
         graph.add_vertex(TimedVertex(f"t{i}", cycles=c, pe=i))
     for i in range(n):
         graph.add_edge(TimedEdge(f"t{i}", f"t{(i + 1) % n}", delay=delays[i]))
-    return graph
-
-
-def random_timed_graph(rng, max_vertices=10, max_edges=24, max_delay=4):
-    graph = TimedGraph("random")
-    n = rng.randint(1, max_vertices)
-    for i in range(n):
-        graph.add_vertex(
-            TimedVertex(f"v{i}", cycles=rng.randint(0, 9), pe=0)
-        )
-    for _ in range(rng.randint(0, max_edges)):
-        graph.add_edge(
-            TimedEdge(
-                src=f"v{rng.randrange(n)}",
-                snk=f"v{rng.randrange(n)}",
-                delay=rng.randint(0, max_delay),
-                kind=EdgeKind.SYNC,
-            )
-        )
     return graph
 
 
@@ -80,7 +61,7 @@ def assert_witness_consistent(graph, result):
     )
 
 
-#: 50-seed equivalence campaign spanning the generator's regimes:
+#: 50-seed campaign spanning the generator's regimes:
 #: plain multirate, collective connections, batched/heterogeneous.
 _CAMPAIGN = (
     [(seed, GraphShape()) for seed in range(20)]
@@ -97,7 +78,7 @@ _CAMPAIGN = (
 
 class TestHowardEquivalenceCampaign:
     @pytest.mark.parametrize("seed,shape", _CAMPAIGN)
-    def test_howard_matches_lawler_and_simulation(self, seed, shape):
+    def test_howard_matches_selftimed_slope(self, seed, shape):
         case = build_case(generate_spec(seed, shape))
         system = SpiSystem.compile(case.graph, case.partition, SpiConfig())
         reference = (
@@ -105,12 +86,9 @@ class TestHowardEquivalenceCampaign:
             if system.resync_result is not None
             else system.sync_graph
         )
-        howard = maximum_cycle_mean_result(reference, algorithm="howard")
-        lawler = maximum_cycle_mean(reference, algorithm="lawler")
-        if math.isinf(lawler) or math.isinf(howard.value):
-            assert math.isinf(lawler) and math.isinf(howard.value)
+        howard = maximum_cycle_mean_result(reference)
+        if howard.is_deadlock:
             return
-        assert howard.value == pytest.approx(lawler, rel=1e-5, abs=1e-5)
         assert_witness_consistent(reference, howard)
 
         # The self-timed makespan grows at exactly the MCM rate once the
@@ -153,8 +131,8 @@ class TestHowardExactness:
         assert result.cycle == ()
 
     def test_exact_value_no_search_tolerance(self):
-        # Lawler stops within its binary-search tolerance; Howard's
-        # answer is the exact quotient of integer sums.
+        # The answer is the exact quotient of integer sums, with no
+        # search tolerance.
         graph = ring([10, 10, 10], [0, 0, 3])
         result = maximum_cycle_mean_result(graph)
         assert result.value == 10.0
@@ -190,31 +168,16 @@ class TestHowardExactness:
         assert result.value == 4.5
         assert result.cycle == ("hot",)
 
-    def test_random_graphs_match_lawler(self):
+    def test_random_graph_witnesses_are_exact(self):
         rng = random.Random(2024)
         for _ in range(150):
             graph = random_timed_graph(rng)
-            howard = maximum_cycle_mean_result(graph, algorithm="howard")
-            lawler = maximum_cycle_mean(graph, algorithm="lawler")
-            if math.isinf(lawler):
-                assert howard.value == math.inf
+            result = maximum_cycle_mean_result(graph)
+            if result.is_deadlock:
+                assert result.total_delay == 0
+                assert graph.has_zero_delay_cycle()
                 continue
-            assert howard.value == pytest.approx(lawler, rel=1e-5, abs=1e-5)
-            assert_witness_consistent(graph, howard)
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="algorithm"):
-            maximum_cycle_mean(ring([1, 1], [1, 1]), algorithm="magic")
-
-    def test_legacy_env_flips_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ANALYSIS_ENGINE", "legacy")
-        result = maximum_cycle_mean_result(ring([10, 20], [0, 1]))
-        assert result.algorithm == "lawler"
-        assert result.cycle == ()
-        monkeypatch.delenv("REPRO_ANALYSIS_ENGINE")
-        assert maximum_cycle_mean_result(
-            ring([10, 20], [0, 1])
-        ).algorithm == "howard"
+            assert_witness_consistent(graph, result)
 
 
 class TestMinDelayOracle:
@@ -308,96 +271,24 @@ class TestTopologicalDeterminism:
         # smallest topological order, whatever the insertion order.
         assert orders == {("a", "b", "c", "d")}
 
-    def test_simulation_engines_identical(self):
-        rng = random.Random(31)
-        for _ in range(40):
-            graph = random_timed_graph(rng, max_vertices=8, max_edges=16)
-            if graph.has_zero_delay_cycle():
-                continue
-            fast = simulate_selftimed(graph, 15, engine="vectorized")
-            slow = simulate_selftimed(graph, 15, engine="python")
-            assert fast.start == slow.start
-            assert fast.end == slow.end
 
-    def test_auto_engine_matches_explicit(self):
-        graph = ring([3, 5, 2], [1, 0, 2])
-        auto = simulate_selftimed(graph, 10, engine="auto")
-        explicit = simulate_selftimed(graph, 10, engine="python")
-        assert auto.start == explicit.start
-        assert auto.end == explicit.end
+def enumerate_dependencies(p, c, d, q_src, q_snk, m):
+    """Per-token definition of the HSDF invocation dependencies.
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_selftimed(ring([1, 1], [1, 1]), 2, engine="turbo")
-
-
-def _random_sync_graph(rng, trial):
-    graph = SynchronizationGraph(f"sync{trial}")
-    n = rng.randint(3, 10)
-    for i in range(n):
-        graph.add_vertex(
-            TimedVertex(f"v{i}", cycles=rng.randint(1, 6), pe=rng.randrange(3))
-        )
-    for i in range(n):
-        graph.add_edge(
-            TimedEdge(
-                f"v{i}",
-                f"v{(i + 1) % n}",
-                delay=1 if i == n - 1 else rng.randint(0, 1),
-                kind=EdgeKind.IPC,
-            )
-        )
-    for _ in range(rng.randint(0, 12)):
-        a, b = rng.randrange(n), rng.randrange(n)
-        if a == b:
-            continue
-        graph.add_edge(
-            TimedEdge(
-                f"v{a}",
-                f"v{b}",
-                delay=rng.randint(0, 3),
-                kind=rng.choice([EdgeKind.SYNC, EdgeKind.ACK]),
-            )
-        )
-    return graph
-
-
-def _edge_key(edge):
-    return (edge.src, edge.snk, edge.delay, edge.kind)
-
-
-class TestIncrementalResynchronization:
-    def test_pruning_identical_to_legacy(self):
-        rng = random.Random(17)
-        for trial in range(30):
-            graph = _random_sync_graph(rng, trial)
-            fast, removed_fast = remove_redundant_synchronizations(
-                graph, incremental=True
-            )
-            slow, removed_slow = remove_redundant_synchronizations(
-                graph, incremental=False
-            )
-            assert list(map(_edge_key, removed_fast)) == list(
-                map(_edge_key, removed_slow)
-            )
-            assert list(map(_edge_key, fast.edges)) == list(
-                map(_edge_key, slow.edges)
-            )
-
-    def test_full_resynchronize_identical_to_legacy(self):
-        rng = random.Random(23)
-        for trial in range(12):
-            graph = _random_sync_graph(rng, trial)
-            fast = resynchronize(graph, incremental=True)
-            slow = resynchronize(graph, incremental=False)
-            assert list(map(_edge_key, fast.graph.edges)) == list(
-                map(_edge_key, slow.graph.edges)
-            )
-            assert list(map(_edge_key, fast.added)) == list(
-                map(_edge_key, slow.added)
-            )
-            assert fast.cost_after == slow.cost_after
-            assert fast.cost_before == slow.cost_before
+    Consumer invocation ``j`` of iteration ``m`` reads global tokens
+    ``(m*q_snk + j)*c .. +c-1``; token ``t`` was produced by global
+    producer invocation ``(t - d) // p``, i.e. invocation ``i`` of
+    iteration ``n``; the edge ``(i, j)`` carries the smallest offset
+    ``m - n`` over all tokens it moves.
+    """
+    deps = {}
+    for j in range(q_snk):
+        for offset in range(c):
+            t = (m * q_snk + j) * c + offset
+            n, i = divmod((t - d) // p, q_src)
+            if (i, j) not in deps or m - n < deps[(i, j)]:
+                deps[(i, j)] = m - n
+    return deps
 
 
 class TestClosedFormHsdf:
@@ -448,17 +339,30 @@ class TestClosedFormHsdf:
             ),
         )
 
-    def test_closed_form_identical_to_enumeration(self):
-        for graph in self._graphs():
-            fast = hsdf_expand(graph, method="closed_form")
-            slow = hsdf_expand(graph, method="enumerate")
-            assert self._shape(fast) == self._shape(slow)
+    def test_closed_form_matches_definition_on_exhaustive_grid(self):
+        grid = itertools.product(
+            range(1, 5),  # p
+            range(1, 5),  # c
+            range(0, 9),  # d
+            range(1, 5),  # q_src
+            range(1, 5),  # q_snk
+            range(1, 4),  # m
+        )
+        for p, c, d, q_src, q_snk, m in grid:
+            assert hsdf_module._edge_dependencies(
+                p, c, d, q_src, q_snk, m
+            ) == enumerate_dependencies(p, c, d, q_src, q_snk, m), (
+                p, c, d, q_src, q_snk, m
+            )
 
-    def test_unknown_method_rejected(self):
-        graph = DataflowGraph("g")
-        graph.actor("A", cycles=1)
-        with pytest.raises(Exception, match="method"):
-            hsdf_expand(graph, method="cursed")
+    def test_expansion_identical_to_per_token_definition(self, monkeypatch):
+        graphs = list(self._graphs())
+        fast = [self._shape(hsdf_expand(graph)) for graph in graphs]
+        monkeypatch.setattr(
+            hsdf_module, "_edge_dependencies", enumerate_dependencies
+        )
+        slow = [self._shape(hsdf_expand(graph)) for graph in graphs]
+        assert fast == slow
 
 
 class TestExhaustiveBranchAndBound:

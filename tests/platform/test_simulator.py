@@ -15,16 +15,24 @@ from repro.platform import (
 
 
 class StubTask:
-    """Configurable task: guard flag, fixed duration, completion log."""
+    """Configurable task: guard flag, fixed duration, completion log.
+
+    A gated task parks on its own waitset; whoever opens the gate wakes
+    it.
+    """
 
     def __init__(self, name, duration=5, gate=None):
         self.name = name
         self.duration = duration
         self.gate = gate  # None = always ready, else a mutable [bool]
+        self.waitset = Waitset(name)
         self.finishes = []
 
     def ready(self, now):
         return True if self.gate is None else self.gate[0]
+
+    def wait_on(self, now):
+        return [self.waitset]
 
     def start(self, now):
         return self.duration
@@ -45,6 +53,9 @@ class AsyncTask:
 
     def ready(self, now):
         return True
+
+    def wait_on(self, now):
+        return []
 
     def start(self, now):
         self.sim.at(self.complete_at, lambda: self.complete_async())
@@ -170,7 +181,7 @@ class TestPESequencer:
         assert "PE1" in message
         assert "A.o->B.i" in message  # the channel it is blocked on
 
-    def test_notify_unblocks(self):
+    def test_waitset_wake_unblocks(self):
         sim = Simulator()
         pe = ProcessingElement(0)
         gate = [False]
@@ -180,7 +191,7 @@ class TestPESequencer:
 
         def open_gate():
             gate[0] = True
-            sim.notify()
+            blocked.waitset.wake()
 
         sim.at(20, open_gate)
         sim.run()
@@ -213,6 +224,50 @@ class TestPESequencer:
         with pytest.raises(ValueError):
             PESequencer(sim, ProcessingElement(0), [], iterations=0)
 
+    def test_task_without_wait_on_rejected(self):
+        """Every task must name its waitsets: the sequencer refuses a
+        program with a task that cannot, before anything runs."""
+
+        class Plain:
+            name = "plain"
+
+            def ready(self, now):
+                return False
+
+            def start(self, now):
+                return 1
+
+            def finish(self, now):
+                pass
+
+        sim = Simulator()
+        with pytest.raises(TypeError, match="'plain'.*wait_on"):
+            PESequencer(
+                sim, ProcessingElement(0), [StubTask("ok"), Plain()], 1
+            )
+
+    def test_blocked_task_without_waitsets_raises(self):
+        """A blocked task naming no waitset could never be woken: the
+        kernel reports it when the sequencer parks."""
+
+        class Stranded(StubTask):
+            def wait_on(self, now):
+                return []
+
+        sim = Simulator()
+        seq = PESequencer(
+            sim,
+            ProcessingElement(0),
+            [Stranded("stranded", gate=[False])],
+            iterations=1,
+        )
+        seq.begin()
+        with pytest.raises(
+            LostWakeupError, match="'stranded' is blocked.*no waitset"
+        ):
+            sim.run()
+        assert sim.parks == 0
+
     def test_utilization(self):
         pe = ProcessingElement(3)
         pe.record_execution(30)
@@ -233,7 +288,6 @@ class Resource:
         self.tokens += 1
         if wake:
             self.waitset.wake()
-        self.sim.notify()
 
 
 class WaitingTask(StubTask):
@@ -254,29 +308,14 @@ class WaitingTask(StubTask):
         return self.duration
 
 
-class BroadcastTask(WaitingTask):
-    """Same consumer without the wait_on hook: broadcast fallback."""
-
-    wait_on = None
-
-    def __getattribute__(self, name):
-        if name == "wait_on":
-            raise AttributeError("wait_on")
-        return object.__getattribute__(self, name)
-
-
 class TestWaitsets:
-    def _consumer(self, sim, resource, iterations=1, cls=WaitingTask, idx=0):
-        task = cls(f"consume{idx}", resource)
+    def _consumer(self, sim, resource, iterations=1, idx=0):
+        task = WaitingTask(f"consume{idx}", resource)
         seq = PESequencer(
             sim, ProcessingElement(idx), [task], iterations=iterations
         )
         seq.begin()
         return task, seq
-
-    def test_wakeup_discipline_validated(self):
-        with pytest.raises(ValueError, match="wakeup"):
-            Simulator(wakeups="bogus")
 
     def test_targeted_wakeup_counters(self):
         sim = Simulator()
@@ -287,34 +326,9 @@ class TestWaitsets:
         assert task.finishes == [12]
         assert sim.parks == 1
         assert sim.targeted_wakeups == 1
-        assert sim.broadcast_wakeups == 0
         assert sim.spurious_wakeups == 0
         assert sim.total_wakeups == 1
-        assert sim.retry_rounds == 0
         assert resource.waitset.wakes == 1
-
-    def test_broadcast_fallback_for_plain_tasks(self):
-        sim = Simulator()
-        resource = Resource(sim)
-        task, _ = self._consumer(sim, resource, cls=BroadcastTask)
-        sim.at(10, resource.deposit)
-        sim.run()
-        assert task.finishes == [12]
-        assert sim.targeted_wakeups == 0
-        assert sim.broadcast_wakeups >= 1
-        assert sim.retry_rounds >= 1
-
-    def test_forced_broadcast_discipline(self):
-        """wakeups="broadcast" parks even wait_on tasks on the retry
-        sweep — the pre-waitset kernel, kept for A/B benchmarking."""
-        sim = Simulator(wakeups="broadcast")
-        resource = Resource(sim)
-        task, _ = self._consumer(sim, resource)
-        sim.at(10, resource.deposit)
-        sim.run()
-        assert task.finishes == [12]
-        assert sim.targeted_wakeups == 0
-        assert sim.broadcast_wakeups >= 1
 
     def test_spurious_wakeup_counted(self):
         """Two consumers on one waitset, one token: the loser re-parks
@@ -369,11 +383,10 @@ class TestWaitsets:
 
     def test_park_is_idempotent(self):
         sim = Simulator()
-        seq = PESequencer(
-            sim, ProcessingElement(0), [StubTask("t")], iterations=1
-        )
-        sim.park(seq)
-        sim.park(seq)
+        task = StubTask("t")
+        seq = PESequencer(sim, ProcessingElement(0), [task], iterations=1)
+        sim.park(seq, [task.waitset])
+        sim.park(seq, [task.waitset])
         assert sim.parks == 1
         assert sim._parked.count(seq) == 1
 
@@ -385,7 +398,7 @@ class TestWaitsets:
         self._consumer(sim, resource)
 
         def silent_deposit():
-            resource.tokens += 1  # no wake, no notify
+            resource.tokens += 1  # no wake
 
         sim.at(5, silent_deposit)
         with pytest.raises(LostWakeupError, match="lost wakeup"):
@@ -407,7 +420,7 @@ class TestWaitsets:
         with pytest.raises(LostWakeupError, match="lost wakeup"):
             sim.run()
 
-    def test_deadlock_still_reported_under_targeted(self):
+    def test_deadlock_reported_while_parked(self):
         sim = Simulator()
         resource = Resource(sim)  # never deposited
         self._consumer(sim, resource)
@@ -434,18 +447,18 @@ class TestProcessingElementReset:
 
 
 class TestNoLostWakeupProperty:
-    """Property: under random deposit/consume interleavings the targeted
-    kernel (with its lost-wakeup audit armed) never strands a sequencer,
-    and delivers the exact schedule of the broadcast kernel."""
+    """Property: under random deposit/consume interleavings the kernel
+    (with its lost-wakeup audit armed) never strands a sequencer, and
+    every consumer fires exactly when its token and its PE are both
+    available."""
 
     @staticmethod
-    def _build(wakeups, plan, check=False):
-        sim = Simulator(wakeups=wakeups, check_lost_wakeups=check)
+    def _build(plan):
+        sim = Simulator(check_lost_wakeups=True)
         tasks = []
-        for idx, (targeted, duration, deposits) in enumerate(plan):
+        for idx, (duration, deposits) in enumerate(plan):
             resource = Resource(sim, f"r{idx}")
-            cls = WaitingTask if targeted else BroadcastTask
-            task = cls(f"c{idx}", resource, duration=duration)
+            task = WaitingTask(f"c{idx}", resource, duration=duration)
             seq = PESequencer(
                 sim,
                 ProcessingElement(idx),
@@ -458,10 +471,17 @@ class TestNoLostWakeupProperty:
                 sim.at(t, resource.deposit)
         return sim, tasks
 
+    @staticmethod
+    def _expected_finishes(duration, deposits):
+        finishes, free_at = [], 0
+        for arrival in sorted(deposits):
+            free_at = max(arrival, free_at) + duration
+            finishes.append(free_at)
+        return finishes
+
     @given(
         plan=st.lists(
             st.tuples(
-                st.booleans(),                        # wait_on hook?
                 st.integers(0, 4),                    # task duration
                 st.lists(                             # deposit times
                     st.integers(0, 40), min_size=1, max_size=5
@@ -473,17 +493,11 @@ class TestNoLostWakeupProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_interleavings(self, plan):
-        sim, tasks = self._build("targeted", plan, check=True)
-        final = sim.run()
-        for task, seq in tasks:
+        sim, tasks = self._build(plan)
+        sim.run()
+        for (task, seq), (duration, deposits) in zip(tasks, plan):
             assert seq.done
-            assert len(task.finishes) == seq.iterations
-        assert sim.total_wakeups == sim.targeted_wakeups + sim.broadcast_wakeups
+            assert task.finishes == self._expected_finishes(
+                duration, deposits
+            )
         assert sim.spurious_wakeups <= sim.total_wakeups
-
-        # the broadcast kernel must produce the identical schedule
-        ref_sim, ref_tasks = self._build("broadcast", plan)
-        ref_final = ref_sim.run()
-        assert ref_final == final
-        for (task, _), (ref_task, _) in zip(tasks, ref_tasks):
-            assert task.finishes == ref_task.finishes

@@ -223,8 +223,30 @@ class TestDiskTier:
             "cycle": ["A", "B"],
             "total_cycles": 25,
             "total_delay": 2,
-            "algorithm": "howard",
         }
+
+    def test_mcm_entry_with_algorithm_field_still_loads(self, tmp_path):
+        cache = AnalysisCache(path=tmp_path)
+        graph = _toy_graph()
+        key = cache.key_for(graph, _toy_partition(graph), SpiConfig())
+        # Entries written while the solver was selectable name it.
+        target = tmp_path / key[:2] / f"{key}.mcm.json"
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            json.dumps(
+                {
+                    "value": 12.5,
+                    "cycle": ["A", "B"],
+                    "total_cycles": 25,
+                    "total_delay": 2,
+                    "algorithm": "howard",
+                }
+            )
+        )
+        result = cache.mcm(key, lambda: pytest.fail("must hit the cache"))
+        assert result == McmResult(
+            value=12.5, cycle=("A", "B"), total_cycles=25, total_delay=2
+        )
 
     def test_witnessless_legacy_mcm_entry_still_loads(self, tmp_path):
         cache = AnalysisCache(path=tmp_path)

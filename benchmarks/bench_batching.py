@@ -93,10 +93,18 @@ def measure_fig6(n_units: int, batch: int, accelerate: bool) -> dict:
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return {
+def timed_sweep():
+    """The sweep rows and the wall-clock seconds their compile+run took."""
+    start = time.perf_counter()
+    rows = {
         (n, b): measure_fig6(n, b, True) for n in N_UNITS for b in BATCHES
     }
+    return rows, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def sweep(timed_sweep):
+    return timed_sweep[0]
 
 
 @pytest.fixture(scope="module")
@@ -311,16 +319,15 @@ def test_vectorized_kernels_report(kernel_rows):
             assert row["speedup"] > 1.0, row["name"]
 
 
-def test_batching_bench_export(sweep, ablation, fig7_row, kernel_rows):
+def test_batching_bench_export(timed_sweep, ablation, fig7_row, kernel_rows):
     """Emit BENCH_batching.json for the CI regression gate."""
+    sweep, wall = timed_sweep
     largest = N_UNITS[-1]
     base = sweep[(largest, 1)]
     best = min(
         (sweep[(largest, b)] for b in BATCHES), key=lambda r: r["cycles"]
     )
-    wall_start = time.perf_counter()
     rows = [sweep[(n, b)] for n in N_UNITS for b in BATCHES]
-    wall = time.perf_counter() - wall_start
     path = save_bench_json(
         "batching",
         makespan_cycles=best["cycles"],

@@ -61,12 +61,20 @@ def measure(n_pes: int, collectives: bool, crack_problem) -> dict:
 
 
 @pytest.fixture(scope="module")
-def sweep(crack_problem):
-    return {
+def timed_sweep(crack_problem):
+    """The sweep rows and the wall-clock seconds their compile+run took."""
+    start = time.perf_counter()
+    rows = {
         (n, collectives): measure(n, collectives, crack_problem)
         for n in PE_COUNTS
         for collectives in (False, True)
     }
+    return rows, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def sweep(timed_sweep):
+    return timed_sweep[0]
 
 
 def test_collectives_report(sweep):
@@ -118,10 +126,10 @@ def test_collective_win_at_four_plus_pes(sweep):
         assert coll["wire_bytes"] < p2p["wire_bytes"]
 
 
-def test_collectives_bench_export(sweep):
+def test_collectives_bench_export(timed_sweep):
     """Emit BENCH_collectives.json for the CI regression gate."""
+    sweep, wall = timed_sweep
     largest = PE_COUNTS[-1]
-    wall_start = time.perf_counter()
     rows = [
         {
             "n_pes": n,
@@ -130,7 +138,6 @@ def test_collectives_bench_export(sweep):
         }
         for n in PE_COUNTS
     ]
-    wall = time.perf_counter() - wall_start
     path = save_bench_json(
         "collectives",
         makespan_cycles=sweep[(largest, True)]["cycles"],

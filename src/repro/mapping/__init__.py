@@ -1,7 +1,7 @@
 """Multiprocessor mapping: partitioning, self-timed scheduling, IPC and
 synchronization graphs, resynchronization, and cycle-mean analysis."""
 
-from repro.mapping.graph_arrays import GraphArrays, MinDelayOracle
+from repro.mapping.graph_arrays import GraphArrays
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.mcm import (
     McmResult,
@@ -33,7 +33,6 @@ from repro.mapping.timed_graph import EdgeKind, TimedEdge, TimedGraph, TimedVert
 
 __all__ = [
     "GraphArrays",
-    "MinDelayOracle",
     "build_ipc_graph",
     "McmResult",
     "SelfTimedTrace",

@@ -7,7 +7,8 @@ shared engine instead of walking the
 
 * :class:`GraphArrays` — a CSR-style numpy view of a timed graph
   (vertex execution times, edge endpoint/delay arrays, out-edges grouped
-  by source vertex) built once per analysis;
+  by source vertex) built once per analysis, from a graph or straight
+  from index arrays;
 * :func:`strongly_connected_components` — iterative Tarjan over the CSR
   arrays;
 * :func:`howard_mcm` — Howard's policy iteration for the maximum
@@ -17,12 +18,14 @@ shared engine instead of walking the
   critical cycle's integer execution-time and delay sums, so there is no
   search tolerance, and the critical cycle itself is returned as a
   witness;
-* :class:`MinDelayOracle` — the all-pairs minimum path-delay table
-  maintained *incrementally* under single-edge removal and insertion
-  (affected-pairs repair via Dijkstra from the sources whose rows can
-  change, instead of a full Floyd–Warshall per mutation), feeding the
-  :meth:`~repro.mapping.timed_graph.TimedGraph.min_delay_paths` memo so
-  redundancy checks stay O(1) lookups during a pruning fixpoint.
+* :func:`min_delay_matrix` — the all-pairs minimum path-delay table as
+  an int64 matrix (``NO_PATH`` marks "no path"), with exact updates
+  under single-edge mutation: :func:`insert_edge_min_delay` relaxes
+  every pair once through a new edge, and
+  :func:`remove_edge_min_delay` recomputes only the rows whose shortest
+  path could have used a removed edge.  The dict-based
+  :meth:`~repro.mapping.timed_graph.TimedGraph.min_delay_paths` is the
+  reference these are checked against.
 
 Precondition shared by the MCM entry points: the caller has already
 ruled out zero-total-delay cycles (deadlock → the MCM is ``math.inf``
@@ -31,8 +34,7 @@ and there is no finite ratio to iterate towards).
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +42,18 @@ from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
     "GraphArrays",
-    "MinDelayOracle",
+    "NO_PATH",
     "howard_mcm",
+    "insert_edge_min_delay",
+    "min_delay_matrix",
+    "remove_edge_min_delay",
     "strongly_connected_components",
 ]
+
+#: "No path" entry of a :func:`min_delay_matrix`.  Far above any real
+#: path delay, and small enough that the sum of two entries stays exact
+#: in int64.
+NO_PATH = 1 << 40
 
 
 class GraphArrays:
@@ -58,30 +68,64 @@ class GraphArrays:
 
     def __init__(self, graph: TimedGraph) -> None:
         vertices = graph.vertices
-        self.names: List[str] = [v.name for v in vertices]
-        self.index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.names)
-        }
-        self.n = len(self.names)
-        self.cycles = np.fromiter(
-            (v.cycles for v in vertices), dtype=np.int64, count=self.n
-        )
+        index = {v.name: i for i, v in enumerate(vertices)}
         edges = graph.edges
-        self.m = len(edges)
-        self.edge_src = np.fromiter(
-            (self.index[e.src] for e in edges), dtype=np.int64, count=self.m
+        self._assign(
+            [v.name for v in vertices],
+            np.fromiter(
+                (v.cycles for v in vertices), dtype=np.int64,
+                count=len(vertices),
+            ),
+            np.fromiter(
+                (index[e.src] for e in edges), dtype=np.int64,
+                count=len(edges),
+            ),
+            np.fromiter(
+                (index[e.snk] for e in edges), dtype=np.int64,
+                count=len(edges),
+            ),
+            np.fromiter(
+                (e.delay for e in edges), dtype=np.int64, count=len(edges)
+            ),
         )
-        self.edge_snk = np.fromiter(
-            (self.index[e.snk] for e in edges), dtype=np.int64, count=self.m
-        )
-        self.edge_delay = np.fromiter(
-            (e.delay for e in edges), dtype=np.int64, count=self.m
-        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        names: Sequence[str],
+        cycles: np.ndarray,
+        edge_src: np.ndarray,
+        edge_snk: np.ndarray,
+        edge_delay: np.ndarray,
+    ) -> "GraphArrays":
+        """Build the view from vertex/edge arrays, with no graph object.
+
+        Equal to ``GraphArrays(graph)`` for a graph with these vertices
+        (in ``names`` order) and edges (in array order).
+        """
+        arrays = cls.__new__(cls)
+        arrays._assign(list(names), cycles, edge_src, edge_snk, edge_delay)
+        return arrays
+
+    def _assign(
+        self,
+        names: List[str],
+        cycles: np.ndarray,
+        edge_src: np.ndarray,
+        edge_snk: np.ndarray,
+        edge_delay: np.ndarray,
+    ) -> None:
+        self.names = names
+        self.n = len(names)
+        self.cycles = cycles
+        self.m = len(edge_src)
+        self.edge_src = edge_src
+        self.edge_snk = edge_snk
+        self.edge_delay = edge_delay
         # Group out-edges by source; stable sort keeps edge-id order
         # within each source bucket.
-        order = np.argsort(self.edge_src, kind="stable")
-        self.csr_edges = order
-        counts = np.bincount(self.edge_src, minlength=self.n)
+        self.csr_edges = np.argsort(edge_src, kind="stable")
+        counts = np.bincount(edge_src, minlength=self.n)
         self.csr_start = np.concatenate(
             ([0], np.cumsum(counts))
         ).astype(np.int64)
@@ -354,100 +398,82 @@ def howard_mcm(
     return w_sum / tau_sum, w_sum, tau_sum, edge_ids
 
 
-class MinDelayOracle:
-    """All-pairs minimum path delay under single-edge mutation.
+def min_delay_matrix(
+    n: int, src: np.ndarray, snk: np.ndarray, delay: np.ndarray
+) -> np.ndarray:
+    """All-pairs minimum path delay (Floyd–Warshall on an int64 matrix).
 
-    Wraps a :class:`TimedGraph`: route ``remove_edge`` / ``add_edge``
-    through the oracle and :meth:`table` stays exactly equal to
-    ``graph.min_delay_paths()`` — at the cost of an affected-pairs
-    repair instead of a full Floyd–Warshall per mutation.
-
-    * **Removal** of ``(u, v, d)`` can only change rows of sources whose
-      shortest path to ``v`` went through the edge; by the subpath
-      property those are exactly the sources with
-      ``dist[i][v] == dist[i][u] + d``.  Only those rows are recomputed
-      (Dijkstra, non-negative integer delays).
-    * **Insertion** relaxes every pair once through the new edge
-      (``dist[i][j] = min(dist[i][j], dist[i][u] + d + dist[v][j])``) —
-      sound because a minimum-delay walk never needs the new edge twice
-      (delays are non-negative, so excising the implied cycle never
-      hurts).
-
-    After every repair the table is re-installed as the graph's
-    ``min_delay_paths`` memo, so interleaved redundancy checks cost a
-    dictionary lookup, never a recompute.
+    ``rho[i, j]`` is the least total delay over directed paths
+    ``i -> j``, ``NO_PATH`` when there is none, and 0 on the diagonal
+    (the empty path) — the matrix form of
+    :meth:`~repro.mapping.timed_graph.TimedGraph.min_delay_paths`.
     """
+    rho = np.full((n, n), NO_PATH, dtype=np.int64)
+    np.minimum.at(rho, (src, snk), delay)
+    np.fill_diagonal(rho, 0)
+    for k in range(n):
+        np.minimum(rho, rho[:, k, None] + rho[None, k, :], out=rho)
+    return rho
 
-    def __init__(self, graph: TimedGraph) -> None:
-        self.graph = graph
-        self._dist = graph.min_delay_paths()
 
-    def table(self) -> Dict[str, Dict[str, int]]:
-        return self._dist
+def insert_edge_min_delay(
+    rho: np.ndarray, u: int, v: int, delay: int
+) -> np.ndarray:
+    """The min-delay matrix after inserting edge ``(u, v, delay)``.
 
-    def _adjacency(self) -> Dict[str, List[Tuple[str, int]]]:
-        adjacency: Dict[str, Dict[str, int]] = {
-            v.name: {} for v in self.graph.vertices
-        }
-        for edge in self.graph.edges:
-            current = adjacency[edge.src].get(edge.snk)
-            if current is None or edge.delay < current:
-                adjacency[edge.src][edge.snk] = edge.delay
-        return {
-            name: sorted(row.items()) for name, row in adjacency.items()
-        }
+    One relaxation of every pair through the new edge is exact: a
+    minimum-delay walk never needs the edge twice, because delays are
+    non-negative and cutting out the cycle between two uses never
+    costs.  Entries with no path stay at ``NO_PATH``.
+    """
+    return np.minimum(rho, rho[:, u, None] + (rho[None, v, :] + delay))
 
-    @staticmethod
-    def _dijkstra_row(
-        source: str, adjacency: Dict[str, List[Tuple[str, int]]]
-    ) -> Dict[str, int]:
-        dist = {source: 0}
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, d):
-                continue
-            for x, w in adjacency[u]:
-                nd = d + w
-                known = dist.get(x)
-                if known is None or nd < known:
-                    dist[x] = nd
-                    heapq.heappush(heap, (nd, x))
-        return dist
 
-    def _install(self) -> None:
-        self.graph._install_min_delay_cache(self._dist)
+def remove_edge_min_delay(
+    rho: np.ndarray,
+    u: int,
+    v: int,
+    delay: int,
+    src: np.ndarray,
+    snk: np.ndarray,
+    edge_delay: np.ndarray,
+    alive: np.ndarray,
+) -> None:
+    """Repair ``rho`` in place after removing edge ``(u, v, delay)``.
 
-    def remove_edge(self, edge) -> None:
-        """Remove ``edge`` from the graph and repair the table."""
-        self.graph.remove_edge(edge)
-        u, v, d = edge.src, edge.snk, edge.delay
-        dist = self._dist
-        affected = [
-            i
-            for i, row in dist.items()
-            if row.get(u) is not None and row.get(v) == row[u] + d
-        ]
-        if affected:
-            adjacency = self._adjacency()
-            for i in affected:
-                dist[i] = self._dijkstra_row(i, adjacency)
-        self._install()
-
-    def add_edge(self, edge) -> None:
-        """Insert ``edge`` into the graph and repair the table."""
-        self.graph.add_edge(edge)
-        u, v, d = edge.src, edge.snk, edge.delay
-        dist = self._dist
-        vrow = dist[v]
-        for row in dist.values():
-            diu = row.get(u)
-            if diu is None:
-                continue
-            base = diu + d
-            for j, dvj in vrow.items():
-                nd = base + dvj
-                current = row.get(j)
-                if current is None or nd < current:
-                    row[j] = nd
-        self._install()
+    ``src``/``snk``/``edge_delay`` list the edges and ``alive`` marks the
+    ones still present (the removed edge already cleared).  Only rows
+    ``i`` with ``rho[i, v] == rho[i, u] + delay`` can change: every other
+    row reaches ``v`` by a strictly shorter path that avoids the edge,
+    so each of its shortest paths has an equally short edge-free twin.
+    An affected row is recomputed from its paths' shape: a walk inside
+    the affected set ``R`` (the closure of the direct-edge matrix on
+    ``R``), then either the end or one edge out of ``R`` followed by an
+    unaffected — still exact — row.
+    """
+    to_u = rho[:, u]
+    rows = np.flatnonzero((to_u < NO_PATH) & (rho[:, v] == to_u + delay))
+    if rows.size == 0:
+        return
+    n = rho.shape[0]
+    local = np.full(n, -1, dtype=np.int64)
+    local[rows] = np.arange(rows.size)
+    out = alive & (local[src] >= 0)
+    direct = np.full((rows.size, n), NO_PATH, dtype=np.int64)
+    np.minimum.at(direct, (local[src[out]], snk[out]), edge_delay[out])
+    # Shortest walks that stay inside the affected set.
+    inside = direct[:, rows]
+    np.fill_diagonal(inside, 0)
+    for k in range(rows.size):
+        np.minimum(
+            inside, inside[:, k, None] + inside[None, k, :], out=inside
+        )
+    # Best continuation from each affected vertex: stop there, or take
+    # one edge to an unaffected vertex and follow its exact row.
+    others = np.flatnonzero(local < 0)
+    leave = (direct[:, others, None] + rho[None, others, :]).min(
+        axis=1, initial=NO_PATH
+    )
+    leave[np.arange(rows.size), rows] = 0
+    repaired = (inside[:, :, None] + leave[None, :, :]).min(axis=1)
+    rho[rows] = np.minimum(repaired, NO_PATH)

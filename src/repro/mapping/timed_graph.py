@@ -198,18 +198,6 @@ class TimedGraph:
         self._min_delay_cache = dist
         return dist
 
-    def _install_min_delay_cache(
-        self, table: Dict[str, Dict[str, int]]
-    ) -> None:
-        """Install an externally maintained min-delay table as the memo.
-
-        Used by the incremental APSP oracle
-        (:class:`repro.mapping.graph_arrays.MinDelayOracle`) after it
-        repairs the table for an edge mutation, so subsequent
-        ``min_delay_paths()`` calls stay O(1).
-        """
-        self._min_delay_cache = table
-
     def has_zero_delay_cycle(self) -> bool:
         """True when some directed cycle has total delay 0 (deadlock)."""
         # Restrict to zero-delay edges; any cycle there is a 0-delay cycle.

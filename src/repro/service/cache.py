@@ -5,9 +5,10 @@ the *same* graph through :meth:`repro.spi.runtime.SpiSystem.compile`
 many times — across repeated seeds, across processes, across CI jobs —
 and every run re-derives the same repetitions vector, channel plans
 (protocol + ``B(e)``), resynchronization solution and MCM bound from
-scratch.  Profiling puts resynchronization alone at ~97% of compile
-time, so memoising these four analyses is where campaign throughput
-comes from.
+scratch.  These four analyses are most of compile time, so memoising
+them is where repeated-graph campaign throughput comes from; the
+``mapping.*_s`` stage times of the ``perfbench`` workloads show the
+current split.
 
 The cache is **content-addressed**: keys are SHA-256 digests over a
 canonical JSON rendering of the graph structure, the partition and the

@@ -2,8 +2,8 @@
 
 Covers the analysis layer end to end: Howard's-iteration MCM against
 the self-timed simulation, exactness on the deadlock / acyclic /
-parallel-edge / self-loop corners, the incremental all-pairs min-delay
-oracle against full recomputation, the memoized ``min_delay_paths``
+parallel-edge / self-loop corners, the all-pairs min-delay matrix and
+its single-edge insertion/removal repair against full recomputation, the memoized ``min_delay_paths``
 invalidation rules, deterministic topological ordering, the closed-form
 HSDF expansion against the per-token definition, and the
 branch-and-bound exhaustive partitioner.  Value-level regressions of the
@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.conformance.generator import GraphShape, generate_spec
@@ -23,13 +24,18 @@ from repro.dataflow import hsdf as hsdf_module
 from repro.dataflow.hsdf import hsdf_expand
 from repro.mapping import (
     EdgeKind,
-    MinDelayOracle,
     Partition,
     TimedEdge,
     TimedGraph,
     TimedVertex,
     maximum_cycle_mean_result,
     simulate_selftimed,
+)
+from repro.mapping.graph_arrays import (
+    NO_PATH,
+    insert_edge_min_delay,
+    min_delay_matrix,
+    remove_edge_min_delay,
 )
 from repro.mapping.mcm import zero_delay_topological_order
 from repro.spi import SpiConfig, SpiSystem
@@ -180,40 +186,81 @@ class TestHowardExactness:
             assert_witness_consistent(graph, result)
 
 
-class TestMinDelayOracle:
-    def test_matches_full_recompute_under_random_mutations(self):
+def reference_matrix(graph):
+    """``TimedGraph.min_delay_paths()`` as a matrix in vertex order."""
+    names = [v.name for v in graph.vertices]
+    table = graph.min_delay_paths()
+    return np.array(
+        [[table[i].get(j, NO_PATH) for j in names] for i in names],
+        dtype=np.int64,
+    )
+
+
+class TestMinDelayMatrix:
+    def test_matches_reference_under_random_mutations(self):
+        """Insertion relaxation and removal row repair stay exact."""
         rng = random.Random(99)
         for _ in range(60):
             graph = random_timed_graph(rng, max_vertices=9, max_edges=20)
+            index = {v.name: i for i, v in enumerate(graph.vertices)}
+            n = len(index)
             edges = list(graph.edges)
-            oracle = MinDelayOracle(graph)
+            src = np.array([index[e.src] for e in edges], dtype=np.int64)
+            snk = np.array([index[e.snk] for e in edges], dtype=np.int64)
+            delay = np.array([e.delay for e in edges], dtype=np.int64)
+            alive = np.ones(len(edges), dtype=bool)
+            rho = min_delay_matrix(n, src, snk, delay)
+            assert np.array_equal(rho, reference_matrix(graph))
             for _ in range(rng.randint(1, 10)):
-                if edges and rng.random() < 0.6:
-                    victim = edges.pop(rng.randrange(len(edges)))
-                    oracle.remove_edge(victim)
-                else:
-                    n = len(graph.vertices)
-                    edge = TimedEdge(
-                        src=f"v{rng.randrange(n)}",
-                        snk=f"v{rng.randrange(n)}",
-                        delay=rng.randint(0, 4),
-                        kind=EdgeKind.SYNC,
+                live = np.flatnonzero(alive)
+                if live.size and rng.random() < 0.6:
+                    victim = int(live[rng.randrange(live.size)])
+                    graph.remove_edge(edges[victim])
+                    alive[victim] = False
+                    remove_edge_min_delay(
+                        rho,
+                        int(src[victim]),
+                        int(snk[victim]),
+                        int(delay[victim]),
+                        src,
+                        snk,
+                        delay,
+                        alive,
                     )
-                    oracle.add_edge(edge)
+                else:
+                    u, v = rng.randrange(n), rng.randrange(n)
+                    d = rng.randint(0, 4)
+                    edge = TimedEdge(
+                        src=f"v{u}", snk=f"v{v}", delay=d, kind=EdgeKind.SYNC
+                    )
+                    graph.add_edge(edge)
                     edges.append(edge)
-                got = {u: dict(row) for u, row in oracle.table().items()}
-                graph._min_delay_cache = None
-                want = graph.min_delay_paths()
-                assert got == want
-                graph._install_min_delay_cache(oracle.table())
+                    src = np.append(src, u)
+                    snk = np.append(snk, v)
+                    delay = np.append(delay, d)
+                    alive = np.append(alive, True)
+                    rho = insert_edge_min_delay(rho, u, v, d)
+                assert np.array_equal(rho, reference_matrix(graph))
 
-    def test_oracle_feeds_the_graph_memo(self):
-        graph = ring([1, 1, 1], [1, 0, 2])
-        oracle = MinDelayOracle(graph)
-        extra = TimedEdge("t0", "t2", delay=0, kind=EdgeKind.SYNC)
-        oracle.add_edge(extra)
-        # min_delay_paths() returns the repaired table without recompute
-        assert graph.min_delay_paths() is oracle.table()
+    def test_removal_repairs_only_rows_through_the_edge(self):
+        # t0 -> t1 -> t2 with a slower bypass t0 -> t2; removing t1 -> t2
+        # changes row t0 and row t1 only.
+        graph = ring([1, 1, 1], [0, 0, 5])
+        bypass = TimedEdge("t0", "t2", delay=3, kind=EdgeKind.SYNC)
+        graph.add_edge(bypass)
+        edges = list(graph.edges)
+        src = np.array([int(e.src[1:]) for e in edges], dtype=np.int64)
+        snk = np.array([int(e.snk[1:]) for e in edges], dtype=np.int64)
+        delay = np.array([e.delay for e in edges], dtype=np.int64)
+        alive = np.ones(len(edges), dtype=bool)
+        rho = min_delay_matrix(3, src, snk, delay)
+        row_t2 = rho[2].copy()
+        alive[1] = False
+        graph.remove_edge(edges[1])
+        remove_edge_min_delay(rho, 1, 2, 0, src, snk, delay, alive)
+        assert np.array_equal(rho, reference_matrix(graph))
+        assert rho[0, 2] == 3 and rho[1, 2] == NO_PATH
+        assert np.array_equal(rho[2], row_t2)
 
 
 class TestMinDelayMemo:

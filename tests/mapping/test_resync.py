@@ -1,5 +1,7 @@
 """Unit and property tests for resynchronization (paper §4.1)."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +13,9 @@ from repro.mapping import (
     remove_redundant_synchronizations,
     resynchronize,
 )
+from repro.mapping.resync import SyncGraphSnapshot
 from repro.mapping.sync_graph import SynchronizationGraph, is_redundant
+from tests.conftest import build_random_sync_graph
 
 
 def fan_graph(n_targets=3):
@@ -130,3 +134,168 @@ class TestResynchronize:
         assert result.cost_after <= result.cost_before
         # at minimum the chain head sync remains
         assert result.cost_after >= 1
+
+
+# -- the object-level definition, kept here as the oracle --------------------
+
+
+def edge_keys(edges):
+    return [(e.src, e.snk, e.delay, e.kind) for e in edges]
+
+
+def reference_prune(graph):
+    """Pruning by its definition: drop the first redundant sync/ack edge
+    (``is_redundant`` on a freshly computed table) until none is left."""
+    pruned = graph.copy()
+    while True:
+        victim = next(
+            (
+                e
+                for e in pruned.edges
+                if e.kind in (EdgeKind.SYNC, EdgeKind.ACK)
+                and pruned.vertex(e.src).pe != pruned.vertex(e.snk).pe
+                and is_redundant(pruned, e)
+            ),
+            None,
+        )
+        if victim is None:
+            return pruned
+        pruned.remove_edge(victim)
+
+
+def reference_candidates(graph):
+    """Candidate sync edges in search order, by their definition."""
+    vertices = sorted(graph.vertices, key=lambda x: x.name)
+    direct = {(e.src, e.snk) for e in graph.edges}
+    rho = graph.min_delay_paths()
+    return [
+        (u.name, v.name)
+        for u in vertices
+        for v in vertices
+        if u.pe != v.pe
+        and (u.name, v.name) not in direct
+        and rho[v.name].get(u.name) != 0
+    ]
+
+
+def check_rounds_against_definition(graph, preserve_mcm, max_rounds=32):
+    """Replay ``resynchronize`` at the object level, scoring every
+    candidate of every round both ways; returns the final graph and the
+    number of candidates the MCM screen cleared."""
+    current = reference_prune(graph)
+    fast, _ = remove_redundant_synchronizations(graph)
+    assert edge_keys(fast.edges) == edge_keys(current.edges)
+    threshold = maximum_cycle_mean(graph) * (1 + 1e-6) + 1e-6
+    cleared = 0
+    for _ in range(max_rounds):
+        if current.has_zero_delay_cycle():
+            break
+        snapshot = SyncGraphSnapshot(
+            current, threshold if preserve_mcm else None
+        )
+        assert snapshot.cost == current.sync_cost()
+        pairs = list(snapshot.candidates())
+        named = [(snapshot.names[u], snapshot.names[v]) for u, v in pairs]
+        assert named == reference_candidates(current)
+        best, best_cost = None, current.sync_cost()
+        for (u, v), (u_name, v_name) in zip(pairs, named):
+            candidate = TimedEdge(u_name, v_name, delay=0, kind=EdgeKind.SYNC)
+            trial = current.copy()
+            trial.add_edge(candidate)
+            if preserve_mcm:
+                raises = maximum_cycle_mean(trial) > threshold
+                assert snapshot.raises_mcm(u, v) == raises
+                if snapshot.screen_clears(u, v):
+                    cleared += 1
+                    assert not raises
+                if raises:
+                    continue
+            pruned = reference_prune(trial)
+            removed, cost = snapshot.prune_trial(u, v)
+            survivors = [
+                e
+                for i, e in enumerate(current.edges + (candidate,))
+                if i not in set(removed)
+            ]
+            assert edge_keys(survivors) == edge_keys(pruned.edges)
+            assert cost == pruned.sync_cost()
+            if cost < best_cost:
+                best_cost, best = cost, (u, v, removed, pruned)
+        if best is None:
+            break
+        adopted, _ = snapshot.adopt(*best[:3])
+        assert edge_keys(adopted.edges) == edge_keys(best[3].edges)
+        current = best[3]
+    return current, cleared
+
+
+def build_random_chain_graph(rng, trial):
+    """Three PEs, each a chain of 1-3 tasks closed by a delay-1 wrap
+    edge, joined by random cross-PE sync/ack/IPC edges (zero-delay only
+    from a lower to a higher PE, so the graph stays live) — the shape
+    of a real synchronization graph, where adding edges often pays."""
+    graph = SynchronizationGraph(f"chains{trial}")
+    chains = []
+    for pe in range(3):
+        names = [f"p{pe}t{i}" for i in range(rng.randint(1, 3))]
+        for name in names:
+            graph.add_vertex(TimedVertex(name, rng.randint(1, 6), pe))
+        for a, b in zip(names, names[1:]):
+            graph.add_edge(TimedEdge(a, b, delay=0, kind=EdgeKind.INTRA))
+        graph.add_edge(
+            TimedEdge(names[-1], names[0], delay=1, kind=EdgeKind.INTRA)
+        )
+        chains.append(names)
+    for _ in range(rng.randint(2, 9)):
+        p, q = rng.sample(range(3), 2)
+        graph.add_edge(
+            TimedEdge(
+                rng.choice(chains[p]),
+                rng.choice(chains[q]),
+                delay=0 if p < q else rng.randint(1, 2),
+                kind=rng.choice([EdgeKind.SYNC, EdgeKind.ACK, EdgeKind.IPC]),
+            )
+        )
+    return graph
+
+
+class TestSnapshotScoringDifferential:
+    """Exhaustive small-scope check of the per-round snapshot scorer:
+    every candidate of every round of 200 random graphs (3-10 tasks on
+    3 PEs) gets the same MCM decision, surviving-edge set and cost as
+    the object-level definition (``copy`` + ``add_edge`` +
+    ``maximum_cycle_mean`` + the ``is_redundant`` fixpoint)."""
+
+    def test_every_candidate_matches_the_definition(self):
+        rng = random.Random(2008)
+        cleared = 0
+        for trial in range(200):
+            graph = build_random_sync_graph(rng, trial)
+            final, screened = check_rounds_against_definition(graph, True)
+            cleared += screened
+            result = resynchronize(graph)
+            assert edge_keys(result.graph.edges) == edge_keys(final.edges)
+            assert result.cost_after == final.sync_cost()
+        # the screen is exercised, not vacuous
+        assert cleared > 0
+
+    def test_multi_round_searches_match_the_definition(self):
+        """Chain-shaped graphs adopt edges over several rounds."""
+        rng = random.Random(2008)
+        adopted = 0
+        for trial in range(100):
+            graph = build_random_chain_graph(rng, trial)
+            final, _ = check_rounds_against_definition(graph, True)
+            result = resynchronize(graph)
+            assert edge_keys(result.graph.edges) == edge_keys(final.edges)
+            assert result.cost_after == final.sync_cost()
+            adopted += len(result.added)
+        assert adopted >= 10
+
+    def test_without_mcm_preservation(self):
+        rng = random.Random(15)
+        for trial in range(40):
+            graph = build_random_sync_graph(rng, trial)
+            final, _ = check_rounds_against_definition(graph, False)
+            result = resynchronize(graph, preserve_mcm=False)
+            assert edge_keys(result.graph.edges) == edge_keys(final.edges)

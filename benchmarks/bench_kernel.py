@@ -313,7 +313,6 @@ def steady_sweep():
             ),
             "detected_period_cycles": run_auto.detected_period_cycles,
             "extrapolated_iterations": run_auto.extrapolated_iterations,
-            "compiled_firings": run_auto.compiled_firings,
         }
     return sweep
 

@@ -243,7 +243,6 @@ def render_metrics_summary(document: Dict) -> str:
         lines.append(
             f"steady state: detected at iteration {detected}, "
             f"{sim.get('extrapolated_iterations', 0)} iteration(s) "
-            f"extrapolated, {sim.get('compiled_firings', 0)} compiled "
-            f"firing(s)"
+            f"extrapolated"
         )
     return "\n".join(lines)

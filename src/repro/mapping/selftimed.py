@@ -63,10 +63,9 @@ class SelfTimedSchedule:
 
         Pre-resolves the HSDF invocation -> origin-actor indirection
         once per compile instead of once per program construction; the
-        compiled execution fast-lane
-        (:mod:`repro.platform.compiled`) builds its firing tasks from
-        exactly this plan.  For homogeneous graphs the task name and the
-        origin coincide.
+        SPI runtime and the MPI baseline both assemble their per-PE
+        programs from exactly this plan.  For homogeneous graphs the
+        task name and the origin coincide.
         """
         script: Dict[int, List[Tuple[str, str]]] = {}
         for pe, order in self.orders.items():

@@ -569,38 +569,21 @@ class MpiSystem:
                     self.config,
                 )
             else:
-                # A port may own several member fifos (gather/reduce
-                # sinks, all-local broadcast sources) — accumulate lists.
-                inputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.in_edges(actor):
-                    if e.edge_id in fifos:
-                        inputs.setdefault(e.sink.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                outputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.out_edges(actor):
-                    if e.edge_id in fifos:
-                        outputs.setdefault(e.source.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                task = ComputationTask(actor, inputs, outputs)
+                task = ComputationTask.wired(actor, graph, fifos)
             tasks[actor.name] = task
             return task
 
         pes: List[ProcessingElement] = []
         sequencers: List[PESequencer] = []
+        script = self.schedule.firing_script()
         for pe_index in range(self.partition.n_pes):
-            order = self.schedule.orders.get(pe_index, [])
-            if not order:
+            entries = script.get(pe_index, [])
+            if not entries:
                 continue
             pe = ProcessingElement(pe_index)
-            program = []
-            for task_name in order:
-                origin = (
-                    self.schedule.task_graph.get_actor(task_name)
-                    .params.get("origin", task_name)
-                )
-                program.append(task_for(graph.get_actor(origin)))
+            program = [
+                task_for(graph.get_actor(origin)) for _, origin in entries
+            ]
             sequencer = PESequencer(sim, pe, program, iterations)
             pes.append(pe)
             sequencers.append(sequencer)

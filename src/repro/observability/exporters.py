@@ -27,7 +27,7 @@ Metrics JSON schema (``repro.metrics/1``)::
       "simulator": {"events_processed", "parks", "targeted_wakeups",
                     "spurious_wakeups", "total_wakeups",
                     "steady_state_detected_at",
-                    "extrapolated_iterations", "compiled_firings",
+                    "extrapolated_iterations",
                     "batched_firings",       # firings run in burst dispatches
                     "batch_dispatches",      # dispatches covering > 1 firing
                     "amortized_dispatch_cycles_saved"},
@@ -204,7 +204,6 @@ def build_metrics_document(
             "total_wakeups": sim.total_wakeups,
             "steady_state_detected_at": result.steady_state_detected_at,
             "extrapolated_iterations": result.extrapolated_iterations,
-            "compiled_firings": result.compiled_firings,
             "batched_firings": result.batched_firings,
             "batch_dispatches": result.batch_dispatches,
             "amortized_dispatch_cycles_saved": (

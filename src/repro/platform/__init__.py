@@ -18,7 +18,6 @@ from repro.platform.memory import (
     BufferOverflowError,
     BufferUnderflowError,
 )
-from repro.platform.compiled import CompiledFiring, CompiledStats
 from repro.platform.pe import GPP, PEClass, ProcessingElement
 from repro.platform.simulator import (
     LostWakeupError,
@@ -39,8 +38,6 @@ from repro.platform.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "AttrMeter",
-    "CompiledFiring",
-    "CompiledStats",
     "MapMeter",
     "ObjectMapMeter",
     "SteadyStateReport",

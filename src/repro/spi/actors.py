@@ -13,9 +13,9 @@ same-PE edges.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.graph import Actor, Edge
+from repro.dataflow.graph import Actor, DataflowGraph, Edge
 from repro.dataflow.vts import PackedToken
 from repro.platform.interconnect import Interconnect
 from repro.platform.pe import GPP, PEClass, ProcessingElement
@@ -34,7 +34,6 @@ __all__ = [
     "SyncTokenPool",
     "SyncedTask",
     "normalize_port_fifos",
-    "assemble_port_tokens",
     "payload_nbytes",
     "INIT_CYCLES",
 ]
@@ -179,35 +178,24 @@ def normalize_port_fifos(fifos: Dict[str, object]) -> Dict[str, List[LocalFifo]]
     return normalized
 
 
-def assemble_port_tokens(port_name: str, popped: List[tuple]) -> List:
-    """Combine per-branch pops ``[(edge, values), ...]`` for one input port."""
-    if len(popped) == 1 and (
-        popped[0][0].connection is None
-        or popped[0][0].connection.kind != "reduce"
-    ):
-        return popped[0][1]
-    connection = popped[0][0].connection
-    if connection is None:
-        raise RuntimeError(
-            f"port {port_name!r} has {len(popped)} in-edges but no "
-            f"owning connection"
-        )
-    return connection.assemble([values for _, values in popped])
-
-
 class ComputationTask(_BatchedTaskMixin):
     """One dispatch of a dataflow computation actor on its PE.
 
     Inputs and outputs map port names to :class:`LocalFifo` objects (or
     branch-ordered lists of them, for ports shared by a collective
     connection): SPI insertion guarantees that computation actors only
-    ever touch same-PE edges.
+    ever touch same-PE edges.  The port tables are flattened once at
+    construction into ``(fifo, rate)`` wait chains and ``(fifo, scatter
+    span)`` emit lists, so the guard check that runs on every park/wake
+    round is two tuple walks; a static integer cycle model skips the
+    callable dispatch.
 
-    Classic execution runs one firing per dispatch.  Under a batched
-    (blocked) schedule the dispatch covers the macro-pass burst: it
-    consumes ``burst * rate`` tokens atomically, runs every sub-firing
-    of the burst in logical firing order (bit-identical token streams),
-    and its duration is the PE class's amortized dispatch cost.
+    Classic execution (unbatched, gpp) runs one firing per dispatch at
+    its native cost.  Under a batched (blocked) schedule, or on an
+    accelerator, the dispatch covers the macro-pass burst: it consumes
+    ``burst * rate`` tokens atomically, runs every sub-firing of the
+    burst in logical firing order (bit-identical token streams), and its
+    duration is the PE class's amortized dispatch cost.
     """
 
     def __init__(
@@ -221,31 +209,84 @@ class ComputationTask(_BatchedTaskMixin):
     ) -> None:
         self.actor = actor
         self.name = f"fire:{actor.name}"
-        self.inputs = normalize_port_fifos(inputs)
-        self.outputs = normalize_port_fifos(outputs)
         self.firing_index = 0
         self._init_batch(batch_counts, pe_class, pe)
-        self._staged: Optional[List[Dict[str, List]]] = None
+        inputs = normalize_port_fifos(inputs)
+        outputs = normalize_port_fifos(outputs)
+        #: (port name, ((fifo, rate), ...) branches, connection) per
+        #: connected input, in port order; branches in branch_index order
+        self._needs = tuple(
+            (
+                port.name,
+                tuple((fifo, fifo.edge.cons_rate) for fifo in inputs[port.name]),
+                inputs[port.name][0].edge.connection,
+            )
+            for port in actor.input_ports
+            if port.name in inputs
+        )
+        #: (port name, ((fifo, span), ...)) per connected output, in port
+        #: order; span is a scatter branch's (start, stop) slice or None
+        self._emits = tuple(
+            (
+                port.name,
+                tuple(
+                    (fifo, _scatter_span(fifo.edge))
+                    for fifo in outputs[port.name]
+                ),
+            )
+            for port in actor.output_ports
+            if port.name in outputs
+        )
+        cycles = actor.cycles
+        self._static_cycles = (
+            cycles if isinstance(cycles, int) and cycles >= 0 else None
+        )
+        #: one firing per dispatch at native cost: no burst bookkeeping
+        self._single = self.batch_counts is None and not pe_class.is_accelerator
+        self._staged = None
+
+    @classmethod
+    def wired(
+        cls,
+        actor: Actor,
+        graph: DataflowGraph,
+        fifos: Dict[int, LocalFifo],
+        **batch_kwargs,
+    ) -> "ComputationTask":
+        """The task of ``actor`` over the fifos of its same-PE edges.
+
+        ``fifos`` maps edge ids to their :class:`LocalFifo`; edges absent
+        from it (IPC edges) are not wired.  A port may own several
+        member fifos (gather/reduce sinks, all-local broadcast sources).
+        """
+        inputs: Dict[str, List[LocalFifo]] = {}
+        for e in graph.in_edges(actor):
+            if e.edge_id in fifos:
+                inputs.setdefault(e.sink.name, []).append(fifos[e.edge_id])
+        outputs: Dict[str, List[LocalFifo]] = {}
+        for e in graph.out_edges(actor):
+            if e.edge_id in fifos:
+                outputs.setdefault(e.source.name, []).append(fifos[e.edge_id])
+        return cls(actor, inputs, outputs, **batch_kwargs)
 
     def ready(self, now: int) -> bool:
-        burst = self.burst
-        return all(
-            len(fifo) >= burst * fifo.edge.cons_rate
-            for branch in self.inputs.values()
-            for fifo in branch
-        )
+        burst = 1 if self._single else self.burst
+        for _, branches, _ in self._needs:
+            for fifo, rate in branches:
+                if len(fifo.tokens) < burst * rate:
+                    return False
+        return True
 
     def blocked_reason(self, now: int) -> Optional[str]:
         """Why this firing cannot start (None when it can)."""
         burst = self.burst
-        starved = []
-        for branch in self.inputs.values():
-            for fifo in branch:
-                need = burst * fifo.edge.cons_rate
-                if len(fifo) < need:
-                    starved.append(
-                        f"{fifo.edge.name!r} (has {len(fifo)}, needs {need})"
-                    )
+        starved = [
+            f"{fifo.edge.name!r} "
+            f"(has {len(fifo.tokens)}, needs {burst * rate})"
+            for _, branches, _ in self._needs
+            for fifo, rate in branches
+            if len(fifo.tokens) < burst * rate
+        ]
         if starved:
             return "starved on " + ", ".join(starved)
         return None
@@ -255,47 +296,73 @@ class ComputationTask(_BatchedTaskMixin):
         burst = self.burst
         return [
             fifo.waitset
-            for branch in self.inputs.values()
-            for fifo in branch
-            if len(fifo) < burst * fifo.edge.cons_rate
+            for _, branches, _ in self._needs
+            for fifo, rate in branches
+            if len(fifo.tokens) < burst * rate
         ]
 
+    def _pop_one(self) -> Dict[str, List]:
+        consumed: Dict[str, List] = {}
+        for port_name, branches, connection in self._needs:
+            if len(branches) == 1 and (
+                connection is None or connection.kind != "reduce"
+            ):
+                fifo, rate = branches[0]
+                consumed[port_name] = fifo.pop(rate)
+            else:
+                consumed[port_name] = connection.assemble(
+                    [fifo.pop(rate) for fifo, rate in branches]
+                )
+        return consumed
+
+    def _native_cycles(self, firing_index: int, consumed) -> int:
+        if self._static_cycles is not None:
+            return self._static_cycles
+        return self.actor.execution_cycles(firing_index, consumed)
+
     def start(self, now: int) -> int:
-        burst = self.burst
+        if self._single:
+            self._staged = self._pop_one()
+            return self._native_cycles(self.firing_index, self._staged)
         staged: List[Dict[str, List]] = []
         native: List[int] = []
-        for i in range(burst):
-            consumed: Dict[str, List] = {}
-            for port_name, branch in self.inputs.items():
-                popped = [
-                    (fifo.edge, fifo.pop(fifo.edge.cons_rate))
-                    for fifo in branch
-                ]
-                consumed[port_name] = assemble_port_tokens(port_name, popped)
+        for i in range(self.burst):
+            consumed = self._pop_one()
             staged.append(consumed)
-            native.append(
-                self.actor.execution_cycles(self.firing_index + i, consumed)
-            )
+            native.append(self._native_cycles(self.firing_index + i, consumed))
         self._staged = staged
         return self._charge(native)
 
+    def _fire_one(self, consumed: Dict[str, List]) -> None:
+        produced = self.actor.fire(self.firing_index, consumed)
+        for port_name, branches in self._emits:
+            values = produced[port_name]
+            for fifo, span in branches:
+                if span is None:
+                    fifo.push(list(values))
+                else:
+                    fifo.push(list(values[span[0]:span[1]]))
+        self.firing_index += 1
+
     def finish(self, now: int) -> None:
         assert self._staged is not None
-        for consumed in self._staged:
-            produced = self.actor.fire(self.firing_index, consumed)
-            for port_name, branch in self.outputs.items():
-                values = produced[port_name]
-                for fifo in branch:
-                    connection = fifo.edge.connection
-                    if connection is not None:
-                        fifo.push(
-                            connection.produced_tokens(fifo.edge, values)
-                        )
-                    else:
-                        fifo.push(list(values))
-            self.firing_index += 1
+        staged = self._staged
         self._staged = None
+        if self._single:
+            self._fire_one(staged)
+            return
+        for consumed in staged:
+            self._fire_one(consumed)
         self._advance_pass()
+
+
+def _scatter_span(edge: Edge) -> Optional[Tuple[int, int]]:
+    """A scatter member edge's (start, stop) slice of its producer's
+    output, or None when the edge carries the whole output."""
+    connection = edge.connection
+    if connection is not None and connection.kind == "scatter":
+        return connection.branch_span(edge.branch_index)
+    return None
 
 
 class SpiInitTask:
@@ -347,10 +414,7 @@ class SpiSendTask(_BatchedTaskMixin):
         actor: Actor,
         channel: SpiChannel,
         in_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        transport=None,
-        observer=None,
+        transport,
         batch_counts: Optional[Sequence[int]] = None,
         pe_class: PEClass = GPP,
         pe: Optional[ProcessingElement] = None,
@@ -359,10 +423,7 @@ class SpiSendTask(_BatchedTaskMixin):
         self.name = f"{actor.name}"
         self.channel = channel
         self.in_fifo = in_fifo
-        self.sim = sim
-        self.interconnect = interconnect
         self.transport = transport
-        self.observer = observer
         self.rate = actor.port("in").rate
         self.firing_index = 0
         self._init_batch(batch_counts, pe_class, pe)
@@ -437,34 +498,14 @@ class SpiSendTask(_BatchedTaskMixin):
         def deliver() -> None:
             channel.deliver(message)
 
-        if self.transport is not None:
-            self.transport.send(
-                channel_key=self.channel.edge.name,
-                src_pe=self.channel.src_pe,
-                dst_pe=self.channel.dst_pe,
-                nbytes=message.wire_bytes,
-                now=now,
-                deliver=deliver,
-            )
-        else:
-            link = self.interconnect.link(
-                self.channel.src_pe, self.channel.dst_pe
-            )
-            start, arrival = link.reserve(now, message.wire_bytes)
-            if self.observer is not None:
-                self.observer.message(
-                    channel=self.channel.edge.name,
-                    kind="data",
-                    src_pe=self.channel.src_pe,
-                    dst_pe=self.channel.dst_pe,
-                    nbytes=message.wire_bytes,
-                    requested=now,
-                    started=start,
-                    arrived=arrival,
-                )
-            self.sim.schedule_delivery(
-                arrival, deliver, ("data", self.channel.edge.name)
-            )
+        self.transport.send(
+            channel_key=channel.edge.name,
+            src_pe=channel.src_pe,
+            dst_pe=channel.dst_pe,
+            nbytes=message.wire_bytes,
+            now=now,
+            deliver=deliver,
+        )
 
 
 class SpiCollectiveSendTask(_BatchedTaskMixin):
@@ -488,10 +529,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
         branches: List[tuple],
         local_branches: List[LocalFifo],
         in_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        transport=None,
-        observer=None,
+        transport,
         group_key: Optional[str] = None,
         batch_counts: Optional[Sequence[int]] = None,
         pe_class: PEClass = GPP,
@@ -507,10 +545,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             local_branches, key=lambda fifo: fifo.edge.branch_index
         )
         self.in_fifo = in_fifo
-        self.sim = sim
-        self.interconnect = interconnect
         self.transport = transport
-        self.observer = observer
         self.rate = actor.port("in").rate
         self.group_key = group_key or actor.name
         connections = {
@@ -620,35 +655,13 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
                     deliver,
                 )
             )
-        if self.transport is not None:
-            self.transport.send_collective(
-                group_key=self.group_key,
-                src_pe=self.branches[0][1].src_pe,
-                parts=parts,
-                now=now,
-                shared_payload=self.shared_payload,
-            )
-            return
-        # legacy link path: per-branch independent transfers
-        for (channel_key, dst_pe, nbytes, deliver), (_, channel) in zip(
-            parts, self.branches
-        ):
-            link = self.interconnect.link(channel.src_pe, dst_pe)
-            start, arrival = link.reserve(now, nbytes)
-            if self.observer is not None:
-                self.observer.message(
-                    channel=channel_key,
-                    kind="data",
-                    src_pe=channel.src_pe,
-                    dst_pe=dst_pe,
-                    nbytes=nbytes,
-                    requested=now,
-                    started=start,
-                    arrived=arrival,
-                )
-            self.sim.schedule_delivery(
-                arrival, deliver, ("data", channel_key)
-            )
+        self.transport.send_collective(
+            group_key=self.group_key,
+            src_pe=self.branches[0][1].src_pe,
+            parts=parts,
+            now=now,
+            shared_payload=self.shared_payload,
+        )
 
 
 class SyncTokenPool:

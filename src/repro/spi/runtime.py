@@ -161,9 +161,6 @@ class RunResult:
     #: (:class:`repro.platform.steady_state.SteadyStateReport`; None
     #: when detection was not armed for this run)
     steady_state: Optional[object] = None
-    #: firings executed through the compiled fast-lane
-    #: (:class:`repro.platform.compiled.CompiledFiring` tasks)
-    compiled_firings: int = 0
     #: wire transfers performed by collective (broadcast/scatter)
     #: connections — one per physical link use, not per consumer
     collective_messages: int = 0
@@ -565,7 +562,6 @@ class SpiSystem:
         metrics: bool = False,
         check_lost_wakeups: bool = False,
         steady_state: str = "off",
-        compiled: Optional[bool] = None,
     ) -> RunResult:
         """Simulate ``iterations`` graph iterations; returns the metrics.
 
@@ -596,12 +592,6 @@ class SpiSystem:
         interpreted run.  Kernel-effort counters (events, parks,
         wakeups) and the message log cover only the actually-simulated
         prefix and tail.
-
-        ``compiled`` selects the computation-task implementation:
-        ``None``/``True`` uses the pre-resolved
-        :class:`~repro.platform.compiled.CompiledFiring` fast-lane
-        (semantically identical), ``False`` the interpreted
-        :class:`~repro.spi.actors.ComputationTask` (kept for A/B).
         """
         if iterations < 1:
             raise GraphError("iterations must be >= 1")
@@ -635,7 +625,6 @@ class SpiSystem:
                 and iterations >= 3
                 and not self.steady_state_opaque_actors()
             )
-        use_compiled = compiled if compiled is not None else True
         hub = None
         if metrics:
             from repro.observability import ObservabilityHub
@@ -697,11 +686,6 @@ class SpiSystem:
         }
 
         tasks_by_actor: Dict[str, object] = {}
-        compiled_stats = None
-        if use_compiled:
-            from repro.platform.compiled import CompiledFiring, CompiledStats
-
-            compiled_stats = CompiledStats()
 
         # Blocked-schedule plumbing: every task on every PE runs the
         # same per-macro-pass burst counts (lockstep), and the PE
@@ -747,10 +731,7 @@ class SpiSystem:
                     branches,
                     local_branches,
                     fifos[in_edge.edge_id],
-                    sim,
-                    interconnect,
-                    transport=transport,
-                    observer=hub,
+                    transport,
                     group_key=f"{group.name}.collective",
                     **batch_kwargs,
                 )
@@ -761,10 +742,7 @@ class SpiSystem:
                     actor,
                     channels[plan.origin_edge_name],
                     fifos[in_edge.edge_id],
-                    sim,
-                    interconnect,
-                    transport=transport,
-                    observer=hub,
+                    transport,
                     **batch_kwargs,
                 )
             elif actor.name in recv_plans:
@@ -780,32 +758,9 @@ class SpiSystem:
                     **batch_kwargs,
                 )
             else:
-                # A port may own several member fifos (gather/reduce
-                # sinks, all-local broadcast sources) — accumulate lists.
-                inputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.in_edges(actor):
-                    if e.edge_id in fifos:
-                        inputs.setdefault(e.sink.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                outputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.out_edges(actor):
-                    if e.edge_id in fifos:
-                        outputs.setdefault(e.source.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                if compiled_stats is not None:
-                    task = CompiledFiring(
-                        actor,
-                        inputs,
-                        outputs,
-                        stats=compiled_stats,
-                        **batch_kwargs,
-                    )
-                else:
-                    task = ComputationTask(
-                        actor, inputs, outputs, **batch_kwargs
-                    )
+                task = ComputationTask.wired(
+                    actor, graph, fifos, **batch_kwargs
+                )
             tasks_by_actor[actor.name] = task
             return task
 
@@ -958,11 +913,6 @@ class SpiSystem:
             * sum(p.messages_sent for p in sync_pools),
             trace=recorder,
             steady_state=steady_report,
-            compiled_firings=(
-                compiled_stats.compiled_firings
-                if compiled_stats is not None
-                else 0
-            ),
             collective_messages=getattr(transport, "collective_messages", 0),
             fan_out_deliveries=getattr(transport, "fan_out_deliveries", 0),
             wire_bytes_saved=getattr(transport, "wire_bytes_saved", 0),

@@ -213,7 +213,7 @@ class TestBatchSchedule:
 
 
 class TestBatchedExecution:
-    def run_pipeline(self, batch_size, accelerate=True, **kwargs):
+    def run_pipeline(self, batch_size, accelerate=True):
         graph = pipeline_graph()
         if accelerate:
             partition = hetero_partition(graph, batch_size)
@@ -222,7 +222,7 @@ class TestBatchedExecution:
                 graph, 2, {"A": 0, "B": 1, "C": 0}, batch_size=batch_size
             )
         system = SpiSystem.compile(graph, partition)
-        return system, system.run(iterations=6, metrics=True, **kwargs)
+        return system, system.run(iterations=6, metrics=True)
 
     def test_batched_counters(self):
         system, result = self.run_pipeline(batch_size=4)
@@ -248,20 +248,6 @@ class TestBatchedExecution:
         assert batched.batched_firings == 0
         assert batched.cycles == plain.cycles
         assert batched.data_messages == plain.data_messages
-
-    def test_compiled_matches_interpreted(self):
-        _, compiled = self.run_pipeline(batch_size=4, compiled=True)
-        _, interpreted = self.run_pipeline(batch_size=4, compiled=False)
-        assert compiled.cycles == interpreted.cycles
-        assert compiled.data_messages == interpreted.data_messages
-        assert compiled.batched_firings == interpreted.batched_firings
-        assert compiled.batch_dispatches == interpreted.batch_dispatches
-        assert (
-            compiled.amortized_dispatch_cycles_saved
-            == interpreted.amortized_dispatch_cycles_saved
-        )
-        assert compiled.compiled_firings > 0
-        assert interpreted.compiled_firings == 0
 
     def test_metrics_document_batch_invariants(self):
         system, result = self.run_pipeline(batch_size=4)
@@ -299,8 +285,7 @@ class TestPassCursorWithRepetitions:
         graph.connect((b, "o"), (c, "i"))
         return graph
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_repeated_actor_fires_full_burst(self, compiled):
+    def test_repeated_actor_fires_full_burst(self):
         # Regression pin: the pass cursor must advance only after a
         # task's *last* occurrence in the program pass.  Advancing per
         # execution made B's 2nd/3rd occurrences of pass 0 read the
@@ -317,7 +302,7 @@ class TestPassCursorWithRepetitions:
         )
         system = SpiSystem.compile(graph, partition)
         assert system.batch == 4
-        result = system.run(iterations=6, metrics=True, compiled=compiled)
+        result = system.run(iterations=6, metrics=True)
         assert result.iterations == 6
         # ``firings`` stays the logical invocation count for actor and
         # send/receive tasks; only SPI_init genuinely runs per
@@ -331,9 +316,7 @@ class TestPassCursorWithRepetitions:
             pe_classes={1: ACCEL},
             batch_size=1,
         )
-        plain = SpiSystem.compile(graph, plain_partition).run(
-            iterations=6, compiled=compiled
-        )
+        plain = SpiSystem.compile(graph, plain_partition).run(iterations=6)
         init_delta = 6 - BatchSchedule(iterations=6, batch=4).passes
         assert [pe.firings for pe in result.pe_stats] == [
             pe.firings - init_delta for pe in plain.pe_stats

@@ -19,7 +19,10 @@ cites) cannot avoid:
   resynchronization (every transfer carries its full synchronization).
 
 The same application graph, partition and self-timed schedule are used
-as for SPI — the comparison isolates the communication layer.
+as for SPI — the comparison isolates the communication layer.  Both
+layers compile through :func:`repro.spi.library.lower` and build their
+run-time tasks with :func:`repro.spi.actors.wire_tasks`; they differ
+only in the send and receive tasks they plug in.
 """
 
 from __future__ import annotations
@@ -29,16 +32,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
-from repro.dataflow.vts import VtsConversion, vts_convert
+from repro.dataflow.vts import VtsConversion
 from repro.mapping.partition import Partition
-from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
+from repro.mapping.selftimed import SelfTimedSchedule
 from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
 from repro.platform.fpga import ResourceVector, estimate_datapath, estimate_fifo
 from repro.platform.interconnect import Interconnect, LinkSpec
 from repro.platform.pe import ProcessingElement
 from repro.platform.simulator import PESequencer, Simulator, Waitset
-from repro.spi.actors import ComputationTask, LocalFifo, payload_nbytes
-from repro.spi.library import SpiInsertion, insert_spi_actors
+from repro.spi.actors import LocalFifo, payload_nbytes, wire_tasks
+from repro.spi.library import SpiInsertion, lower
 from repro.spi.runtime import RunResult
 
 __all__ = ["MpiConfig", "MpiSystem", "mpi_engine_cost"]
@@ -129,25 +132,56 @@ class _MpiChannel:
 
 
 class _MpiSendTask:
-    """MPI_Send: eager (buffered) or rendezvous (blocking handshake)."""
+    """MPI_Send, or MPI_Bcast / MPI_Scatter for a collective send actor.
+
+    ``branches`` lists ``(ipc edge, _MpiChannel)`` per remote branch and
+    ``local_branches`` the consumer FIFOs of same-PE branches.  A
+    point-to-point send has one branch and sends its tokens unsliced,
+    eager (buffered) or — on a rendezvous channel — through a blocking
+    RTS/CTS handshake.
+
+    A collective send is one library call serving every branch.  The
+    library still knows nothing about the dataflow graph, but the
+    collective API lets it amortize the *software* send path: one
+    argument check plus one bounce-buffer copy of the root payload,
+    then one eager envelope+payload injection per destination.  On the
+    wire nothing is shared — a point-to-point MPI fabric still carries
+    one full message per rank, which is exactly what the SPI
+    shared-payload transport improves on.  Collectives are always
+    eager: the root cannot block on a rendezvous handshake with every
+    rank inside one call.
+    """
 
     def __init__(
         self,
         actor: Actor,
-        channel: _MpiChannel,
+        branches: List[tuple],
+        local_branches: List[LocalFifo],
         in_fifo: LocalFifo,
         sim: Simulator,
         interconnect: Interconnect,
         config: MpiConfig,
+        collective: bool = False,
     ) -> None:
         self.actor = actor
-        self.name = actor.name.replace("spi_send", "mpi_send")
-        self.channel = channel
+        self.name = actor.name.replace(
+            "spi_send", "mpi_coll" if collective else "mpi_send"
+        )
+        self.collective = collective
+        #: (ipc edge, _MpiChannel) per remote branch, in branch order
+        self.branches = sorted(
+            branches, key=lambda item: item[0].branch_index
+        )
+        self.local_branches = sorted(
+            local_branches, key=lambda fifo: fifo.edge.branch_index
+        )
         self.in_fifo = in_fifo
         self.sim = sim
         self.interconnect = interconnect
         self.config = config
         self.rate = actor.port("in").rate
+        #: only a point-to-point send on a rendezvous channel handshakes
+        self.rendezvous = not collective and self.branches[0][1].rendezvous
         self.complete_async: Optional[Callable[[], None]] = None
         self._staged: Optional[List] = None
 
@@ -176,26 +210,24 @@ class _MpiSendTask:
     def start(self, now: int) -> Optional[int]:
         tokens = self.in_fifo.pop(self.rate)
         self._staged = tokens
-        nbytes = payload_nbytes(tokens, self.channel.token_bytes)
-        if not self.channel.rendezvous:
+        nbytes = payload_nbytes(tokens, self.in_fifo.edge.token_bytes)
+        if not self.rendezvous:
             # Eager: envelope build + bounce-buffer copy, then the PE is
             # free; the library drains the buffer onto the link.
             return self.config.send_sw_cycles + self._copy_cycles(nbytes)
         # Rendezvous: the PE blocks through RTS -> CTS -> data injection.
-        link = self.interconnect.link(self.channel.src_pe, self.channel.dst_pe)
+        channel = self.branches[0][1]
+        link = self.interconnect.link(channel.src_pe, channel.dst_pe)
         rts_cost = self.config.send_sw_cycles
         _, rts_arrival = link.reserve(
             now + rts_cost, self.config.envelope_bytes
         )
-        channel = self.channel
         sim = self.sim
         config = self.config
-        interconnect = self.interconnect
 
         def on_cts() -> None:
-            data_link = interconnect.link(channel.src_pe, channel.dst_pe)
             inject_start = sim.now + self._copy_cycles(nbytes)
-            _, data_arrival = data_link.reserve(
+            _, data_arrival = link.reserve(
                 inject_start, config.envelope_bytes + nbytes
             )
             payload = list(self._staged or [])
@@ -216,117 +248,25 @@ class _MpiSendTask:
         return None
 
     def finish(self, now: int) -> None:
-        if self.channel.rendezvous:
-            self._staged = None
+        tokens = self._staged or []
+        self._staged = None
+        if self.rendezvous:
             return
-        tokens = self._staged or []
-        self._staged = None
-        nbytes = payload_nbytes(tokens, self.channel.token_bytes)
-        link = self.interconnect.link(self.channel.src_pe, self.channel.dst_pe)
-        _, arrival = link.reserve(now, self.config.envelope_bytes + nbytes)
-        channel = self.channel
-        sim = self.sim
-        envelope = self.config.envelope_bytes
-
-        def deliver() -> None:
-            channel.deliver_data(tokens, nbytes, envelope)
-
-        sim.at(arrival, deliver)
-
-
-class _MpiCollectiveSendTask:
-    """MPI_Bcast / MPI_Scatter: one library call serving every branch.
-
-    The library still knows nothing about the dataflow graph, but the
-    collective API lets it amortize the *software* send path: one
-    argument check plus one bounce-buffer copy of the root payload,
-    then one eager envelope+payload injection per destination.  On the
-    wire nothing is shared — a point-to-point MPI fabric still carries
-    one full message per rank, which is exactly what the SPI
-    shared-payload transport improves on.  Collectives are always
-    eager: the root cannot block on a rendezvous handshake with every
-    rank inside one call.
-    """
-
-    def __init__(
-        self,
-        actor: Actor,
-        branches: List[tuple],
-        local_branches: List[LocalFifo],
-        in_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        config: MpiConfig,
-    ) -> None:
-        self.actor = actor
-        self.name = actor.name.replace("spi_send", "mpi_coll")
-        #: (member IPC edge, _MpiChannel) per remote branch, branch order
-        self.branches = sorted(
-            branches, key=lambda item: item[0].branch_index
-        )
-        self.local_branches = sorted(
-            local_branches, key=lambda fifo: fifo.edge.branch_index
-        )
-        self.in_fifo = in_fifo
-        self.sim = sim
-        self.interconnect = interconnect
-        self.config = config
-        self.rate = actor.port("in").rate
-        self._staged: Optional[List] = None
-
-    def ready(self, now: int) -> bool:
-        return len(self.in_fifo) >= self.rate
-
-    def blocked_reason(self, now: int) -> Optional[str]:
-        if len(self.in_fifo) < self.rate:
-            return (
-                f"starved on {self.in_fifo.edge.name!r} "
-                f"(has {len(self.in_fifo)}, needs {self.rate})"
-            )
-        return None
-
-    def wait_on(self, now: int) -> List[Waitset]:
-        if len(self.in_fifo) < self.rate:
-            return [self.in_fifo.waitset]
-        return []
-
-    def _copy_cycles(self, nbytes: int) -> int:
-        words = (nbytes + self.config.word_bytes - 1) // self.config.word_bytes
-        return words * self.config.copy_cycles_per_word
-
-    def start(self, now: int) -> Optional[int]:
-        tokens = self.in_fifo.pop(self.rate)
-        self._staged = tokens
-        nbytes = payload_nbytes(tokens, self.in_fifo.edge.token_bytes)
-        return self.config.send_sw_cycles + self._copy_cycles(nbytes)
-
-    def finish(self, now: int) -> None:
-        tokens = self._staged or []
-        self._staged = None
         for fifo in self.local_branches:
-            connection = fifo.edge.connection
-            part = (
-                connection.produced_tokens(fifo.edge, tokens)
-                if connection is not None
-                else list(tokens)
-            )
-            fifo.push(part)
+            fifo.push(fifo.edge.connection.produced_tokens(fifo.edge, tokens))
         sim = self.sim
         envelope = self.config.envelope_bytes
         for member, channel in self.branches:
-            connection = member.connection
             part = (
-                connection.produced_tokens(member, tokens)
-                if connection is not None
-                else list(tokens)
+                member.connection.produced_tokens(member, tokens)
+                if self.collective
+                else tokens
             )
             nbytes = payload_nbytes(part, channel.token_bytes)
             link = self.interconnect.link(channel.src_pe, channel.dst_pe)
             _, arrival = link.reserve(now, envelope + nbytes)
 
-            def deliver(
-                ch=channel, payload=part, size=nbytes
-            ) -> None:
+            def deliver(ch=channel, payload=part, size=nbytes) -> None:
                 ch.deliver_data(payload, size, envelope)
 
             sim.at(arrival, deliver)
@@ -443,22 +383,9 @@ class MpiSystem:
         config: Optional[MpiConfig] = None,
     ) -> "MpiSystem":
         config = config or MpiConfig()
-        graph.validate()
-        conversion: Optional[VtsConversion] = None
-        static_graph = graph
-        if graph.is_dynamic:
-            conversion = vts_convert(graph)
-            static_graph = conversion.graph
-        static_partition = Partition(
-            static_graph, partition.n_pes, dict(partition.assignment)
+        conversion, insertion, schedule = lower(
+            graph, partition, config.word_bytes
         )
-        insertion = insert_spi_actors(
-            static_graph,
-            static_partition,
-            conversion=conversion,
-            word_bytes=config.word_bytes,
-        )
-        schedule = build_selftimed_schedule(insertion.graph, insertion.partition)
         collective_origins = {
             origin
             for group in insertion.collective_sends.values()
@@ -493,7 +420,6 @@ class MpiSystem:
             raise GraphError("iterations must be >= 1")
         sim = Simulator(check_lost_wakeups=check_lost_wakeups)
         interconnect = Interconnect(default_spec=self.config.link_spec)
-        graph = self.insertion.graph
 
         channels: Dict[str, _MpiChannel] = {}
         for origin_name, (ipc_edge, pair, _) in self.insertion.channels.items():
@@ -505,73 +431,26 @@ class MpiSystem:
                 rendezvous=self.channel_modes[origin_name],
             )
 
-        ipc_ids = {e.edge_id for e, _, _ in self.insertion.channels.values()}
-        fifos = {
-            edge.edge_id: LocalFifo(edge)
-            for edge in graph.edges
-            if edge.edge_id not in ipc_ids
-        }
-        collective_groups = self.insertion.collective_sends
-        send_map = {
-            pair.send: name
-            for name, (_, pair, _) in self.insertion.channels.items()
-            if pair.send not in collective_groups
-        }
-        recv_map = {
-            pair.recv: name
-            for name, (_, pair, _) in self.insertion.channels.items()
-        }
-        channel_by_ipc_edge = {
-            ipc_edge.edge_id: channels[name]
-            for name, (ipc_edge, _, _) in self.insertion.channels.items()
-        }
+        config = self.config
 
-        tasks: Dict[str, object] = {}
+        def send(actor, branches, local_branches, in_fifo, group):
+            return _MpiSendTask(
+                actor,
+                branches,
+                local_branches,
+                in_fifo,
+                sim,
+                interconnect,
+                config,
+                collective=group is not None,
+            )
 
-        def task_for(actor: Actor):
-            if actor.name in tasks:
-                return tasks[actor.name]
-            if actor.name in collective_groups:
-                branches = []
-                local_branches = []
-                for member in graph.out_edges(actor):
-                    if member.edge_id in fifos:
-                        local_branches.append(fifos[member.edge_id])
-                    else:
-                        branches.append(
-                            (member, channel_by_ipc_edge[member.edge_id])
-                        )
-                task = _MpiCollectiveSendTask(
-                    actor,
-                    branches,
-                    local_branches,
-                    fifos[graph.in_edges(actor)[0].edge_id],
-                    sim,
-                    interconnect,
-                    self.config,
-                )
-            elif actor.name in send_map:
-                task = _MpiSendTask(
-                    actor,
-                    channels[send_map[actor.name]],
-                    fifos[graph.in_edges(actor)[0].edge_id],
-                    sim,
-                    interconnect,
-                    self.config,
-                )
-            elif actor.name in recv_map:
-                task = _MpiRecvTask(
-                    actor,
-                    channels[recv_map[actor.name]],
-                    fifos[graph.out_edges(actor)[0].edge_id],
-                    sim,
-                    interconnect,
-                    self.config,
-                )
-            else:
-                task = ComputationTask.wired(actor, graph, fifos)
-            tasks[actor.name] = task
-            return task
+        def recv(actor, channel, out_fifo):
+            return _MpiRecvTask(
+                actor, channel, out_fifo, sim, interconnect, config
+            )
+
+        tasks, fifos = wire_tasks(self.insertion, channels, send, recv)
 
         pes: List[ProcessingElement] = []
         sequencers: List[PESequencer] = []
@@ -581,9 +460,7 @@ class MpiSystem:
             if not entries:
                 continue
             pe = ProcessingElement(pe_index)
-            program = [
-                task_for(graph.get_actor(origin)) for _, origin in entries
-            ]
+            program = [tasks[origin] for _, origin in entries]
             sequencer = PESequencer(sim, pe, program, iterations)
             pes.append(pe)
             sequencers.append(sequencer)

@@ -13,7 +13,7 @@ same-PE edges.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge
 from repro.dataflow.vts import PackedToken
@@ -21,6 +21,7 @@ from repro.platform.interconnect import Interconnect
 from repro.platform.pe import GPP, PEClass, ProcessingElement
 from repro.platform.simulator import Simulator, Waitset
 from repro.spi.channel import SpiChannel
+from repro.spi.library import SpiInsertion
 from repro.spi.message import make_ack_message, make_data_message
 
 __all__ = [
@@ -29,12 +30,12 @@ __all__ = [
     "ComputationTask",
     "SpiInitTask",
     "SpiSendTask",
-    "SpiCollectiveSendTask",
     "SpiReceiveTask",
     "SyncTokenPool",
     "SyncedTask",
     "normalize_port_fifos",
     "payload_nbytes",
+    "wire_tasks",
     "INIT_CYCLES",
 ]
 
@@ -396,131 +397,32 @@ class SpiSendTask(_BatchedTaskMixin):
     """SPI_send: forwards one message worth of tokens onto the transport.
 
     Guard: the producer-side FIFO holds a full message *and* the
-    protocol allows sending (UBS credit).  The PE is occupied for the
-    header-assembly/injection cycles (the actor's cycle model from
-    :mod:`repro.spi.library`); the data transfer itself then proceeds
-    concurrently with the PE, serialized by the transport (dedicated
-    link, shared bus, or ordered-transaction slot).
+    protocol allows sending (UBS credit) on every remote branch.  The PE
+    is occupied for the header-assembly/injection cycles (the actor's
+    cycle model from :mod:`repro.spi.library`); the data transfer itself
+    then proceeds concurrently with the PE, serialized by the transport
+    (dedicated link, shared bus, or ordered-transaction slot).
+
+    ``branches`` lists ``(ipc edge, SpiChannel)`` per remote branch and
+    ``local_branches`` the consumer FIFOs of same-PE branches.  A
+    point-to-point send has one branch, no local branch and no
+    ``group_key``: its tokens go out unsliced through ``transport.send``.
+    A collective (broadcast/scatter) send fires **once** per producer
+    firing: it delivers local branches straight into their FIFOs and
+    hands every remote branch to ``transport.send_collective`` as one
+    transfer keyed by ``group_key`` — the transport shares the wire
+    payload across branches bound for the same destination
+    (point-to-point) or across the whole fan-out (bus), and accounts the
+    avoided bytes in its ``wire_bytes_saved`` counter.  Flow control
+    stays per-branch: each branch channel records its own delivery/ack
+    traffic, so BBS/UBS bounds and the resync solver keep working per
+    channel instance.
 
     A batched dispatch forwards the whole burst: it needs ``burst``
     messages of tokens and ``burst`` send credits up front, then puts
-    ``burst`` separate wire messages on the transport in firing order —
+    ``burst`` separate wire transfers on the transport in firing order —
     message count and token streams stay identical to sequential
     execution; only the dispatch timing amortizes.
-    """
-
-    def __init__(
-        self,
-        actor: Actor,
-        channel: SpiChannel,
-        in_fifo: LocalFifo,
-        transport,
-        batch_counts: Optional[Sequence[int]] = None,
-        pe_class: PEClass = GPP,
-        pe: Optional[ProcessingElement] = None,
-    ) -> None:
-        self.actor = actor
-        self.name = f"{actor.name}"
-        self.channel = channel
-        self.in_fifo = in_fifo
-        self.transport = transport
-        self.rate = actor.port("in").rate
-        self.firing_index = 0
-        self._init_batch(batch_counts, pe_class, pe)
-        self._staged: Optional[List[List]] = None
-
-    def ready(self, now: int) -> bool:
-        burst = self.burst
-        return len(
-            self.in_fifo
-        ) >= burst * self.rate and self.channel.flow.can_send_n(burst)
-
-    def blocked_reason(self, now: int) -> Optional[str]:
-        """Why this send cannot start (None when it can)."""
-        burst = self.burst
-        if len(self.in_fifo) < burst * self.rate:
-            return (
-                f"starved on {self.in_fifo.edge.name!r} "
-                f"(has {len(self.in_fifo)}, needs {burst * self.rate})"
-            )
-        if not self.channel.flow.can_send_n(burst):
-            return (
-                f"waiting for ack credit on channel "
-                f"{self.channel.edge.name!r}"
-            )
-        return None
-
-    def wait_on(self, now: int) -> List[Waitset]:
-        """Waitsets of the resources currently blocking the guard."""
-        burst = self.burst
-        waitsets = []
-        if len(self.in_fifo) < burst * self.rate:
-            waitsets.append(self.in_fifo.waitset)
-        if not self.channel.flow.can_send_n(burst):
-            waitsets.append(self.channel.space_waitset)
-        return waitsets
-
-    def start(self, now: int) -> int:
-        burst = self.burst
-        staged: List[List] = []
-        native: List[int] = []
-        for i in range(burst):
-            tokens = self.in_fifo.pop(self.rate)
-            self.channel.on_send()
-            staged.append(tokens)
-            native.append(
-                self.actor.execution_cycles(
-                    self.firing_index + i, {"in": tokens}
-                )
-            )
-        self._staged = staged
-        return self._charge(native)
-
-    def finish(self, now: int) -> None:
-        assert self._staged is not None
-        staged = self._staged
-        self._staged = None
-        self._advance_pass()
-        for tokens in staged:
-            self.firing_index += 1
-            self._launch(now, tokens)
-
-    def _launch(self, now: int, tokens: List) -> None:
-        nbytes = payload_nbytes(tokens, self.channel.token_bytes)
-        message = make_data_message(
-            edge_id=self.channel.edge.edge_id,
-            payload=tokens,
-            payload_bytes=nbytes,
-            dynamic=self.channel.dynamic,
-        )
-        channel = self.channel
-
-        def deliver() -> None:
-            channel.deliver(message)
-
-        self.transport.send(
-            channel_key=channel.edge.name,
-            src_pe=channel.src_pe,
-            dst_pe=channel.dst_pe,
-            nbytes=message.wire_bytes,
-            now=now,
-            deliver=deliver,
-        )
-
-
-class SpiCollectiveSendTask(_BatchedTaskMixin):
-    """One collective (broadcast/scatter) SPI_send serving k branches.
-
-    The task fires **once** per producer firing: it pops one message
-    worth of tokens, delivers local branches straight into their
-    consumer FIFOs and hands every remote branch to the transport as one
-    *collective* transfer — the transport shares the wire payload across
-    branches bound for the same destination (point-to-point) or across
-    the whole fan-out (bus), and accounts the avoided bytes in its
-    ``wire_bytes_saved`` counter.  Flow control stays per-branch: the
-    guard requires every remote branch's window to be open, and each
-    branch channel records its own delivery/ack traffic, so BBS/UBS
-    bounds and the resync solver keep working per channel instance.
     """
 
     def __init__(
@@ -535,9 +437,9 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
         pe_class: PEClass = GPP,
         pe: Optional[ProcessingElement] = None,
     ) -> None:
-        #: branches: [(member_edge, SpiChannel)] in branch order
         self.actor = actor
         self.name = f"{actor.name}"
+        #: (ipc edge, SpiChannel) per remote branch, in branch order
         self.branches = sorted(
             branches, key=lambda item: item[0].branch_index
         )
@@ -547,7 +449,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
         self.in_fifo = in_fifo
         self.transport = transport
         self.rate = actor.port("in").rate
-        self.group_key = group_key or actor.name
+        self.group_key = group_key
         connections = {
             id(edge.connection): edge.connection
             for edge, _ in self.branches
@@ -556,7 +458,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             connections[id(fifo.edge.connection)] = fifo.edge.connection
         if len(connections) != 1:
             raise ValueError(
-                f"collective send {actor.name}: branches belong to "
+                f"send {actor.name}: branches belong to "
                 f"{len(connections)} connections, expected exactly 1"
             )
         self.connection = next(iter(connections.values()))
@@ -572,6 +474,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
         )
 
     def blocked_reason(self, now: int) -> Optional[str]:
+        """Why this send cannot start (None when it can)."""
         burst = self.burst
         if len(self.in_fifo) < burst * self.rate:
             return (
@@ -584,12 +487,13 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             if not channel.flow.can_send_n(burst)
         ]
         if closed:
-            return "waiting for ack credit on " + ", ".join(
+            return "waiting for ack credit on channel " + ", ".join(
                 repr(name) for name in closed
             )
         return None
 
     def wait_on(self, now: int) -> List[Waitset]:
+        """Waitsets of the resources currently blocking the guard."""
         burst = self.burst
         waitsets = []
         if len(self.in_fifo) < burst * self.rate:
@@ -635,12 +539,15 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             return
         parts = []
         for edge, channel in self.branches:
-            payload = connection.produced_tokens(edge, tokens)
-            nbytes = payload_nbytes(payload, channel.token_bytes)
+            payload = (
+                tokens
+                if self.group_key is None
+                else connection.produced_tokens(edge, tokens)
+            )
             message = make_data_message(
                 edge_id=channel.edge.edge_id,
                 payload=payload,
-                payload_bytes=nbytes,
+                payload_bytes=payload_nbytes(payload, channel.token_bytes),
                 dynamic=channel.dynamic,
             )
 
@@ -648,16 +555,23 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
                 channel.deliver(message)
 
             parts.append(
-                (
-                    channel.edge.name,
-                    channel.dst_pe,
-                    message.wire_bytes,
-                    deliver,
-                )
+                (channel.edge.name, channel.dst_pe, message.wire_bytes, deliver)
             )
+        src_pe = self.branches[0][1].src_pe
+        if self.group_key is None:
+            channel_key, dst_pe, nbytes, deliver = parts[0]
+            self.transport.send(
+                channel_key=channel_key,
+                src_pe=src_pe,
+                dst_pe=dst_pe,
+                nbytes=nbytes,
+                now=now,
+                deliver=deliver,
+            )
+            return
         self.transport.send_collective(
             group_key=self.group_key,
-            src_pe=self.branches[0][1].src_pe,
+            src_pe=src_pe,
             parts=parts,
             now=now,
             shared_payload=self.shared_payload,
@@ -927,3 +841,73 @@ class SpiReceiveTask(_BatchedTaskMixin):
             self.sim.schedule_delivery(
                 arrival, deliver_ack, ("ack", self.channel.edge.name)
             )
+
+
+def wire_tasks(
+    insertion: SpiInsertion,
+    channels: Dict[str, object],
+    send: Callable[..., object],
+    recv: Callable[..., object],
+    options: Optional[Callable[[Actor], Dict[str, object]]] = None,
+) -> Tuple[Dict[str, object], Dict[int, LocalFifo]]:
+    """One run-time task per actor of ``insertion.graph``.
+
+    ``channels`` maps each origin edge name of ``insertion.channels`` to
+    the communication layer's channel object.  Every edge that is not an
+    IPC edge gets a fresh :class:`LocalFifo`.  Send actors are built by
+    ``send(actor, [(ipc edge, channel), ...], local fifos, in_fifo,
+    group, **kw)``, where ``group`` is the actor's
+    :class:`~repro.spi.library.CollectiveSendGroup` or None for a
+    point-to-point send; receive actors by ``recv(actor, channel,
+    out_fifo, **kw)``; every other actor is a
+    :meth:`ComputationTask.wired`.  ``options(actor)`` supplies the
+    per-actor keyword arguments ``kw`` of all three.
+
+    Returns ``(task by actor name, fifo by edge id)``.
+    """
+    graph = insertion.graph
+    channel_by_ipc_edge: Dict[int, object] = {}
+    recv_channels: Dict[str, object] = {}
+    send_actors = set()
+    for origin, (ipc_edge, pair, _) in insertion.channels.items():
+        channel_by_ipc_edge[ipc_edge.edge_id] = channels[origin]
+        recv_channels[pair.recv] = channels[origin]
+        send_actors.add(pair.send)
+    fifos: Dict[int, LocalFifo] = {
+        edge.edge_id: LocalFifo(edge)
+        for edge in graph.edges
+        if edge.edge_id not in channel_by_ipc_edge
+    }
+    tasks: Dict[str, object] = {}
+    for actor in graph.actors:
+        kw = options(actor) if options is not None else {}
+        if actor.name in send_actors:
+            branches = []
+            local_branches = []
+            for member in graph.out_edges(actor):
+                if member.edge_id in fifos:
+                    local_branches.append(fifos[member.edge_id])
+                else:
+                    branches.append(
+                        (member, channel_by_ipc_edge[member.edge_id])
+                    )
+            tasks[actor.name] = send(
+                actor,
+                branches,
+                local_branches,
+                fifos[graph.in_edges(actor)[0].edge_id],
+                insertion.collective_sends.get(actor.name),
+                **kw,
+            )
+        elif actor.name in recv_channels:
+            tasks[actor.name] = recv(
+                actor,
+                recv_channels[actor.name],
+                fifos[graph.out_edges(actor)[0].edge_id],
+                **kw,
+            )
+        else:
+            tasks[actor.name] = ComputationTask.wired(
+                actor, graph, fifos, **kw
+            )
+    return tasks, fifos

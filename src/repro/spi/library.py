@@ -14,23 +14,27 @@ and the compile-time per-channel decisions:
   bound), **UBS** with an acknowledgment window otherwise.
 
 The insertion is a pure graph transformation; the run-time behaviour of
-the inserted actors lives in :mod:`repro.spi.actors`.
+the inserted actors lives in :mod:`repro.spi.actors`.  :func:`lower`
+chains VTS conversion, insertion and self-timed scheduling: the compile
+front half that SPI and the MPI baseline share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dataflow.graph import Connection, DataflowGraph, Edge, GraphError
-from repro.dataflow.vts import VtsConversion
+from repro.dataflow.vts import VtsConversion, vts_convert
 from repro.mapping.partition import Partition
+from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
 
 __all__ = [
     "SpiActorNames",
     "CollectiveSendGroup",
     "SpiInsertion",
     "insert_spi_actors",
+    "lower",
     "SEND_PREFIX",
     "RECV_PREFIX",
 ]
@@ -62,9 +66,9 @@ class CollectiveSendGroup:
     branch of the connection: remote branches each own a member IPC edge
     (and a per-branch channel keyed by the original member edge name),
     local branches are delivered directly into their consumer FIFOs.
-    The runtime turns this into an ``SpiCollectiveSendTask`` that makes
-    one shared-payload transport transfer per destination (or one bus
-    transaction) instead of one send firing per branch.
+    The runtime turns this into an ``SpiSendTask`` with a group key, which
+    makes one shared-payload transport transfer per destination (or one
+    bus transaction) instead of one send firing per branch.
     """
 
     name: str                 #: original connection name
@@ -103,19 +107,6 @@ class SpiInsertion:
     collective_sends: Dict[str, CollectiveSendGroup] = field(
         default_factory=dict
     )
-
-    @property
-    def ipc_edges(self) -> List[Edge]:
-        return [entry[0] for entry in self.channels.values()]
-
-    def spi_actor_names(self) -> List[str]:
-        names: List[str] = []
-        for _, pair, _ in self.channels.values():
-            names.extend((pair.send, pair.recv))
-        return names
-
-    def is_spi_actor(self, name: str) -> bool:
-        return name.startswith((SEND_PREFIX, RECV_PREFIX))
 
 
 def _send_cycles(payload_words: int, dynamic: bool) -> int:
@@ -271,6 +262,34 @@ def insert_spi_actors(
         channels=channels,
         collective_sends=collective_sends,
     )
+
+
+def lower(
+    graph: DataflowGraph, partition: Partition, word_bytes: int = 4
+) -> Tuple[Optional[VtsConversion], SpiInsertion, SelfTimedSchedule]:
+    """The compile front half shared by SPI and the MPI baseline.
+
+    Validates ``graph``, VTS-converts it when it has dynamic-rate edges,
+    inserts the SPI actor pairs on every interprocessor edge and builds
+    the self-timed schedule of the result.  Returns ``(conversion,
+    insertion, schedule)``; ``conversion`` is None for static graphs.
+    Only the assignment of ``partition`` matters here: PE classes and
+    the batch request are read from the caller's partition at run time.
+    """
+    graph.validate()
+    conversion: Optional[VtsConversion] = None
+    static_graph = graph
+    if graph.is_dynamic:
+        conversion = vts_convert(graph)
+        static_graph = conversion.graph
+    insertion = insert_spi_actors(
+        static_graph,
+        Partition(static_graph, partition.n_pes, dict(partition.assignment)),
+        conversion=conversion,
+        word_bytes=word_bytes,
+    )
+    schedule = build_selftimed_schedule(insertion.graph, insertion.partition)
+    return conversion, insertion, schedule
 
 
 def _clone_port_ref(new_graph: DataflowGraph, port) -> tuple:

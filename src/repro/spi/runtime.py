@@ -25,16 +25,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
-from repro.dataflow.vts import VtsConversion, vts_convert
+from repro.dataflow.vts import VtsConversion
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
 from repro.mapping.partition import Partition
 from repro.mapping.resync import ResynchronizationResult, resynchronize
-from repro.mapping.selftimed import (
-    SelfTimedSchedule,
-    build_selftimed_schedule,
-    max_feasible_batch,
-)
+from repro.mapping.selftimed import SelfTimedSchedule, max_feasible_batch
 from repro.mapping.sync_graph import SynchronizationGraph, derive_sync_graph
 from repro.mapping.timed_graph import EdgeKind, TimedEdge
 from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
@@ -51,18 +47,17 @@ from repro.platform.trace import TraceRecorder
 from repro.spi import resources as spi_resources
 from repro.spi.actors import (
     BatchSchedule,
-    ComputationTask,
     LocalFifo,
-    SpiCollectiveSendTask,
     SpiInitTask,
     SpiReceiveTask,
     SpiSendTask,
     SyncTokenPool,
     SyncedTask,
+    wire_tasks,
 )
 from repro.spi.message import ACK_BYTES
 from repro.spi.channel import SpiChannel
-from repro.spi.library import SpiInsertion, insert_spi_actors
+from repro.spi.library import SpiInsertion, lower
 from repro.spi.protocols import Protocol, ProtocolConfig
 
 __all__ = ["SpiConfig", "ChannelPlan", "RunResult", "SpiSystem"]
@@ -286,33 +281,15 @@ class SpiSystem:
         it transparently.
         """
         config = config or SpiConfig()
-        graph.validate()
+        conversion, insertion, schedule = lower(
+            graph, partition, config.word_bytes
+        )
 
         analysis_key = structure_key = None
         if cache is not None:
             analysis_key = cache.key_for(graph, partition, config)
             structure_key = cache.structure_key_for(graph, partition, config)
 
-        conversion: Optional[VtsConversion] = None
-        static_graph = graph
-        if graph.is_dynamic:
-            conversion = vts_convert(graph)
-            static_graph = conversion.graph
-
-        static_partition = Partition(
-            static_graph,
-            partition.n_pes,
-            dict(partition.assignment),
-            pe_classes=dict(partition.pe_classes),
-            batch_size=partition.batch_size,
-        )
-        insertion = insert_spi_actors(
-            static_graph,
-            static_partition,
-            conversion=conversion,
-            word_bytes=config.word_bytes,
-        )
-        schedule = build_selftimed_schedule(insertion.graph, insertion.partition)
         ipc_graph = build_ipc_graph(schedule)
         sync_graph = derive_sync_graph(ipc_graph)
 
@@ -354,7 +331,9 @@ class SpiSystem:
                 continue
             if cls._messages_per_iteration(schedule, plan.send_actor) != 1:
                 continue
-            send_task, recv_task = cls._channel_tasks(schedule, plan)
+            send_task, recv_task = cls._channel_tasks(
+                schedule, plan.send_actor, plan.recv_actor
+            )
             sync_graph.add_edge(
                 TimedEdge(
                     src=recv_task,
@@ -408,18 +387,17 @@ class SpiSystem:
 
     @staticmethod
     def _channel_tasks(
-        schedule: SelfTimedSchedule, plan: ChannelPlan
+        schedule: SelfTimedSchedule, send_actor: str, recv_actor: str
     ) -> Tuple[str, str]:
-        """Task names of the channel's send/recv actors in the task graph.
+        """Task names of a channel's send/recv actors in the task graph.
 
         For multirate graphs the SPI actors expand into invocations; the
         ack-window constraint is attached between the first invocations
         (a conservative representative).
         """
-        tasks = set(schedule.task_pe)
-        if plan.send_actor in tasks:
-            return plan.send_actor, plan.recv_actor
-        return f"{plan.send_actor}#0", f"{plan.recv_actor}#0"
+        if send_actor in schedule.task_pe:
+            return send_actor, recv_actor
+        return f"{send_actor}#0", f"{recv_actor}#0"
 
     @staticmethod
     def _messages_per_iteration(
@@ -471,83 +449,55 @@ class SpiSystem:
         )
         plans: Dict[str, ChannelPlan] = {}
         for origin_name, (ipc_edge, pair, dynamic) in insertion.channels.items():
-            src_pe = insertion.partition.assignment[pair.send]
-            dst_pe = insertion.partition.assignment[pair.recv]
-            send_task, recv_task = cls._channel_tasks(
-                schedule,
-                ChannelPlan(
-                    origin_edge_name=origin_name,
-                    ipc_edge=ipc_edge,
-                    send_actor=pair.send,
-                    recv_actor=pair.recv,
-                    src_pe=src_pe,
-                    dst_pe=dst_pe,
-                    dynamic=dynamic,
-                    protocol=Protocol.UBS,
-                    capacity_messages=1,
-                    message_payload_bytes=1,
-                    acks_enabled=False,
-                ),
-            )
-            delay_msgs = ipc_edge.delay // max(1, ipc_edge.prod_rate)
-            payload_bytes = ipc_edge.prod_rate * ipc_edge.token_bytes
-            msgs_per_iter = cls._messages_per_iteration(schedule, pair.send)
-
             cached = decisions.get(origin_name) if decisions is not None else None
             if cached is not None:
-                plans[origin_name] = ChannelPlan(
-                    origin_edge_name=origin_name,
-                    ipc_edge=ipc_edge,
-                    send_actor=pair.send,
-                    recv_actor=pair.recv,
-                    src_pe=src_pe,
-                    dst_pe=dst_pe,
-                    dynamic=dynamic,
-                    protocol=cached["protocol"],
-                    capacity_messages=cached["capacity_messages"],
-                    message_payload_bytes=payload_bytes,
-                    acks_enabled=cached["acks_enabled"],
-                )
-                continue
-            if rho is None:
-                rho = sync_graph.min_delay_paths()
-            feedback = rho.get(recv_task, {}).get(send_task)
-
-            if (
-                config.protocol_policy == "auto"
-                and feedback is not None
-                and 0
-                < batch * msgs_per_iter * (feedback + 1) + delay_msgs
-                <= config.max_bbs_messages
-            ):
-                # Sync-graph delays count *iterations* between the #0
-                # invocations, while the bound counts *messages*: with a
-                # feedback of f iterations the sender can run f + 1
-                # iterations (of msgs_per_iter messages each) ahead of
-                # the receiver's oldest unfreed slot, plus the initial
-                # delay tokens.  The msgs_per_iter'th message of the
-                # newest iteration doubles as the in-process +1 slack
-                # (the message inside SPI_receive still occupies its
-                # slot); for single-rate channels the formula reduces to
-                # the familiar feedback + delay + 1.
-                protocol = Protocol.BBS
-                capacity = batch * msgs_per_iter * (feedback + 1) + delay_msgs
-                acks = False
+                protocol = cached["protocol"]
+                capacity = cached["capacity_messages"]
+                acks = cached["acks_enabled"]
             else:
-                protocol = Protocol.UBS
-                capacity = max(config.ubs_window, batch * msgs_per_iter)
-                acks = True
+                if rho is None:
+                    rho = sync_graph.min_delay_paths()
+                send_task, recv_task = cls._channel_tasks(
+                    schedule, pair.send, pair.recv
+                )
+                feedback = rho.get(recv_task, {}).get(send_task)
+                delay_msgs = ipc_edge.delay // max(1, ipc_edge.prod_rate)
+                msgs_per_iter = cls._messages_per_iteration(schedule, pair.send)
+                if (
+                    config.protocol_policy == "auto"
+                    and feedback is not None
+                    and 0
+                    < batch * msgs_per_iter * (feedback + 1) + delay_msgs
+                    <= config.max_bbs_messages
+                ):
+                    # Sync-graph delays count *iterations* between the #0
+                    # invocations, while the bound counts *messages*: with
+                    # a feedback of f iterations the sender can run f + 1
+                    # iterations (of msgs_per_iter messages each) ahead of
+                    # the receiver's oldest unfreed slot, plus the initial
+                    # delay tokens.  The msgs_per_iter'th message of the
+                    # newest iteration doubles as the in-process +1 slack
+                    # (the message inside SPI_receive still occupies its
+                    # slot); for single-rate channels the formula reduces
+                    # to the familiar feedback + delay + 1.
+                    protocol = Protocol.BBS
+                    capacity = batch * msgs_per_iter * (feedback + 1) + delay_msgs
+                    acks = False
+                else:
+                    protocol = Protocol.UBS
+                    capacity = max(config.ubs_window, batch * msgs_per_iter)
+                    acks = True
             plans[origin_name] = ChannelPlan(
                 origin_edge_name=origin_name,
                 ipc_edge=ipc_edge,
                 send_actor=pair.send,
                 recv_actor=pair.recv,
-                src_pe=src_pe,
-                dst_pe=dst_pe,
+                src_pe=insertion.partition.assignment[pair.send],
+                dst_pe=insertion.partition.assignment[pair.recv],
                 dynamic=dynamic,
                 protocol=protocol,
                 capacity_messages=capacity,
-                message_payload_bytes=payload_bytes,
+                message_payload_bytes=ipc_edge.prod_rate * ipc_edge.token_bytes,
                 acks_enabled=acks,
             )
         return plans
@@ -634,7 +584,6 @@ class SpiSystem:
         recorder = TraceRecorder() if trace else None
         interconnect = Interconnect(default_spec=self.config.link_spec)
         transport = self._build_transport(sim, interconnect, observer=hub)
-        graph = self.insertion.graph
 
         channels: Dict[str, SpiChannel] = {}
         for plan in self.channel_plans.values():
@@ -663,30 +612,6 @@ class SpiSystem:
                 recv_capacity_bytes=capacity_bytes,
             )
 
-        ipc_edge_ids = {plan.ipc_edge.edge_id for plan in self.channel_plans.values()}
-        fifos: Dict[int, LocalFifo] = {
-            edge.edge_id: LocalFifo(edge)
-            for edge in graph.edges
-            if edge.edge_id not in ipc_edge_ids
-        }
-
-        collective_groups = self.insertion.collective_sends
-        send_plans = {
-            plan.send_actor: plan
-            for plan in self.channel_plans.values()
-            if plan.send_actor not in collective_groups
-        }
-        recv_plans = {plan.recv_actor: plan for plan in self.channel_plans.values()}
-        # A collective send actor owns several per-branch channels; match
-        # each fanout member edge back to its channel via the plan's IPC
-        # edge identity.
-        channel_by_ipc_edge = {
-            plan.ipc_edge.edge_id: channels[plan.origin_edge_name]
-            for plan in self.channel_plans.values()
-        }
-
-        tasks_by_actor: Dict[str, object] = {}
-
         # Blocked-schedule plumbing: every task on every PE runs the
         # same per-macro-pass burst counts (lockstep), and the PE
         # objects must exist before their tasks so batched dispatches
@@ -705,72 +630,37 @@ class SpiSystem:
         }
         pe_assignment = self.insertion.partition.assignment
 
-        def task_for(actor: Actor):
-            if actor.name in tasks_by_actor:
-                return tasks_by_actor[actor.name]
+        def batch_options(actor: Actor) -> Dict[str, object]:
             owner = pe_objects[pe_assignment[actor.name]]
-            batch_kwargs = dict(
-                batch_counts=batch_counts,
-                pe_class=owner.pe_class,
-                pe=owner,
+            return dict(
+                batch_counts=batch_counts, pe_class=owner.pe_class, pe=owner
             )
-            if actor.name in collective_groups:
-                group = collective_groups[actor.name]
-                in_edge = graph.in_edges(actor)[0]
-                branches = []
-                local_branches = []
-                for member in graph.out_edges(actor):
-                    if member.edge_id in fifos:
-                        local_branches.append(fifos[member.edge_id])
-                    else:
-                        branches.append(
-                            (member, channel_by_ipc_edge[member.edge_id])
-                        )
-                task = SpiCollectiveSendTask(
-                    actor,
-                    branches,
-                    local_branches,
-                    fifos[in_edge.edge_id],
-                    transport,
-                    group_key=f"{group.name}.collective",
-                    **batch_kwargs,
-                )
-            elif actor.name in send_plans:
-                plan = send_plans[actor.name]
-                in_edge = graph.in_edges(actor)[0]
-                task = SpiSendTask(
-                    actor,
-                    channels[plan.origin_edge_name],
-                    fifos[in_edge.edge_id],
-                    transport,
-                    **batch_kwargs,
-                )
-            elif actor.name in recv_plans:
-                plan = recv_plans[actor.name]
-                out_edge = graph.out_edges(actor)[0]
-                task = SpiReceiveTask(
-                    actor,
-                    channels[plan.origin_edge_name],
-                    fifos[out_edge.edge_id],
-                    sim,
-                    interconnect,
-                    observer=hub,
-                    **batch_kwargs,
-                )
-            else:
-                task = ComputationTask.wired(
-                    actor, graph, fifos, **batch_kwargs
-                )
-            tasks_by_actor[actor.name] = task
-            return task
 
-        # Instantiate every task up front, then materialise the *added*
-        # resynchronization edges as run-time sync-message channels (a
-        # counting semaphore fed by zero-payload messages) wrapped
-        # around the endpoint tasks.  Without this, disabling the acks
-        # those edges made redundant would be unsound.
-        for actor in graph.actors:
-            task_for(actor)
+        def send(actor, branches, local_branches, in_fifo, group, **kw):
+            group_key = f"{group.name}.collective" if group else None
+            return SpiSendTask(
+                actor,
+                branches,
+                local_branches,
+                in_fifo,
+                transport,
+                group_key=group_key,
+                **kw,
+            )
+
+        def recv(actor, channel, out_fifo, **kw):
+            return SpiReceiveTask(
+                actor, channel, out_fifo, sim, interconnect, observer=hub, **kw
+            )
+
+        tasks_by_actor, fifos = wire_tasks(
+            self.insertion, channels, send, recv, options=batch_options
+        )
+
+        # Materialise the *added* resynchronization edges as run-time
+        # sync-message channels (a counting semaphore fed by zero-payload
+        # messages) wrapped around the endpoint tasks.  Without this,
+        # disabling the acks those edges made redundant would be unsound.
         sync_pools: List[SyncTokenPool] = []
         if self.resync_result is not None:
             task_reps = self.task_repetitions()
@@ -812,7 +702,7 @@ class SpiSystem:
             pe = pe_objects[pe_index]
             program: List[object] = [SpiInitTask(pe_index)]
             for _task_name, origin in entries:
-                program.append(task_for(graph.get_actor(origin)))
+                program.append(tasks_by_actor[origin])
             sequencer = PESequencer(
                 sim, pe, program, passes, trace=recorder
             )
@@ -913,9 +803,9 @@ class SpiSystem:
             * sum(p.messages_sent for p in sync_pools),
             trace=recorder,
             steady_state=steady_report,
-            collective_messages=getattr(transport, "collective_messages", 0),
-            fan_out_deliveries=getattr(transport, "fan_out_deliveries", 0),
-            wire_bytes_saved=getattr(transport, "wire_bytes_saved", 0),
+            collective_messages=transport.collective_messages,
+            fan_out_deliveries=transport.fan_out_deliveries,
+            wire_bytes_saved=transport.wire_bytes_saved,
             batch=self.batch,
             batched_firings=sum(pe.batched_firings for pe in pes),
             batch_dispatches=sum(pe.batch_dispatches for pe in pes),

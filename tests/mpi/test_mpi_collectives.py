@@ -6,6 +6,8 @@ message per destination rank — there is no wire-level payload sharing,
 which is exactly the contrast the SPI collectives exploit.
 """
 
+import pytest
+
 from repro.dataflow import DataflowGraph
 from repro.mapping import Partition
 from repro.mpi import MpiConfig, MpiSystem
@@ -72,7 +74,19 @@ class TestBroadcast:
 
 
 class TestGatherReduce:
-    def test_gather_assembles_at_the_root(self):
+    @pytest.mark.parametrize(
+        "config, data_messages, control_messages",
+        [
+            (MpiConfig(), 6, 0),
+            # gather members are point-to-point sends, so a 1-byte eager
+            # threshold puts every branch through the RTS/CTS handshake
+            (MpiConfig(eager_threshold_bytes=1), 6, 12),
+        ],
+        ids=["eager", "rendezvous"],
+    )
+    def test_gather_assembles_at_the_root(
+        self, config, data_messages, control_messages
+    ):
         collected = []
         graph = DataflowGraph("gath")
         for j in range(2):
@@ -90,8 +104,10 @@ class TestGatherReduce:
         snk.add_input("i", rate=2)
         graph.add_gather(["src0.o", "src1.o"], "snk.i")
         partition = Partition.manual(graph, {"src0": 0, "src1": 1, "snk": 2})
-        MpiSystem.compile(graph, partition).run(iterations=3)
+        result = MpiSystem.compile(graph, partition, config).run(iterations=3)
         assert collected == [[0, 1]] * 3
+        assert result.data_messages == data_messages
+        assert result.ack_messages == control_messages
 
     def test_reduce_combines_at_the_root(self):
         collected = []

@@ -83,13 +83,6 @@ class TestInsertion:
         assert reps[pair.send] == reps["A"] == 3
         assert reps[pair.recv] == reps["A"] == 3
 
-    def test_spi_actor_name_detection(self, chain_graph, two_pe_partition):
-        insertion = insert_spi_actors(chain_graph, two_pe_partition)
-        names = insertion.spi_actor_names()
-        assert len(names) == 4
-        assert all(insertion.is_spi_actor(n) for n in names)
-        assert not insertion.is_spi_actor("A")
-
     def test_send_cycles_scale_with_payload(self, multirate_graph):
         partition = Partition.manual(multirate_graph, {"A": 0, "B": 1, "C": 1})
         insertion = insert_spi_actors(multirate_graph, partition)

@@ -9,9 +9,9 @@ filter (fig. 7, tight feedback) correctly declining to batch, runs the
 equal-resource-budget heterogeneous-vs-homogeneous ablation, and times
 the vectorized host kernels against their per-element reference loops.
 
-``BENCH_batching.json`` carries the sweep; ``check_batching_regression
-.py`` gates CI on the >= 1.5x fig6 batched win, the equal-budget
-hetero win, the fig7 clamp, and the vectorized-kernel wall-clock wins.
+``BENCH_batching.json`` carries the sweep; ``check_bench.py`` gates CI
+on the >= 1.5x fig6 batched win, the equal-budget hetero win, the fig7
+clamp, and the vectorized-kernel wall-clock wins.
 """
 
 import time

@@ -15,7 +15,7 @@ to execute it are measured:
   content-addressed analysis cache shared across the repeated graphs.
 
 ``BENCH_campaign.json`` records both rates, their ratio, and the cache
-hit/miss counters; ``check_campaign_regression.py`` gates CI on the
+hit/miss counters; ``check_bench.py`` gates CI on the
 throughput floor and the >= 0.9 hit rate.
 """
 
@@ -160,7 +160,7 @@ def test_campaign_all_units_complete(campaign):
 
 def test_campaign_throughput_beats_serial(campaign):
     """Loose in-test floor; the committed-baseline gate in
-    check_campaign_regression.py is the strict one (3x full mode)."""
+    check_bench.py is the strict one (3x full mode)."""
     floor = 1.2 if QUICK else 2.0
     assert campaign["speedup"] >= floor, (
         f"campaign speedup {campaign['speedup']:.2f}x below {floor}x"

@@ -9,7 +9,7 @@ and the wire bytes after payload sharing — the message-count and
 wire-byte reduction the paper's framing predicts.
 
 ``BENCH_collectives.json`` carries one row per PE count;
-``check_collectives_regression.py`` gates CI on the p >= 4 win and on
+``check_bench.py`` gates CI on the p >= 4 win and on
 the reduction ratio floor.
 """
 

@@ -21,7 +21,7 @@ steady-state sweep: the same applications at ``STEADY_ITERATIONS`` with
 ``timing_periodic`` actors, so auto locks onto the iteration period
 and extrapolates the remaining iterations analytically; fig7's
 resampling traffic is data-dependent, so auto must decline and stay
-within noise of off.  ``check_kernel_regression.py`` gates both.
+within noise of off.  ``check_bench.py`` gates both.
 """
 
 import time
@@ -352,7 +352,7 @@ def test_steady_state_arms_only_when_declared(steady_sweep):
 
 def test_steady_state_speedup(steady_sweep):
     """In-test floor, looser than the committed-baseline gate in
-    check_kernel_regression.py so a noisy CI runner cannot flake it."""
+    check_bench.py so a noisy CI runner cannot flake it."""
     assert steady_sweep["fig6"]["speedup"] >= 2.0
 
 

@@ -22,6 +22,7 @@ Schema (``repro.bench/1``)::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -41,6 +42,10 @@ class BenchValidationError(ValueError):
     """A bench document violates its schema."""
 
 
+def _throughput(makespan_cycles: float, wall_seconds: float) -> float:
+    return makespan_cycles / wall_seconds if wall_seconds > 0 else 0.0
+
+
 def bench_document(
     name: str,
     makespan_cycles: int,
@@ -52,7 +57,6 @@ def bench_document(
     """Build one benchmark's perf document."""
     if wall_seconds < 0:
         raise ValueError("wall_seconds must be >= 0")
-    throughput = makespan_cycles / wall_seconds if wall_seconds > 0 else 0.0
     return {
         "schema": BENCH_SCHEMA,
         "name": name,
@@ -60,25 +64,33 @@ def bench_document(
         "makespan_cycles": makespan_cycles,
         "iteration_period_cycles": iteration_period_cycles,
         "wall_seconds": wall_seconds,
-        "cycles_per_wall_second": throughput,
+        "cycles_per_wall_second": _throughput(makespan_cycles, wall_seconds),
         "extra": dict(extra or {}),
     }
 
 
-_REQUIRED_KEYS = (
-    "schema",
-    "name",
-    "quick",
-    "makespan_cycles",
-    "iteration_period_cycles",
-    "wall_seconds",
-    "cycles_per_wall_second",
-    "extra",
-)
+_NUMBER = (int, float)
+
+#: every top-level key and the type its value must have
+_REQUIRED_KEYS = {
+    "schema": str,
+    "name": str,
+    "quick": bool,
+    "makespan_cycles": _NUMBER,
+    "iteration_period_cycles": _NUMBER,
+    "wall_seconds": _NUMBER,
+    "cycles_per_wall_second": _NUMBER,
+    "extra": dict,
+}
 
 
 def validate_bench(document: Dict[str, object]) -> None:
     """Schema gate for one bench document.
+
+    Every key must be present with its type, and the document must
+    agree with itself: ``cycles_per_wall_second`` is
+    ``makespan_cycles / wall_seconds`` (0.0 when the wall is 0), so a
+    producer that times one unit but divides by another is caught.
 
     A workload that declares itself periodic (``extra["periodic"]``
     truthy) must report a real, positive ``iteration_period_cycles`` —
@@ -92,8 +104,25 @@ def validate_bench(document: Dict[str, object]) -> None:
     missing = [k for k in _REQUIRED_KEYS if k not in document]
     if missing:
         raise BenchValidationError(f"missing bench keys: {missing}")
-    if document["wall_seconds"] < 0:
+    ill_typed = [
+        key
+        for key, kind in _REQUIRED_KEYS.items()
+        if not isinstance(document[key], kind)
+        or (isinstance(document[key], bool) and kind is not bool)
+    ]
+    if ill_typed:
+        raise BenchValidationError(f"ill-typed bench keys: {ill_typed}")
+    wall = document["wall_seconds"]
+    if wall < 0:
         raise BenchValidationError("wall_seconds must be >= 0")
+    throughput = _throughput(document["makespan_cycles"], wall)
+    if not math.isclose(
+        document["cycles_per_wall_second"], throughput, rel_tol=1e-9
+    ):
+        raise BenchValidationError(
+            f"cycles_per_wall_second={document['cycles_per_wall_second']!r} "
+            f"is not makespan_cycles / wall_seconds = {throughput!r}"
+        )
     period = document["iteration_period_cycles"]
     if document["extra"].get("periodic") and not period > 0:
         raise BenchValidationError(

@@ -121,18 +121,59 @@ def test_missing_keys_rejected():
         validate_bench(document)
 
 
-def test_committed_kernel_baseline_validates():
-    """The committed full-mode baseline must itself pass the gate that
-    write_bench_json applies — including the positive-period rule."""
+def test_inconsistent_throughput_rejected():
+    """cycles_per_wall_second must be makespan_cycles / wall_seconds, so
+    a producer that divides by the wall of a different unit (the 5 us
+    wall_seconds bug) cannot write a document that disagrees with
+    itself."""
+    document = bench_document(
+        "x", makespan_cycles=1000, iteration_period_cycles=1.0, wall_seconds=0.5
+    )
+    document["cycles_per_wall_second"] = 1000 / 5e-6
+    with pytest.raises(BenchValidationError, match="cycles_per_wall_second"):
+        validate_bench(document)
+
+
+def test_zero_wall_time_requires_zero_throughput():
+    document = bench_document(
+        "x", makespan_cycles=10, iteration_period_cycles=1.0, wall_seconds=0.0
+    )
+    validate_bench(document)
+    document["cycles_per_wall_second"] = 1e-12
+    with pytest.raises(BenchValidationError, match="cycles_per_wall_second"):
+        validate_bench(document)
+
+
+def test_ill_typed_keys_rejected():
+    document = bench_document(
+        "x", makespan_cycles=1, iteration_period_cycles=1.0, wall_seconds=0.1
+    )
+    document["wall_seconds"] = "0.1"
+    with pytest.raises(BenchValidationError, match="wall_seconds"):
+        validate_bench(document)
+
+
+@pytest.mark.parametrize(
+    "filename",
+    [
+        "BENCH_kernel.json",
+        "BENCH_campaign.json",
+        "BENCH_collectives.json",
+        "BENCH_batching.json",
+    ],
+)
+def test_committed_kernel_baseline_validates(filename):
+    """The committed full-mode baselines must themselves pass the gate
+    that write_bench_json applies — including the positive-period rule
+    for the kernel's periodic workload."""
     from pathlib import Path
 
     baseline = (
-        Path(__file__).parent.parent.parent
-        / "benchmarks"
-        / "results"
-        / "BENCH_kernel.json"
+        Path(__file__).parent.parent.parent / "benchmarks" / "results" / filename
     )
     document = json.loads(baseline.read_text())
     validate_bench(document)
-    assert document["extra"]["periodic"] is True
-    assert document["iteration_period_cycles"] > 0
+    assert document["quick"] is False
+    if document["name"] == "kernel":
+        assert document["extra"]["periodic"] is True
+        assert document["iteration_period_cycles"] > 0

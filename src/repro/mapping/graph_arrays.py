@@ -7,8 +7,7 @@ shared engine instead of walking the
 
 * :class:`GraphArrays` — a CSR-style numpy view of a timed graph
   (vertex execution times, edge endpoint/delay arrays, out-edges grouped
-  by source vertex) built once per analysis, from a graph or straight
-  from index arrays;
+  by source vertex) built once per analysis;
 * :func:`strongly_connected_components` — iterative Tarjan over the CSR
   arrays;
 * :func:`howard_mcm` — Howard's policy iteration for the maximum
@@ -34,7 +33,7 @@ and there is no finite ratio to iterate towards).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,62 +69,25 @@ class GraphArrays:
         vertices = graph.vertices
         index = {v.name: i for i, v in enumerate(vertices)}
         edges = graph.edges
-        self._assign(
-            [v.name for v in vertices],
-            np.fromiter(
-                (v.cycles for v in vertices), dtype=np.int64,
-                count=len(vertices),
-            ),
-            np.fromiter(
-                (index[e.src] for e in edges), dtype=np.int64,
-                count=len(edges),
-            ),
-            np.fromiter(
-                (index[e.snk] for e in edges), dtype=np.int64,
-                count=len(edges),
-            ),
-            np.fromiter(
-                (e.delay for e in edges), dtype=np.int64, count=len(edges)
-            ),
+        self.names = [v.name for v in vertices]
+        self.n = n = len(vertices)
+        self.cycles = np.fromiter(
+            (v.cycles for v in vertices), dtype=np.int64, count=n
         )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        names: Sequence[str],
-        cycles: np.ndarray,
-        edge_src: np.ndarray,
-        edge_snk: np.ndarray,
-        edge_delay: np.ndarray,
-    ) -> "GraphArrays":
-        """Build the view from vertex/edge arrays, with no graph object.
-
-        Equal to ``GraphArrays(graph)`` for a graph with these vertices
-        (in ``names`` order) and edges (in array order).
-        """
-        arrays = cls.__new__(cls)
-        arrays._assign(list(names), cycles, edge_src, edge_snk, edge_delay)
-        return arrays
-
-    def _assign(
-        self,
-        names: List[str],
-        cycles: np.ndarray,
-        edge_src: np.ndarray,
-        edge_snk: np.ndarray,
-        edge_delay: np.ndarray,
-    ) -> None:
-        self.names = names
-        self.n = len(names)
-        self.cycles = cycles
-        self.m = len(edge_src)
-        self.edge_src = edge_src
-        self.edge_snk = edge_snk
-        self.edge_delay = edge_delay
+        self.m = m = len(edges)
+        self.edge_src = np.fromiter(
+            (index[e.src] for e in edges), dtype=np.int64, count=m
+        )
+        self.edge_snk = np.fromiter(
+            (index[e.snk] for e in edges), dtype=np.int64, count=m
+        )
+        self.edge_delay = np.fromiter(
+            (e.delay for e in edges), dtype=np.int64, count=m
+        )
         # Group out-edges by source; stable sort keeps edge-id order
         # within each source bucket.
-        self.csr_edges = np.argsort(edge_src, kind="stable")
-        counts = np.bincount(edge_src, minlength=self.n)
+        self.csr_edges = np.argsort(self.edge_src, kind="stable")
+        counts = np.bincount(self.edge_src, minlength=n)
         self.csr_start = np.concatenate(
             ([0], np.cumsum(counts))
         ).astype(np.int64)

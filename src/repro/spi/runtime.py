@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
 from repro.dataflow.vts import VtsConversion
+from repro.mapping.graph_arrays import NO_PATH, GraphArrays, min_delay_matrix
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
 from repro.mapping.partition import Partition
@@ -444,9 +445,7 @@ class SpiSystem:
         BBS bound scales by ``batch`` and the UBS ack window must admit
         at least one full burst.
         """
-        rho: Optional[Dict[str, Dict[str, int]]] = (
-            None if decisions is not None else sync_graph.min_delay_paths()
-        )
+        rho = None
         plans: Dict[str, ChannelPlan] = {}
         for origin_name, (ipc_edge, pair, dynamic) in insertion.channels.items():
             cached = decisions.get(origin_name) if decisions is not None else None
@@ -456,11 +455,20 @@ class SpiSystem:
                 acks = cached["acks_enabled"]
             else:
                 if rho is None:
-                    rho = sync_graph.min_delay_paths()
+                    arrays = GraphArrays(sync_graph)
+                    index = {name: i for i, name in enumerate(arrays.names)}
+                    rho = min_delay_matrix(
+                        arrays.n,
+                        arrays.edge_src,
+                        arrays.edge_snk,
+                        arrays.edge_delay,
+                    )
                 send_task, recv_task = cls._channel_tasks(
                     schedule, pair.send, pair.recv
                 )
-                feedback = rho.get(recv_task, {}).get(send_task)
+                feedback = int(rho[index[recv_task], index[send_task]])
+                if feedback >= NO_PATH:
+                    feedback = None
                 delay_msgs = ipc_edge.delay // max(1, ipc_edge.prod_rate)
                 msgs_per_iter = cls._messages_per_iteration(schedule, pair.send)
                 if (

@@ -1,7 +1,9 @@
 """Unit and property tests for resynchronization (paper §4.1)."""
 
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,38 +180,36 @@ def reference_candidates(graph):
     ]
 
 
-def check_rounds_against_definition(graph, preserve_mcm, max_rounds=32):
+def check_rounds_against_definition(graph):
     """Replay ``resynchronize`` at the object level, scoring every
-    candidate of every round both ways; returns the final graph and the
-    number of candidates the MCM screen cleared."""
+    candidate of every round both ways; returns the final graph and how
+    many candidates with a path ``v -> u`` did and did not raise the
+    MCM."""
     current = reference_prune(graph)
     fast, _ = remove_redundant_synchronizations(graph)
     assert edge_keys(fast.edges) == edge_keys(current.edges)
     threshold = maximum_cycle_mean(graph) * (1 + 1e-6) + 1e-6
-    cleared = 0
-    for _ in range(max_rounds):
+    verdicts = {True: 0, False: 0}
+    for _ in range(32):
         if current.has_zero_delay_cycle():
             break
-        snapshot = SyncGraphSnapshot(
-            current, threshold if preserve_mcm else None
-        )
+        snapshot = SyncGraphSnapshot(current, threshold)
         assert snapshot.cost == current.sync_cost()
         pairs = list(snapshot.candidates())
         named = [(snapshot.names[u], snapshot.names[v]) for u, v in pairs]
         assert named == reference_candidates(current)
+        rho = current.min_delay_paths()
         best, best_cost = None, current.sync_cost()
         for (u, v), (u_name, v_name) in zip(pairs, named):
             candidate = TimedEdge(u_name, v_name, delay=0, kind=EdgeKind.SYNC)
             trial = current.copy()
             trial.add_edge(candidate)
-            if preserve_mcm:
-                raises = maximum_cycle_mean(trial) > threshold
-                assert snapshot.raises_mcm(u, v) == raises
-                if snapshot.screen_clears(u, v):
-                    cleared += 1
-                    assert not raises
-                if raises:
-                    continue
+            raises = maximum_cycle_mean(trial) > threshold
+            assert snapshot.raises_mcm(u, v) == raises
+            if u_name in rho[v_name]:
+                verdicts[raises] += 1
+            if raises:
+                continue
             pruned = reference_prune(trial)
             removed, cost = snapshot.prune_trial(u, v)
             survivors = [
@@ -226,7 +226,7 @@ def check_rounds_against_definition(graph, preserve_mcm, max_rounds=32):
         adopted, _ = snapshot.adopt(*best[:3])
         assert edge_keys(adopted.edges) == edge_keys(best[3].edges)
         current = best[3]
-    return current, cleared
+    return current, verdicts
 
 
 def build_random_chain_graph(rng, trial):
@@ -268,16 +268,19 @@ class TestSnapshotScoringDifferential:
 
     def test_every_candidate_matches_the_definition(self):
         rng = random.Random(2008)
-        cleared = 0
+        verdicts = {True: 0, False: 0}
         for trial in range(200):
             graph = build_random_sync_graph(rng, trial)
-            final, screened = check_rounds_against_definition(graph, True)
-            cleared += screened
+            final, counts = check_rounds_against_definition(graph)
+            verdicts[True] += counts[True]
+            verdicts[False] += counts[False]
             result = resynchronize(graph)
             assert edge_keys(result.graph.edges) == edge_keys(final.edges)
             assert result.cost_after == final.sync_cost()
-        # the screen is exercised, not vacuous
-        assert cleared > 0
+        # candidates that close a cycle are met on both sides of the
+        # threshold: the MCM decision is exercised, not vacuous
+        assert verdicts[True] > 0
+        assert verdicts[False] > 0
 
     def test_multi_round_searches_match_the_definition(self):
         """Chain-shaped graphs adopt edges over several rounds."""
@@ -285,17 +288,54 @@ class TestSnapshotScoringDifferential:
         adopted = 0
         for trial in range(100):
             graph = build_random_chain_graph(rng, trial)
-            final, _ = check_rounds_against_definition(graph, True)
+            final, _ = check_rounds_against_definition(graph)
             result = resynchronize(graph)
             assert edge_keys(result.graph.edges) == edge_keys(final.edges)
             assert result.cost_after == final.sync_cost()
+            # every removable input edge missing from the result is
+            # listed once, parallel copies included
+            survivors = {e.uid for e in result.graph.edges}
+            assert {e.uid for e in result.removed} == {
+                e.uid
+                for e in graph.edges
+                if e.kind in (EdgeKind.SYNC, EdgeKind.ACK)
+                and e.uid not in survivors
+            }
             adopted += len(result.added)
         assert adopted >= 10
 
-    def test_without_mcm_preservation(self):
-        rng = random.Random(15)
-        for trial in range(40):
-            graph = build_random_sync_graph(rng, trial)
-            final, _ = check_rounds_against_definition(graph, False)
-            result = resynchronize(graph, preserve_mcm=False)
-            assert edge_keys(result.graph.edges) == edge_keys(final.edges)
+
+#: Floats near 2**60 lie 256 apart, so the midpoint above such a
+#: threshold is an integer ratio: round-half-even takes it down to an
+#: even threshold and up past an odd one.
+_EVEN = float(1 << 60)
+_ODD = math.nextafter(_EVEN, math.inf)
+
+
+@pytest.mark.parametrize(
+    "u_cycles, delay, threshold, raises",
+    [
+        # exactly 1/3 lies above the float 1/3 but rounds to it
+        (1, 3, 1 / 3, False),
+        (333334, 1000000, 1 / 3, True),
+        ((1 << 60) + 128, 1, _EVEN, False),
+        ((1 << 60) + 384, 1, _ODD, True),
+    ],
+)
+def test_mcm_decision_reproduces_float_rounding(
+    u_cycles, delay, threshold, raises
+):
+    """``raises_mcm`` equals ``maximum_cycle_mean(trial) > threshold``
+    bit for bit, float rounding of the new cycle's ratio included: the
+    candidate ``(u, v)`` closes the single cycle ``u_cycles / delay``."""
+    graph = SynchronizationGraph("loop")
+    graph.add_vertex(TimedVertex("u", u_cycles, 0))
+    graph.add_vertex(TimedVertex("v", 0, 1))
+    graph.add_edge(TimedEdge("v", "u", delay=delay, kind=EdgeKind.SYNC))
+    snapshot = SyncGraphSnapshot(graph, threshold)
+    u, v = snapshot.names.index("u"), snapshot.names.index("v")
+    assert (u, v) in list(snapshot.candidates())
+    trial = graph.copy()
+    trial.add_edge(TimedEdge("u", "v", delay=0, kind=EdgeKind.SYNC))
+    assert (maximum_cycle_mean(trial) > threshold) == raises
+    assert snapshot.raises_mcm(u, v) == raises

@@ -103,7 +103,7 @@ class TestResynchronize:
     @settings(max_examples=30, deadline=None)
     def test_never_raises_cost_and_preserves_mcm(self, graph):
         mcm_before = maximum_cycle_mean(graph)
-        result = resynchronize(graph, preserve_mcm=True)
+        result = resynchronize(graph)
         assert result.cost_after <= result.cost_before
         assert result.mcm_before == mcm_before
         assert result.mcm_after <= mcm_before * (1 + 1e-6) + 1e-6

@@ -45,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.conformance.reference import run_reference
 from repro.conformance.spec import ConformanceCase
 from repro.mpi.baseline import MpiSystem
+from repro.spi.library import lower
 from repro.spi.runtime import ChannelPlan, SpiConfig, SpiSystem
 
 __all__ = [
@@ -174,6 +175,11 @@ def run_oracle_stack(
     passed through to every SPI compile; the oracles themselves are
     cache-agnostic (cached and uncached runs must produce identical
     verdicts — the service test suite enforces exactly that).
+
+    The case is lowered once (:func:`repro.spi.library.lower`) and every
+    SPI and MPI compile reuses that front half.  When lowering raises,
+    each run records the same ``execution`` violation, as if each
+    compile had raised on its own.
     """
     bound_fn = occupancy_bound_fn or default_occupancy_bound
     report = OracleReport(seed=case.spec.seed)
@@ -189,12 +195,24 @@ def run_oracle_stack(
         "firings": sum(len(v) for v in reference.values())
     }
 
+    matrix = _spi_run_matrix(quick)
+    try:
+        lowering = lower(case.graph, case.partition)
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        report.violations.extend(
+            Violation("execution", label, detail)
+            for label in [label for label, _ in matrix] + ["mpi"]
+        )
+        return report
+
     spi_streams: Dict[str, Dict[str, List[tuple]]] = {}
     spi_results: Dict[str, object] = {}
-    for label, config in _spi_run_matrix(quick):
+    for label, config in matrix:
         try:
             system = SpiSystem.compile(
-                case.graph, case.partition, config, cache=cache
+                case.graph, case.partition, config, cache=cache,
+                lowering=lowering,
             )
             case.tap.begin(label)
             result = system.run(
@@ -289,7 +307,9 @@ def run_oracle_stack(
             )
 
     try:
-        mpi_system = MpiSystem.compile(case.graph, case.partition)
+        mpi_system = MpiSystem.compile(
+            case.graph, case.partition, lowering=lowering
+        )
         case.tap.begin("mpi")
         mpi_result = mpi_system.run(
             iterations=iterations,

@@ -21,7 +21,7 @@ O(dependencies) per edge rather than O(tokens).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.dataflow.graph import DataflowGraph, GraphError
 from repro.dataflow.sdf import repetitions_vector
@@ -68,16 +68,21 @@ def invocation_name(actor_name: str, index: int) -> str:
     return f"{actor_name}#{index}"
 
 
-def hsdf_expand(graph: DataflowGraph, name: str = "") -> DataflowGraph:
+def hsdf_expand(
+    graph: DataflowGraph,
+    name: str = "",
+    repetitions: Optional[Dict[str, int]] = None,
+) -> DataflowGraph:
     """Expand a consistent SDF graph into its homogeneous equivalent.
 
     Every port of the result has rate 1.  Invocation vertices inherit the
     kernel-free timing model of their actor (``cycles`` of the original
     actor, evaluated at the invocation's local firing index).  Ports are
     synthesised per edge; the result is only meant for precedence/timing
-    analysis, not functional execution.
+    analysis, not functional execution.  ``repetitions`` may pass the
+    graph's repetitions vector when the caller already has it.
     """
-    reps = repetitions_vector(graph)
+    reps = repetitions if repetitions is not None else repetitions_vector(graph)
     expanded = DataflowGraph(name or f"{graph.name}_hsdf")
 
     for actor in graph.actors:

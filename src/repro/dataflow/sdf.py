@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from repro.dataflow.graph import Actor, DataflowGraph, GraphError
+from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
 
 __all__ = [
     "SdfError",
@@ -166,12 +166,17 @@ def build_pass(
     remaining = dict(reps)
     schedule: List[Actor] = []
     actors = sorted(graph.actors, key=lambda a: a.name)
+    in_edges: Dict[str, List[Edge]] = {a.name: [] for a in actors}
+    out_edges: Dict[str, List[Edge]] = {a.name: [] for a in actors}
+    for edge in graph.edges:
+        in_edges[edge.snk_actor.name].append(edge)
+        out_edges[edge.src_actor.name].append(edge)
 
     def fireable(actor: Actor) -> bool:
         if remaining[actor.name] == 0:
             return False
         return all(
-            tokens[e.edge_id] >= e.cons_rate for e in graph.in_edges(actor)
+            tokens[e.edge_id] >= e.cons_rate for e in in_edges[actor.name]
         )
 
     total = sum(reps.values())
@@ -180,9 +185,9 @@ def build_pass(
         for actor in actors:
             if not fireable(actor):
                 continue
-            for edge in graph.in_edges(actor):
+            for edge in in_edges[actor.name]:
                 tokens[edge.edge_id] -= edge.cons_rate
-            for edge in graph.out_edges(actor):
+            for edge in out_edges[actor.name]:
                 tokens[edge.edge_id] += edge.prod_rate
             remaining[actor.name] -= 1
             schedule.append(actor)

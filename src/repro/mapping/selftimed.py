@@ -132,7 +132,7 @@ def task_plan(graph: DataflowGraph) -> TaskPlan:
         task_graph = graph
         task_sequence = tuple(a.name for a in pass_firings)
     else:
-        task_graph = hsdf_expand(graph)
+        task_graph = hsdf_expand(graph, repetitions=reps)
         counters: Dict[str, int] = {}
         names: List[str] = []
         for actor in pass_firings:

@@ -32,16 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
-from repro.dataflow.vts import VtsConversion
 from repro.mapping.partition import Partition
-from repro.mapping.selftimed import SelfTimedSchedule
 from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
 from repro.platform.fpga import ResourceVector, estimate_datapath, estimate_fifo
 from repro.platform.interconnect import Interconnect, LinkSpec
 from repro.platform.pe import ProcessingElement
 from repro.platform.simulator import PESequencer, Simulator, Waitset
 from repro.spi.actors import LocalFifo, payload_nbytes, wire_tasks
-from repro.spi.library import SpiInsertion, lower
+from repro.spi.library import Lowering, lower
 from repro.spi.runtime import RunResult
 
 __all__ = ["MpiConfig", "MpiSystem", "mpi_engine_cost"]
@@ -361,17 +359,16 @@ class MpiSystem:
         source_graph: DataflowGraph,
         partition: Partition,
         config: MpiConfig,
-        conversion: Optional[VtsConversion],
-        insertion: SpiInsertion,
-        schedule: SelfTimedSchedule,
+        lowering: Lowering,
         channel_modes: Dict[str, bool],
     ) -> None:
         self.source_graph = source_graph
         self.partition = partition
         self.config = config
-        self.conversion = conversion
-        self.insertion = insertion
-        self.schedule = schedule
+        self.lowering = lowering
+        self.conversion = lowering.conversion
+        self.insertion = lowering.insertion
+        self.schedule = lowering.schedule
         #: origin edge name -> uses rendezvous?
         self.channel_modes = channel_modes
 
@@ -381,11 +378,21 @@ class MpiSystem:
         graph: DataflowGraph,
         partition: Partition,
         config: Optional[MpiConfig] = None,
+        lowering: Optional[Lowering] = None,
     ) -> "MpiSystem":
+        """Compile ``graph`` + ``partition`` against the MPI-like layer.
+
+        ``lowering`` is the shared front half, as for
+        :meth:`repro.spi.runtime.SpiSystem.compile`; without one the
+        compile lowers the graph itself.  The IPC graph of the lowering
+        is never built here.
+        """
         config = config or MpiConfig()
-        conversion, insertion, schedule = lower(
-            graph, partition, config.word_bytes
-        )
+        if lowering is None:
+            lowering = lower(graph, partition, config.word_bytes)
+        else:
+            lowering.check(graph, partition, config.word_bytes)
+        insertion = lowering.insertion
         collective_origins = {
             origin
             for group in insertion.collective_sends.values()
@@ -404,9 +411,7 @@ class MpiSystem:
             source_graph=graph,
             partition=partition,
             config=config,
-            conversion=conversion,
-            insertion=insertion,
-            schedule=schedule,
+            lowering=lowering,
             channel_modes=modes,
         )
 

@@ -55,6 +55,7 @@ __all__ = [
     "AnalysisCache",
     "CacheReplayError",
     "analysis_key",
+    "analysis_keys",
     "graph_fingerprint",
 ]
 
@@ -179,21 +180,41 @@ def _digest(parts: Dict[str, object]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def analysis_key(graph, partition, config) -> Optional[str]:
-    """Content key covering graph + partition + analysis config."""
+def analysis_keys(
+    graph, partition, config
+) -> Tuple[Optional[str], Optional[str]]:
+    """``(analysis_key, structure_key)`` from one graph fingerprint.
+
+    Both are ``None`` when the graph has no canonical content.
+    """
     fingerprint = graph_fingerprint(graph)
     if fingerprint is None:
-        return None
-    return _digest(
-        {
-            "graph": fingerprint,
-            "partition": _partition_content(partition),
-            "config": {
-                name: getattr(config, name)
-                for name in _ANALYSIS_CONFIG_FIELDS
-            },
-        }
+        return None, None
+    partition_content = _partition_content(partition)
+    return (
+        _digest(
+            {
+                "graph": fingerprint,
+                "partition": partition_content,
+                "config": {
+                    name: getattr(config, name)
+                    for name in _ANALYSIS_CONFIG_FIELDS
+                },
+            }
+        ),
+        _digest(
+            {
+                "graph": fingerprint,
+                "partition": partition_content,
+                "word_bytes": config.word_bytes,
+            }
+        ),
     )
+
+
+def analysis_key(graph, partition, config) -> Optional[str]:
+    """Content key covering graph + partition + analysis config."""
+    return analysis_keys(graph, partition, config)[0]
 
 
 def structure_key(graph, partition, config) -> Optional[str]:
@@ -203,16 +224,7 @@ def structure_key(graph, partition, config) -> Optional[str]:
     protocol policy / window / resynchronization choices, so it gets a
     coarser key and is shared across the whole oracle run matrix.
     """
-    fingerprint = graph_fingerprint(graph)
-    if fingerprint is None:
-        return None
-    return _digest(
-        {
-            "graph": fingerprint,
-            "partition": _partition_content(partition),
-            "word_bytes": config.word_bytes,
-        }
-    )
+    return analysis_keys(graph, partition, config)[1]
 
 
 def _encode_edge(edge: TimedEdge) -> Dict[str, object]:
@@ -298,6 +310,12 @@ class AnalysisCache:
         self.misses: Dict[str, int] = {kind: 0 for kind in self.KINDS}
 
     # -- keying ------------------------------------------------------------
+
+    def keys_for(
+        self, graph, partition, config
+    ) -> Tuple[Optional[str], Optional[str]]:
+        """Analysis and structure key of one compile (one fingerprint)."""
+        return analysis_keys(graph, partition, config)
 
     def key_for(self, graph, partition, config) -> Optional[str]:
         return analysis_key(graph, partition, config)

@@ -324,22 +324,26 @@ class AblateResyncOperation(Operation):
     def execute(
         self, params: Dict[str, object], context: RunContext
     ) -> OperationResult:
+        from repro.spi.library import lower
         from repro.spi.runtime import SpiConfig, SpiSystem
 
         system = build_app_system(
             params["app"], params["pes"], params["iterations"]
         )
+        lowering = lower(system.graph, system.partition)
         raw = SpiSystem.compile(
             system.graph,
             system.partition,
             SpiConfig(protocol_policy="always_ubs", resynchronize=False),
             cache=context.cache,
+            lowering=lowering,
         ).run(iterations=params["iterations"])
         optimised = SpiSystem.compile(
             system.graph,
             system.partition,
             SpiConfig(protocol_policy="always_ubs", resynchronize=True),
             cache=context.cache,
+            lowering=lowering,
         ).run(iterations=params["iterations"])
         return OperationResult(
             status="completed",

@@ -11,9 +11,11 @@ from repro.spi.channel import ChannelStats, SpiChannel
 from repro.spi.library import (
     RECV_PREFIX,
     SEND_PREFIX,
+    Lowering,
     SpiActorNames,
     SpiInsertion,
     insert_spi_actors,
+    lower,
 )
 from repro.spi.message import (
     ACK_BYTES,
@@ -37,6 +39,8 @@ __all__ = [
     "SpiChannel",
     "RECV_PREFIX",
     "SEND_PREFIX",
+    "Lowering",
+    "lower",
     "SpiActorNames",
     "SpiInsertion",
     "insert_spi_actors",

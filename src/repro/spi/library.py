@@ -15,25 +15,30 @@ and the compile-time per-channel decisions:
 
 The insertion is a pure graph transformation; the run-time behaviour of
 the inserted actors lives in :mod:`repro.spi.actors`.  :func:`lower`
-chains VTS conversion, insertion and self-timed scheduling: the compile
-front half that SPI and the MPI baseline share.
+chains VTS conversion, insertion and self-timed scheduling into one
+:class:`Lowering`: the compile front half that every SPI configuration
+and the MPI baseline share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from repro.dataflow.graph import Connection, DataflowGraph, Edge, GraphError
 from repro.dataflow.vts import VtsConversion, vts_convert
+from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.partition import Partition
 from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
+from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
     "SpiActorNames",
     "CollectiveSendGroup",
     "SpiInsertion",
     "insert_spi_actors",
+    "Lowering",
     "lower",
     "SEND_PREFIX",
     "RECV_PREFIX",
@@ -264,17 +269,73 @@ def insert_spi_actors(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Lowering:
+    """The compile front half of one graph on one assignment.
+
+    Everything here depends only on the source graph, the actor-to-PE
+    assignment and ``word_bytes``, never on the SPI configuration, so
+    one lowering serves every :class:`~repro.spi.runtime.SpiConfig`
+    compile and the MPI baseline compile of the same case.  Compiles
+    only read it: the SPI compile derives its own mutable
+    synchronization graph from :attr:`ipc_graph`.
+    """
+
+    graph: DataflowGraph
+    n_pes: int
+    assignment: Dict[str, int]
+    word_bytes: int
+    conversion: Optional[VtsConversion]
+    insertion: SpiInsertion
+    schedule: SelfTimedSchedule
+
+    @cached_property
+    def ipc_graph(self) -> TimedGraph:
+        """``G_ipc`` of the schedule, built on first use (MPI never asks)."""
+        return build_ipc_graph(self.schedule)
+
+    def check(
+        self, graph: DataflowGraph, partition: Partition, word_bytes: int
+    ) -> None:
+        """Raise :class:`ValueError` unless this lowering fits the inputs."""
+        if graph is not self.graph:
+            raise ValueError(
+                f"lowering belongs to graph {self.graph.name!r} "
+                f"(id {id(self.graph):#x}), not to the compiled graph "
+                f"{graph.name!r} (id {id(graph):#x})"
+            )
+        if partition.n_pes != self.n_pes:
+            raise ValueError(
+                f"lowering was built for {self.n_pes} PEs, the partition "
+                f"has {partition.n_pes}"
+            )
+        if partition.assignment != self.assignment:
+            moved = sorted(
+                name
+                for name in set(partition.assignment) | set(self.assignment)
+                if partition.assignment.get(name) != self.assignment.get(name)
+            )
+            raise ValueError(
+                f"lowering was built for a different assignment: actors "
+                f"{moved} are mapped differently"
+            )
+        if word_bytes != self.word_bytes:
+            raise ValueError(
+                f"lowering was built for word_bytes={self.word_bytes}, the "
+                f"config asks for word_bytes={word_bytes}"
+            )
+
+
 def lower(
     graph: DataflowGraph, partition: Partition, word_bytes: int = 4
-) -> Tuple[Optional[VtsConversion], SpiInsertion, SelfTimedSchedule]:
+) -> Lowering:
     """The compile front half shared by SPI and the MPI baseline.
 
     Validates ``graph``, VTS-converts it when it has dynamic-rate edges,
     inserts the SPI actor pairs on every interprocessor edge and builds
-    the self-timed schedule of the result.  Returns ``(conversion,
-    insertion, schedule)``; ``conversion`` is None for static graphs.
-    Only the assignment of ``partition`` matters here: PE classes and
-    the batch request are read from the caller's partition at run time.
+    the self-timed schedule of the result.  Only the assignment of
+    ``partition`` matters here: PE classes and the batch request are
+    read from the caller's partition at run time.
     """
     graph.validate()
     conversion: Optional[VtsConversion] = None
@@ -282,14 +343,23 @@ def lower(
     if graph.is_dynamic:
         conversion = vts_convert(graph)
         static_graph = conversion.graph
+    assignment = dict(partition.assignment)
     insertion = insert_spi_actors(
         static_graph,
-        Partition(static_graph, partition.n_pes, dict(partition.assignment)),
+        Partition(static_graph, partition.n_pes, assignment),
         conversion=conversion,
         word_bytes=word_bytes,
     )
     schedule = build_selftimed_schedule(insertion.graph, insertion.partition)
-    return conversion, insertion, schedule
+    return Lowering(
+        graph=graph,
+        n_pes=partition.n_pes,
+        assignment=assignment,
+        word_bytes=word_bytes,
+        conversion=conversion,
+        insertion=insertion,
+        schedule=schedule,
+    )
 
 
 def _clone_port_ref(new_graph: DataflowGraph, port) -> tuple:

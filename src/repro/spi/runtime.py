@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
-from repro.dataflow.vts import VtsConversion
 from repro.mapping.graph_arrays import NO_PATH, GraphArrays, min_delay_matrix
-from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
 from repro.mapping.partition import Partition
 from repro.mapping.resync import ResynchronizationResult, resynchronize
@@ -58,7 +56,7 @@ from repro.spi.actors import (
 )
 from repro.spi.message import ACK_BYTES
 from repro.spi.channel import SpiChannel
-from repro.spi.library import SpiInsertion, lower
+from repro.spi.library import Lowering, SpiInsertion, lower
 from repro.spi.protocols import Protocol, ProtocolConfig
 
 __all__ = ["SpiConfig", "ChannelPlan", "RunResult", "SpiSystem"]
@@ -231,9 +229,7 @@ class SpiSystem:
         source_graph: DataflowGraph,
         partition: Partition,
         config: SpiConfig,
-        conversion: Optional[VtsConversion],
-        insertion: SpiInsertion,
-        schedule: SelfTimedSchedule,
+        lowering: Lowering,
         sync_graph: SynchronizationGraph,
         channel_plans: Dict[str, ChannelPlan],
         resync_result: Optional[ResynchronizationResult],
@@ -245,9 +241,10 @@ class SpiSystem:
         self.source_graph = source_graph
         self.partition = partition
         self.config = config
-        self.conversion = conversion
-        self.insertion = insertion
-        self.schedule = schedule
+        self.lowering = lowering
+        self.conversion = lowering.conversion
+        self.insertion = lowering.insertion
+        self.schedule = lowering.schedule
         self.sync_graph = sync_graph
         self.channel_plans = channel_plans
         self.resync_result = resync_result
@@ -271,6 +268,7 @@ class SpiSystem:
         partition: Partition,
         config: Optional[SpiConfig] = None,
         cache=None,
+        lowering: Optional[Lowering] = None,
     ) -> "SpiSystem":
         """Run the full SPI methodology on ``graph`` + ``partition``.
 
@@ -280,19 +278,28 @@ class SpiSystem:
         bound are looked up by graph content instead of recomputed.
         Graphs without canonical content (callable cycle models) bypass
         it transparently.
+
+        ``lowering`` is the front half (:func:`repro.spi.library.lower`)
+        of this graph, assignment and ``config.word_bytes``, when the
+        caller compiles the same case several times; without one the
+        compile lowers the graph itself.  A lowering built for other
+        inputs raises :class:`ValueError`.
         """
         config = config or SpiConfig()
-        conversion, insertion, schedule = lower(
-            graph, partition, config.word_bytes
-        )
+        if lowering is None:
+            lowering = lower(graph, partition, config.word_bytes)
+        else:
+            lowering.check(graph, partition, config.word_bytes)
+        insertion = lowering.insertion
+        schedule = lowering.schedule
 
         analysis_key = structure_key = None
         if cache is not None:
-            analysis_key = cache.key_for(graph, partition, config)
-            structure_key = cache.structure_key_for(graph, partition, config)
+            analysis_key, structure_key = cache.keys_for(
+                graph, partition, config
+            )
 
-        ipc_graph = build_ipc_graph(schedule)
-        sync_graph = derive_sync_graph(ipc_graph)
+        sync_graph = derive_sync_graph(lowering.ipc_graph)
 
         # Blocked (batched) execution: the partition's requested batch
         # (a no-op on all-gpp platforms) clamped to the largest blocking
@@ -374,9 +381,7 @@ class SpiSystem:
             source_graph=graph,
             partition=partition,
             config=config,
-            conversion=conversion,
-            insertion=insertion,
-            schedule=schedule,
+            lowering=lowering,
             sync_graph=sync_graph,
             channel_plans=channel_plans,
             resync_result=resync_result,

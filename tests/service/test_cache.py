@@ -89,6 +89,37 @@ class TestKeys:
             SpiConfig(resynchronize=False, protocol_policy="always_ubs"),
         )
 
+    def test_keys_pinned_to_their_published_digests(self):
+        """Disk caches written by earlier versions must keep hitting:
+        both keys of one fixed graph are pinned byte for byte, and the
+        one-fingerprint ``keys_for`` derives exactly the same pair."""
+        graph = _toy_graph()
+        partition = _toy_partition(graph)
+        pinned = (
+            "604e946cee0bbe3ea27e2b0c6ed33ba058221a2a91d39d63354395ad106e8562",
+            "7f7107e8fd8d4549f8a4d22a0a650920bd6f757a221c8bc4c8fcdaaae3d43fb6",
+        )
+        assert analysis_key(graph, partition, SpiConfig()) == pinned[0]
+        assert structure_key(graph, partition, SpiConfig()) == pinned[1]
+        assert AnalysisCache().keys_for(graph, partition, SpiConfig()) == pinned
+
+    def test_keys_for_fingerprints_the_graph_once(self, monkeypatch):
+        import repro.service.cache as cache_module
+
+        calls = []
+        original = cache_module.graph_fingerprint
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(cache_module, "graph_fingerprint", counting)
+        graph = _toy_graph()
+        SpiSystem.compile(
+            graph, _toy_partition(graph), SpiConfig(), cache=AnalysisCache()
+        )
+        assert calls == [graph]
+
     def test_key_stable_across_process_boundaries(self):
         """Shards compute keys independently; the same graph must hash
         identically in a fresh interpreter."""

@@ -4,7 +4,7 @@ Implements the classic Lee/Messerschmitt machinery the paper relies on:
 
 * **repetitions vector** ``q`` — the smallest positive integer solution of
   the balance equations ``q[src] * prod(e) == q[snk] * cons(e)`` for every
-  edge ``e`` (computed with exact rational arithmetic over a spanning
+  edge ``e`` (computed with exact integer ratios over a spanning
   forest, then verified on every edge);
 * **consistency** — a graph is (sample-rate) consistent iff such a ``q``
   exists;
@@ -19,7 +19,6 @@ Dynamic graphs must be VTS-converted first (:func:`repro.dataflow.vts
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
@@ -63,18 +62,21 @@ def repetitions_vector(graph: DataflowGraph) -> Dict[str, int]:
     :class:`InconsistentGraphError` when the balance equations have no
     positive solution, and :class:`SdfError` on dynamic or empty graphs.
 
-    The computation propagates exact :class:`fractions.Fraction` ratios
-    over an (undirected) spanning forest of the graph, normalises each
-    connected component to the least common multiple of the denominators,
-    and finally verifies the balance equation on *every* edge — including
-    the non-tree edges, which is where inconsistency shows up.
+    The computation propagates exact ratios — reduced ``(num, den)``
+    pairs of Python ints — over an (undirected) spanning forest of the
+    graph, normalises each connected component to the least common
+    multiple of the denominators, and finally verifies the balance
+    equation on *every* edge — including the non-tree edges, which is
+    where inconsistency shows up.
     """
     _require_static(graph)
     if not graph.actors:
         raise SdfError("cannot compute repetitions vector of an empty graph")
 
-    ratio: Dict[str, Fraction] = {}
-    adjacency: Dict[str, List[Tuple[str, Fraction]]] = {
+    #: q[name] / q[root of its component] as a reduced (num, den) pair
+    ratio: Dict[str, Tuple[int, int]] = {}
+    #: (neighbour, mul, div): q[neighbour] / q[node] == mul / div
+    adjacency: Dict[str, List[Tuple[str, int, int]]] = {
         a.name: [] for a in graph.actors
     }
     for edge in graph.edges:
@@ -86,36 +88,37 @@ def repetitions_vector(graph: DataflowGraph) -> Dict[str, int]:
                 )
             continue
         # q[snk] / q[src] == prod / cons
-        factor = Fraction(edge.prod_rate, edge.cons_rate)
-        adjacency[edge.src_actor.name].append((edge.snk_actor.name, factor))
-        adjacency[edge.snk_actor.name].append((edge.src_actor.name, 1 / factor))
+        prod, cons = edge.prod_rate, edge.cons_rate
+        adjacency[edge.src_actor.name].append((edge.snk_actor.name, prod, cons))
+        adjacency[edge.snk_actor.name].append((edge.src_actor.name, cons, prod))
 
     reps: Dict[str, int] = {}
     for root in graph.actors:
         if root.name in ratio:
             continue
         component = [root.name]
-        ratio[root.name] = Fraction(1)
+        ratio[root.name] = (1, 1)
         stack = [root.name]
         while stack:
             node = stack.pop()
-            for neighbour, factor in adjacency[node]:
-                candidate = ratio[node] * factor
-                if neighbour not in ratio:
-                    ratio[neighbour] = candidate
-                    component.append(neighbour)
-                    stack.append(neighbour)
+            num, den = ratio[node]
+            for neighbour, mul, div in adjacency[node]:
+                if neighbour in ratio:
+                    continue
+                num_n, den_n = num * mul, den * div
+                common = math.gcd(num_n, den_n)
+                ratio[neighbour] = (num_n // common, den_n // common)
+                component.append(neighbour)
+                stack.append(neighbour)
         # Normalise this connected component to the smallest positive
         # integer vector (components scale independently).
-        lcm_den = 1
-        for name in component:
-            den = ratio[name].denominator
-            lcm_den = lcm_den * den // math.gcd(lcm_den, den)
-        gcd_num = 0
-        for name in component:
-            gcd_num = math.gcd(gcd_num, (ratio[name] * lcm_den).numerator)
-        for name in component:
-            reps[name] = int(ratio[name] * lcm_den / gcd_num)
+        lcm_den = math.lcm(*(ratio[name][1] for name in component))
+        scaled = [
+            ratio[name][0] * (lcm_den // ratio[name][1]) for name in component
+        ]
+        gcd_num = math.gcd(*scaled)
+        for name, value in zip(component, scaled):
+            reps[name] = value // gcd_num
 
     for edge in graph.edges:
         produced = reps[edge.src_actor.name] * edge.prod_rate

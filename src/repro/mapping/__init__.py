@@ -26,8 +26,6 @@ from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
 from repro.mapping.sync_graph import (
     SynchronizationGraph,
     derive_sync_graph,
-    is_redundant,
-    redundant_edges,
 )
 from repro.mapping.timed_graph import EdgeKind, TimedEdge, TimedGraph, TimedVertex
 
@@ -52,8 +50,6 @@ __all__ = [
     "build_selftimed_schedule",
     "SynchronizationGraph",
     "derive_sync_graph",
-    "is_redundant",
-    "redundant_edges",
     "EdgeKind",
     "TimedEdge",
     "TimedGraph",

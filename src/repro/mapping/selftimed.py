@@ -39,12 +39,14 @@ class SelfTimedSchedule:
     For multirate graphs the tasks are HSDF invocations
     (``actor#k`` names) of the expanded graph stored in ``task_graph``;
     for homogeneous graphs the invocation index is always 0.
+    ``repetitions`` is the repetitions vector of ``graph``.
     """
 
     graph: DataflowGraph
     partition: Partition
     orders: Dict[int, List[str]]
     task_graph: DataflowGraph
+    repetitions: Dict[str, int]
     task_pe: Dict[str, int] = field(default_factory=dict)
 
     def pe_of_task(self, task_name: str) -> int:
@@ -111,12 +113,14 @@ class TaskPlan:
     application graph, so callers that score many candidate partitions
     of the *same* graph (``Partition.exhaustive``) compute the plan once
     with :func:`task_plan` and pass it to every
-    :func:`build_selftimed_schedule` call.
+    :func:`build_selftimed_schedule` call.  ``repetitions`` is the
+    graph's repetitions vector, computed once here.
     """
 
     task_graph: DataflowGraph
     task_sequence: Tuple[str, ...]
     homogeneous: bool
+    repetitions: Dict[str, int]
 
 
 def task_plan(graph: DataflowGraph) -> TaskPlan:
@@ -144,6 +148,7 @@ def task_plan(graph: DataflowGraph) -> TaskPlan:
         task_graph=task_graph,
         task_sequence=task_sequence,
         homogeneous=homogeneous,
+        repetitions=reps,
     )
 
 
@@ -183,6 +188,7 @@ def build_selftimed_schedule(
         orders=orders,
         task_graph=task_graph,
         task_pe=task_pe,
+        repetitions=plan.repetitions,
     )
     schedule.validate()
     return schedule

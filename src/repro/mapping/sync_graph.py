@@ -12,20 +12,19 @@ requirement it encodes is implied by the rest of the graph — i.e. iff
 there is a directed path ``x -> y``, not using ``e`` itself, whose total
 delay is at most ``d``.  Operationally: some other out-edge ``e'`` of
 ``x`` satisfies ``delay(e') + rho(snk(e'), y) <= d`` where ``rho`` is the
-all-pairs minimum path delay.
+all-pairs minimum path delay.  :mod:`repro.mapping.resync` evaluates it
+for every removable edge at once on the min-delay matrix.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.mapping.timed_graph import EdgeKind, TimedEdge, TimedGraph
+from repro.mapping.timed_graph import TimedEdge, TimedGraph
 
 __all__ = [
     "SynchronizationGraph",
     "derive_sync_graph",
-    "is_redundant",
-    "redundant_edges",
 ]
 
 
@@ -82,51 +81,3 @@ def derive_sync_graph(ipc_graph: TimedGraph, name: str = "") -> SynchronizationG
             )
         )
     return sync
-
-
-def is_redundant(
-    graph: TimedGraph,
-    edge: TimedEdge,
-    rho: Optional[Dict[str, Dict[str, int]]] = None,
-) -> bool:
-    """True iff ``edge``'s constraint is implied by the rest of ``graph``.
-
-    ``rho`` may be passed to reuse a precomputed all-pairs minimum-delay
-    table (it must correspond to the *current* graph).  The check goes
-    through an explicit first hop ``e' != e`` so that the trivial path
-    "the edge itself" never vouches for its own redundancy.
-    """
-    table = rho if rho is not None else graph.min_delay_paths()
-    for first_hop in graph.out_edges(edge.src):
-        if first_hop.uid == edge.uid:
-            continue
-        remainder = table[first_hop.snk].get(edge.snk)
-        if remainder is None:
-            continue
-        if first_hop.delay + remainder <= edge.delay:
-            return True
-    return False
-
-
-def redundant_edges(
-    graph: TimedGraph,
-    kinds: Tuple[str, ...] = (EdgeKind.SYNC, EdgeKind.ACK, EdgeKind.IPC),
-    cross_pe_only: bool = True,
-) -> List[TimedEdge]:
-    """All currently redundant edges of the given kinds.
-
-    Note that removing one redundant edge can make another previously
-    redundant edge essential again when they vouched for each other; use
-    :func:`repro.mapping.resync.remove_redundant_synchronizations` for a
-    sound iterative removal.
-    """
-    rho = graph.min_delay_paths()
-    result = []
-    for edge in graph.edges:
-        if edge.kind not in kinds:
-            continue
-        if cross_pe_only and graph.vertex(edge.src).pe == graph.vertex(edge.snk).pe:
-            continue
-        if is_redundant(graph, edge, rho):
-            result.append(edge)
-    return result

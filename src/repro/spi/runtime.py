@@ -1172,12 +1172,16 @@ class SpiSystem:
         return opaque
 
     def task_repetitions(self) -> Dict[str, int]:
-        """Repetitions vector of the SPI-inserted graph (memoised)."""
+        """Repetitions vector of the SPI-inserted graph (memoised).
+
+        The lowering's schedule already holds it (its task plan computed
+        it for the PASS), so a cache miss copies that vector instead of
+        solving the balance equations again.
+        """
         if self._task_repetitions is None:
-            from repro.dataflow.sdf import repetitions_vector
 
             def compute() -> Dict[str, int]:
-                return repetitions_vector(self.insertion.graph)
+                return dict(self.schedule.repetitions)
 
             if self._analysis_cache is not None:
                 self._task_repetitions = self._analysis_cache.repetitions(
@@ -1194,17 +1198,19 @@ class SpiSystem:
         attached; the result carries the critical-cycle witness (task
         names, total execution cycles, total delay) alongside the bound.
         Cache entries written before the witness existed degrade to a
-        witness-less result.
+        witness-less result.  A resynchronization pass that computed the
+        MCM of its result graph hands it over, so the bound and witness
+        come from the same graph without a second Howard run.
         """
         if self._mcm_result is None:
-            reference = (
-                self.resync_result.graph
-                if self.resync_result is not None
-                else self.sync_graph
-            )
+            rr = self.resync_result
 
             def compute() -> McmResult:
-                return maximum_cycle_mean_result(reference)
+                if rr is None:
+                    return maximum_cycle_mean_result(self.sync_graph)
+                if rr.mcm is not None:
+                    return rr.mcm
+                return maximum_cycle_mean_result(rr.graph)
 
             if self._analysis_cache is not None:
                 self._mcm_result = self._analysis_cache.mcm(

@@ -149,6 +149,47 @@ def build_random_sync_graph(rng, trial):
     return graph
 
 
+# -- the redundancy criterion by its definition ------------------------------
+
+
+def is_redundant(graph, edge, rho=None):
+    """True iff ``edge``'s constraint is implied by the rest of ``graph``.
+
+    The object-level definition that :mod:`repro.mapping.resync`
+    evaluates on arrays: some first hop ``e' != e`` out of ``edge.src``
+    starts a path to ``edge.snk`` whose total delay is at most
+    ``edge.delay``, so the edge never vouches for its own redundancy.
+    ``rho`` may pass the graph's current ``min_delay_paths()`` table.
+    """
+    table = rho if rho is not None else graph.min_delay_paths()
+    for first_hop in graph.out_edges(edge.src):
+        if first_hop.uid == edge.uid:
+            continue
+        remainder = table[first_hop.snk].get(edge.snk)
+        if remainder is not None and first_hop.delay + remainder <= edge.delay:
+            return True
+    return False
+
+
+def redundant_edges(
+    graph,
+    kinds=(EdgeKind.SYNC, EdgeKind.ACK, EdgeKind.IPC),
+    cross_pe_only=True,
+):
+    """All currently redundant edges of the given kinds (one table)."""
+    rho = graph.min_delay_paths()
+    return [
+        edge
+        for edge in graph.edges
+        if edge.kind in kinds
+        and not (
+            cross_pe_only
+            and graph.vertex(edge.src).pe == graph.vertex(edge.snk).pe
+        )
+        and is_redundant(graph, edge, rho)
+    ]
+
+
 @pytest.fixture
 def pipeline_graph_factory():
     """Factory fixture over :func:`build_pipeline_graph`."""

@@ -7,17 +7,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.dataflow.sdf
+import repro.mapping.graph_arrays
+import repro.mapping.mcm
+import repro.mapping.resync
+import repro.spi.runtime
+from repro.conformance.generator import generate_spec
+from repro.conformance.spec import build_case
 from repro.mapping import (
     EdgeKind,
+    Partition,
     TimedEdge,
     TimedVertex,
     maximum_cycle_mean,
+    maximum_cycle_mean_result,
     remove_redundant_synchronizations,
     resynchronize,
 )
 from repro.mapping.resync import SyncGraphSnapshot
-from repro.mapping.sync_graph import SynchronizationGraph, is_redundant
-from tests.conftest import build_random_sync_graph
+from repro.mapping.sync_graph import SynchronizationGraph
+from repro.service import AnalysisCache
+from repro.spi.runtime import SpiSystem
+from tests.conftest import (
+    build_pipeline_graph,
+    build_random_sync_graph,
+    is_redundant,
+)
 
 
 def fan_graph(n_targets=3):
@@ -211,13 +226,15 @@ def check_rounds_against_definition(graph):
             if raises:
                 continue
             pruned = reference_prune(trial)
-            removed, cost = snapshot.prune_trial(u, v)
+            removed, cost, trial_rho = snapshot.prune_trial(u, v)
             survivors = [
                 e
                 for i, e in enumerate(current.edges + (candidate,))
                 if i not in set(removed)
             ]
             assert edge_keys(survivors) == edge_keys(pruned.edges)
+            # the repaired matrix that seeds the next round is exact
+            assert (trial_rho == SyncGraphSnapshot(pruned).rho).all()
             assert cost == pruned.sync_cost()
             if cost < best_cost:
                 best_cost, best = cost, (u, v, removed, pruned)
@@ -339,3 +356,175 @@ def test_mcm_decision_reproduces_float_rounding(
     trial.add_edge(TimedEdge("u", "v", delay=0, kind=EdgeKind.SYNC))
     assert (maximum_cycle_mean(trial) > threshold) == raises
     assert snapshot.raises_mcm(u, v) == raises
+
+
+# -- the removal screen, the one MCM and the one matrix ----------------------
+
+
+def compile_seed(seed, cache=None):
+    case = build_case(generate_spec(seed))
+    return SpiSystem.compile(case.graph, case.partition, cache=cache)
+
+
+def graph_suite(name):
+    """The graphs ``resynchronize`` is checked on: the random and chain
+    suites, and the synchronization graphs (acks included) that the SPI
+    compile of conformance seeds 1-200 hands to it."""
+    if name == "conformance":
+        return [compile_seed(seed).sync_graph for seed in range(1, 201)]
+    rng = random.Random(2008)
+    if name == "random":
+        return [build_random_sync_graph(rng, trial) for trial in range(200)]
+    return [build_random_chain_graph(rng, trial) for trial in range(100)]
+
+
+SUITES = ["random", "chains", "conformance"]
+
+
+def unscreened_search(graph, tight):
+    """``resynchronize``'s rounds with every candidate pruned, checking
+    each trial's removal count against the round's removal bound;
+    ``tight[True]`` counts trials that meet the bound exactly.  Returns
+    the final graph."""
+    current, _ = remove_redundant_synchronizations(graph)
+    if len(graph) > 24 or current.has_zero_delay_cycle():
+        return current
+    threshold = maximum_cycle_mean(graph) * (1 + 1e-6) + 1e-6
+    for _ in range(32):
+        snapshot = SyncGraphSnapshot(current, threshold)
+        bound = snapshot.removal_bound()
+        best, best_cost = None, snapshot.cost
+        for u, v in snapshot.candidates():
+            removed, cost, _ = snapshot.prune_trial(u, v)
+            assert len(removed) <= bound[u, v]
+            tight[len(removed) == bound[u, v]] += 1
+            if cost < best_cost and not snapshot.raises_mcm(u, v):
+                best, best_cost = (u, v, removed), cost
+        if best is None:
+            break
+        current, _ = snapshot.adopt(*best)
+    return current
+
+
+class TestRemovalScreen:
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_bound_holds_for_every_candidate_and_is_met(self, suite):
+        """No trial removes more edges than its bound, some remove
+        exactly as many (a bound one lower would be unsound), and the
+        screened search ends where the unscreened one does."""
+        tight = {True: 0, False: 0}
+        for graph in graph_suite(suite):
+            final = unscreened_search(graph, tight)
+            result = resynchronize(graph)
+            assert edge_keys(result.graph.edges) == edge_keys(final.edges)
+        assert tight[True] > 0
+        assert tight[False] > 0
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_pruning_preserves_the_mcm(self, suite):
+        """The MCM of the pruned graph serves as ``mcm_before``, and the
+        result carries the exact MCM of its own graph."""
+        for graph in graph_suite(suite):
+            pruned, _ = remove_redundant_synchronizations(graph)
+            before = maximum_cycle_mean_result(graph).value
+            assert maximum_cycle_mean_result(pruned).value == before
+            result = resynchronize(graph)
+            assert result.mcm_before == before
+            assert result.mcm == maximum_cycle_mean_result(result.graph)
+            assert result.mcm_after == result.mcm.value
+
+
+#: conformance seeds whose resynchronization adopts an edge (25, 69)
+#: and seeds where it only prunes
+WITNESS_SEEDS = [1, 2, 3, 25, 69]
+
+
+class TestOneAnalysisPerCase:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_spi_mcm_result_is_the_resync_graphs(self, cached):
+        """The MCM handed over by resynchronization equals a fresh
+        Howard run on the resynchronized graph, witness included — also
+        when a cache replays the solution on a second compile."""
+        cache = AnalysisCache() if cached else None
+        adopted = 0
+        for seed in WITNESS_SEEDS:
+            for _ in range(2 if cached else 1):
+                system = compile_seed(seed, cache)
+                graph = system.resync_result.graph
+                assert system.mcm_result() == maximum_cycle_mean_result(graph)
+            adopted += bool(system.resync_result.added)
+        assert adopted == 2
+        if cached:
+            assert cache.hits["resync"] == len(WITNESS_SEEDS)
+
+    def count_calls(self, monkeypatch, name, *modules):
+        """Count calls of function ``name`` through every module that
+        binds it."""
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def count_mcm_calls(self, monkeypatch):
+        return self.count_calls(
+            monkeypatch,
+            "maximum_cycle_mean_result",
+            repro.mapping.mcm,
+            repro.mapping.resync,
+            repro.spi.runtime,
+        )
+
+    def test_one_howard_run_per_compile_without_additions(
+        self, monkeypatch, chain_graph, two_pe_partition
+    ):
+        calls = self.count_mcm_calls(monkeypatch)
+        system = SpiSystem.compile(chain_graph, two_pe_partition)
+        system.mcm_result()
+        system.estimated_iteration_period_cycles()
+        assert not system.resync_result.added
+        assert len(calls) == 1
+
+    def test_an_adopted_edge_costs_one_more_howard_run(self, monkeypatch):
+        calls = self.count_mcm_calls(monkeypatch)
+        system = compile_seed(25)
+        system.mcm_result()
+        assert len(system.resync_result.added) == 1
+        assert len(calls) == 2
+
+    def test_one_min_delay_matrix_per_resynchronize_call(self, monkeypatch):
+        rng = random.Random(2008)
+        graphs = [build_random_chain_graph(rng, trial) for trial in range(100)]
+        # the graph whose search adopts the most edges, over several rounds
+        graph = max(graphs, key=lambda g: len(resynchronize(g).added))
+        calls = self.count_calls(
+            monkeypatch,
+            "min_delay_matrix",
+            repro.mapping.graph_arrays,
+            repro.mapping.resync,
+        )
+        result = resynchronize(graph)
+        assert len(result.added) >= 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_task_repetitions_reuses_the_lowering(self, monkeypatch, cached):
+        cache = AnalysisCache() if cached else None
+        graph = build_pipeline_graph()
+        partition = Partition.manual(graph, {"A": 0, "B": 1, "C": 0})
+        system = SpiSystem.compile(graph, partition, cache=cache)
+        expected = repro.dataflow.sdf.repetitions_vector(system.insertion.graph)
+        calls = self.count_calls(
+            monkeypatch, "repetitions_vector", repro.dataflow.sdf
+        )
+        assert system.task_repetitions() == expected
+        assert system.task_repetitions() is not system.schedule.repetitions
+        assert calls == []
+        if cached:
+            assert cache.misses["repetitions"] == 1
+

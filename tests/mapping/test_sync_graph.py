@@ -1,4 +1,5 @@
-"""Unit tests for synchronization graphs and the redundancy criterion."""
+"""Unit tests for synchronization graphs and the redundancy criterion
+(the object-level definition in ``tests/conftest.py``)."""
 
 
 from repro.mapping import (
@@ -8,10 +9,9 @@ from repro.mapping import (
     build_ipc_graph,
     build_selftimed_schedule,
     derive_sync_graph,
-    is_redundant,
-    redundant_edges,
 )
 from repro.mapping.sync_graph import SynchronizationGraph
+from tests.conftest import is_redundant, redundant_edges
 
 
 def sync_of(graph, partition):

@@ -107,8 +107,7 @@ class _Estimator:
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
         particles = np.asarray(inputs["particles"], dtype=np.float64)
-        predicted = self.model.propagate(particles, self.rng)
-        return {"predicted": [float(v) for v in predicted]}
+        return {"predicted": self.model.propagate(particles, self.rng)}
 
     def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
         return self.capacity * PROPAGATE_CYCLES_PER_PARTICLE + 12
@@ -148,10 +147,7 @@ class _Updater:
                 "weight_total": float(weights.sum()),
             }
         )
-        weighted = [
-            (float(p), float(w)) for p, w in zip(particles, weights)
-        ]
-        return {"weighted": weighted}
+        return {"weighted": np.column_stack((particles, weights))}
 
     def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
         return self.capacity * LIKELIHOOD_CYCLES_PER_PARTICLE + 12
@@ -179,8 +175,10 @@ class _PartialSum:
         self.collectives = collectives
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
-        weighted = list(inputs["weighted"])
-        total = float(sum(w for _, w in weighted))
+        weighted = np.asarray(inputs["weighted"], dtype=np.float64)
+        # the builtin sum, left to right over Python floats, as a
+        # per-token kernel would add them
+        total = float(sum(weighted[:, 1].tolist()))
         outputs: Dict[str, list] = {"pass": weighted}
         if self.collectives:
             if self.n_pes > 1:
@@ -204,9 +202,10 @@ class _LocalResampler:
         self.pe_index = pe_index
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
-        weighted = list(inputs["pass"])
-        particles = np.array([p for p, _ in weighted])
-        weights = np.array([w for _, w in weighted])
+        weighted = np.asarray(inputs["pass"], dtype=np.float64)
+        # contiguous column copies: numpy's pairwise sum depends on layout
+        particles = np.ascontiguousarray(weighted[:, 0])
+        weights = np.ascontiguousarray(weighted[:, 1])
         sums = []
         for other in range(self.n_pes):
             if other == self.pe_index:
@@ -222,14 +221,12 @@ class _LocalResampler:
         )
         outputs: Dict[str, list] = {}
         cursor = plan.kept[self.pe_index]
-        outputs["kept"] = [float(v) for v in replicas[:cursor]]
+        outputs["kept"] = replicas[:cursor]
         for other in range(self.n_pes):
             if other == self.pe_index:
                 continue
             shipped = plan.flows[self.pe_index][other]
-            outputs[f"export_to_{other}"] = [
-                float(v) for v in replicas[cursor : cursor + shipped]
-            ]
+            outputs[f"export_to_{other}"] = replicas[cursor : cursor + shipped]
             cursor += shipped
         if cursor != targets[self.pe_index]:
             raise RuntimeError("local resampling lost replicas")
@@ -252,11 +249,14 @@ class _Assembler:
         self.pe_index = pe_index
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
-        population: List[float] = list(inputs["kept"])
-        for other in range(self.n_pes):
-            if other == self.pe_index:
-                continue
-            population.extend(inputs[f"import_from_{other}"])
+        population = np.concatenate(
+            [np.asarray(inputs["kept"], dtype=np.float64)]
+            + [
+                np.asarray(inputs[f"import_from_{other}"], dtype=np.float64)
+                for other in range(self.n_pes)
+                if other != self.pe_index
+            ]
+        )
         if len(population) != self.capacity:
             raise RuntimeError(
                 f"PE {self.pe_index}: assembled {len(population)} particles, "

@@ -39,8 +39,12 @@ def run_reference(
         raise ReferenceError("iterations must be >= 1")
     graph = case.graph
     if graph.is_dynamic:
-        graph = vts_convert(graph).graph
-    schedule = build_pass(graph)
+        conversion = vts_convert(graph)
+        graph = conversion.graph
+        repetitions = conversion.repetitions
+    else:
+        repetitions = case.spec.repetitions()
+    schedule = build_pass(graph, repetitions)
 
     fifos: Dict[int, deque] = {}
     for edge in graph.edges:

@@ -228,7 +228,32 @@ class GraphSpec:
     # -- derived quantities ------------------------------------------------
 
     def repetitions(self) -> Dict[str, int]:
-        return {a.name: a.repetitions for a in self.actors}
+        """The repetitions vector of the built graph.
+
+        Rates are derived from the actors' ``repetitions``, so those
+        solve the balance equations, but not always in least terms: the
+        smallest solution divides each connected component by the gcd
+        of its entries.
+        """
+        parent = {a.name: a.name for a in self.actors}
+
+        def root(name: str) -> str:
+            while parent[name] != name:
+                name = parent[name]
+            return name
+
+        links = [(e.src, e.snk) for e in self.edges] + [
+            (c.hub, branch) for c in self.connections for branch in c.branches
+        ]
+        for u, v in links:
+            parent[root(u)] = root(v)
+        divisor: Dict[str, int] = {}
+        for actor in self.actors:
+            top = root(actor.name)
+            divisor[top] = math.gcd(divisor.get(top, 0), actor.repetitions)
+        return {
+            a.name: a.repetitions // divisor[root(a.name)] for a in self.actors
+        }
 
     def actor(self, name: str) -> ActorSpec:
         for spec in self.actors:

@@ -32,7 +32,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 from repro.dataflow.dynamic import DynamicRate
 
@@ -44,6 +57,7 @@ __all__ = [
     "Connection",
     "DataflowGraph",
     "GraphError",
+    "concat_blocks",
 ]
 
 
@@ -172,6 +186,8 @@ class Actor:
         self.cycles = cycles
         self.params: Dict[str, Any] = dict(params or {})
         self._ports: Dict[str, Port] = {}
+        #: names of the output ports, kept by :meth:`add_port`
+        self._output_names: Set[str] = set()
         self.graph: Optional["DataflowGraph"] = None
 
     # -- port management -------------------------------------------------
@@ -184,6 +200,8 @@ class Actor:
             )
         port.actor = self
         self._ports[port.name] = port
+        if port.is_output:
+            self._output_names.add(port.name)
         return port
 
     def add_input(self, name: str, rate: Rate = 1, token_bytes: int = 4) -> Port:
@@ -246,8 +264,8 @@ class Actor:
                 p.name: [None] * p.max_rate for p in self.output_ports
             }
         outputs = self.kernel(firing_index, inputs)
-        missing = {p.name for p in self.output_ports} - set(outputs)
-        if missing:
+        if not outputs.keys() >= self._output_names:
+            missing = self._output_names - set(outputs)
             raise GraphError(
                 f"actor {self.name!r} kernel did not produce outputs for "
                 f"ports {sorted(missing)}"
@@ -373,6 +391,33 @@ class Edge:
             f"Edge({self.src_actor.name}.{self.source.name} -> "
             f"{self.snk_actor.name}.{self.sink.name}, delay={self.delay})"
         )
+
+
+def _block(tokens: Sequence) -> Sequence:
+    """An ndarray block as it is; any other sequence as a new list."""
+    return tokens if isinstance(tokens, np.ndarray) else list(tokens)
+
+
+def concat_blocks(blocks: Sequence[Sequence]) -> Sequence:
+    """The tokens of ``blocks`` in order, as one block.
+
+    ndarray blocks of one dtype and one token shape join into one array
+    (a lone block is returned as it is), so the join never changes a
+    token's type; anything else becomes the list of tokens a per-token
+    FIFO would hold.
+    """
+    first = blocks[0] if blocks else None
+    if isinstance(first, np.ndarray) and all(
+        isinstance(block, np.ndarray)
+        and block.dtype == first.dtype
+        and block.shape[1:] == first.shape[1:]
+        for block in blocks
+    ):
+        return first if len(blocks) == 1 else np.concatenate(blocks)
+    tokens: list = []
+    for block in blocks:
+        tokens.extend(block)
+    return tokens
 
 
 def _elementwise_add(branches: List[list]) -> list:
@@ -519,24 +564,26 @@ class Connection:
         start = sum(chunks[:branch_index])
         return start, start + chunks[branch_index]
 
-    def produced_tokens(self, edge: Edge, tokens: list) -> list:
-        """The portion of one firing's output carried by member ``edge``."""
+    def produced_tokens(self, edge: Edge, tokens: Sequence) -> Sequence:
+        """The portion of one firing's output carried by member ``edge``.
+
+        An ndarray block stays an ndarray (a slice for a scatter branch);
+        any other sequence comes back as a new list.
+        """
         if self.kind == self.SCATTER:
             start, stop = self.branch_span(edge.branch_index)
-            return list(tokens[start:stop])
-        return list(tokens)
+            tokens = tokens[start:stop]
+        return _block(tokens)
 
-    def assemble(self, branch_values: List[list]) -> list:
+    def assemble(self, branch_values: List[Sequence]) -> Sequence:
         """Combine per-branch consumed tokens (branch order) for the sink.
 
-        ``gather`` concatenates, ``reduce`` applies ``combine``; a single
-        branch passes through unchanged for every other kind.
+        ``gather`` concatenates (ndarray blocks of one dtype and token
+        shape into one ndarray), ``reduce`` applies ``combine``; a
+        single branch passes through unchanged for every other kind.
         """
         if self.kind == self.GATHER:
-            out: list = []
-            for values in branch_values:
-                out.extend(values)
-            return out
+            return concat_blocks(branch_values)
         if self.kind == self.REDUCE:
             combine = self.combine or _elementwise_add
             return list(combine(branch_values))
@@ -545,7 +592,7 @@ class Connection:
                 f"connection {self.name} ({self.kind}): cannot assemble "
                 f"{len(branch_values)} branches at one sink port"
             )
-        return list(branch_values[0])
+        return _block(branch_values[0])
 
     def __repr__(self) -> str:
         return (

@@ -30,6 +30,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.dataflow.buffers import sdf_buffer_bounds
 from repro.dataflow.dynamic import DynamicRate
 from repro.dataflow.graph import DataflowGraph, Edge, GraphError
@@ -44,16 +46,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PackedToken:
     """A variable-size packed token: ``size`` raw tokens in one unit.
 
     The SPI_dynamic wire format carries ``size`` in the message header so
     the receiver never needs delimiter scanning (paper §3: a header field
     "is much more efficient" than a delimiter on FPGA targets).
+
+    ``payload`` is the raw token block: the producer's ndarray, kept
+    without a copy and made read-only like every ndarray block on the
+    data path, or a tuple of any other sequence's tokens.  Packed tokens
+    compare by identity, so an ndarray payload never meets ``==`` or
+    ``hash``.
     """
 
-    payload: tuple
+    payload: Sequence
     raw_token_bytes: int
 
     @property
@@ -68,6 +76,9 @@ class PackedToken:
 
     @classmethod
     def pack(cls, raw_tokens: Sequence, raw_token_bytes: int) -> "PackedToken":
+        if isinstance(raw_tokens, np.ndarray):
+            raw_tokens.setflags(write=False)
+            return cls(raw_tokens, raw_token_bytes)
         return cls(tuple(raw_tokens), raw_token_bytes)
 
     def unpack(self) -> List:
@@ -113,11 +124,15 @@ class VtsConversion:
         dynamic) edge.
     original:
         The source graph (unmodified).
+    repetitions:
+        The converted graph's repetitions vector (``actor name ->
+        count``), computed once for eq. 1.
     """
 
     graph: DataflowGraph
     edge_info: Dict[str, VtsEdgeInfo]
     original: DataflowGraph
+    repetitions: Dict[str, int] = field(default_factory=dict, repr=False)
     _c_sdf: Dict[int, int] = field(default_factory=dict, repr=False)
 
     def is_converted_edge(self, edge: Edge) -> bool:
@@ -173,18 +188,26 @@ def minimum_feedback_delay(graph: DataflowGraph, edge: Edge) -> Optional[int]:
 
 
 def _unpack_inputs(inputs: Dict[str, list], dynamic_inputs) -> Dict[str, list]:
+    """Raw tokens per port: a single packed ndarray block is handed over
+    as it is, other packed tokens are unpacked into one list, and static
+    ports pass through."""
     raw: Dict[str, list] = {}
     for port_name, values in inputs.items():
-        if port_name in dynamic_inputs:
-            tokens: List = []
-            for value in values:
-                if isinstance(value, PackedToken):
-                    tokens.extend(value.unpack())
-                elif value is not None:
-                    tokens.append(value)
-            raw[port_name] = tokens
-        else:
-            raw[port_name] = list(values)
+        if port_name not in dynamic_inputs:
+            raw[port_name] = values
+            continue
+        if len(values) == 1 and isinstance(values[0], PackedToken) and (
+            isinstance(values[0].payload, np.ndarray)
+        ):
+            raw[port_name] = values[0].payload
+            continue
+        tokens: List = []
+        for value in values:
+            if isinstance(value, PackedToken):
+                tokens.extend(value.unpack())
+            elif value is not None:
+                tokens.append(value)
+        raw[port_name] = tokens
     return raw
 
 
@@ -208,7 +231,7 @@ def _wrap_kernel(orig_actor, dynamic_inputs, dynamic_outputs):
                     )
                 outputs[port_name] = [PackedToken.pack(values, raw_bytes)]
             else:
-                outputs[port_name] = list(values)
+                outputs[port_name] = values
         return outputs
 
     return adapted
@@ -324,5 +347,6 @@ def vts_convert(graph: DataflowGraph, name: Optional[str] = None) -> VtsConversi
         graph=converted,
         edge_info=edge_info,
         original=graph,
+        repetitions=reps,
         _c_sdf=c_sdf,
     )

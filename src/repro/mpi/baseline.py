@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
 from repro.mapping.partition import Partition
@@ -90,7 +90,7 @@ class _MpiChannel:
         self.dst_pe = dst_pe
         self.token_bytes = token_bytes
         self.rendezvous = rendezvous
-        self.arrived_data: Deque[tuple] = deque()  # (payload list, nbytes)
+        self.arrived_data: Deque[tuple] = deque()  # (payload block, nbytes)
         self.arrived_rts: int = 0
         self.cts_pending: Deque[Callable[[], None]] = deque()
         #: a rendezvous receiver mid-handshake waiting for the payload
@@ -103,7 +103,7 @@ class _MpiChannel:
         #: woken when a message or RTS envelope lands (unblocks MPI_Recv)
         self.recv_waitset = Waitset(f"{edge.name}.mpi_recv")
 
-    def deliver_data(self, payload: List, nbytes: int, envelope: int) -> None:
+    def deliver_data(self, payload: Sequence, nbytes: int, envelope: int) -> None:
         self.arrived_data.append((payload, nbytes))
         self.data_messages += 1
         self.payload_bytes += nbytes
@@ -184,20 +184,20 @@ class _MpiSendTask:
         self._staged: Optional[List] = None
 
     def ready(self, now: int) -> bool:
-        return len(self.in_fifo) >= self.rate
+        return self.in_fifo.count >= self.rate
 
     def blocked_reason(self, now: int) -> Optional[str]:
         """Why this send cannot start (None when it can)."""
-        if len(self.in_fifo) < self.rate:
+        if self.in_fifo.count < self.rate:
             return (
                 f"starved on {self.in_fifo.edge.name!r} "
-                f"(has {len(self.in_fifo)}, needs {self.rate})"
+                f"(has {self.in_fifo.count}, needs {self.rate})"
             )
         return None
 
     def wait_on(self, now: int) -> List[Waitset]:
         """Waitsets of the resources currently blocking the guard."""
-        if len(self.in_fifo) < self.rate:
+        if self.in_fifo.count < self.rate:
             return [self.in_fifo.waitset]
         return []
 
@@ -228,10 +228,9 @@ class _MpiSendTask:
             _, data_arrival = link.reserve(
                 inject_start, config.envelope_bytes + nbytes
             )
-            payload = list(self._staged or [])
 
             def deliver() -> None:
-                channel.deliver_data(payload, nbytes, config.envelope_bytes)
+                channel.deliver_data(tokens, nbytes, config.envelope_bytes)
 
             sim.at(data_arrival, deliver)
             assert self.complete_async is not None
@@ -246,7 +245,7 @@ class _MpiSendTask:
         return None
 
     def finish(self, now: int) -> None:
-        tokens = self._staged or []
+        tokens = self._staged
         self._staged = None
         if self.rendezvous:
             return
@@ -348,7 +347,7 @@ class _MpiRecvTask:
 
     def finish(self, now: int) -> None:
         payload, _ = self.channel.arrived_data.popleft()
-        self.out_fifo.push(list(payload))
+        self.out_fifo.push(payload)
 
 
 class MpiSystem:

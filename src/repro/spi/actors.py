@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.graph import Actor, DataflowGraph, Edge
+import numpy as np
+
+from repro.dataflow.graph import Actor, DataflowGraph, Edge, concat_blocks
 from repro.dataflow.vts import PackedToken
 from repro.platform.interconnect import Interconnect
 from repro.platform.pe import GPP, PEClass, ProcessingElement
@@ -121,10 +123,12 @@ class _BatchedTaskMixin:
             self._pass += 1
 
 
-def payload_nbytes(tokens: List, default_token_bytes: int) -> int:
-    """Wire size of a token list (packed tokens know their own size)."""
+def payload_nbytes(block: Sequence, default_token_bytes: int) -> int:
+    """Wire size of a token block (packed tokens know their own size)."""
+    if isinstance(block, np.ndarray) and block.dtype != object:
+        return len(block) * default_token_bytes
     total = 0
-    for token in tokens:
+    for token in block:
         if isinstance(token, PackedToken):
             total += token.nbytes
         else:
@@ -133,7 +137,17 @@ def payload_nbytes(tokens: List, default_token_bytes: int) -> int:
 
 
 class LocalFifo:
-    """The run-time buffer of one same-PE edge of the SPI-inserted graph."""
+    """The run-time buffer of one same-PE edge of the SPI-inserted graph.
+
+    An entry is a *block*: the whole token sequence one firing (or one
+    message) pushed.  ``count`` is the FIFO's occupancy in tokens, and
+    ``high_water`` its peak.  A pop of exactly the head block returns
+    that block object; a pop that splits or spans blocks returns the
+    same tokens a per-token FIFO would give (a slice or a concatenation
+    for ndarray blocks).  ndarray blocks are made read-only at push, and
+    any other sequence is copied into a list once, so a consumer never
+    aliases a producer's buffer it could write.
+    """
 
     def __init__(self, edge: Edge) -> None:
         self.edge = edge
@@ -141,27 +155,70 @@ class LocalFifo:
             initial = list(edge.initial_tokens)
         else:
             initial = [None] * edge.delay
-        self.tokens: Deque = deque(initial)
-        self.high_water = len(self.tokens)
+        self._blocks: Deque[Sequence] = deque([initial] if initial else [])
+        #: tokens of the head block already popped
+        self._head = 0
+        self.count = len(initial)
+        self.high_water = self.count
         #: woken on every push (unblocks a starved consumer)
         self.waitset = Waitset(f"fifo:{edge.name}")
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return self.count
 
-    def push(self, values: List) -> None:
-        self.tokens.extend(values)
-        if len(self.tokens) > self.high_water:
-            self.high_water = len(self.tokens)
+    def snapshot(self) -> Tuple:
+        """The queued tokens in FIFO order, for inspection."""
+        tokens: List = []
+        head = self._head
+        for block in self._blocks:
+            tokens.extend(block[head:] if head else block)
+            head = 0
+        return tuple(tokens)
+
+    def push(self, block: Sequence) -> None:
+        size = len(block)
+        if size:
+            if isinstance(block, np.ndarray):
+                block.setflags(write=False)
+            else:
+                block = list(block)
+            self._blocks.append(block)
+            self.count += size
+            if self.count > self.high_water:
+                self.high_water = self.count
         self.waitset.wake()
 
-    def pop(self, count: int) -> List:
-        if len(self.tokens) < count:
+    def pop(self, count: int) -> Sequence:
+        if self.count < count:
             raise RuntimeError(
                 f"fifo {self.edge.name}: popping {count} of "
-                f"{len(self.tokens)} tokens"
+                f"{self.count} tokens"
             )
-        return [self.tokens.popleft() for _ in range(count)]
+        if not count:
+            return []
+        blocks = self._blocks
+        head = blocks[0]
+        if not self._head and len(head) == count:
+            blocks.popleft()
+            self.count -= count
+            return head
+        pieces: List[Sequence] = []
+        need = count
+        while need:
+            head = blocks[0]
+            start = self._head
+            left = len(head) - start
+            if left <= need:
+                pieces.append(head[start:] if start else head)
+                blocks.popleft()
+                self._head = 0
+                need -= left
+            else:
+                pieces.append(head[start:start + need])
+                self._head = start + need
+                need = 0
+        self.count -= count
+        return concat_blocks(pieces)
 
 
 def normalize_port_fifos(fifos: Dict[str, object]) -> Dict[str, List[LocalFifo]]:
@@ -274,7 +331,7 @@ class ComputationTask(_BatchedTaskMixin):
         burst = 1 if self._single else self.burst
         for _, branches, _ in self._needs:
             for fifo, rate in branches:
-                if len(fifo.tokens) < burst * rate:
+                if fifo.count < burst * rate:
                     return False
         return True
 
@@ -283,10 +340,10 @@ class ComputationTask(_BatchedTaskMixin):
         burst = self.burst
         starved = [
             f"{fifo.edge.name!r} "
-            f"(has {len(fifo.tokens)}, needs {burst * rate})"
+            f"(has {fifo.count}, needs {burst * rate})"
             for _, branches, _ in self._needs
             for fifo, rate in branches
-            if len(fifo.tokens) < burst * rate
+            if fifo.count < burst * rate
         ]
         if starved:
             return "starved on " + ", ".join(starved)
@@ -299,7 +356,7 @@ class ComputationTask(_BatchedTaskMixin):
             fifo.waitset
             for _, branches, _ in self._needs
             for fifo, rate in branches
-            if len(fifo.tokens) < burst * rate
+            if fifo.count < burst * rate
         ]
 
     def _pop_one(self) -> Dict[str, List]:
@@ -340,9 +397,9 @@ class ComputationTask(_BatchedTaskMixin):
             values = produced[port_name]
             for fifo, span in branches:
                 if span is None:
-                    fifo.push(list(values))
+                    fifo.push(values)
                 else:
-                    fifo.push(list(values[span[0]:span[1]]))
+                    fifo.push(values[span[0]:span[1]])
         self.firing_index += 1
 
     def finish(self, now: int) -> None:
@@ -469,17 +526,17 @@ class SpiSendTask(_BatchedTaskMixin):
 
     def ready(self, now: int) -> bool:
         burst = self.burst
-        return len(self.in_fifo) >= burst * self.rate and all(
+        return self.in_fifo.count >= burst * self.rate and all(
             channel.flow.can_send_n(burst) for _, channel in self.branches
         )
 
     def blocked_reason(self, now: int) -> Optional[str]:
         """Why this send cannot start (None when it can)."""
         burst = self.burst
-        if len(self.in_fifo) < burst * self.rate:
+        if self.in_fifo.count < burst * self.rate:
             return (
                 f"starved on {self.in_fifo.edge.name!r} "
-                f"(has {len(self.in_fifo)}, needs {burst * self.rate})"
+                f"(has {self.in_fifo.count}, needs {burst * self.rate})"
             )
         closed = [
             channel.edge.name
@@ -496,7 +553,7 @@ class SpiSendTask(_BatchedTaskMixin):
         """Waitsets of the resources currently blocking the guard."""
         burst = self.burst
         waitsets = []
-        if len(self.in_fifo) < burst * self.rate:
+        if self.in_fifo.count < burst * self.rate:
             waitsets.append(self.in_fifo.waitset)
         waitsets.extend(
             channel.space_waitset
@@ -815,7 +872,7 @@ class SpiReceiveTask(_BatchedTaskMixin):
                 f"field {message.size_field} does not match payload "
                 f"length {len(message.payload)}"
             )
-        self.out_fifo.push(list(message.payload))
+        self.out_fifo.push(message.payload)
         if self.channel.flow.uses_credits:
             ack = make_ack_message(self.channel.edge.edge_id)
             link = self.interconnect.link(

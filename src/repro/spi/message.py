@@ -20,7 +20,9 @@ known at compile-time, and hence need not be included".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "WORD_BYTES",
@@ -48,19 +50,21 @@ class MessageKind:
     ACK = "ack"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Message:
     """One message on a link.
 
     ``payload`` carries the real token values (the simulator is
-    functional as well as timed); ``payload_bytes`` is the wire size of
-    the data portion, and ``size_field`` the packed-token size carried in
-    a dynamic header (``None`` for static messages and acks).
+    functional as well as timed): the token block of one send, a tuple
+    or an ndarray.  ``payload_bytes`` is the wire size of the
+    data portion, and ``size_field`` the packed-token size carried in a
+    dynamic header (``None`` for static messages and acks).  Messages
+    compare by identity, so an ndarray payload never meets ``==``.
     """
 
     kind: str
     edge_id: int
-    payload: Tuple = ()
+    payload: Sequence = ()
     payload_bytes: int = 0
     size_field: Optional[int] = None
 
@@ -69,7 +73,7 @@ class Message:
             raise ValueError(f"unknown message kind {self.kind!r}")
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
-        if self.kind == MessageKind.ACK and self.payload:
+        if self.kind == MessageKind.ACK and len(self.payload):
             raise ValueError("acknowledgments carry no payload")
 
     @property
@@ -96,11 +100,15 @@ def make_data_message(
     payload_bytes: int,
     dynamic: bool,
 ) -> Message:
-    """Build a data message; dynamic messages carry their size field."""
+    """Build a data message; dynamic messages carry their size field.
+
+    An ndarray block travels as it is; any other sequence is copied
+    into a tuple.
+    """
     return Message(
         kind=MessageKind.DATA,
         edge_id=edge_id,
-        payload=tuple(payload),
+        payload=payload if isinstance(payload, np.ndarray) else tuple(payload),
         payload_bytes=payload_bytes,
         size_field=len(payload) if dynamic else None,
     )

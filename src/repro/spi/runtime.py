@@ -923,7 +923,7 @@ class SpiSystem:
             )
 
         def fifo_state(now: int):
-            return tuple(len(f.tokens) for f in sorted_fifos)
+            return tuple(f.count for f in sorted_fifos)
 
         def pool_state(now: int):
             return tuple(p.tokens for p in sync_pools)

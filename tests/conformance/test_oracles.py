@@ -42,6 +42,36 @@ class TestReferenceExecution:
         with pytest.raises(ReferenceError):
             run_reference(case, iterations=0)
 
+    @pytest.mark.parametrize("dynamic, calls", [(False, 0), (True, 1)])
+    def test_reference_reuses_known_repetitions(
+        self, monkeypatch, dynamic, calls
+    ):
+        """A static case reads its vector off the spec; a dynamic one
+        reuses the vector VTS conversion computes for eq. 1."""
+        import repro.dataflow.sdf
+        import repro.dataflow.vts
+
+        shape = GraphShape(dynamic_prob=1.0 if dynamic else 0.0)
+        case = next(
+            case
+            for case in (build_case(generate_spec(s, shape)) for s in range(50))
+            if case.graph.is_dynamic == dynamic
+        )
+        counted = []
+        original = repro.dataflow.sdf.repetitions_vector
+
+        def counting(graph):
+            counted.append(graph.name)
+            return original(graph)
+
+        monkeypatch.setattr(repro.dataflow.sdf, "repetitions_vector", counting)
+        monkeypatch.setattr(repro.dataflow.vts, "repetitions_vector", counting)
+        streams = run_reference(case, iterations=2)
+        assert len(counted) == calls
+        reps = case.spec.repetitions()
+        for name, firings in streams.items():
+            assert len(firings) == 2 * reps[name]
+
 
 class TestCleanSeedsConform:
     @pytest.mark.parametrize("seed", range(8))

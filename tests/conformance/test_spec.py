@@ -216,3 +216,37 @@ class TestBatchFields:
         case = build_case(spec)
         assert case.partition.requested_batch == 3
         assert case.partition.has_accelerators
+
+
+class TestRepetitions:
+    """``GraphSpec.repetitions`` is the built graph's repetitions vector,
+    also when the per-actor counts share a factor."""
+
+    def spec(self, counts, edges):
+        return GraphSpec(
+            seed=1,
+            actors=tuple(
+                ActorSpec(f"a{i}", q, 1) for i, q in enumerate(counts)
+            ),
+            edges=tuple(EdgeSpec(src=u, snk=v) for u, v in edges),
+            n_pes=1,
+            assignment=tuple((f"a{i}", 0) for i in range(len(counts))),
+        )
+
+    @pytest.mark.parametrize(
+        "counts, edges, want",
+        [
+            ((2, 3), [("a0", "a1")], (2, 3)),
+            ((2, 4), [("a0", "a1")], (1, 2)),
+            # two components, each reduced on its own
+            ((4, 6, 3, 9), [("a0", "a1"), ("a2", "a3")], (2, 3, 1, 3)),
+            ((6, 4, 5), [("a0", "a1")], (3, 2, 1)),
+        ],
+    )
+    def test_matches_repetitions_vector(self, counts, edges, want):
+        from repro.dataflow.sdf import repetitions_vector
+
+        spec = self.spec(counts, edges)
+        expected = {f"a{i}": q for i, q in enumerate(want)}
+        assert spec.repetitions() == expected
+        assert repetitions_vector(build_case(spec).graph) == expected

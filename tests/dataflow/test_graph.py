@@ -81,6 +81,16 @@ class TestActor:
         with pytest.raises(GraphError, match="did not produce"):
             actor.fire(0, {})
 
+    def test_missing_outputs_follow_ports_added_later(self):
+        actor = Actor("A", kernel=lambda k, inputs: {"o": [1], "x": [2]})
+        actor.add_input("i")
+        actor.add_output("o")
+        assert actor.fire(0, {})["o"] == [1]
+        actor.add_output("q")
+        actor.add_output("p")
+        with pytest.raises(GraphError, match=r"ports \['p', 'q'\]$"):
+            actor.fire(1, {})
+
     def test_callable_cycles(self):
         actor = Actor("A", cycles=lambda k, inputs: 10 * (k + 1))
         assert actor.execution_cycles(0) == 10

@@ -92,7 +92,7 @@ def check_outputs(graph, hub, fifos, consumed):
         for k, inputs in enumerate(consumed):
             values = compute(k, inputs)[edge.source.name]
             want.extend(edge.connection.produced_tokens(edge, values))
-        assert list(fifos[edge.edge_id].tokens) == want, edge.name
+        assert list(fifos[edge.edge_id].snapshot()) == want, edge.name
 
 
 class TestSingleFiring:

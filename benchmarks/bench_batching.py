@@ -25,13 +25,11 @@ from repro.apps.lpc import power_spectrum
 from repro.apps.lpc.actors import SpectralAnalyzer
 from repro.apps.lpc.pipeline import build_parallel_error_graph
 from repro.apps.particle_filter import build_particle_filter_graph
-from repro.apps.particle_filter.resampling import (
-    _multiplicities_loop,
-    multiplicities,
-)
+from repro.apps.particle_filter.resampling import multiplicities
 from repro.mapping.partition import Partition
 from repro.platform.pe import PEClass
 from repro.spi import SpiConfig, SpiSystem
+from tests.resampling_reference import multiplicities_loop
 
 #: the accelerator class of the sweep: 4x faster per element than a
 #: gpp but charging a 100-cycle dispatch, at 1.5x the resource cost —
@@ -187,7 +185,7 @@ def kernel_rows():
     # PF resampling multiplicities: bincount vs per-index loop.
     population = 5_000 if QUICK else 50_000
     indices = rng.integers(0, population, size=population)
-    loop_s = _best_of(lambda: _multiplicities_loop(indices, population))
+    loop_s = _best_of(lambda: multiplicities_loop(indices, population))
     vec_s = _best_of(lambda: multiplicities(indices, population))
     rows.append(
         {

@@ -64,19 +64,32 @@ class CrackGrowthModel:
     def propagate(self, lengths: np.ndarray, rng: np.random.RandomState) -> np.ndarray:
         """One prediction step for a particle population."""
         lengths = np.asarray(lengths, dtype=np.float64)
-        if np.any(lengths <= 0):
+        if (lengths <= 0).any():
             raise ValueError("crack lengths must be positive")
-        delta_k = self.stress_factor * np.sqrt(lengths)
-        growth = self.paris_c * delta_k ** self.paris_m * self.cycles_per_step
-        noise = np.exp(self.process_noise * rng.randn(lengths.shape[0]))
-        return lengths + growth * noise
+        # c * (s * sqrt(L)) ** m * cycles, then L + growth * noise, as
+        # in-place ufuncs on two fresh arrays (each product has the same
+        # operands, so every element is bit-identical to the expression)
+        growth = np.sqrt(lengths)
+        growth *= self.stress_factor
+        growth **= self.paris_m
+        growth *= self.paris_c
+        growth *= self.cycles_per_step
+        noise = rng.randn(lengths.shape[0])
+        noise *= self.process_noise
+        np.exp(noise, out=noise)
+        growth *= noise
+        growth += lengths
+        return growth
 
     def likelihood(self, observation: float, lengths: np.ndarray) -> np.ndarray:
         """Unnormalised Gaussian observation likelihood per particle."""
         lengths = np.asarray(lengths, dtype=np.float64)
-        sigma = self.measurement_noise
-        z = (observation - lengths) / sigma
-        return np.exp(-0.5 * z * z)
+        z = observation - lengths
+        z /= self.measurement_noise
+        # exp(-0.5 * z * z): the same two products, the second in place
+        weights = z * -0.5
+        weights *= z
+        return np.exp(weights)
 
     def likelihood_batch(
         self, observations: np.ndarray, lengths: np.ndarray

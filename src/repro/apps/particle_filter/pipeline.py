@@ -30,8 +30,9 @@ import numpy as np
 
 from repro.apps.particle_filter.model import CrackGrowthModel
 from repro.apps.particle_filter.resampling import (
+    _systematic_indices,
+    _weight_total,
     allocate_targets,
-    local_resample,
     plan_exchanges,
 )
 from repro.dataflow.dynamic import DynamicRate
@@ -147,7 +148,10 @@ class _Updater:
                 "weight_total": float(weights.sum()),
             }
         )
-        return {"weighted": np.column_stack((particles, weights))}
+        weighted = np.empty((particles.shape[0], 2))
+        weighted[:, 0] = particles
+        weighted[:, 1] = weights
+        return {"weighted": weighted}
 
     def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
         return self.capacity * LIKELIHOOD_CYCLES_PER_PARTICLE + 12
@@ -200,35 +204,39 @@ class _LocalResampler:
         self.capacity = capacity
         self.n_pes = n_pes
         self.pe_index = pe_index
+        #: (pe, weight-sum input port, particle export port) per peer
+        self._peers = [
+            (other, f"wsum_from_{other}", f"export_to_{other}")
+            for other in range(n_pes)
+            if other != pe_index
+        ]
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
         weighted = np.asarray(inputs["pass"], dtype=np.float64)
-        # contiguous column copies: numpy's pairwise sum depends on layout
-        particles = np.ascontiguousarray(weighted[:, 0])
+        # a contiguous column copy: numpy's pairwise sum depends on
+        # layout; it is validated and summed once, and that one sum is
+        # both this PE's partial sum and the resampling normaliser
         weights = np.ascontiguousarray(weighted[:, 1])
-        sums = []
-        for other in range(self.n_pes):
-            if other == self.pe_index:
-                sums.append(float(weights.sum()))
-            else:
-                sums.append(float(inputs[f"wsum_from_{other}"][0]))
-        total_particles = self.capacity * self.n_pes
-        targets = allocate_targets(sums, total_particles)
+        own_total = _weight_total(weights)
+        sums = [0.0] * self.n_pes
+        sums[self.pe_index] = own_total
+        for other, wsum_port, _ in self._peers:
+            sums[other] = float(inputs[wsum_port][0])
+        targets = allocate_targets(sums, self.capacity * self.n_pes)
         plan = plan_exchanges(targets, self.capacity)
-        replicas = local_resample(
-            particles, weights, targets[self.pe_index],
-            resample_offset(firing_index),
+        target = targets[self.pe_index]
+        indices = _systematic_indices(
+            weights, own_total, target, resample_offset(firing_index)
         )
-        outputs: Dict[str, list] = {}
+        replicas = weighted[:, 0][indices]
         cursor = plan.kept[self.pe_index]
-        outputs["kept"] = replicas[:cursor]
-        for other in range(self.n_pes):
-            if other == self.pe_index:
-                continue
-            shipped = plan.flows[self.pe_index][other]
-            outputs[f"export_to_{other}"] = replicas[cursor : cursor + shipped]
+        outputs: Dict[str, list] = {"kept": replicas[:cursor]}
+        flows = plan.flows[self.pe_index]
+        for other, _, export_port in self._peers:
+            shipped = flows[other]
+            outputs[export_port] = replicas[cursor : cursor + shipped]
             cursor += shipped
-        if cursor != targets[self.pe_index]:
+        if cursor != target:
             raise RuntimeError("local resampling lost replicas")
         return outputs
 

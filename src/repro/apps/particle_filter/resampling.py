@@ -17,6 +17,7 @@ deterministic given their RNG, and :func:`allocate_targets` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -30,6 +31,10 @@ __all__ = [
     "plan_exchanges",
     "local_resample",
 ]
+
+#: below this many elements numpy's float64 sum is a plain left-to-right
+#: loop from 0.0; from here on it sums pairwise in unrolled blocks
+_PAIRWISE_BLOCK = 8
 
 
 def systematic_resample(
@@ -48,20 +53,53 @@ def systematic_resample(
         raise ValueError("count must be >= 0")
     if count == 0:
         return np.zeros(0, dtype=np.int64)
+    return _systematic_indices(w, _weight_total(w), count, offset)
+
+
+def _weight_total(w: np.ndarray) -> float:
+    """Validate a resampling weight vector and return its numpy sum.
+
+    The negative-weight check costs one ``min`` reduction; only when
+    that reads negative or NaN does the exact ``w < 0`` test run, so a
+    NaN next to a negative weight still reports the negative one.  The
+    finiteness check reads the sum, and scans the weights only when the
+    sum is not finite: finite weights whose sum overflows pass, as
+    before.
+    """
     if w.ndim != 1 or w.shape[0] == 0:
         raise ValueError("weights must be a non-empty 1-D array")
-    if np.any(w < 0):
+    if not w.min() >= 0 and (w < 0).any():
         raise ValueError("weights must be non-negative")
+    total = float(w.sum())
+    if not math.isfinite(total):
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            index = int(bad[0])
+            raise ValueError(
+                f"weights must be finite, got {float(w[index])!r} at "
+                f"index {index}"
+            )
+    return total
+
+
+def _systematic_indices(
+    w: np.ndarray, total: float, count: int, offset: float
+) -> np.ndarray:
+    """The draw of :func:`systematic_resample` from a weight vector
+    ``w`` that :func:`_weight_total` validated and summed to ``total``
+    (``count == 0`` gives an empty draw)."""
     if not 0.0 <= offset < 1.0:
         raise ValueError("offset must be in [0, 1)")
-    total = w.sum()
     if total <= 0:
         # Degenerate: uniform selection.
         return np.arange(count, dtype=np.int64) % w.shape[0]
-    positions = (offset + np.arange(count)) / count
-    cumulative = np.cumsum(w) / total
+    positions = np.arange(count, dtype=np.float64)
+    positions += offset
+    positions /= count
+    cumulative = np.cumsum(w)
+    cumulative /= total
     cumulative[-1] = 1.0  # guard against rounding
-    return np.searchsorted(cumulative, positions).astype(np.int64)
+    return np.searchsorted(cumulative, positions).astype(np.int64, copy=False)
 
 
 def multinomial_resample(
@@ -81,8 +119,7 @@ def multiplicities(indices: Sequence[int], population: int) -> np.ndarray:
     """Per-particle replica counts from resampled indices.
 
     Vectorized as one ``np.bincount`` — integer counting, so the result
-    is exactly (not approximately) the per-element loop's; the loop
-    survives as :func:`_multiplicities_loop` for the equivalence tests.
+    is exactly (not approximately) a per-element counting loop's.
     """
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= population):
@@ -91,14 +128,19 @@ def multiplicities(indices: Sequence[int], population: int) -> np.ndarray:
     return np.bincount(idx, minlength=population).astype(np.int64)
 
 
-def _multiplicities_loop(indices: Sequence[int], population: int) -> np.ndarray:
-    """Reference per-element implementation of :func:`multiplicities`."""
-    counts = np.zeros(population, dtype=np.int64)
-    for index in indices:
-        if not 0 <= index < population:
-            raise ValueError(f"index {index} out of range")
-        counts[index] += 1
-    return counts
+def _float64_sum(values: List[float]) -> float:
+    """``float(np.sum(values))``, bit for bit, for a list of floats.
+
+    Below :data:`_PAIRWISE_BLOCK` elements numpy adds left to right
+    starting from ``0.0``, which the loop repeats without building an
+    array; longer lists go to numpy's pairwise sum.
+    """
+    if len(values) < _PAIRWISE_BLOCK:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    return float(np.sum(values))
 
 
 def allocate_targets(partial_sums: Sequence[float], total_count: int) -> List[int]:
@@ -107,28 +149,40 @@ def allocate_targets(partial_sums: Sequence[float], total_count: int) -> List[in
     Largest-remainder allocation of ``total_count`` particles
     proportional to each PE's share of the total weight.  Deterministic
     (ties broken by PE index), so every PE computes the same vector.
+
+    Runs on Python floats: every step is the float64 operation numpy
+    would do, and the total is numpy's own sum (:func:`_float64_sum`).
     """
-    sums = np.asarray(partial_sums, dtype=np.float64)
-    if np.any(sums < 0):
-        raise ValueError("partial weight sums must be non-negative")
-    n_pes = sums.shape[0]
-    total = sums.sum()
+    sums = [float(s) for s in partial_sums]
+    for s in sums:
+        if s < 0:
+            raise ValueError("partial weight sums must be non-negative")
+    n_pes = len(sums)
+    total = _float64_sum(sums)
+    if not math.isfinite(total):
+        for index, s in enumerate(sums):
+            if not math.isfinite(s):
+                raise ValueError(
+                    f"partial weight sums must be finite, got {s!r} at "
+                    f"index {index}"
+                )
     if total <= 0:
         base = total_count // n_pes
         targets = [base] * n_pes
         for i in range(total_count - base * n_pes):
             targets[i] += 1
         return targets
-    shares = sums / total * total_count
-    floors = np.floor(shares).astype(np.int64)
-    remainder = total_count - int(floors.sum())
-    order = sorted(
-        range(n_pes), key=lambda i: (-(shares[i] - floors[i]), i)
-    )
-    targets = floors.tolist()
-    for i in order[:remainder]:
-        targets[i] += 1
-    return [int(t) for t in targets]
+    shares = [s / total * total_count for s in sums]
+    floors = [math.floor(share) for share in shares]
+    remainder = total_count - sum(floors)
+    targets = list(floors)
+    if remainder:
+        order = sorted(
+            range(n_pes), key=lambda i: (-(shares[i] - floors[i]), i)
+        )
+        for i in order[:remainder]:
+            targets[i] += 1
+    return targets
 
 
 @dataclass(frozen=True)
@@ -161,24 +215,25 @@ def plan_exchanges(targets: Sequence[int], capacity: int) -> ExchangePlan:
         raise ValueError(
             f"targets {list(targets)} do not sum to {capacity * n_pes}"
         )
-    kept = [min(t, capacity) for t in targets]
-    surplus = {i: targets[i] - capacity for i in range(n_pes) if targets[i] > capacity}
-    deficit = {i: capacity - targets[i] for i in range(n_pes) if targets[i] < capacity}
+    kept = [capacity if capacity < t else t for t in targets]
     flows = [[0] * n_pes for _ in range(n_pes)]
-    deficit_queue = sorted(deficit.items())
-    for src in sorted(surplus):
-        remaining = surplus[src]
+    # deficit PEs in index order as [pe, still needed]; ``head`` is the
+    # first one not yet filled
+    deficits = [[i, capacity - t] for i, t in enumerate(targets) if t < capacity]
+    head = 0
+    for src, target in enumerate(targets):
+        remaining = target - capacity
         while remaining > 0:
-            if not deficit_queue:
+            if head == len(deficits):
                 raise RuntimeError("exchange plan imbalance (internal error)")
-            dst, need = deficit_queue[0]
+            dst, need = deficits[head]
             moved = min(remaining, need)
             flows[src][dst] += moved
             remaining -= moved
             if need - moved == 0:
-                deficit_queue.pop(0)
+                head += 1
             else:
-                deficit_queue[0] = (dst, need - moved)
+                deficits[head][1] = need - moved
     return ExchangePlan(
         kept=tuple(kept),
         flows=tuple(tuple(row) for row in flows),

@@ -24,7 +24,7 @@ import json
 import textwrap
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.conformance.oracles import OracleReport, run_oracle_stack
 from repro.conformance.spec import GraphSpec, SpecError, build_case

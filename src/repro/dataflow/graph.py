@@ -613,6 +613,13 @@ class DataflowGraph:
         self.name = name
         self._actors: Dict[str, Actor] = {}
         self._edges: List[Edge] = []
+        #: per-actor edge lists (keyed by ``id(actor)``, in edge order) and
+        #: the ``id``s of every connected source and sink port, kept by
+        #: :meth:`_add_edge` so queries need not scan every edge
+        self._in_edges: Dict[int, List[Edge]] = {}
+        self._out_edges: Dict[int, List[Edge]] = {}
+        self._connected_sources: set = set()
+        self._connected_sinks: set = set()
         self._connections: List[Connection] = []
         self._interface_ports: set = set()
 
@@ -650,20 +657,28 @@ class DataflowGraph:
                 raise GraphError(
                     f"port {port.qualified_name} does not belong to this graph"
                 )
-        if any(e.source is src for e in self._edges):
+        if id(src) in self._connected_sources:
             raise GraphError(
                 f"output port {src.qualified_name} is already connected"
             )
-        if any(e.sink is snk for e in self._edges):
+        if id(snk) in self._connected_sinks:
             raise GraphError(
                 f"input port {snk.qualified_name} is already connected"
             )
         edge = Edge(src, snk, delay=delay, name=name)
-        self._edges.append(edge)
+        self._add_edge(edge)
         self._connections.append(
             Connection(Connection.FIFO, [edge], name=edge.name)
         )
         return edge
+
+    def _add_edge(self, edge: Edge) -> None:
+        """Append ``edge`` and index it by actor and by port."""
+        self._edges.append(edge)
+        self._out_edges.setdefault(id(edge.src_actor), []).append(edge)
+        self._in_edges.setdefault(id(edge.snk_actor), []).append(edge)
+        self._connected_sources.add(id(edge.source))
+        self._connected_sinks.add(id(edge.sink))
 
     # -- collective construction ------------------------------------------
 
@@ -690,12 +705,12 @@ class DataflowGraph:
 
     def _require_free_collective_port(self, port: Port) -> None:
         """A port joins at most one connection (checked across all edges)."""
-        for edge in self._edges:
-            if edge.source is port or edge.sink is port:
-                raise GraphError(
-                    f"port {port.qualified_name} is already connected "
-                    f"(a port belongs to at most one connection)"
-                )
+        key = id(port)
+        if key in self._connected_sources or key in self._connected_sinks:
+            raise GraphError(
+                f"port {port.qualified_name} is already connected "
+                f"(a port belongs to at most one connection)"
+            )
 
     def _add_collective(
         self,
@@ -767,7 +782,8 @@ class DataflowGraph:
         connection = Connection(
             kind, edges, name=name, chunks=chunks, combine=combine
         )
-        self._edges.extend(edges)
+        for edge in edges:
+            self._add_edge(edge)
         self._connections.append(connection)
         return connection
 
@@ -878,10 +894,10 @@ class DataflowGraph:
         raise GraphError(f"no edge {src_name} -> {snk_name}")
 
     def in_edges(self, actor: Actor) -> List[Edge]:
-        return [e for e in self._edges if e.snk_actor is actor]
+        return list(self._in_edges.get(id(actor), ()))
 
     def out_edges(self, actor: Actor) -> List[Edge]:
-        return [e for e in self._edges if e.src_actor is actor]
+        return list(self._out_edges.get(id(actor), ()))
 
     def successors(self, actor: Actor) -> List[Actor]:
         seen: Dict[str, Actor] = {}
@@ -1027,7 +1043,7 @@ class DataflowGraph:
             src = clone.get_actor(edge.src_actor.name).port(edge.source.name)
             snk = clone.get_actor(edge.snk_actor.name).port(edge.sink.name)
             new_edge = Edge(src, snk, delay=edge.delay, name=edge.name)
-            clone._edges.append(new_edge)
+            clone._add_edge(new_edge)
             edge_map[id(edge)] = new_edge
             if edge.initial_tokens is not None:
                 new_edge.set_initial_tokens(edge.initial_tokens)

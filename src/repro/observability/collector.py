@@ -11,9 +11,9 @@ split wire traffic into data vs synchronization at any granularity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List, Tuple
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = ["MessageRecord", "ObservabilityHub"]
 
@@ -52,6 +52,12 @@ class ObservabilityHub:
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     messages: List[MessageRecord] = field(default_factory=list)
+    #: the three link meters per ``(channel, kind)``, resolved in
+    #: ``registry`` on first use (the hub records into one registry for
+    #: its whole life)
+    _meters: Dict[Tuple[str, str], Tuple[Counter, Counter, Histogram]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def message(
         self,
@@ -65,23 +71,24 @@ class ObservabilityHub:
         arrived: int,
     ) -> None:
         """Record one committed link message and its derived metrics."""
-        record = MessageRecord(
-            channel=channel,
-            kind=kind,
-            src_pe=src_pe,
-            dst_pe=dst_pe,
-            nbytes=nbytes,
-            requested=requested,
-            started=started,
-            arrived=arrived,
+        self.messages.append(
+            MessageRecord(
+                channel, kind, src_pe, dst_pe, nbytes, requested, started,
+                arrived,
+            )
         )
-        self.messages.append(record)
-        registry = self.registry
-        registry.counter("link.messages", channel=channel, kind=kind).inc()
-        registry.counter("link.bytes", channel=channel, kind=kind).inc(nbytes)
-        registry.histogram("link.queueing_cycles", channel=channel).observe(
-            record.queueing_cycles
-        )
+        meters = self._meters.get((channel, kind))
+        if meters is None:
+            registry = self.registry
+            meters = self._meters[(channel, kind)] = (
+                registry.counter("link.messages", channel=channel, kind=kind),
+                registry.counter("link.bytes", channel=channel, kind=kind),
+                registry.histogram("link.queueing_cycles", channel=channel),
+            )
+        count, volume, queueing = meters
+        count.inc()
+        volume.inc(nbytes)
+        queueing.observe(started - requested)
 
     def messages_of(self, channel: str) -> List[MessageRecord]:
         return [m for m in self.messages if m.channel == channel]

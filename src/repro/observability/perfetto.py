@@ -28,10 +28,6 @@ PE_PID = 1
 INTERCONNECT_PID = 2
 
 
-def _cycles_to_us(cycles: float, clock_mhz: float) -> float:
-    return cycles / clock_mhz
-
-
 def chrome_trace(
     trace,
     messages: Optional[Iterable] = None,
@@ -40,7 +36,8 @@ def chrome_trace(
 ) -> Dict[str, object]:
     """Build a Trace Event Format document from a recorded run.
 
-    ``trace`` is a :class:`~repro.platform.trace.TraceRecorder`;
+    ``trace`` is a :class:`~repro.platform.trace.TraceRecorder`, read
+    through its plain :attr:`~repro.platform.trace.TraceRecorder.rows`;
     ``messages`` an optional iterable of :class:`~repro.observability
     .collector.MessageRecord`.  The result serialises with ``json.dump``
     and loads unmodified in Perfetto.
@@ -57,7 +54,8 @@ def chrome_trace(
             "args": {"name": process_name},
         }
     ]
-    for pe in sorted({e.pe for e in trace.events}):
+    rows = trace.rows
+    for pe in sorted({row[0] for row in rows}):
         events.append(
             {
                 "ph": "M",
@@ -68,19 +66,20 @@ def chrome_trace(
                 "args": {"name": f"PE{pe}"},
             }
         )
-    for event in trace.events:
-        events.append(
-            {
-                "name": event.task,
-                "cat": "task",
-                "ph": "X",
-                "ts": _cycles_to_us(event.start, clock_mhz),
-                "dur": _cycles_to_us(event.duration, clock_mhz),
-                "pid": PE_PID,
-                "tid": event.pe,
-                "args": {"iteration": event.iteration},
-            }
-        )
+    # cycles / clock_mhz is microseconds (the format's unit)
+    events.extend(
+        {
+            "name": task,
+            "cat": "task",
+            "ph": "X",
+            "ts": start / clock_mhz,
+            "dur": (end - start) / clock_mhz,
+            "pid": PE_PID,
+            "tid": pe,
+            "args": {"iteration": iteration},
+        }
+        for pe, task, start, end, iteration in rows
+    )
 
     message_list = list(messages) if messages is not None else []
     if message_list:
@@ -111,12 +110,8 @@ def chrome_trace(
                 "queueing_cycles": record.queueing_cycles,
             },
         }
-        events.append(
-            {**common, "ph": "b", "ts": _cycles_to_us(record.started, clock_mhz)}
-        )
-        events.append(
-            {**common, "ph": "e", "ts": _cycles_to_us(record.arrived, clock_mhz)}
-        )
+        events.append({**common, "ph": "b", "ts": record.started / clock_mhz})
+        events.append({**common, "ph": "e", "ts": record.arrived / clock_mhz})
 
     return {
         "traceEvents": events,

@@ -12,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["PEExclusivityError", "TraceEvent", "TraceRecorder"]
+__all__ = ["PEExclusivityError", "TraceEvent", "TraceRecorder", "TraceRow"]
+
+#: one recorded interval: ``(pe, task, start, end, iteration)``
+TraceRow = Tuple[int, str, int, int, int]
 
 
 class PEExclusivityError(RuntimeError):
@@ -46,49 +49,65 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects and analyses task execution intervals."""
+    """Collects and analyses task execution intervals.
+
+    Each interval is stored as a plain ``(pe, task, start, end,
+    iteration)`` row, the cheapest record the simulator can append per
+    task completion; :class:`TraceEvent` objects are built only when a
+    query returns them.
+    """
 
     def __init__(self) -> None:
-        self._events: List[TraceEvent] = []
+        self._rows: List[TraceRow] = []
 
     def record(
         self, pe: int, task: str, start: int, end: int, iteration: int
     ) -> None:
-        self._events.append(TraceEvent(pe, task, start, end, iteration))
+        if end < start:
+            raise ValueError(
+                f"event for {task!r} ends ({end}) before it starts ({start})"
+            )
+        self._rows.append((pe, task, start, end, iteration))
+
+    @property
+    def rows(self) -> Tuple[TraceRow, ...]:
+        """Every interval as a ``(pe, task, start, end, iteration)``
+        tuple, in recording order."""
+        return tuple(self._rows)
 
     @property
     def events(self) -> Tuple[TraceEvent, ...]:
-        return tuple(self._events)
+        return tuple(TraceEvent(*row) for row in self._rows)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     # -- queries ---------------------------------------------------------------
 
     def events_on(self, pe: int) -> List[TraceEvent]:
-        return [e for e in self._events if e.pe == pe]
+        return [TraceEvent(*row) for row in self._rows if row[0] == pe]
 
     def events_of(self, task: str) -> List[TraceEvent]:
-        return [e for e in self._events if e.task == task]
+        return [TraceEvent(*row) for row in self._rows if row[1] == task]
 
     def makespan(self) -> int:
-        return max((e.end for e in self._events), default=0)
+        return max((row[3] for row in self._rows), default=0)
 
     def pe_busy_cycles(self) -> Dict[int, int]:
         busy: Dict[int, int] = {}
-        for event in self._events:
-            busy[event.pe] = busy.get(event.pe, 0) + event.duration
+        for pe, _, start, end, _ in self._rows:
+            busy[pe] = busy.get(pe, 0) + (end - start)
         return busy
 
     def task_statistics(self) -> Dict[str, Dict[str, float]]:
         """Per-task execution count, total and mean duration."""
         stats: Dict[str, Dict[str, float]] = {}
-        for event in self._events:
+        for _, task, start, end, _ in self._rows:
             entry = stats.setdefault(
-                event.task, {"count": 0, "total": 0, "mean": 0.0}
+                task, {"count": 0, "total": 0, "mean": 0.0}
             )
             entry["count"] += 1
-            entry["total"] += event.duration
+            entry["total"] += end - start
         for entry in stats.values():
             entry["mean"] = entry["total"] / entry["count"]
         return stats
@@ -96,9 +115,11 @@ class TraceRecorder:
     def validate_pe_exclusivity(self) -> None:
         """Raise :class:`PEExclusivityError` if two intervals overlap on
         one PE (a simulator bug)."""
-        for pe in {e.pe for e in self._events}:
+        for pe in {row[0] for row in self._rows}:
             intervals = sorted(
-                ((e.start, e.end, e.task) for e in self.events_on(pe))
+                (start, end, task)
+                for row_pe, task, start, end, _ in self._rows
+                if row_pe == pe
             )
             for (s1, e1, t1), (s2, e2, t2) in zip(intervals, intervals[1:]):
                 if s2 < e1:
@@ -111,11 +132,10 @@ class TraceRecorder:
 
     def to_csv(self) -> str:
         lines = ["pe,task,iteration,start,end,duration"]
-        for event in sorted(self._events, key=lambda e: (e.start, e.pe)):
-            lines.append(
-                f"{event.pe},{event.task},{event.iteration},"
-                f"{event.start},{event.end},{event.duration}"
-            )
+        for pe, task, start, end, iteration in sorted(
+            self._rows, key=lambda row: (row[2], row[0])
+        ):
+            lines.append(f"{pe},{task},{iteration},{start},{end},{end - start}")
         return "\n".join(lines)
 
     def gantt(self, width: int = 72, upto: Optional[int] = None) -> str:
@@ -136,18 +156,18 @@ class TraceRecorder:
                 letters[task] = alphabet[len(letters) % len(alphabet)]
             return letters[task]
 
-        pe_indices = sorted({e.pe for e in self._events})
+        pe_indices = sorted({row[0] for row in self._rows})
         label_width = max(len(f"PE{pe}") for pe in pe_indices)
         rows = []
         for pe in pe_indices:
             cells = ["."] * width
-            for event in self.events_on(pe):
-                if event.start >= horizon:
+            for row_pe, task, start, end, _ in self._rows:
+                if row_pe != pe or start >= horizon:
                     continue
-                first = min(int(event.start / scale), width - 1)
-                last = max(first, int(min(event.end, horizon) / scale) - 1)
+                first = min(int(start / scale), width - 1)
+                last = max(first, int(min(end, horizon) / scale) - 1)
                 for cell in range(first, min(last + 1, width)):
-                    cells[cell] = letter_for(event.task)
+                    cells[cell] = letter_for(task)
             rows.append(f"{f'PE{pe}'.ljust(label_width)} |" + "".join(cells) + "|")
         legend = ", ".join(
             f"{symbol}={task}" for task, symbol in letters.items()

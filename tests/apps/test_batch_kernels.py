@@ -28,10 +28,8 @@ from repro.apps.lpc.lpc import (
     prediction_error_batch,
 )
 from repro.apps.particle_filter.model import CrackGrowthModel
-from repro.apps.particle_filter.resampling import (
-    _multiplicities_loop,
-    multiplicities,
-)
+from repro.apps.particle_filter.resampling import multiplicities
+from tests.resampling_reference import multiplicities_loop
 
 RNG = np.random.default_rng(7)
 
@@ -132,13 +130,13 @@ class TestParticleFilterBatch:
         indices = RNG.integers(0, 100, size=500)
         assert np.array_equal(
             multiplicities(indices, population=100),
-            _multiplicities_loop(indices, population=100),
+            multiplicities_loop(indices, population=100),
         )
 
     def test_multiplicities_empty(self):
         assert np.array_equal(
             multiplicities([], population=4),
-            _multiplicities_loop([], population=4),
+            multiplicities_loop([], population=4),
         )
 
     def test_multiplicities_out_of_range_parity(self):
@@ -146,4 +144,4 @@ class TestParticleFilterBatch:
             with pytest.raises(ValueError, match="out of range"):
                 multiplicities(bad, population=5)
             with pytest.raises(ValueError, match="out of range"):
-                _multiplicities_loop(bad, population=5)
+                multiplicities_loop(bad, population=5)

@@ -23,7 +23,7 @@ from dataclasses import replace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.conformance import GraphShape, build_case, generate_spec
+from repro.conformance import build_case, generate_spec
 from repro.spi import SpiSystem
 
 SEED_COUNT = 50

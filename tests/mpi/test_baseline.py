@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.dataflow import DataflowGraph
-from repro.mapping import Partition
 from repro.mpi import MpiConfig, MpiSystem, mpi_engine_cost
 from repro.spi import SpiSystem
 from tests.conftest import build_payload_pipeline as pipeline

@@ -89,3 +89,112 @@ def test_timestamps_scale_with_clock(run):
 def test_invalid_clock_rejected(run):
     with pytest.raises(ValueError):
         chrome_trace(run.trace, clock_mhz=0)
+
+
+def event_object_chrome_trace(trace, messages, clock_mhz, process_name):
+    """The export as it was built: from ``TraceEvent`` objects, through
+    a per-value unit conversion."""
+
+    def to_us(cycles):
+        return cycles / clock_mhz
+
+    events = [
+        {
+            "ph": "M",
+            "pid": PE_PID,
+            "tid": 0,
+            "ts": 0,
+            "name": "process_name",
+            "args": {"name": process_name},
+        }
+    ]
+    for pe in sorted({e.pe for e in trace.events}):
+        events.append(
+            {
+                "ph": "M",
+                "pid": PE_PID,
+                "tid": pe,
+                "ts": 0,
+                "name": "thread_name",
+                "args": {"name": f"PE{pe}"},
+            }
+        )
+    for event in trace.events:
+        events.append(
+            {
+                "name": event.task,
+                "cat": "task",
+                "ph": "X",
+                "ts": to_us(event.start),
+                "dur": to_us(event.duration),
+                "pid": PE_PID,
+                "tid": event.pe,
+                "args": {"iteration": event.iteration},
+            }
+        )
+    message_list = list(messages) if messages is not None else []
+    if message_list:
+        events.append(
+            {
+                "ph": "M",
+                "pid": INTERCONNECT_PID,
+                "tid": 0,
+                "ts": 0,
+                "name": "process_name",
+                "args": {"name": "interconnect"},
+            }
+        )
+    for index, record in enumerate(message_list):
+        common = {
+            "name": f"{record.kind}:{record.channel}",
+            "cat": "message",
+            "id": index,
+            "pid": INTERCONNECT_PID,
+            "tid": 0,
+            "args": {
+                "channel": record.channel,
+                "kind": record.kind,
+                "src_pe": record.src_pe,
+                "dst_pe": record.dst_pe,
+                "nbytes": record.nbytes,
+                "queueing_cycles": record.queueing_cycles,
+            },
+        }
+        events.append({**common, "ph": "b", "ts": to_us(record.started)})
+        events.append({**common, "ph": "e", "ts": to_us(record.arrived)})
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"clock_mhz": clock_mhz, "time_unit_cycles": True},
+    }
+
+
+@pytest.fixture(scope="module")
+def pf_run():
+    from repro.apps.particle_filter import (
+        CrackGrowthModel,
+        build_particle_filter_graph,
+        simulate_crack_history,
+    )
+
+    model = CrackGrowthModel()
+    _, observations = simulate_crack_history(model, steps=10, seed=3)
+    system = build_particle_filter_graph(
+        model, observations, n_particles=20, n_pes=2, seed=5
+    )
+    return SpiSystem.compile(system.graph, system.partition).run(
+        iterations=10, trace=True, metrics=True, steady_state="off"
+    )
+
+
+@pytest.mark.parametrize("clock_mhz", [100.0, 33.3, 7])
+@pytest.mark.parametrize("with_messages", [True, False])
+def test_document_equals_the_event_object_export(pf_run, clock_mhz, with_messages):
+    messages = pf_run.message_log if with_messages else None
+    assert pf_run.message_log
+    built = chrome_trace(pf_run.trace, messages, clock_mhz=clock_mhz,
+                         process_name="pf")
+    expected = event_object_chrome_trace(pf_run.trace, messages, clock_mhz, "pf")
+    assert built == expected
+    # same key order too, so the serialised file is byte-identical
+    assert json.dumps(built) == json.dumps(expected)

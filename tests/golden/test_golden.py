@@ -5,7 +5,11 @@ graph: the exact maximum cycle mean (integer execution-time and delay
 sums plus the critical-cycle witness), the edges resynchronization
 removes and adds, a canonical hash of the HSDF expansion, and the SPI
 and MPI runs (makespan, message counts and a digest of every token
-stream, simulated with the lost-wakeup audit armed).
+stream, simulated with the lost-wakeup audit armed).  Each run record
+also digests the run's observables: the kernel counters (events, parks,
+wakeups, spurious wakeups), the per-PE busy, firing and blocked cycles
+with their per-task attribution and batching counters, every trace row
+and, for SPI, the message log.
 
 The records cover the three 50-seed conformance campaigns: the default
 generator, collective connections and batched heterogeneous platforms.
@@ -28,11 +32,12 @@ file byte for byte; any difference is a change in computed behaviour.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -48,6 +53,8 @@ from repro.mapping import (
     simulate_selftimed,
 )
 from repro.mpi.baseline import MpiSystem
+from repro.platform.simulator import PESequencer, Simulator
+from repro.platform.trace import TraceRecorder
 from repro.spi import SpiSystem
 from tests.conftest import build_random_sync_graph, build_random_timed_graph
 
@@ -122,30 +129,106 @@ def _edges(edges) -> List[List[object]]:
     return [[e.src, e.snk, e.delay, e.kind] for e in edges]
 
 
+@contextlib.contextmanager
+def _observed_run():
+    """Capture the simulators a run drives and trace every sequencer.
+
+    Yields ``(simulators, recorder)``: every :class:`Simulator` whose
+    ``run`` was called, and one :class:`TraceRecorder` handed to each
+    sequencer built without one (the MPI baseline takes no trace flag).
+    """
+    simulators: List[Simulator] = []
+    recorder = TraceRecorder()
+    run, init = Simulator.run, PESequencer.__init__
+
+    def capturing_run(self, *args, **kwargs):
+        simulators.append(self)
+        return run(self, *args, **kwargs)
+
+    def tracing_init(self, sim, pe, program, iterations, trace=None):
+        init(self, sim, pe, program, iterations,
+             trace=recorder if trace is None else trace)
+
+    Simulator.run, PESequencer.__init__ = capturing_run, tracing_init
+    try:
+        yield simulators, recorder
+    finally:
+        Simulator.run, PESequencer.__init__ = run, init
+
+
+def _observables(simulators, result, rows) -> Dict:
+    """Digests of a run's kernel counters, per-PE stats and trace rows."""
+    return {
+        "kernel": _digest(
+            [
+                [
+                    sim.events_processed,
+                    sim.parks,
+                    sim.targeted_wakeups,
+                    sim.spurious_wakeups,
+                ]
+                for sim in simulators
+            ]
+        ),
+        "pes": _digest(
+            [
+                [
+                    pe.index,
+                    pe.busy_cycles,
+                    pe.firings,
+                    pe.blocked_events,
+                    pe.blocked_cycles,
+                    pe.blocked_by_task,
+                    pe.batched_firings,
+                    pe.batch_dispatches,
+                    pe.amortized_dispatch_cycles_saved,
+                ]
+                for pe in result.pe_stats
+            ]
+        ),
+        "trace": _digest([list(row) for row in rows]),
+    }
+
+
 def _spi_record(system, case, iterations: int) -> Dict:
     case.tap.begin("spi")
-    result = system.run(
-        iterations=iterations, max_cycles=MAX_CYCLES, check_lost_wakeups=True
-    )
-    return {
+    with _observed_run() as (simulators, _):
+        result = system.run(
+            iterations=iterations,
+            max_cycles=MAX_CYCLES,
+            check_lost_wakeups=True,
+            trace=True,
+            metrics=True,
+        )
+    record = {
         "cycles": result.cycles,
         "data_messages": result.data_messages,
         "ack_messages": result.ack_messages,
         "resync_messages": result.resync_messages,
         "streams": _digest(case.tap.streams("spi")),
+        "messages": _digest(
+            [list(astuple(message)) for message in result.message_log]
+        ),
     }
+    record.update(_observables(simulators, result, result.trace.rows))
+    return record
 
 
 def _mpi_record(case, iterations: int) -> Dict:
     system = MpiSystem.compile(case.graph, case.partition)
     case.tap.begin("mpi")
-    result = system.run(
-        iterations=iterations, max_cycles=MAX_CYCLES, check_lost_wakeups=True
-    )
-    return {
+    with _observed_run() as (simulators, recorder):
+        result = system.run(
+            iterations=iterations,
+            max_cycles=MAX_CYCLES,
+            check_lost_wakeups=True,
+        )
+    record = {
         "cycles": result.cycles,
         "streams": _digest(case.tap.streams("mpi")),
     }
+    record.update(_observables(simulators, result, recorder.rows))
+    return record
 
 
 def _resync_record(result) -> Optional[Dict]:

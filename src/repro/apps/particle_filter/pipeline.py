@@ -59,6 +59,22 @@ RESAMPLE_CYCLES_PER_PARTICLE = 2
 ASSEMBLE_CYCLES_PER_PARTICLE = 1
 
 
+def _sum_left_to_right(values) -> float:
+    """``0.0 + v[0] + v[1] + ...`` in float64, one addition at a time.
+
+    This is what the builtin ``sum`` of floats computed up to Python
+    3.11; from 3.12 on the builtin is compensated (``sum([1e16, 1.0,
+    1.0])`` is ``1.0000000000000002e16`` there), so the filter's sums
+    use numpy's sequential ``cumsum`` instead.  The leading ``0.0 +``
+    keeps the builtin's start value: a sum of negative zeros is
+    ``0.0``.
+    """
+    running = np.cumsum(np.asarray(values, dtype=np.float64))
+    if not len(running):
+        return 0.0
+    return 0.0 + float(running[-1])
+
+
 def resample_offset(iteration: int) -> float:
     """Deterministic per-iteration systematic-resampling offset.
 
@@ -180,9 +196,8 @@ class _PartialSum:
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
         weighted = np.asarray(inputs["weighted"], dtype=np.float64)
-        # the builtin sum, left to right over Python floats, as a
-        # per-token kernel would add them
-        total = float(sum(weighted[:, 1].tolist()))
+        # left to right, as a per-token kernel would add them
+        total = _sum_left_to_right(weighted[:, 1])
         outputs: Dict[str, list] = {"pass": weighted}
         if self.collectives:
             if self.n_pes > 1:
@@ -301,8 +316,8 @@ class DistributedParticleFilterSystem:
                     f"iteration {iteration}: partials from "
                     f"{len(records)} of {self.n_pes} PEs"
                 )
-            numerator = sum(r["weighted_sum"] for r in records)
-            denominator = sum(r["weight_total"] for r in records)
+            numerator = _sum_left_to_right([r["weighted_sum"] for r in records])
+            denominator = _sum_left_to_right([r["weight_total"] for r in records])
             if denominator <= 0:
                 results.append(float("nan"))
             else:

@@ -386,33 +386,34 @@ class TokenTap:
     VTS conversion both share kernels *by reference* when cloning graph
     structure, so the same tap observes every execution mode.  Call
     :meth:`begin` before each run to open a fresh log.
+
+    The tap also holds each kernel's memo (see :meth:`memo`): every
+    execution mode of a case repeats the same firings on the same
+    inputs, so each firing's tokens and log row are derived once per
+    case.
     """
 
     def __init__(self) -> None:
         self._run: str = ""
         self._logs: Dict[str, Dict[str, List[tuple]]] = {}
+        self._memos: Dict[str, Dict[Tuple[int, str], tuple]] = {}
 
     def begin(self, run: str) -> None:
         self._run = run
         self._logs[run] = {}
 
-    def record(
-        self,
-        actor: str,
-        firing_index: int,
-        inputs: Dict[str, list],
-        outputs: Dict[str, list],
-    ) -> None:
+    def memo(self, actor: str) -> Dict[Tuple[int, str], tuple]:
+        """``actor``'s ``(firing index, digest text) -> (outputs, log
+        row)`` memo, shared by every run of the case."""
+        return self._memos.setdefault(actor, {})
+
+    def record(self, actor: str, row: tuple) -> None:
+        """Append ``actor``'s log row ``(firing index, ((port, input
+        tokens), ...), ((port, output tokens), ...))`` to the open run,
+        ports sorted by name."""
         if not self._run:
             return
-        log = self._logs[self._run].setdefault(actor, [])
-        log.append(
-            (
-                firing_index,
-                tuple((p, tuple(inputs[p])) for p in sorted(inputs)),
-                tuple((p, tuple(outputs[p])) for p in sorted(outputs)),
-            )
-        )
+        self._logs[self._run].setdefault(actor, []).append(row)
 
     def streams(self, run: str) -> Dict[str, List[tuple]]:
         return self._logs.get(run, {})
@@ -422,36 +423,48 @@ class TokenTap:
         return tuple(self._logs)
 
 
-def _inputs_digest(inputs: Dict[str, list]) -> int:
-    parts = []
-    for name in sorted(inputs):
-        parts.append(name + "=" + ",".join(str(v) for v in inputs[name]))
-    return zlib.crc32("|".join(parts).encode())
-
-
-def _token_value(actor: str, port: str, firing: int, index: int, digest: int) -> int:
-    key = f"{actor}:{port}:{firing}:{index}:{digest}"
-    return zlib.crc32(key.encode())
-
-
 def _make_kernel(actor_name: str, producers: List[tuple], tap: TokenTap):
     """Deterministic kernel: output tokens are CRCs of the firing context.
 
     ``producers`` is a list of ``(port_name, count_of)`` pairs where
     ``count_of(firing_index)`` gives the number of raw tokens to emit.
+    Token ``j`` of port ``p`` on firing ``k`` is the CRC-32 of
+    ``"<actor>:<p>:<k>:<j>:<digest>"``, where ``digest`` is the CRC-32 of
+    the digest text ``"<port>=<v>,<v>,...|..."`` over the consumed ports
+    in name order.  The outputs are a function of the firing index and
+    that exact text (an int that turns into a float changes it), so the
+    kernel memoises them, with the firing's log row, on the tap.
     """
+    memo = tap.memo(actor_name)
 
     def kernel(firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
-        digest = _inputs_digest(inputs)
-        outputs: Dict[str, list] = {}
-        for port_name, count_of in producers:
-            count = count_of(firing_index)
-            outputs[port_name] = [
-                _token_value(actor_name, port_name, firing_index, j, digest)
-                for j in range(count)
-            ]
-        tap.record(actor_name, firing_index, inputs, outputs)
-        return outputs
+        names = sorted(inputs)
+        text = "|".join(
+            [name + "=" + ",".join([str(v) for v in inputs[name]]) for name in names]
+        )
+        entry = memo.get((firing_index, text))
+        if entry is None:
+            suffix = f":{zlib.crc32(text.encode())}".encode()
+            outputs: Dict[str, tuple] = {}
+            for port_name, count_of in producers:
+                prefix = zlib.crc32(
+                    f"{actor_name}:{port_name}:{firing_index}:".encode()
+                )
+                outputs[port_name] = tuple(
+                    [
+                        zlib.crc32(b"%d%s" % (j, suffix), prefix)
+                        for j in range(count_of(firing_index))
+                    ]
+                )
+            row = (
+                firing_index,
+                tuple([(name, tuple(inputs[name])) for name in names]),
+                tuple([(port, outputs[port]) for port in sorted(outputs)]),
+            )
+            entry = memo[(firing_index, text)] = (outputs, row)
+        outputs, row = entry
+        tap.record(actor_name, row)
+        return {port: list(values) for port, values in outputs.items()}
 
     return kernel
 

@@ -211,14 +211,37 @@ def _unpack_inputs(inputs: Dict[str, list], dynamic_inputs) -> Dict[str, list]:
     return raw
 
 
-def _wrap_kernel(orig_actor, dynamic_inputs, dynamic_outputs):
+class _RawInputs:
+    """One converted actor's raw inputs of its latest firing.
+
+    The runtime hands a firing's consumed dict to the cycle model at
+    start and the same dict to the kernel at finish, so both adapters
+    read the unpacked tokens from this one slot, keyed by the dict's
+    identity: each firing is unpacked once.  The slot keeps the dict
+    alive, so no other dict can take its identity while it is cached.
+    """
+
+    __slots__ = ("dynamic_inputs", "_consumed", "_raw")
+
+    def __init__(self, dynamic_inputs) -> None:
+        self.dynamic_inputs = dynamic_inputs
+        self._consumed: Optional[Dict[str, list]] = None
+        self._raw: Dict[str, list] = {}
+
+    def __call__(self, inputs: Dict[str, list]) -> Dict[str, list]:
+        if inputs is not self._consumed:
+            self._raw = _unpack_inputs(inputs, self.dynamic_inputs)
+            self._consumed = inputs
+        return self._raw
+
+
+def _wrap_kernel(orig_actor, raw_inputs: _RawInputs, dynamic_outputs):
     """Adapter: packed tokens in -> original raw kernel -> packed out."""
     if orig_actor.kernel is None:
         return None
 
     def adapted(firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
-        raw_inputs = _unpack_inputs(inputs, dynamic_inputs)
-        raw_outputs = orig_actor.kernel(firing_index, raw_inputs)
+        raw_outputs = orig_actor.kernel(firing_index, raw_inputs(inputs))
         outputs: Dict[str, list] = {}
         for port_name, values in raw_outputs.items():
             if port_name in dynamic_outputs:
@@ -237,15 +260,13 @@ def _wrap_kernel(orig_actor, dynamic_inputs, dynamic_outputs):
     return adapted
 
 
-def _wrap_cycles(orig_actor, dynamic_inputs):
+def _wrap_cycles(orig_actor, raw_inputs: _RawInputs):
     """Adapter: evaluate a data-dependent cycle model on raw tokens."""
     if not callable(orig_actor.cycles):
         return orig_actor.cycles
 
     def adapted(firing_index: int, inputs: Dict[str, list]) -> int:
-        return orig_actor.cycles(
-            firing_index, _unpack_inputs(inputs or {}, dynamic_inputs)
-        )
+        return orig_actor.cycles(firing_index, raw_inputs(inputs or {}))
 
     return adapted
 
@@ -330,10 +351,9 @@ def vts_convert(graph: DataflowGraph, name: Optional[str] = None) -> VtsConversi
             for p in orig_actor.output_ports
             if p.is_dynamic
         }
-        new_actor.kernel = _wrap_kernel(
-            orig_actor, dynamic_inputs, dynamic_outputs
-        )
-        new_actor.cycles = _wrap_cycles(orig_actor, dynamic_inputs)
+        raw_inputs = _RawInputs(dynamic_inputs)
+        new_actor.kernel = _wrap_kernel(orig_actor, raw_inputs, dynamic_outputs)
+        new_actor.cycles = _wrap_cycles(orig_actor, raw_inputs)
 
     # eq. 1 needs c_sdf(e), "computed on the graph after VTS conversion,
     # so it is computed on a pure SDF graph".

@@ -454,7 +454,7 @@ class MpiSystem:
                 actor, channel, out_fifo, sim, interconnect, config
             )
 
-        tasks, fifos = wire_tasks(self.insertion, channels, send, recv)
+        tasks, fifos = wire_tasks(self.lowering.wiring, channels, send, recv)
 
         pes: List[ProcessingElement] = []
         sequencers: List[PESequencer] = []

@@ -283,16 +283,29 @@ class Simulator:
         ``max_cycles`` guards against runaway simulations (raises
         ``RuntimeError`` when exceeded).
         """
-        while self._heap:
-            time, _, callback = heapq.heappop(self._heap)
-            if max_cycles is not None and time > max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded max_cycles={max_cycles} "
-                    f"(next event at {time})"
-                )
-            self.now = time
-            self.events_processed += 1
-            callback()
+        heap = self._heap
+        pop = heapq.heappop
+        processed = 0
+        try:
+            if max_cycles is None:
+                while heap:
+                    time, _, callback = pop(heap)
+                    self.now = time
+                    processed += 1
+                    callback()
+            else:
+                while heap:
+                    time, _, callback = pop(heap)
+                    if time > max_cycles:
+                        raise RuntimeError(
+                            f"simulation exceeded max_cycles={max_cycles} "
+                            f"(next event at {time})"
+                        )
+                    self.now = time
+                    processed += 1
+                    callback()
+        finally:
+            self.events_processed += processed
         blocked = [s for s in self._parked if s.parked and not s.done]
         if blocked:
             blocked.sort(key=lambda s: s.pe.index)
@@ -334,6 +347,7 @@ class PESequencer:
         self.sim = sim
         self.pe = pe
         self.program = list(program)
+        self._length = len(self.program)
         for task in self.program:
             if not callable(getattr(task, "wait_on", None)):
                 raise TypeError(
@@ -401,12 +415,7 @@ class PESequencer:
         task = self.program[self.position]
         now = self.sim.now
         if not task.ready(now):
-            if woken:
-                self.sim.spurious_wakeups += 1
-            if self._blocked_since is None:
-                self._blocked_since = now
-            self.pe.record_block()
-            self.sim.park(self, task.wait_on(now))
+            self._park(task, now, woken)
             return
         if self._blocked_since is not None:
             # The blocked interval ends now: attribute it to the task
@@ -424,43 +433,85 @@ class PESequencer:
             # the task signals completion through this callback.
             self._busy_until = None
             task.complete_async = self._async_hook
-        else:
-            self._busy_until = now + duration
-            self.sim.after(duration, self._complete_cb)
+            return
+        if duration < 0:
+            raise ValueError("delay must be >= 0")
+        self._busy_until = now + duration
+        sim = self.sim
+        heapq.heappush(
+            sim._heap, (now + duration, next(sim._seq), self._complete_cb)
+        )
+
+    def _park(self, task: Task, now: int, woken: bool) -> None:
+        """The current task's guard failed: park on its waitsets."""
+        sim = self.sim
+        if woken:
+            sim.spurious_wakeups += 1
+        if self._blocked_since is None:
+            self._blocked_since = now
+        self.pe.record_block()
+        sim.park(self, task.wait_on(now))
 
     def _install_async_complete(self) -> None:
         self.sim.at(self.sim.now, self._complete_cb)
 
     def _complete(self) -> None:
+        """Finish the running task and start (or park on) the next one.
+
+        One call per task completion: it records the busy cycles and the
+        trace row, finishes the task, steps the program position (an
+        iteration wrap runs ``on_iteration`` before the done check, as
+        the steady-state tracker may shrink ``iterations`` there) and
+        then does what :meth:`advance` does for the next task.  A
+        running sequencer is never parked, woken or blocked, so that
+        part needs none of :meth:`advance`'s entry checks.
+        """
+        sim = self.sim
+        now = sim.now
         task = self._current_task
         self._current_task = None
         self._running = False
-        self.pe.record_execution(self.sim.now - self._started_at)
+        started = self._started_at
+        pe = self.pe
+        pe.busy_cycles += now - started
+        pe.firings += 1
         if self.trace is not None:
             self.trace.record(
-                pe=self.pe.index,
-                task=task.name,
-                start=self._started_at,
-                end=self.sim.now,
-                iteration=self.iteration,
+                pe.index, task.name, started, now, self.iteration
             )
-        task.finish(self.sim.now)
-        self._step()
-        if not self.done:
-            self.advance()
-
-    def _step(self) -> None:
-        self.position += 1
-        if self.position >= len(self.program):
+        task.finish(now)
+        position = self.position + 1
+        if position < self._length:
+            self.position = position
+        else:
             self.position = 0
             self.iteration += 1
-            self.finish_times.append(self.sim.now)
+            self.finish_times.append(now)
             if self.on_iteration is not None:
                 # may warp: every sequencer's target can shrink here, so
                 # the done check below must run after the hook
                 self.on_iteration()
             if self.iteration >= self.iterations:
                 self.done = True
+                return
+        task = self.program[self.position]
+        if not task.ready(now):
+            self._park(task, now, False)
+            return
+        self._current_task = task
+        self._started_at = now
+        duration = task.start(now)
+        self._running = True
+        if duration is None:
+            self._busy_until = None
+            task.complete_async = self._async_hook
+            return
+        if duration < 0:
+            raise ValueError("delay must be >= 0")
+        self._busy_until = now + duration
+        heapq.heappush(
+            sim._heap, (now + duration, next(sim._seq), self._complete_cb)
+        )
 
     def describe_block(self) -> str:
         task = self.current

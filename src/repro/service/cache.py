@@ -181,13 +181,13 @@ def _digest(parts: Dict[str, object]) -> str:
 
 
 def analysis_keys(
-    graph, partition, config
+    fingerprint: Optional[str], partition, config
 ) -> Tuple[Optional[str], Optional[str]]:
     """``(analysis_key, structure_key)`` from one graph fingerprint.
 
-    Both are ``None`` when the graph has no canonical content.
+    ``fingerprint`` is the graph's :func:`graph_fingerprint`; both keys
+    are ``None`` when it is ``None`` (no canonical content).
     """
-    fingerprint = graph_fingerprint(graph)
     if fingerprint is None:
         return None, None
     partition_content = _partition_content(partition)
@@ -214,7 +214,7 @@ def analysis_keys(
 
 def analysis_key(graph, partition, config) -> Optional[str]:
     """Content key covering graph + partition + analysis config."""
-    return analysis_keys(graph, partition, config)[0]
+    return analysis_keys(graph_fingerprint(graph), partition, config)[0]
 
 
 def structure_key(graph, partition, config) -> Optional[str]:
@@ -224,7 +224,7 @@ def structure_key(graph, partition, config) -> Optional[str]:
     protocol policy / window / resynchronization choices, so it gets a
     coarser key and is shared across the whole oracle run matrix.
     """
-    return analysis_keys(graph, partition, config)[1]
+    return analysis_keys(graph_fingerprint(graph), partition, config)[1]
 
 
 def _encode_edge(edge: TimedEdge) -> Dict[str, object]:
@@ -312,10 +312,12 @@ class AnalysisCache:
     # -- keying ------------------------------------------------------------
 
     def keys_for(
-        self, graph, partition, config
+        self, fingerprint: Optional[str], partition, config
     ) -> Tuple[Optional[str], Optional[str]]:
-        """Analysis and structure key of one compile (one fingerprint)."""
-        return analysis_keys(graph, partition, config)
+        """Analysis and structure key of one compile from the graph's
+        fingerprint (see :attr:`repro.spi.library.Lowering.fingerprint`,
+        which computes it once per lowering)."""
+        return analysis_keys(fingerprint, partition, config)
 
     def key_for(self, graph, partition, config) -> Optional[str]:
         return analysis_key(graph, partition, config)

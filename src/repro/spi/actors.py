@@ -23,7 +23,7 @@ from repro.platform.interconnect import Interconnect
 from repro.platform.pe import GPP, PEClass, ProcessingElement
 from repro.platform.simulator import Simulator, Waitset
 from repro.spi.channel import SpiChannel
-from repro.spi.library import SpiInsertion
+from repro.spi.library import ComputeWiring, RecvWiring, SendWiring, WiringPlan
 from repro.spi.message import make_ack_message, make_data_message
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "SpiReceiveTask",
     "SyncTokenPool",
     "SyncedTask",
-    "normalize_port_fifos",
     "payload_nbytes",
     "wire_tasks",
     "INIT_CYCLES",
@@ -79,14 +78,22 @@ class _BatchedTaskMixin:
     batching counters.  Each task advances its private pass cursor once
     per execution — all tasks of a program run in lockstep, so the
     cursor always names the current macro-pass.
+
+    Classic execution on a gpp (``_single``) runs one firing per
+    dispatch at its native cost, so the tasks resolve that path at
+    construction: no burst lookup, no pass cursor and no per-dispatch
+    cost list; a static integer cycle model (``_static_cycles``) skips
+    the cycle-model call.
     """
 
     def _init_batch(
         self,
+        actor: Actor,
         batch_counts: Optional[Sequence[int]],
         pe_class: PEClass,
         pe: Optional[ProcessingElement],
     ) -> None:
+        self.actor = actor
         self.batch_counts = list(batch_counts) if batch_counts else None
         self.pe_class = pe_class
         self._pe = pe
@@ -96,6 +103,17 @@ class _BatchedTaskMixin:
         #: program assembly
         self.occurrences = 1
         self._executions = 0
+        #: one firing per dispatch at native cost: no burst bookkeeping
+        self._single = self.batch_counts is None and not pe_class.is_accelerator
+        cycles = actor.cycles
+        self._static_cycles = (
+            cycles if isinstance(cycles, int) and cycles >= 0 else None
+        )
+
+    def _native_cycles(self, firing_index: int, inputs: Dict[str, List]) -> int:
+        if self._static_cycles is not None:
+            return self._static_cycles
+        return self.actor.execution_cycles(firing_index, inputs)
 
     @property
     def burst(self) -> int:
@@ -221,32 +239,18 @@ class LocalFifo:
         return concat_blocks(pieces)
 
 
-def normalize_port_fifos(fifos: Dict[str, object]) -> Dict[str, List[LocalFifo]]:
-    """Normalise ``port name -> fifo-or-list-of-fifos`` to branch lists.
-
-    A gather/reduce sink port (or broadcast/scatter source port) owns one
-    :class:`LocalFifo` per member edge; branch lists are kept in
-    ``Edge.branch_index`` order so assembly and slicing are deterministic.
-    """
-    normalized: Dict[str, List[LocalFifo]] = {}
-    for name, value in fifos.items():
-        branch = list(value) if isinstance(value, (list, tuple)) else [value]
-        branch.sort(key=lambda f: f.edge.branch_index)
-        normalized[name] = branch
-    return normalized
-
-
 class ComputationTask(_BatchedTaskMixin):
     """One dispatch of a dataflow computation actor on its PE.
 
-    Inputs and outputs map port names to :class:`LocalFifo` objects (or
-    branch-ordered lists of them, for ports shared by a collective
-    connection): SPI insertion guarantees that computation actors only
-    ever touch same-PE edges.  The port tables are flattened once at
-    construction into ``(fifo, rate)`` wait chains and ``(fifo, scatter
-    span)`` emit lists, so the guard check that runs on every park/wake
-    round is two tuple walks; a static integer cycle model skips the
-    callable dispatch.
+    ``wiring`` names, per connected port, the member edges the actor
+    reads and writes (see :class:`~repro.spi.library.ComputeWiring`) and
+    ``fifos`` maps edge ids to their :class:`LocalFifo`: SPI insertion
+    guarantees that computation actors only ever touch same-PE edges.
+    The tables are resolved once at construction into a flat ``(fifo,
+    rate)`` guard chain, a pop table (a port with one plain member pops
+    it directly; a collective port assembles its branches) and a push
+    table of ``(port, fifo, scatter span)``, so the guard check that
+    runs on every park/wake round is one tuple walk.
 
     Classic execution (unbatched, gpp) runs one firing per dispatch at
     its native cost.  Under a batched (blocked) schedule, or on an
@@ -259,48 +263,41 @@ class ComputationTask(_BatchedTaskMixin):
     def __init__(
         self,
         actor: Actor,
-        inputs: Dict[str, object],
-        outputs: Dict[str, object],
+        wiring: ComputeWiring,
+        fifos: Dict[int, LocalFifo],
         batch_counts: Optional[Sequence[int]] = None,
         pe_class: PEClass = GPP,
         pe: Optional[ProcessingElement] = None,
     ) -> None:
-        self.actor = actor
         self.name = f"fire:{actor.name}"
         self.firing_index = 0
-        self._init_batch(batch_counts, pe_class, pe)
-        inputs = normalize_port_fifos(inputs)
-        outputs = normalize_port_fifos(outputs)
-        #: (port name, ((fifo, rate), ...) branches, connection) per
-        #: connected input, in port order; branches in branch_index order
-        self._needs = tuple(
-            (
-                port.name,
-                tuple((fifo, fifo.edge.cons_rate) for fifo in inputs[port.name]),
-                inputs[port.name][0].edge.connection,
-            )
-            for port in actor.input_ports
-            if port.name in inputs
+        self._init_batch(actor, batch_counts, pe_class, pe)
+        #: (fifo, rate) per member edge of every connected input
+        self._guard = tuple(
+            (fifos[edge_id], rate)
+            for _, branches, _ in wiring.needs
+            for edge_id, rate in branches
         )
-        #: (port name, ((fifo, span), ...)) per connected output, in port
-        #: order; span is a scatter branch's (start, stop) slice or None
-        self._emits = tuple(
-            (
-                port.name,
-                tuple(
-                    (fifo, _scatter_span(fifo.edge))
-                    for fifo in outputs[port.name]
-                ),
-            )
-            for port in actor.output_ports
-            if port.name in outputs
+        #: (port, fifo, rate, branches, connection) per connected input;
+        #: fifo is None for a port whose branches are assembled
+        pops = []
+        for port_name, branches, connection in wiring.needs:
+            members = tuple((fifos[edge_id], rate) for edge_id, rate in branches)
+            if len(members) == 1 and (
+                connection is None or connection.kind != "reduce"
+            ):
+                fifo, rate = members[0]
+                pops.append((port_name, fifo, rate, None, None))
+            else:
+                pops.append((port_name, None, 0, members, connection))
+        self._pops = tuple(pops)
+        #: (port, fifo, scatter span or None) per member edge of every
+        #: connected output
+        self._pushes = tuple(
+            (port_name, fifos[edge_id], span)
+            for port_name, branches in wiring.emits
+            for edge_id, span in branches
         )
-        cycles = actor.cycles
-        self._static_cycles = (
-            cycles if isinstance(cycles, int) and cycles >= 0 else None
-        )
-        #: one firing per dispatch at native cost: no burst bookkeeping
-        self._single = self.batch_counts is None and not pe_class.is_accelerator
         self._staged = None
 
     @classmethod
@@ -317,22 +314,15 @@ class ComputationTask(_BatchedTaskMixin):
         from it (IPC edges) are not wired.  A port may own several
         member fifos (gather/reduce sinks, all-local broadcast sources).
         """
-        inputs: Dict[str, List[LocalFifo]] = {}
-        for e in graph.in_edges(actor):
-            if e.edge_id in fifos:
-                inputs.setdefault(e.sink.name, []).append(fifos[e.edge_id])
-        outputs: Dict[str, List[LocalFifo]] = {}
-        for e in graph.out_edges(actor):
-            if e.edge_id in fifos:
-                outputs.setdefault(e.source.name, []).append(fifos[e.edge_id])
-        return cls(actor, inputs, outputs, **batch_kwargs)
+        return cls(
+            actor, ComputeWiring.of(graph, actor, fifos), fifos, **batch_kwargs
+        )
 
     def ready(self, now: int) -> bool:
         burst = 1 if self._single else self.burst
-        for _, branches, _ in self._needs:
-            for fifo, rate in branches:
-                if fifo.count < burst * rate:
-                    return False
+        for fifo, rate in self._guard:
+            if fifo.count < burst * rate:
+                return False
         return True
 
     def blocked_reason(self, now: int) -> Optional[str]:
@@ -341,8 +331,7 @@ class ComputationTask(_BatchedTaskMixin):
         starved = [
             f"{fifo.edge.name!r} "
             f"(has {fifo.count}, needs {burst * rate})"
-            for _, branches, _ in self._needs
-            for fifo, rate in branches
+            for fifo, rate in self._guard
             if fifo.count < burst * rate
         ]
         if starved:
@@ -354,29 +343,20 @@ class ComputationTask(_BatchedTaskMixin):
         burst = self.burst
         return [
             fifo.waitset
-            for _, branches, _ in self._needs
-            for fifo, rate in branches
+            for fifo, rate in self._guard
             if fifo.count < burst * rate
         ]
 
     def _pop_one(self) -> Dict[str, List]:
         consumed: Dict[str, List] = {}
-        for port_name, branches, connection in self._needs:
-            if len(branches) == 1 and (
-                connection is None or connection.kind != "reduce"
-            ):
-                fifo, rate = branches[0]
+        for port_name, fifo, rate, members, connection in self._pops:
+            if fifo is not None:
                 consumed[port_name] = fifo.pop(rate)
             else:
                 consumed[port_name] = connection.assemble(
-                    [fifo.pop(rate) for fifo, rate in branches]
+                    [member.pop(count) for member, count in members]
                 )
         return consumed
-
-    def _native_cycles(self, firing_index: int, consumed) -> int:
-        if self._static_cycles is not None:
-            return self._static_cycles
-        return self.actor.execution_cycles(firing_index, consumed)
 
     def start(self, now: int) -> int:
         if self._single:
@@ -393,13 +373,11 @@ class ComputationTask(_BatchedTaskMixin):
 
     def _fire_one(self, consumed: Dict[str, List]) -> None:
         produced = self.actor.fire(self.firing_index, consumed)
-        for port_name, branches in self._emits:
-            values = produced[port_name]
-            for fifo, span in branches:
-                if span is None:
-                    fifo.push(values)
-                else:
-                    fifo.push(values[span[0]:span[1]])
+        for port_name, fifo, span in self._pushes:
+            if span is None:
+                fifo.push(produced[port_name])
+            else:
+                fifo.push(produced[port_name][span[0]:span[1]])
         self.firing_index += 1
 
     def finish(self, now: int) -> None:
@@ -412,15 +390,6 @@ class ComputationTask(_BatchedTaskMixin):
         for consumed in staged:
             self._fire_one(consumed)
         self._advance_pass()
-
-
-def _scatter_span(edge: Edge) -> Optional[Tuple[int, int]]:
-    """A scatter member edge's (start, stop) slice of its producer's
-    output, or None when the edge carries the whole output."""
-    connection = edge.connection
-    if connection is not None and connection.kind == "scatter":
-        return connection.branch_span(edge.branch_index)
-    return None
 
 
 class SpiInitTask:
@@ -494,7 +463,6 @@ class SpiSendTask(_BatchedTaskMixin):
         pe_class: PEClass = GPP,
         pe: Optional[ProcessingElement] = None,
     ) -> None:
-        self.actor = actor
         self.name = f"{actor.name}"
         #: (ipc edge, SpiChannel) per remote branch, in branch order
         self.branches = sorted(
@@ -521,10 +489,23 @@ class SpiSendTask(_BatchedTaskMixin):
         self.connection = next(iter(connections.values()))
         self.shared_payload = self.connection.kind == "broadcast"
         self.firing_index = 0
-        self._init_batch(batch_counts, pe_class, pe)
-        self._staged: Optional[List[List]] = None
+        self._init_batch(actor, batch_counts, pe_class, pe)
+        #: flow controls of the branches whose credits can close the guard
+        self._credited = tuple(
+            channel.flow
+            for _, channel in self.branches
+            if channel.flow.uses_credits
+        )
+        self._staged = None
 
     def ready(self, now: int) -> bool:
+        if self._single:
+            if self.in_fifo.count < self.rate:
+                return False
+            for flow in self._credited:
+                if not flow.can_send():
+                    return False
+            return True
         burst = self.burst
         return self.in_fifo.count >= burst * self.rate and all(
             channel.flow.can_send_n(burst) for _, channel in self.branches
@@ -563,18 +544,20 @@ class SpiSendTask(_BatchedTaskMixin):
         return waitsets
 
     def start(self, now: int) -> int:
-        burst = self.burst
+        if self._single:
+            tokens = self._staged = self.in_fifo.pop(self.rate)
+            for _, channel in self.branches:
+                channel.on_send()
+            return self._native_cycles(self.firing_index, {"in": tokens})
         staged: List[List] = []
         native: List[int] = []
-        for i in range(burst):
+        for i in range(self.burst):
             tokens = self.in_fifo.pop(self.rate)
             for _, channel in self.branches:
                 channel.on_send()
             staged.append(tokens)
             native.append(
-                self.actor.execution_cycles(
-                    self.firing_index + i, {"in": tokens}
-                )
+                self._native_cycles(self.firing_index + i, {"in": tokens})
             )
         self._staged = staged
         return self._charge(native)
@@ -583,6 +566,10 @@ class SpiSendTask(_BatchedTaskMixin):
         assert self._staged is not None
         staged = self._staged
         self._staged = None
+        if self._single:
+            self.firing_index += 1
+            self._launch(now, staged)
+            return
         self._advance_pass()
         for tokens in staged:
             self.firing_index += 1
@@ -706,6 +693,7 @@ class SyncedTask:
         if period < 1 or not 0 <= phase < period:
             raise ValueError("need 0 <= phase < period")
         self.inner = inner
+        self.name = f"sync:{inner.name}"
         self.sim = sim
         self.guards = list(guards or [])
         #: list of (pool, link, wire_bytes) triples
@@ -714,10 +702,6 @@ class SyncedTask:
         self.period = period
         self.observer = observer
         self._count = 0
-
-    @property
-    def name(self) -> str:
-        return f"sync:{self.inner.name}"
 
     def _participates(self) -> bool:
         return self._count % self.period == self.phase
@@ -819,7 +803,6 @@ class SpiReceiveTask(_BatchedTaskMixin):
         pe_class: PEClass = GPP,
         pe: Optional[ProcessingElement] = None,
     ) -> None:
-        self.actor = actor
         self.name = f"{actor.name}"
         self.channel = channel
         self.out_fifo = out_fifo
@@ -827,9 +810,11 @@ class SpiReceiveTask(_BatchedTaskMixin):
         self.interconnect = interconnect
         self.observer = observer
         self.firing_index = 0
-        self._init_batch(batch_counts, pe_class, pe)
+        self._init_batch(actor, batch_counts, pe_class, pe)
 
     def ready(self, now: int) -> bool:
+        if self._single:
+            return self.channel.receive_ready()
         return self.channel.receive_ready_n(self.burst)
 
     def blocked_reason(self, now: int) -> Optional[str]:
@@ -850,14 +835,18 @@ class SpiReceiveTask(_BatchedTaskMixin):
     def start(self, now: int) -> int:
         # The messages are consumed at completion; duration models header
         # decode plus payload copy into the consumer-side buffer.
-        burst = self.burst
+        if self._single:
+            return self._native_cycles(self.firing_index, {})
         native = [
-            self.actor.execution_cycles(self.firing_index + i, {})
-            for i in range(burst)
+            self._native_cycles(self.firing_index + i, {})
+            for i in range(self.burst)
         ]
         return self._charge(native)
 
     def finish(self, now: int) -> None:
+        if self._single:
+            self._accept_one(now)
+            return
         burst = self.burst
         self._advance_pass()
         for _ in range(burst):
@@ -901,70 +890,46 @@ class SpiReceiveTask(_BatchedTaskMixin):
 
 
 def wire_tasks(
-    insertion: SpiInsertion,
+    plan: WiringPlan,
     channels: Dict[str, object],
     send: Callable[..., object],
     recv: Callable[..., object],
     options: Optional[Callable[[Actor], Dict[str, object]]] = None,
 ) -> Tuple[Dict[str, object], Dict[int, LocalFifo]]:
-    """One run-time task per actor of ``insertion.graph``.
+    """One run-time task per actor of a lowering's :class:`WiringPlan`.
 
-    ``channels`` maps each origin edge name of ``insertion.channels`` to
-    the communication layer's channel object.  Every edge that is not an
-    IPC edge gets a fresh :class:`LocalFifo`.  Send actors are built by
-    ``send(actor, [(ipc edge, channel), ...], local fifos, in_fifo,
-    group, **kw)``, where ``group`` is the actor's
+    ``channels`` maps each origin edge name of the insertion's channels
+    to the communication layer's channel object.  Every edge of
+    ``plan.local_edges`` gets a fresh :class:`LocalFifo`.  Send actors
+    are built by ``send(actor, [(ipc edge, channel), ...], local fifos,
+    in_fifo, group, **kw)``, where ``group`` is the actor's
     :class:`~repro.spi.library.CollectiveSendGroup` or None for a
     point-to-point send; receive actors by ``recv(actor, channel,
-    out_fifo, **kw)``; every other actor is a
-    :meth:`ComputationTask.wired`.  ``options(actor)`` supplies the
-    per-actor keyword arguments ``kw`` of all three.
+    out_fifo, **kw)``; every other actor is a :class:`ComputationTask`.
+    ``options(actor)`` supplies the per-actor keyword arguments ``kw``
+    of all three.
 
     Returns ``(task by actor name, fifo by edge id)``.
     """
-    graph = insertion.graph
-    channel_by_ipc_edge: Dict[int, object] = {}
-    recv_channels: Dict[str, object] = {}
-    send_actors = set()
-    for origin, (ipc_edge, pair, _) in insertion.channels.items():
-        channel_by_ipc_edge[ipc_edge.edge_id] = channels[origin]
-        recv_channels[pair.recv] = channels[origin]
-        send_actors.add(pair.send)
     fifos: Dict[int, LocalFifo] = {
-        edge.edge_id: LocalFifo(edge)
-        for edge in graph.edges
-        if edge.edge_id not in channel_by_ipc_edge
+        edge.edge_id: LocalFifo(edge) for edge in plan.local_edges
     }
     tasks: Dict[str, object] = {}
-    for actor in graph.actors:
+    for actor, wiring in plan.actors:
         kw = options(actor) if options is not None else {}
-        if actor.name in send_actors:
-            branches = []
-            local_branches = []
-            for member in graph.out_edges(actor):
-                if member.edge_id in fifos:
-                    local_branches.append(fifos[member.edge_id])
-                else:
-                    branches.append(
-                        (member, channel_by_ipc_edge[member.edge_id])
-                    )
+        if type(wiring) is SendWiring:
             tasks[actor.name] = send(
                 actor,
-                branches,
-                local_branches,
-                fifos[graph.in_edges(actor)[0].edge_id],
-                insertion.collective_sends.get(actor.name),
+                [(edge, channels[origin]) for edge, origin in wiring.remote],
+                [fifos[edge_id] for edge_id in wiring.local],
+                fifos[wiring.in_edge],
+                wiring.group,
                 **kw,
             )
-        elif actor.name in recv_channels:
+        elif type(wiring) is RecvWiring:
             tasks[actor.name] = recv(
-                actor,
-                recv_channels[actor.name],
-                fifos[graph.out_edges(actor)[0].edge_id],
-                **kw,
+                actor, channels[wiring.origin], fifos[wiring.out_edge], **kw
             )
         else:
-            tasks[actor.name] = ComputationTask.wired(
-                actor, graph, fifos, **kw
-            )
+            tasks[actor.name] = ComputationTask(actor, wiring, fifos, **kw)
     return tasks, fifos

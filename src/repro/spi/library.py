@@ -17,16 +17,23 @@ The insertion is a pure graph transformation; the run-time behaviour of
 the inserted actors lives in :mod:`repro.spi.actors`.  :func:`lower`
 chains VTS conversion, insertion and self-timed scheduling into one
 :class:`Lowering`: the compile front half that every SPI configuration
-and the MPI baseline share.
+and the MPI baseline share.  Its :class:`WiringPlan` resolves, once per
+lowering, which edges and channels each run-time task reads and writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Container, Dict, Optional, Tuple, Union
 
-from repro.dataflow.graph import Connection, DataflowGraph, Edge, GraphError
+from repro.dataflow.graph import (
+    Actor,
+    Connection,
+    DataflowGraph,
+    Edge,
+    GraphError,
+)
 from repro.dataflow.vts import VtsConversion, vts_convert
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.partition import Partition
@@ -38,6 +45,11 @@ __all__ = [
     "CollectiveSendGroup",
     "SpiInsertion",
     "insert_spi_actors",
+    "ComputeWiring",
+    "SendWiring",
+    "RecvWiring",
+    "WiringPlan",
+    "plan_wiring",
     "Lowering",
     "lower",
     "SEND_PREFIX",
@@ -269,6 +281,162 @@ def insert_spi_actors(
     )
 
 
+def _scatter_span(edge: Edge) -> Optional[Tuple[int, int]]:
+    """A scatter member edge's (start, stop) slice of its producer's
+    output, or None when the edge carries the whole output."""
+    connection = edge.connection
+    if connection is not None and connection.kind == "scatter":
+        return connection.branch_span(edge.branch_index)
+    return None
+
+
+def _branch_order(edges) -> list:
+    return sorted(edges, key=lambda edge: edge.branch_index)
+
+
+@dataclass(frozen=True)
+class ComputeWiring:
+    """Port tables of one computation actor over its same-PE edges.
+
+    ``needs`` holds ``(port name, ((edge id, consumption rate), ...),
+    connection)`` per connected input port and ``emits`` holds ``(port
+    name, ((edge id, scatter span), ...))`` per connected output port,
+    both in port order with branches in ``Edge.branch_index`` order.  A
+    port owns several member edges when it is shared by a collective
+    connection (gather/reduce sinks, all-local broadcast sources); a
+    span is a scatter branch's ``(start, stop)`` slice of the producer's
+    output, or None when the edge carries all of it.
+    """
+
+    needs: Tuple[Tuple[str, Tuple[Tuple[int, int], ...], object], ...]
+    emits: Tuple[
+        Tuple[str, Tuple[Tuple[int, Optional[Tuple[int, int]]], ...]], ...
+    ]
+
+    @classmethod
+    def of(
+        cls, graph: DataflowGraph, actor: Actor, local: Container[int]
+    ) -> "ComputeWiring":
+        """The tables of ``actor`` over the edges whose ids are in
+        ``local`` (edges outside it, IPC edges, are not wired)."""
+        inputs: Dict[str, list] = {}
+        for edge in graph.in_edges(actor):
+            if edge.edge_id in local:
+                inputs.setdefault(edge.sink.name, []).append(edge)
+        outputs: Dict[str, list] = {}
+        for edge in graph.out_edges(actor):
+            if edge.edge_id in local:
+                outputs.setdefault(edge.source.name, []).append(edge)
+        needs = []
+        for port in actor.input_ports:
+            if port.name in inputs:
+                members = _branch_order(inputs[port.name])
+                needs.append(
+                    (
+                        port.name,
+                        tuple((e.edge_id, e.cons_rate) for e in members),
+                        members[0].connection,
+                    )
+                )
+        emits = tuple(
+            (
+                port.name,
+                tuple(
+                    (e.edge_id, _scatter_span(e))
+                    for e in _branch_order(outputs[port.name])
+                ),
+            )
+            for port in actor.output_ports
+            if port.name in outputs
+        )
+        return cls(needs=tuple(needs), emits=emits)
+
+
+@dataclass(frozen=True)
+class SendWiring:
+    """Edges and channels of one SPI_send actor.
+
+    ``remote`` holds ``(ipc edge, channel origin name)`` per cross-PE
+    branch and ``local`` the ids of the same-PE branch edges the send
+    feeds directly, both in branch order; ``group`` is the producer-side
+    collective the send serves, or None for a point-to-point send.
+    """
+
+    in_edge: int
+    remote: Tuple[Tuple[Edge, str], ...]
+    local: Tuple[int, ...]
+    group: Optional[CollectiveSendGroup]
+
+
+@dataclass(frozen=True)
+class RecvWiring:
+    """The channel (by origin edge name) and output edge of one
+    SPI_receive actor."""
+
+    origin: str
+    out_edge: int
+
+
+Wiring = Union[ComputeWiring, SendWiring, RecvWiring]
+
+
+@dataclass(frozen=True)
+class WiringPlan:
+    """Which edges and channels every run-time task of a lowering uses.
+
+    ``local_edges`` are the edges that get a
+    :class:`~repro.spi.actors.LocalFifo` (every edge but the IPC edges,
+    in graph order); ``actors`` pairs each actor of the SPI-inserted
+    graph, in graph order, with its wiring — the wiring's type is the
+    actor's kind.  The plan depends only on the insertion, so every run
+    of every configuration compiled from one lowering shares it and
+    only instantiates FIFOs, channels and tasks.
+    """
+
+    local_edges: Tuple[Edge, ...]
+    actors: Tuple[Tuple[Actor, Wiring], ...]
+
+
+def plan_wiring(insertion: SpiInsertion) -> WiringPlan:
+    """Resolve the run-time wiring of every actor of ``insertion``."""
+    graph = insertion.graph
+    ipc_origin: Dict[int, str] = {}
+    recv_origin: Dict[str, str] = {}
+    send_actors = set()
+    for origin, (ipc_edge, pair, _) in insertion.channels.items():
+        ipc_origin[ipc_edge.edge_id] = origin
+        recv_origin[pair.recv] = origin
+        send_actors.add(pair.send)
+    local_edges = tuple(
+        edge for edge in graph.edges if edge.edge_id not in ipc_origin
+    )
+    local_ids = {edge.edge_id for edge in local_edges}
+    actors = []
+    for actor in graph.actors:
+        wiring: Wiring
+        if actor.name in send_actors:
+            members = _branch_order(graph.out_edges(actor))
+            wiring = SendWiring(
+                in_edge=graph.in_edges(actor)[0].edge_id,
+                remote=tuple(
+                    (e, ipc_origin[e.edge_id])
+                    for e in members
+                    if e.edge_id not in local_ids
+                ),
+                local=tuple(e.edge_id for e in members if e.edge_id in local_ids),
+                group=insertion.collective_sends.get(actor.name),
+            )
+        elif actor.name in recv_origin:
+            wiring = RecvWiring(
+                origin=recv_origin[actor.name],
+                out_edge=graph.out_edges(actor)[0].edge_id,
+            )
+        else:
+            wiring = ComputeWiring.of(graph, actor, local_ids)
+        actors.append((actor, wiring))
+    return WiringPlan(local_edges=local_edges, actors=tuple(actors))
+
+
 @dataclass(frozen=True, eq=False)
 class Lowering:
     """The compile front half of one graph on one assignment.
@@ -293,6 +461,19 @@ class Lowering:
     def ipc_graph(self) -> TimedGraph:
         """``G_ipc`` of the schedule, built on first use (MPI never asks)."""
         return build_ipc_graph(self.schedule)
+
+    @cached_property
+    def wiring(self) -> WiringPlan:
+        """The run-time wiring of the insertion, resolved on first run."""
+        return plan_wiring(self.insertion)
+
+    @cached_property
+    def fingerprint(self) -> Optional[str]:
+        """The analysis cache's content fingerprint of :attr:`graph`
+        (None without canonical content), computed on first use."""
+        from repro.service.cache import graph_fingerprint
+
+        return graph_fingerprint(self.graph)
 
     def check(
         self, graph: DataflowGraph, partition: Partition, word_bytes: int

@@ -296,7 +296,7 @@ class SpiSystem:
         analysis_key = structure_key = None
         if cache is not None:
             analysis_key, structure_key = cache.keys_for(
-                graph, partition, config
+                lowering.fingerprint, partition, config
             )
 
         sync_graph = derive_sync_graph(lowering.ipc_graph)
@@ -667,7 +667,7 @@ class SpiSystem:
             )
 
         tasks_by_actor, fifos = wire_tasks(
-            self.insertion, channels, send, recv, options=batch_options
+            self.lowering.wiring, channels, send, recv, options=batch_options
         )
 
         # Materialise the *added* resynchronization edges as run-time

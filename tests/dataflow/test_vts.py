@@ -202,3 +202,75 @@ class TestFeedbackDelay:
         assert minimum_feedback_delay(cyclic_graph, forward) == 1
         backward = cyclic_graph.edge_between("B", "A")
         assert minimum_feedback_delay(cyclic_graph, backward) == 0
+
+
+class TestSharedUnpack:
+    """A converted actor's cycle model and kernel share one unpack of
+    each firing's inputs."""
+
+    @staticmethod
+    def _run(monkeypatch, unpack_every_call=False):
+        import repro.dataflow.graph as graph_module
+        import repro.dataflow.vts as vts_module
+        from repro.apps.particle_filter import (
+            CrackGrowthModel,
+            build_particle_filter_graph,
+            simulate_crack_history,
+        )
+        from repro.spi import SpiSystem
+
+        unpacks = []
+        unpack = vts_module._unpack_inputs
+
+        def counting_unpack(inputs, dynamic_inputs):
+            unpacks.append(inputs)
+            return unpack(inputs, dynamic_inputs)
+
+        monkeypatch.setattr(vts_module, "_unpack_inputs", counting_unpack)
+        if unpack_every_call:
+            monkeypatch.setattr(
+                vts_module._RawInputs,
+                "__call__",
+                lambda self, inputs: vts_module._unpack_inputs(
+                    inputs, self.dynamic_inputs
+                ),
+            )
+        model = CrackGrowthModel()
+        _, observations = simulate_crack_history(model, steps=12, seed=3)
+        system = build_particle_filter_graph(
+            model, observations, n_particles=16, n_pes=2, seed=5
+        )
+        converted = {
+            actor.name
+            for actor in system.graph.actors
+            if actor.is_dynamic and actor.kernel is not None
+        }
+        assert any(
+            callable(system.graph.get_actor(name).cycles) for name in converted
+        )
+        firings = []
+        fire = graph_module.Actor.fire
+
+        def counting_fire(self, firing_index, inputs):
+            if self.name in converted:
+                firings.append(self.name)
+            return fire(self, firing_index, inputs)
+
+        monkeypatch.setattr(graph_module.Actor, "fire", counting_fire)
+        compiled = SpiSystem.compile(system.graph, system.partition)
+        del unpacks[:]  # compile-time cycle estimates are not firings
+        compiled.run(iterations=12)
+        return len(unpacks), len(firings), system.estimates()
+
+    def test_one_unpack_per_firing(self, monkeypatch):
+        unpacks, firings, _ = self._run(monkeypatch)
+        assert firings > 0
+        assert unpacks == firings
+
+    def test_outputs_equal_an_unpack_per_call(self, monkeypatch):
+        _, _, shared = self._run(monkeypatch)
+        unpacks, firings, separate = self._run(
+            monkeypatch, unpack_every_call=True
+        )
+        assert unpacks > firings
+        assert [v.hex() for v in shared] == [v.hex() for v in separate]

@@ -428,6 +428,97 @@ class TestWaitsets:
             sim.run()
 
 
+class TestCompletionStep:
+    """One call per task completion: the checks and the bookkeeping the
+    former ``after``/``at``/``_step``/``advance`` hops made still hold."""
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "next"])
+    def test_negative_duration_rejected(self, position):
+        """At the first start (``advance``) and at a start that follows
+        a completion (``_complete``) alike."""
+        sim = Simulator()
+        tasks = [StubTask("ok", 5), StubTask("ok2", 5)]
+        tasks[position].duration = -1
+        PESequencer(sim, ProcessingElement(0), tasks, iterations=1).begin()
+        with pytest.raises(ValueError, match="delay must be >= 0"):
+            sim.run()
+
+    def test_event_that_raises_is_counted(self):
+        sim = Simulator()
+        sim.at(1, lambda: None)
+
+        def fail():
+            raise KeyError("boom")
+
+        sim.at(2, fail)
+        with pytest.raises(KeyError):
+            sim.run()
+        assert sim.events_processed == 2
+        assert sim.now == 2
+
+    def test_max_cycles_is_inclusive(self):
+        sim = Simulator()
+        sim.at(100, lambda: None)
+        assert sim.run(max_cycles=100) == 100
+        assert sim.events_processed == 1
+
+    def test_iteration_hook_runs_at_the_wrap_before_the_done_check(self):
+        sim = Simulator()
+        pe = ProcessingElement(0)
+        tasks = [StubTask("a", 3), StubTask("b", 4)]
+        seq = PESequencer(sim, pe, tasks, iterations=5)
+        seen = []
+
+        def hook():
+            seen.append(
+                (seq.position, seq.iteration, sim.now, list(seq.finish_times))
+            )
+            if seq.iteration == 2:
+                seq.iterations = 2  # a warp shrinking the target
+
+        seq.on_iteration = hook
+        seq.begin()
+        assert sim.run() == 14
+        assert seen == [(0, 1, 7, [7]), (0, 2, 14, [7, 14])]
+        assert seq.done
+        assert (pe.busy_cycles, pe.firings) == (14, 4)
+        assert seq._busy_until == 14
+
+    def test_completion_records_busy_cycles_and_trace_rows(self):
+        from repro.platform.trace import TraceRecorder
+
+        sim = Simulator()
+        pe = ProcessingElement(3)
+        gate = [False]
+        waiting = StubTask("gated", 2, gate=gate)
+        recorder = TraceRecorder()
+        seq = PESequencer(
+            sim, pe, [StubTask("a", 5), waiting], iterations=2, trace=recorder
+        )
+        seq.begin()
+
+        def open_gate():
+            gate[0] = True
+            waiting.waitset.wake()
+
+        sim.at(9, open_gate)
+        sim.run()
+        assert recorder.rows == (
+            (3, "a", 0, 5, 0),
+            (3, "gated", 9, 11, 0),
+            (3, "a", 11, 16, 1),
+            (3, "gated", 16, 18, 1),
+        )
+        assert (pe.busy_cycles, pe.firings) == (14, 4)
+        assert (pe.blocked_events, pe.blocked_cycles) == (1, 4)
+        assert pe.blocked_by_task == {"gated": 4}
+        assert (sim.parks, sim.targeted_wakeups, sim.spurious_wakeups) == (
+            1,
+            1,
+            0,
+        )
+
+
 class TestProcessingElementReset:
     def test_reset_clears_all_statistics(self):
         pe = ProcessingElement(2)

@@ -101,7 +101,12 @@ class TestKeys:
         )
         assert analysis_key(graph, partition, SpiConfig()) == pinned[0]
         assert structure_key(graph, partition, SpiConfig()) == pinned[1]
-        assert AnalysisCache().keys_for(graph, partition, SpiConfig()) == pinned
+        assert (
+            AnalysisCache().keys_for(
+                graph_fingerprint(graph), partition, SpiConfig()
+            )
+            == pinned
+        )
 
     def test_keys_for_fingerprints_the_graph_once(self, monkeypatch):
         import repro.service.cache as cache_module

@@ -176,3 +176,27 @@ class TestCycleModels:
         feed(graph, hub, fifos, firings=3)
         assert task.start(0) == ACCEL.batch_cycles([5, 6, 7])
         assert calls == [(k, ["g", "r"]) for k in range(3)]
+
+
+def test_a_single_branch_reduce_still_combines():
+    """A reduce port with one member edge passes its tokens through
+    ``combine``, not straight from the fifo."""
+    graph = DataflowGraph("reduce1")
+    seen = []
+    sink = graph.actor(
+        "sink", kernel=lambda k, inputs: seen.append(inputs) or {}, cycles=1
+    )
+    sink.add_input("r", rate=2)
+    graph.actor("r0").add_output("o", rate=2)
+    graph.add_reduce(
+        ["r0.o"],
+        "sink.r",
+        combine=lambda branches: [10 * v for v in branches[0]],
+        name="reduce",
+    )
+    task, fifos = wire(graph, sink)
+    (edge,) = graph.in_edges(sink)
+    fifos[edge.edge_id].push([1, 2])
+    task.start(0)
+    task.finish(1)
+    assert seen == [{"r": [10, 20]}]

@@ -92,9 +92,6 @@ class GraphArrays:
             ([0], np.cumsum(counts))
         ).astype(np.int64)
 
-    def out_edge_ids(self, u: int) -> np.ndarray:
-        return self.csr_edges[self.csr_start[u] : self.csr_start[u + 1]]
-
 
 def strongly_connected_components(arrays: GraphArrays) -> List[List[int]]:
     """Iterative Tarjan over the CSR arrays (vertex-id components)."""

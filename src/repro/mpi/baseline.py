@@ -20,9 +20,12 @@ cites) cannot avoid:
 
 The same application graph, partition and self-timed schedule are used
 as for SPI — the comparison isolates the communication layer.  Both
-layers compile through :func:`repro.spi.library.lower` and build their
-run-time tasks with :func:`repro.spi.actors.wire_tasks`; they differ
-only in the send and receive tasks they plug in.
+layers compile through :func:`repro.spi.library.lower` and run through
+one harness, :func:`repro.spi.runtime.simulate` (platform, task wiring,
+PE programs, completion check, iteration period and totals); they
+differ only in the channels and the send and receive tasks they plug
+in.  Every MPI transfer, envelope or payload, goes on its link through
+:meth:`repro.platform.interconnect.Link.send`.
 """
 
 from __future__ import annotations
@@ -31,16 +34,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
-from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
+from repro.dataflow.graph import Actor, DataflowGraph, Edge
 from repro.mapping.partition import Partition
 from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
 from repro.platform.fpga import ResourceVector, estimate_datapath, estimate_fifo
 from repro.platform.interconnect import Interconnect, LinkSpec
-from repro.platform.pe import ProcessingElement
-from repro.platform.simulator import PESequencer, Simulator, Waitset
-from repro.spi.actors import LocalFifo, payload_nbytes, wire_tasks
+from repro.platform.simulator import Simulator, Waitset
+from repro.spi.actors import LocalFifo, payload_nbytes
+from repro.spi.channel import ChannelStats
 from repro.spi.library import Lowering, lower
-from repro.spi.runtime import RunResult
+from repro.spi.runtime import RunResult, simulate
 
 __all__ = ["MpiConfig", "MpiSystem", "mpi_engine_cost"]
 
@@ -64,6 +67,11 @@ class MpiConfig:
     copy_cycles_per_word: int = 1
     word_bytes: int = 4
 
+    def copy_cycles(self, nbytes: int) -> int:
+        """Cycles to copy ``nbytes`` through the library's buffers."""
+        words = (nbytes + self.word_bytes - 1) // self.word_bytes
+        return words * self.copy_cycles_per_word
+
 
 def mpi_engine_cost() -> ResourceVector:
     """Fabric cost of one per-PE MPI engine (matching queues, envelope
@@ -75,7 +83,12 @@ def mpi_engine_cost() -> ResourceVector:
 
 
 class _MpiChannel:
-    """Run-time state of one MPI point-to-point flow (one edge)."""
+    """Run-time state of one MPI point-to-point flow (one edge).
+
+    ``stats`` counts data messages and payload bytes, RTS/CTS envelopes
+    as ``ack_messages``, and every envelope as ``header_bytes``;
+    ``buffer_high_water`` is the unexpected-queue peak in messages.
+    """
 
     def __init__(
         self,
@@ -95,35 +108,34 @@ class _MpiChannel:
         self.cts_pending: Deque[Callable[[], None]] = deque()
         #: a rendezvous receiver mid-handshake waiting for the payload
         self.data_pending: Deque[Callable[[], None]] = deque()
-        self.unexpected_high_water = 0
-        self.data_messages = 0
-        self.control_messages = 0
-        self.payload_bytes = 0
-        self.envelope_bytes_total = 0
+        self.buffer_high_water = 0
+        self.stats = ChannelStats()
         #: woken when a message or RTS envelope lands (unblocks MPI_Recv)
         self.recv_waitset = Waitset(f"{edge.name}.mpi_recv")
 
     def deliver_data(self, payload: Sequence, nbytes: int, envelope: int) -> None:
         self.arrived_data.append((payload, nbytes))
-        self.data_messages += 1
-        self.payload_bytes += nbytes
-        self.envelope_bytes_total += envelope
-        if len(self.arrived_data) > self.unexpected_high_water:
-            self.unexpected_high_water = len(self.arrived_data)
+        self.stats.data_messages += 1
+        self.stats.data_bytes += nbytes
+        self.stats.header_bytes += envelope
+        if len(self.arrived_data) > self.buffer_high_water:
+            self.buffer_high_water = len(self.arrived_data)
         if self.data_pending:
             resume = self.data_pending.popleft()
             resume()
         self.recv_waitset.wake()
 
+    def _deliver_control(self, envelope: int) -> None:
+        self.stats.ack_messages += 1
+        self.stats.header_bytes += envelope
+
     def deliver_rts(self, envelope: int) -> None:
         self.arrived_rts += 1
-        self.control_messages += 1
-        self.envelope_bytes_total += envelope
+        self._deliver_control(envelope)
         self.recv_waitset.wake()
 
     def deliver_cts(self, envelope: int) -> None:
-        self.control_messages += 1
-        self.envelope_bytes_total += envelope
+        self._deliver_control(envelope)
         if self.cts_pending:
             resume = self.cts_pending.popleft()
             resume()
@@ -201,47 +213,40 @@ class _MpiSendTask:
             return [self.in_fifo.waitset]
         return []
 
-    def _copy_cycles(self, nbytes: int) -> int:
-        words = (nbytes + self.config.word_bytes - 1) // self.config.word_bytes
-        return words * self.config.copy_cycles_per_word
-
     def start(self, now: int) -> Optional[int]:
         tokens = self.in_fifo.pop(self.rate)
         self._staged = tokens
         nbytes = payload_nbytes(tokens, self.in_fifo.edge.token_bytes)
+        config = self.config
         if not self.rendezvous:
             # Eager: envelope build + bounce-buffer copy, then the PE is
             # free; the library drains the buffer onto the link.
-            return self.config.send_sw_cycles + self._copy_cycles(nbytes)
+            return config.send_sw_cycles + config.copy_cycles(nbytes)
         # Rendezvous: the PE blocks through RTS -> CTS -> data injection.
         channel = self.branches[0][1]
         link = self.interconnect.link(channel.src_pe, channel.dst_pe)
-        rts_cost = self.config.send_sw_cycles
-        _, rts_arrival = link.reserve(
-            now + rts_cost, self.config.envelope_bytes
-        )
         sim = self.sim
-        config = self.config
+        envelope = config.envelope_bytes
 
         def on_cts() -> None:
-            inject_start = sim.now + self._copy_cycles(nbytes)
-            _, data_arrival = link.reserve(
-                inject_start, config.envelope_bytes + nbytes
+            inject_start = sim.now + config.copy_cycles(nbytes)
+            link.send(
+                sim, inject_start, envelope + nbytes,
+                lambda: channel.deliver_data(tokens, nbytes, envelope),
+                ("data", channel.edge.name),
             )
-
-            def deliver() -> None:
-                channel.deliver_data(tokens, nbytes, config.envelope_bytes)
-
-            sim.at(data_arrival, deliver)
             assert self.complete_async is not None
             # The sender unblocks once the payload has been injected.
             sim.at(inject_start, self.complete_async)
 
         def rts_arrive() -> None:
-            channel.deliver_rts(config.envelope_bytes)
+            channel.deliver_rts(envelope)
             channel.cts_pending.append(on_cts)
 
-        sim.at(rts_arrival, rts_arrive)
+        link.send(
+            sim, now + config.send_sw_cycles, envelope, rts_arrive,
+            ("rts", channel.edge.name),
+        )
         return None
 
     def finish(self, now: int) -> None:
@@ -251,7 +256,6 @@ class _MpiSendTask:
             return
         for fifo in self.local_branches:
             fifo.push(fifo.edge.connection.produced_tokens(fifo.edge, tokens))
-        sim = self.sim
         envelope = self.config.envelope_bytes
         for member, channel in self.branches:
             part = (
@@ -260,13 +264,14 @@ class _MpiSendTask:
                 else tokens
             )
             nbytes = payload_nbytes(part, channel.token_bytes)
-            link = self.interconnect.link(channel.src_pe, channel.dst_pe)
-            _, arrival = link.reserve(now, envelope + nbytes)
 
             def deliver(ch=channel, payload=part, size=nbytes) -> None:
                 ch.deliver_data(payload, size, envelope)
 
-            sim.at(arrival, deliver)
+            self.interconnect.link(channel.src_pe, channel.dst_pe).send(
+                self.sim, now, envelope + nbytes, deliver,
+                ("data", channel.edge.name),
+            )
 
 
 class _MpiRecvTask:
@@ -309,33 +314,26 @@ class _MpiRecvTask:
         """Waitsets of the resources currently blocking the guard."""
         return [self.channel.recv_waitset]
 
-    def _copy_cycles(self, nbytes: int) -> int:
-        words = (nbytes + self.config.word_bytes - 1) // self.config.word_bytes
-        return words * self.config.copy_cycles_per_word
-
     def start(self, now: int) -> Optional[int]:
-        if not self.channel.rendezvous:
-            _, nbytes = self.channel.arrived_data[0]
-            return self.config.match_cycles + self._copy_cycles(nbytes)
+        channel = self.channel
+        config = self.config
+        if not channel.rendezvous:
+            _, nbytes = channel.arrived_data[0]
+            return config.match_cycles + config.copy_cycles(nbytes)
         # Rendezvous: match the RTS, return CTS, block until the data has
         # arrived and been copied out.
-        self.channel.arrived_rts -= 1
-        link = self.interconnect.link(self.channel.dst_pe, self.channel.src_pe)
-        _, cts_arrival = link.reserve(
-            now + self.config.match_cycles, self.config.envelope_bytes
-        )
-        channel = self.channel
+        channel.arrived_rts -= 1
         sim = self.sim
-
-        def cts_arrive() -> None:
-            channel.deliver_cts(self.config.envelope_bytes)
-
-        sim.at(cts_arrival, cts_arrive)
+        self.interconnect.link(channel.dst_pe, channel.src_pe).send(
+            sim, now + config.match_cycles, config.envelope_bytes,
+            lambda: channel.deliver_cts(config.envelope_bytes),
+            ("cts", channel.edge.name),
+        )
 
         def data_ready() -> None:
             _, nbytes = channel.arrived_data[0]
             assert self.complete_async is not None
-            sim.after(self._copy_cycles(nbytes), self.complete_async)
+            sim.after(config.copy_cycles(nbytes), self.complete_async)
 
         # The payload lands strictly after the CTS round trip; register
         # for its delivery instead of polling the channel every cycle.
@@ -420,95 +418,49 @@ class MpiSystem:
         max_cycles: Optional[int] = None,
         check_lost_wakeups: bool = False,
     ) -> RunResult:
-        if iterations < 1:
-            raise GraphError("iterations must be >= 1")
-        sim = Simulator(check_lost_wakeups=check_lost_wakeups)
-        interconnect = Interconnect(default_spec=self.config.link_spec)
-
-        channels: Dict[str, _MpiChannel] = {}
-        for origin_name, (ipc_edge, pair, _) in self.insertion.channels.items():
-            channels[origin_name] = _MpiChannel(
+        assignment = self.insertion.partition.assignment
+        channels = {
+            origin_name: _MpiChannel(
                 edge=ipc_edge,
-                src_pe=self.insertion.partition.assignment[pair.send],
-                dst_pe=self.insertion.partition.assignment[pair.recv],
+                src_pe=assignment[pair.send],
+                dst_pe=assignment[pair.recv],
                 token_bytes=ipc_edge.token_bytes,
                 rendezvous=self.channel_modes[origin_name],
             )
-
+            for origin_name, (ipc_edge, pair, _) in self.insertion.channels.items()
+        }
         config = self.config
 
-        def send(actor, branches, local_branches, in_fifo, group):
-            return _MpiSendTask(
-                actor,
-                branches,
-                local_branches,
-                in_fifo,
-                sim,
-                interconnect,
-                config,
-                collective=group is not None,
-            )
+        def factories(sim: Simulator, interconnect: Interconnect):
+            def send(actor, branches, local_branches, in_fifo, group):
+                return _MpiSendTask(
+                    actor,
+                    branches,
+                    local_branches,
+                    in_fifo,
+                    sim,
+                    interconnect,
+                    config,
+                    collective=group is not None,
+                )
 
-        def recv(actor, channel, out_fifo):
-            return _MpiRecvTask(
-                actor, channel, out_fifo, sim, interconnect, config
-            )
+            def recv(actor, channel, out_fifo):
+                return _MpiRecvTask(
+                    actor, channel, out_fifo, sim, interconnect, config
+                )
 
-        tasks, fifos = wire_tasks(self.lowering.wiring, channels, send, recv)
+            return send, recv, None
 
-        pes: List[ProcessingElement] = []
-        sequencers: List[PESequencer] = []
-        script = self.schedule.firing_script()
-        for pe_index in range(self.partition.n_pes):
-            entries = script.get(pe_index, [])
-            if not entries:
-                continue
-            pe = ProcessingElement(pe_index)
-            program = [tasks[origin] for _, origin in entries]
-            sequencer = PESequencer(sim, pe, program, iterations)
-            pes.append(pe)
-            sequencers.append(sequencer)
-
-        for sequencer in sequencers:
-            sequencer.begin()
-        final = sim.run(max_cycles=max_cycles)
-
-        unfinished = [s for s in sequencers if not s.done]
-        if unfinished:
-            raise GraphError(
-                f"MPI simulation ended with unfinished sequencers: "
-                f"{[s.pe.name for s in unfinished]}"
-            )
-
-        data_messages = sum(c.data_messages for c in channels.values())
-        control_messages = sum(c.control_messages for c in channels.values())
-        payload_bytes = sum(c.payload_bytes for c in channels.values())
-        envelope_bytes = sum(c.envelope_bytes_total for c in channels.values())
-
-        if iterations >= 4 and sequencers:
-            times = sequencers[0].finish_times
-            period = (times[-1] - times[1]) / (len(times) - 2)
-        else:
-            period = final / iterations
-
-        return RunResult(
-            cycles=final,
-            execution_time_us=self.config.clock.cycles_to_us(final),
-            iterations=iterations,
-            pe_stats=pes,
-            data_messages=data_messages,
-            ack_messages=control_messages,
-            payload_bytes=payload_bytes,
-            header_bytes=envelope_bytes,
-            ack_bytes=0,
-            buffer_high_water={
-                name: c.unexpected_high_water for name, c in channels.items()
-            },
-            fifo_high_water={
-                fifo.edge.name: fifo.high_water for fifo in fifos.values()
-            },
-            iteration_period_cycles=period,
+        result, _ = simulate(
+            self,
+            "MPI",
+            iterations,
+            channels,
+            factories,
+            max_cycles=max_cycles,
+            check_lost_wakeups=check_lost_wakeups,
         )
+        return result
 
     def library_resources(self) -> ResourceVector:
         """One MPI engine per PE that communicates."""

@@ -90,9 +90,6 @@ class ObservabilityHub:
         volume.inc(nbytes)
         queueing.observe(started - requested)
 
-    def messages_of(self, channel: str) -> List[MessageRecord]:
-        return [m for m in self.messages if m.channel == channel]
-
     def byte_split(self) -> dict:
         """Total wire bytes by message kind (data vs synchronization)."""
         split: dict = {}

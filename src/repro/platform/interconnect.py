@@ -9,13 +9,18 @@ designs).  A link transfer costs
 and a link is *occupied* for the duration of a transfer, so transfers
 sharing a link serialize — which is exactly what makes the I/O-interface
 fan-out in the paper's figure 3 a serialization point.
+
+Control messages (SPI acknowledgments and resynchronization tokens,
+the MPI baseline's RTS/CTS handshake and its transfers) go on a link
+through one call, :meth:`Link.send`; data messages of the SPI layer go
+through a transport (:mod:`repro.platform.transport`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 __all__ = ["LinkSpec", "Link", "Interconnect"]
 
@@ -77,6 +82,38 @@ class Link:
         self.messages_carried += 1
         return start, arrival
 
+    def send(
+        self,
+        sim,
+        now: int,
+        message_bytes: int,
+        deliver: Callable[[], None],
+        key: Tuple[str, Hashable],
+        observer=None,
+    ) -> None:
+        """Put one message on the link and run ``deliver`` when it lands.
+
+        ``key`` is ``(kind, channel)``: the steady-state tracker's
+        in-flight key (the delivery is scheduled through
+        :meth:`~repro.platform.simulator.Simulator.schedule_delivery`,
+        which is plain ``sim.at`` when no tracker is armed) and, when an
+        ``observer`` is given, the kind and channel of the message
+        record it receives.
+        """
+        start, arrival = self.reserve(now, message_bytes)
+        if observer is not None:
+            observer.message(
+                channel=key[1],
+                kind=key[0],
+                src_pe=self.src_pe,
+                dst_pe=self.dst_pe,
+                nbytes=message_bytes,
+                requested=now,
+                started=start,
+                arrived=arrival,
+            )
+        sim.schedule_delivery(arrival, deliver, key)
+
     def reset(self) -> None:
         self.busy_until = 0
         self.bytes_carried = 0
@@ -86,17 +123,12 @@ class Link:
 class Interconnect:
     """All links of a platform, created lazily per (src, dst) PE pair.
 
-    ``default_spec`` applies to any pair without an explicit override.
-    Links are unidirectional; the reverse direction is a distinct link.
+    Every link has ``default_spec``.  Links are unidirectional; the
+    reverse direction is a distinct link.
     """
 
-    def __init__(
-        self,
-        default_spec: Optional[LinkSpec] = None,
-        overrides: Optional[Dict[Tuple[int, int], LinkSpec]] = None,
-    ) -> None:
+    def __init__(self, default_spec: Optional[LinkSpec] = None) -> None:
         self.default_spec = default_spec or LinkSpec()
-        self._overrides = dict(overrides or {})
         self._links: Dict[Tuple[int, int], Link] = {}
 
     def link(self, src_pe: int, dst_pe: int) -> Link:
@@ -104,8 +136,7 @@ class Interconnect:
             raise ValueError("no link is needed for same-PE communication")
         key = (src_pe, dst_pe)
         if key not in self._links:
-            spec = self._overrides.get(key, self.default_spec)
-            self._links[key] = Link(src_pe, dst_pe, spec)
+            self._links[key] = Link(src_pe, dst_pe, self.default_spec)
         return self._links[key]
 
     @property

@@ -24,14 +24,12 @@ that wait caused by the medium being busy; for the ordered bus the
 remainder is time spent waiting for the compile-time slot).  An optional
 ``observer`` (an :class:`~repro.observability.collector
 .ObservabilityHub`) additionally receives every message's full life
-record for trace arrows and the data-vs-sync byte split.
-
-For the targeted-wakeup kernel every transport additionally exposes a
-``waitset`` (:class:`~repro.platform.simulator.Waitset`) that is woken
-each time the medium commits a delivery — a task whose guard depends on
-transport progress (e.g. a sender throttled by a busy medium) can name
-it from ``wait_on()`` and be re-evaluated exactly when a transfer lands
-instead of on every state change in the system.
+record for trace arrows and the data-vs-sync byte split.  Transports
+carry data messages only; control messages (acks, resynchronization
+tokens) go straight onto a link through
+:meth:`~repro.platform.interconnect.Link.send`.  A consumer is woken by
+its channel's waitset when ``deliver`` runs, so the transport keeps no
+waitset of its own.
 
 The point-to-point transport also has an **uncontended fast path**: a
 transfer whose link is idle and whose transfer time is zero cycles (an
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.platform.interconnect import Interconnect, LinkSpec
-from repro.platform.simulator import Simulator, Waitset
+from repro.platform.simulator import Simulator
 
 __all__ = [
     "ChannelTraffic",
@@ -81,36 +79,30 @@ class _TransportStats:
         self.fan_out_deliveries = 0
         #: bytes avoided vs. sending every branch independently
         self.wire_bytes_saved = 0
-        #: woken on every committed delivery (targeted-wakeup kernel)
-        self.waitset = Waitset(f"transport:{type(self).__name__}")
 
-    def _account_collective(
-        self, transfers: int, deliveries: int, logical_bytes: int,
-        wire_bytes: int,
-    ) -> None:
-        self.collective_messages += transfers
-        self.fan_out_deliveries += deliveries
-        self.wire_bytes_saved += logical_bytes - wire_bytes
-
-    def _schedule_delivery(
+    def _fan_out(
         self,
-        sim: Simulator,
-        arrival: int,
-        deliver: Callable[[], None],
-        key: Hashable,
-    ) -> None:
-        """Run ``deliver`` at ``arrival``, then wake the waitset.
+        parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
+        shared_nbytes: Optional[int],
+    ) -> Tuple[int, Callable[[], None]]:
+        """Account one collective wire transfer serving ``parts``.
 
-        Routed through :meth:`Simulator.schedule_delivery` so an armed
-        steady-state tracker sees the message while it is in flight.
+        ``shared_nbytes`` is the payload all branches share (broadcast),
+        or None when the branch chunks concatenate (scatter).  Returns
+        the wire bytes and the callback that delivers every branch.
         """
-        waitset = self.waitset
+        logical = sum(nbytes for _, _, nbytes, _ in parts)
+        wire_nbytes = logical if shared_nbytes is None else shared_nbytes
+        self.collective_messages += 1
+        self.fan_out_deliveries += len(parts)
+        self.wire_bytes_saved += logical - wire_nbytes
+        delivers = [deliver for _, _, _, deliver in parts]
 
-        def dispatch() -> None:
-            deliver()
-            waitset.wake()
+        def deliver_all() -> None:
+            for deliver in delivers:
+                deliver()
 
-        sim.schedule_delivery(arrival, dispatch, key)
+        return wire_nbytes, deliver_all
 
     def _record(
         self,
@@ -122,7 +114,6 @@ class _TransportStats:
         started: int,
         arrived: int,
         contention: int,
-        kind: str,
     ) -> None:
         self.messages += 1
         self.bytes += nbytes
@@ -136,7 +127,7 @@ class _TransportStats:
         if self.observer is not None:
             self.observer.message(
                 channel=str(channel_key),
-                kind=kind,
+                kind="data",
                 src_pe=src_pe,
                 dst_pe=dst_pe,
                 nbytes=nbytes,
@@ -166,7 +157,6 @@ class PointToPointTransport(_TransportStats):
         nbytes: int,
         now: int,
         deliver: Callable[[], None],
-        kind: str = "data",
     ) -> None:
         link = self.interconnect.link(src_pe, dst_pe)
         start, arrival = link.reserve(now, nbytes)
@@ -179,7 +169,6 @@ class PointToPointTransport(_TransportStats):
             started=start,
             arrived=arrival,
             contention=start - now,
-            kind=kind,
         )
         if arrival <= self.sim.now:
             # Uncontended zero-latency transfer: deliver inline instead
@@ -188,9 +177,8 @@ class PointToPointTransport(_TransportStats):
             # event at the current time, so ordering is unchanged.
             self.fast_path_deliveries += 1
             deliver()
-            self.waitset.wake()
             return
-        self._schedule_delivery(self.sim, arrival, deliver, (kind, channel_key))
+        self.sim.schedule_delivery(arrival, deliver, ("data", channel_key))
 
     def send_collective(
         self,
@@ -212,8 +200,9 @@ class PointToPointTransport(_TransportStats):
         for part in parts:
             by_dst.setdefault(part[1], []).append(part)
         for dst_pe, group in by_dst.items():
-            logical = sum(nbytes for _, _, nbytes, _ in group)
-            wire_nbytes = group[0][2] if shared_payload else logical
+            wire_nbytes, deliver_all = self._fan_out(
+                group, group[0][2] if shared_payload else None
+            )
             link = self.interconnect.link(src_pe, dst_pe)
             start, arrival = link.reserve(now, wire_nbytes)
             self._record(
@@ -225,23 +214,13 @@ class PointToPointTransport(_TransportStats):
                 started=start,
                 arrived=arrival,
                 contention=start - now,
-                kind="data",
             )
-            self._account_collective(1, len(group), logical, wire_nbytes)
-            delivers = [deliver for _, _, _, deliver in group]
             if arrival <= self.sim.now:
                 self.fast_path_deliveries += 1
-                for deliver in delivers:
-                    deliver()
-                self.waitset.wake()
+                deliver_all()
                 continue
-
-            def dispatch_all(delivers=delivers) -> None:
-                for deliver in delivers:
-                    deliver()
-
-            self._schedule_delivery(
-                self.sim, arrival, dispatch_all, ("data", group_key)
+            self.sim.schedule_delivery(
+                arrival, deliver_all, ("data", group_key)
             )
 
     def capture_state(self, now: int) -> tuple:
@@ -249,7 +228,34 @@ class PointToPointTransport(_TransportStats):
         return ()
 
 
-class SharedBusTransport(_TransportStats):
+class _Bus(_TransportStats):
+    """A single shared medium: a collective is one transfer on it."""
+
+    def send_collective(
+        self,
+        group_key: Hashable,
+        src_pe: int,
+        parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
+        now: int,
+        shared_payload: bool = True,
+    ) -> None:
+        """One collective firing: one bus transfer for the whole fan-out.
+
+        A bus is a natural broadcast medium — every consumer snoops the
+        same transaction, so the payload crosses the wire once (the
+        largest branch for a shared payload, the chunk total for a
+        scatter) regardless of how many PEs listen.  On the ordered bus
+        the fan-out takes a single slot, keyed by the collective group,
+        so the grant schedule stays one entry per send firing.
+        """
+        wire_nbytes, deliver_all = self._fan_out(
+            parts,
+            max(nbytes for _, _, nbytes, _ in parts) if shared_payload else None,
+        )
+        self.send(group_key, src_pe, parts[0][1], wire_nbytes, now, deliver_all)
+
+
+class SharedBusTransport(_Bus):
     """One bus for everything, FCFS arbitration.
 
     Each transfer pays ``arbitration_cycles`` on top of the link cost
@@ -280,7 +286,6 @@ class SharedBusTransport(_TransportStats):
         nbytes: int,
         now: int,
         deliver: Callable[[], None],
-        kind: str = "data",
     ) -> None:
         contention = max(0, self.busy_until - now)
         start = max(now, self.busy_until) + self.arbitration_cycles
@@ -295,63 +300,15 @@ class SharedBusTransport(_TransportStats):
             started=start,
             arrived=arrival,
             contention=contention,
-            kind=kind,
         )
-        self._schedule_delivery(self.sim, arrival, deliver, (kind, channel_key))
-
-    def send_collective(
-        self,
-        group_key: Hashable,
-        src_pe: int,
-        parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
-        now: int,
-        shared_payload: bool = True,
-    ) -> None:
-        """One collective firing: one bus transaction for the whole fan-out.
-
-        A bus is a natural broadcast medium — every consumer snoops the
-        same transaction, so the payload crosses the wire once (the
-        largest branch for a shared payload, the chunk total for a
-        scatter) regardless of how many PEs listen.
-        """
-        logical = sum(nbytes for _, _, nbytes, _ in parts)
-        wire_nbytes = (
-            max(nbytes for _, _, nbytes, _ in parts)
-            if shared_payload
-            else logical
-        )
-        contention = max(0, self.busy_until - now)
-        start = max(now, self.busy_until) + self.arbitration_cycles
-        arrival = start + self.spec.transfer_cycles(wire_nbytes)
-        self.busy_until = arrival
-        self._record(
-            str(group_key),
-            src_pe,
-            parts[0][1],
-            wire_nbytes,
-            requested=now,
-            started=start,
-            arrived=arrival,
-            contention=contention,
-            kind="data",
-        )
-        self._account_collective(1, len(parts), logical, wire_nbytes)
-        delivers = [deliver for _, _, _, deliver in parts]
-
-        def dispatch_all() -> None:
-            for deliver in delivers:
-                deliver()
-
-        self._schedule_delivery(
-            self.sim, arrival, dispatch_all, ("data", group_key)
-        )
+        self.sim.schedule_delivery(arrival, deliver, ("data", channel_key))
 
     def capture_state(self, now: int) -> tuple:
         """Steady-state hash contribution: remaining bus occupancy."""
         return (max(0, self.busy_until - now),)
 
 
-class OrderedBusTransport(_TransportStats):
+class OrderedBusTransport(_Bus):
     """Ordered-transaction bus: the grant sequence is fixed offline.
 
     ``order`` is the cyclic sequence of channel keys in which transfers
@@ -387,7 +344,6 @@ class OrderedBusTransport(_TransportStats):
         nbytes: int,
         now: int,
         deliver: Callable[[], None],
-        kind: str = "data",
     ) -> None:
         if channel_key not in self.order:
             raise ValueError(
@@ -395,44 +351,7 @@ class OrderedBusTransport(_TransportStats):
                 f"transaction order"
             )
         self._pending.setdefault(channel_key, deque()).append(
-            (nbytes, deliver, now, src_pe, dst_pe, kind)
-        )
-        self._drain(now)
-
-    def send_collective(
-        self,
-        group_key: Hashable,
-        src_pe: int,
-        parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
-        now: int,
-        shared_payload: bool = True,
-    ) -> None:
-        """One collective firing: one compile-time transaction slot.
-
-        The whole fan-out occupies a single slot of the ordered sequence
-        (the slot is keyed by the collective group, not by a branch), so
-        the grant schedule stays one entry per send firing.
-        """
-        if group_key not in self.order:
-            raise ValueError(
-                f"collective group {group_key!r} is not in the "
-                f"compile-time transaction order"
-            )
-        logical = sum(nbytes for _, _, nbytes, _ in parts)
-        wire_nbytes = (
-            max(nbytes for _, _, nbytes, _ in parts)
-            if shared_payload
-            else logical
-        )
-        self._account_collective(1, len(parts), logical, wire_nbytes)
-        delivers = [deliver for _, _, _, deliver in parts]
-
-        def dispatch_all() -> None:
-            for deliver in delivers:
-                deliver()
-
-        self._pending.setdefault(group_key, deque()).append(
-            (wire_nbytes, dispatch_all, now, src_pe, parts[0][1], "data")
+            (nbytes, deliver, now, src_pe, dst_pe)
         )
         self._drain(now)
 
@@ -442,7 +361,7 @@ class OrderedBusTransport(_TransportStats):
             queue = self._pending.get(key)
             if not queue:
                 return
-            nbytes, deliver, requested, src_pe, dst_pe, kind = queue.popleft()
+            nbytes, deliver, requested, src_pe, dst_pe = queue.popleft()
             contention = max(0, self.busy_until - now)
             start = max(now, self.busy_until)  # no arbitration cost
             arrival = start + self.spec.transfer_cycles(nbytes)
@@ -456,9 +375,8 @@ class OrderedBusTransport(_TransportStats):
                 started=start,
                 arrived=arrival,
                 contention=contention,
-                kind=kind,
             )
-            self._schedule_delivery(self.sim, arrival, deliver, (kind, key))
+            self.sim.schedule_delivery(arrival, deliver, ("data", key))
             self._cursor = (self._cursor + 1) % len(self.order)
 
     def capture_state(self, now: int) -> tuple:
@@ -467,8 +385,8 @@ class OrderedBusTransport(_TransportStats):
             (
                 str(key),
                 tuple(
-                    (nbytes, requested - now, kind)
-                    for nbytes, _deliver, requested, _src, _dst, kind in queue
+                    (nbytes, requested - now)
+                    for nbytes, _deliver, requested, _src, _dst in queue
                 ),
             )
             for key, queue in sorted(self._pending.items(), key=lambda i: str(i[0]))

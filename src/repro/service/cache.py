@@ -33,9 +33,8 @@ Correctness notes:
   no longer matches turns the lookup into a miss and the solution is
   recomputed.
 
-Hit/miss counters are kept per analysis kind and can be flushed into a
-:class:`repro.observability.metrics.MetricsRegistry` so cache
-effectiveness flows through the standard metrics document.
+Hit/miss counters are kept per analysis kind; :meth:`AnalysisCache.stats`
+reports them.
 """
 
 from __future__ import annotations
@@ -506,13 +505,3 @@ class AnalysisCache:
                 for kind in self.KINDS
             },
         }
-
-    def counters_into(self, registry) -> None:
-        """Flush the hit/miss counts into a ``MetricsRegistry``."""
-        for kind in self.KINDS:
-            registry.counter("service.cache.hits", kind=kind).inc(
-                self.hits[kind]
-            )
-            registry.counter("service.cache.misses", kind=kind).inc(
-                self.misses[kind]
-            )

@@ -758,21 +758,10 @@ class SyncedTask:
         self.inner.finish(now)
         if self._participates():
             for pool, link, wire_bytes in self.notifications:
-                start, arrival = link.reserve(now, wire_bytes)
                 pool.messages_sent += 1
-                if self.observer is not None:
-                    self.observer.message(
-                        channel=pool.name,
-                        kind="resync",
-                        src_pe=link.src_pe,
-                        dst_pe=link.dst_pe,
-                        nbytes=wire_bytes,
-                        requested=now,
-                        started=start,
-                        arrived=arrival,
-                    )
-                self.sim.schedule_delivery(
-                    arrival, pool.deposit, ("resync", pool.name)
+                link.send(
+                    self.sim, now, wire_bytes, pool.deposit,
+                    ("resync", pool.name), self.observer,
                 )
         self._count += 1
 
@@ -853,39 +842,21 @@ class SpiReceiveTask(_BatchedTaskMixin):
             self._accept_one(now)
 
     def _accept_one(self, now: int) -> None:
-        message = self.channel.accept()
+        channel = self.channel
+        message = channel.accept()
         self.firing_index += 1
         if message.is_dynamic and message.size_field != len(message.payload):
             raise RuntimeError(
-                f"channel {self.channel.edge.name}: dynamic header size "
+                f"channel {channel.edge.name}: dynamic header size "
                 f"field {message.size_field} does not match payload "
                 f"length {len(message.payload)}"
             )
         self.out_fifo.push(message.payload)
-        if self.channel.flow.uses_credits:
-            ack = make_ack_message(self.channel.edge.edge_id)
-            link = self.interconnect.link(
-                self.channel.dst_pe, self.channel.src_pe
-            )
-            start, arrival = link.reserve(now, ack.wire_bytes)
-            if self.observer is not None:
-                self.observer.message(
-                    channel=self.channel.edge.name,
-                    kind="ack",
-                    src_pe=self.channel.dst_pe,
-                    dst_pe=self.channel.src_pe,
-                    nbytes=ack.wire_bytes,
-                    requested=now,
-                    started=start,
-                    arrived=arrival,
-                )
-            channel = self.channel
-
-            def deliver_ack() -> None:
-                channel.deliver(ack)
-
-            self.sim.schedule_delivery(
-                arrival, deliver_ack, ("ack", self.channel.edge.name)
+        if channel.flow.uses_credits:
+            ack = make_ack_message(channel.edge.edge_id)
+            self.interconnect.link(channel.dst_pe, channel.src_pe).send(
+                self.sim, now, ack.wire_bytes, lambda: channel.deliver(ack),
+                ("ack", channel.edge.name), self.observer,
             )
 
 

@@ -92,6 +92,12 @@ class SpiChannel:
         #: woken when an ack restores a send credit (unblocks SPI_send)
         self.space_waitset = Waitset(f"{edge.name}.space")
 
+    @property
+    def buffer_high_water(self) -> int:
+        """Peak receive-buffer occupancy in bytes (the run's
+        ``buffer_high_water`` entry for this channel)."""
+        return self.recv_buffer.high_water_bytes
+
     def on_send(self) -> None:
         """Sender committed one message (credit accounting for UBS)."""
         self.flow.on_send()

@@ -22,7 +22,7 @@ simulator (``run``), or prices it on the FPGA resource model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
 from repro.mapping.graph_arrays import NO_PATH, GraphArrays, min_delay_matrix
@@ -59,7 +59,9 @@ from repro.spi.channel import SpiChannel
 from repro.spi.library import Lowering, SpiInsertion, lower
 from repro.spi.protocols import Protocol, ProtocolConfig
 
-__all__ = ["SpiConfig", "ChannelPlan", "RunResult", "SpiSystem"]
+__all__ = [
+    "SpiConfig", "ChannelPlan", "RunResult", "SimRun", "SpiSystem", "simulate",
+]
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,154 @@ class RunResult:
         return baseline.execution_time_us / self.execution_time_us
 
 
+@dataclass
+class SimRun:
+    """The platform and tasks of one run built by :func:`simulate`."""
+
+    sim: Simulator
+    interconnect: Interconnect
+    #: run-time task by actor name (:func:`~repro.spi.actors.wire_tasks`)
+    tasks: Dict[str, object]
+    #: same-PE FIFO by edge id
+    fifos: Dict[int, LocalFifo]
+    sequencers: List[PESequencer] = field(default_factory=list)
+    #: steady-state tracker armed for the run, if any
+    tracker: Optional[object] = None
+
+
+def simulate(
+    system,
+    layer: str,
+    iterations: int,
+    channels: Dict[str, object],
+    factories: Callable[[Simulator, Interconnect], Tuple],
+    max_cycles: Optional[int] = None,
+    check_lost_wakeups: bool = False,
+    *,
+    pes: Optional[Dict[int, ProcessingElement]] = None,
+    batch: int = 1,
+    trace: Optional[TraceRecorder] = None,
+    init: bool = False,
+    wrap: Optional[Callable[[SimRun], None]] = None,
+    arm: Optional[Callable[[SimRun], object]] = None,
+) -> Tuple[RunResult, SimRun]:
+    """Build, run and total one simulated execution of a compiled system.
+
+    Both communication layers run through here (:meth:`SpiSystem.run`
+    and :meth:`repro.mpi.baseline.MpiSystem.run`), so the graph,
+    partition, self-timed schedule, platform, completion check, period
+    formula and totals are the same code and only the channels and the
+    send and receive tasks differ.
+
+    ``system`` supplies ``lowering.wiring``, ``schedule``, ``partition``
+    and ``config.link_spec`` / ``config.clock``.  ``channels`` maps each
+    origin edge name to the layer's channel object, which counts its
+    traffic in ``stats`` (a :class:`~repro.spi.channel.ChannelStats`)
+    and reports its receive-side peak as ``buffer_high_water``.
+    ``factories(sim, interconnect)`` returns the ``(send, recv,
+    options)`` arguments of :func:`~repro.spi.actors.wire_tasks`.
+
+    ``pes`` supplies the processing elements (default: one plain
+    :class:`ProcessingElement` per PE with a program); ``batch`` is the
+    blocking factor (each sequencer runs the macro-passes of a
+    :class:`~repro.spi.actors.BatchSchedule`); ``trace`` records every
+    task interval; ``init``
+    starts every program with :class:`~repro.spi.actors.SpiInitTask`.
+    ``wrap(run)`` may replace entries of ``run.tasks`` before the
+    programs are built; ``arm(run)`` runs between building the
+    sequencers and starting them and may return a steady-state tracker,
+    whose extrapolated cycles count toward the makespan.
+
+    Raises :class:`GraphError` naming ``layer`` when a sequencer does not
+    finish.
+    """
+    if iterations < 1:
+        raise GraphError("iterations must be >= 1")
+    sim = Simulator(check_lost_wakeups=check_lost_wakeups)
+    interconnect = Interconnect(default_spec=system.config.link_spec)
+    send, recv, options = factories(sim, interconnect)
+    tasks, fifos = wire_tasks(
+        system.lowering.wiring, channels, send, recv, options=options
+    )
+    run = SimRun(sim, interconnect, tasks, fifos)
+    if wrap is not None:
+        wrap(run)
+
+    passes = BatchSchedule(iterations, batch).passes
+    script = system.schedule.firing_script()
+    used: List[ProcessingElement] = []
+    for pe_index in range(system.partition.n_pes):
+        entries = script.get(pe_index, [])
+        if not entries:
+            continue
+        pe = pes[pe_index] if pes is not None else ProcessingElement(pe_index)
+        program: List[object] = [SpiInitTask(pe_index)] if init else []
+        program.extend(run.tasks[origin] for _, origin in entries)
+        run.sequencers.append(
+            PESequencer(sim, pe, program, passes, trace=trace)
+        )
+        used.append(pe)
+    if arm is not None:
+        run.tracker = arm(run)
+
+    for sequencer in run.sequencers:
+        sequencer.begin()
+    final = sim.run(max_cycles=max_cycles)
+    unfinished = [s for s in run.sequencers if not s.done]
+    if unfinished:
+        raise GraphError(
+            f"{layer} simulation ended with unfinished sequencers: "
+            f"{[s.pe.name for s in unfinished]}"
+        )
+
+    extra_cycles = (
+        run.tracker.report.extrapolated_cycles if run.tracker is not None else 0
+    )
+    total_cycles = final + extra_cycles
+    if iterations >= 4 and run.sequencers and batch == 1:
+        # Under a warp the simulated finish of the last (reduced)
+        # iteration is the true finish of iteration ``iterations``
+        # minus the extrapolated cycles, and ``finish_times[1]``
+        # predates the warp — so the reconstruction below uses the
+        # same integer operands as a fully interpreted run and the
+        # float result is bit-identical.
+        times = run.sequencers[0].finish_times
+        period = (times[-1] + extra_cycles - times[1]) / (iterations - 2)
+    else:
+        # batched runs finish in macro-passes, not iterations, so the
+        # per-iteration finish-time reconstruction above does not
+        # apply — report the plain average
+        period = total_cycles / iterations
+
+    stats = [channel.stats for channel in channels.values()]
+    result = RunResult(
+        cycles=total_cycles,
+        execution_time_us=system.config.clock.cycles_to_us(total_cycles),
+        iterations=iterations,
+        pe_stats=used,
+        data_messages=sum(s.data_messages for s in stats),
+        ack_messages=sum(s.ack_messages for s in stats),
+        payload_bytes=sum(s.data_bytes for s in stats),
+        header_bytes=sum(s.header_bytes for s in stats),
+        ack_bytes=sum(s.ack_bytes for s in stats),
+        buffer_high_water={
+            name: channel.buffer_high_water
+            for name, channel in channels.items()
+        },
+        fifo_high_water={
+            fifo.edge.name: fifo.high_water for fifo in fifos.values()
+        },
+        iteration_period_cycles=period,
+        batch=batch,
+        batched_firings=sum(pe.batched_firings for pe in used),
+        batch_dispatches=sum(pe.batch_dispatches for pe in used),
+        amortized_dispatch_cycles_saved=sum(
+            pe.amortized_dispatch_cycles_saved for pe in used
+        ),
+    )
+    return result, run
+
+
 class SpiSystem:
     """A compiled SPI application, ready to simulate or to price."""
 
@@ -251,8 +401,7 @@ class SpiSystem:
         #: effective global blocking factor: the partition's requested
         #: batch clamped to what the schedule's token dependencies admit
         self.batch = batch
-        #: optional repro.service AnalysisCache (duck-typed: anything
-        #: with the same repetitions/mcm/resynchronize surface works)
+        #: optional :class:`repro.service.cache.AnalysisCache`
         self._analysis_cache = cache
         self._analysis_key = analysis_key
         self._structure_key = structure_key
@@ -556,8 +705,6 @@ class SpiSystem:
         wakeups) and the message log cover only the actually-simulated
         prefix and tail.
         """
-        if iterations < 1:
-            raise GraphError("iterations must be >= 1")
         if steady_state not in ("off", "auto", "on"):
             raise GraphError(f"unknown steady_state mode {steady_state!r}")
         arm_steady = False
@@ -593,10 +740,7 @@ class SpiSystem:
             from repro.observability import ObservabilityHub
 
             hub = ObservabilityHub()
-        sim = Simulator(check_lost_wakeups=check_lost_wakeups)
         recorder = TraceRecorder() if trace else None
-        interconnect = Interconnect(default_spec=self.config.link_spec)
-        transport = self._build_transport(sim, interconnect, observer=hub)
 
         channels: Dict[str, SpiChannel] = {}
         for plan in self.channel_plans.values():
@@ -629,12 +773,6 @@ class SpiSystem:
         # same per-macro-pass burst counts (lockstep), and the PE
         # objects must exist before their tasks so batched dispatches
         # can be accounted to the owning PE.
-        batch_counts: Optional[List[int]] = None
-        passes = iterations
-        if self.batch > 1:
-            batch_schedule = BatchSchedule(iterations, self.batch)
-            batch_counts = batch_schedule.counts
-            passes = batch_schedule.passes
         pe_objects: Dict[int, ProcessingElement] = {
             pe_index: ProcessingElement(
                 pe_index, pe_class=self.partition.pe_class_of(pe_index)
@@ -642,40 +780,53 @@ class SpiSystem:
             for pe_index in range(self.partition.n_pes)
         }
         pe_assignment = self.insertion.partition.assignment
-
-        def batch_options(actor: Actor) -> Dict[str, object]:
-            owner = pe_objects[pe_assignment[actor.name]]
-            return dict(
-                batch_counts=batch_counts, pe_class=owner.pe_class, pe=owner
-            )
-
-        def send(actor, branches, local_branches, in_fifo, group, **kw):
-            group_key = f"{group.name}.collective" if group else None
-            return SpiSendTask(
-                actor,
-                branches,
-                local_branches,
-                in_fifo,
-                transport,
-                group_key=group_key,
-                **kw,
-            )
-
-        def recv(actor, channel, out_fifo, **kw):
-            return SpiReceiveTask(
-                actor, channel, out_fifo, sim, interconnect, observer=hub, **kw
-            )
-
-        tasks_by_actor, fifos = wire_tasks(
-            self.lowering.wiring, channels, send, recv, options=batch_options
-        )
-
-        # Materialise the *added* resynchronization edges as run-time
-        # sync-message channels (a counting semaphore fed by zero-payload
-        # messages) wrapped around the endpoint tasks.  Without this,
-        # disabling the acks those edges made redundant would be unsound.
+        transport = None
         sync_pools: List[SyncTokenPool] = []
-        if self.resync_result is not None:
+
+        def factories(sim: Simulator, interconnect: Interconnect):
+            nonlocal transport
+            transport = self._build_transport(sim, interconnect, observer=hub)
+            batch_counts = (
+                BatchSchedule(iterations, self.batch).counts
+                if self.batch > 1
+                else None
+            )
+
+            def batch_options(actor: Actor) -> Dict[str, object]:
+                owner = pe_objects[pe_assignment[actor.name]]
+                return dict(
+                    batch_counts=batch_counts, pe_class=owner.pe_class, pe=owner
+                )
+
+            def send(actor, branches, local_branches, in_fifo, group, **kw):
+                group_key = f"{group.name}.collective" if group else None
+                return SpiSendTask(
+                    actor,
+                    branches,
+                    local_branches,
+                    in_fifo,
+                    transport,
+                    group_key=group_key,
+                    **kw,
+                )
+
+            def recv(actor, channel, out_fifo, **kw):
+                return SpiReceiveTask(
+                    actor, channel, out_fifo, sim, interconnect, observer=hub,
+                    **kw,
+                )
+
+            return send, recv, batch_options
+
+        def wrap(run: SimRun) -> None:
+            # Materialise the *added* resynchronization edges as run-time
+            # sync-message channels (a counting semaphore fed by
+            # zero-payload messages) wrapped around the endpoint tasks.
+            # Without this, disabling the acks those edges made redundant
+            # would be unsound.
+            if self.resync_result is None:
+                return
+            tasks = run.tasks
             task_reps = self.task_repetitions()
             for added in self.resync_result.added:
                 src_task = self.schedule.task_graph.get_actor(added.src)
@@ -688,144 +839,80 @@ class SpiSystem:
                     f"resync:{added.src}->{added.snk}", initial=added.delay
                 )
                 sync_pools.append(pool)
-                link = interconnect.link(src_pe, snk_pe)
-                tasks_by_actor[src_origin] = SyncedTask(
-                    tasks_by_actor[src_origin],
-                    sim,
+                link = run.interconnect.link(src_pe, snk_pe)
+                tasks[src_origin] = SyncedTask(
+                    tasks[src_origin],
+                    run.sim,
                     notifications=[(pool, link, ACK_BYTES)],
                     phase=src_task.params.get("invocation", 0),
                     period=task_reps[src_origin],
                     observer=hub,
                 )
-                tasks_by_actor[snk_origin] = SyncedTask(
-                    tasks_by_actor[snk_origin],
-                    sim,
+                tasks[snk_origin] = SyncedTask(
+                    tasks[snk_origin],
+                    run.sim,
                     guards=[pool],
                     phase=snk_task.params.get("invocation", 0),
                     period=task_reps[snk_origin],
                 )
 
-        pes: List[ProcessingElement] = []
-        sequencers: List[PESequencer] = []
-        script = self.schedule.firing_script()
-        for pe_index in range(self.partition.n_pes):
-            entries = script.get(pe_index, [])
-            if not entries:
-                continue
-            pe = pe_objects[pe_index]
-            program: List[object] = [SpiInitTask(pe_index)]
-            for _task_name, origin in entries:
-                program.append(tasks_by_actor[origin])
-            sequencer = PESequencer(
-                sim, pe, program, passes, trace=recorder
-            )
-            pes.append(pe)
-            sequencers.append(sequencer)
-
-        if batch_counts is not None:
-            # An actor with repetitions > 1 occupies several program
-            # entries; its pass cursor must advance only after the last
-            # one, so every entry of a macro-pass runs the same burst.
-            for sequencer in sequencers:
-                entry_counts: Dict[int, int] = {}
-                for task in sequencer.program:
-                    entry_counts[id(task)] = entry_counts.get(id(task), 0) + 1
-                for task in sequencer.program:
-                    if hasattr(task, "occurrences"):
-                        task.occurrences = entry_counts[id(task)]
-
-        tracker = None
-        if arm_steady and sequencers:
-            tracker = self._arm_steady_state(
-                sim=sim,
-                sequencers=sequencers,
+        def arm(run: SimRun):
+            if self.batch > 1:
+                # An actor with repetitions > 1 occupies several program
+                # entries; its pass cursor must advance only after the
+                # last one, so every entry of a macro-pass runs the same
+                # burst.
+                for sequencer in run.sequencers:
+                    entry_counts: Dict[int, int] = {}
+                    for task in sequencer.program:
+                        entry_counts[id(task)] = entry_counts.get(id(task), 0) + 1
+                    for task in sequencer.program:
+                        if hasattr(task, "occurrences"):
+                            task.occurrences = entry_counts[id(task)]
+            if not (arm_steady and run.sequencers):
+                return None
+            return self._arm_steady_state(
+                sim=run.sim,
+                sequencers=run.sequencers,
                 channels=channels,
-                fifos=fifos,
+                fifos=run.fifos,
                 sync_pools=sync_pools,
-                interconnect=interconnect,
+                interconnect=run.interconnect,
                 transport=transport,
                 iterations=iterations,
             )
 
-        for sequencer in sequencers:
-            sequencer.begin()
-        final = sim.run(max_cycles=max_cycles)
-
-        unfinished = [s for s in sequencers if not s.done]
-        if unfinished:
-            raise GraphError(
-                f"simulation ended with unfinished sequencers: "
-                f"{[s.pe.name for s in unfinished]}"
-            )
-
-        steady_report = tracker.report if tracker is not None else None
-        extra_cycles = (
-            steady_report.extrapolated_cycles if steady_report is not None else 0
+        result, run = simulate(
+            self,
+            "SPI",
+            iterations,
+            channels,
+            factories,
+            max_cycles=max_cycles,
+            check_lost_wakeups=check_lost_wakeups,
+            pes=pe_objects,
+            batch=self.batch,
+            trace=recorder,
+            init=True,
+            wrap=wrap,
+            arm=arm,
         )
-        total_cycles = final + extra_cycles
+
+        steady_report = run.tracker.report if run.tracker is not None else None
         if (
             steady_report is not None
             and steady_report.detected_at is not None
             and not steady_report.hint_used
         ):
             self._store_period_hint(steady_report)
-
-        data_messages = sum(c.stats.data_messages for c in channels.values())
-        ack_messages = sum(c.stats.ack_messages for c in channels.values())
-        payload_bytes = sum(c.stats.data_bytes for c in channels.values())
-        header_bytes = sum(c.stats.header_bytes for c in channels.values())
-        ack_bytes = sum(c.stats.ack_bytes for c in channels.values())
-        buffer_high = {
-            name: channel.recv_buffer.high_water_bytes
-            for name, channel in channels.items()
-        }
-        fifo_high = {
-            fifo.edge.name: fifo.high_water for fifo in fifos.values()
-        }
-
-        if iterations >= 4 and sequencers and self.batch == 1:
-            # Under a warp the simulated finish of the last (reduced)
-            # iteration is the true finish of iteration ``iterations``
-            # minus the extrapolated cycles, and ``finish_times[1]``
-            # predates the warp — so the reconstruction below uses the
-            # same integer operands as a fully interpreted run and the
-            # float result is bit-identical.
-            times = sequencers[0].finish_times
-            period = (times[-1] + extra_cycles - times[1]) / (iterations - 2)
-        else:
-            # batched runs finish in macro-passes, not iterations, so
-            # the per-iteration finish-time reconstruction above does
-            # not apply — report the plain average
-            period = total_cycles / iterations
-
-        result = RunResult(
-            cycles=total_cycles,
-            execution_time_us=self.config.clock.cycles_to_us(total_cycles),
-            iterations=iterations,
-            pe_stats=pes,
-            data_messages=data_messages,
-            ack_messages=ack_messages,
-            payload_bytes=payload_bytes,
-            header_bytes=header_bytes,
-            ack_bytes=ack_bytes,
-            buffer_high_water=buffer_high,
-            fifo_high_water=fifo_high,
-            iteration_period_cycles=period,
-            resync_messages=sum(p.messages_sent for p in sync_pools),
-            resync_bytes=ACK_BYTES
-            * sum(p.messages_sent for p in sync_pools),
-            trace=recorder,
-            steady_state=steady_report,
-            collective_messages=transport.collective_messages,
-            fan_out_deliveries=transport.fan_out_deliveries,
-            wire_bytes_saved=transport.wire_bytes_saved,
-            batch=self.batch,
-            batched_firings=sum(pe.batched_firings for pe in pes),
-            batch_dispatches=sum(pe.batch_dispatches for pe in pes),
-            amortized_dispatch_cycles_saved=sum(
-                pe.amortized_dispatch_cycles_saved for pe in pes
-            ),
-        )
+        resync_messages = sum(p.messages_sent for p in sync_pools)
+        result.resync_messages = resync_messages
+        result.resync_bytes = ACK_BYTES * resync_messages
+        result.trace = recorder
+        result.steady_state = steady_report
+        result.collective_messages = transport.collective_messages
+        result.fan_out_deliveries = transport.fan_out_deliveries
+        result.wire_bytes_saved = transport.wire_bytes_saved
         if hub is not None:
             from repro.observability import (
                 build_metrics_document,
@@ -839,7 +926,7 @@ class SpiSystem:
                 hub,
                 channels=channels,
                 transport=transport,
-                sim=sim,
+                sim=run.sim,
                 sync_pools=sync_pools,
             )
             validate_metrics(result.metrics)
@@ -1028,9 +1115,7 @@ class SpiSystem:
 
         hint = None
         if self._analysis_cache is not None:
-            lookup = getattr(self._analysis_cache, "period_hint", None)
-            if lookup is not None:
-                hint = lookup(self._period_cache_key())
+            hint = self._analysis_cache.period_hint(self._period_cache_key())
 
         tracker = SteadyStateTracker(
             sim=sim,
@@ -1075,10 +1160,7 @@ class SpiSystem:
         """Memoise a freshly confirmed period for future runs."""
         if self._analysis_cache is None:
             return
-        store = getattr(self._analysis_cache, "store_period", None)
-        if store is None:
-            return
-        store(
+        self._analysis_cache.store_period(
             self._period_cache_key(),
             report.period_iterations,
             report.period_cycles,

@@ -31,9 +31,6 @@ class TestLinkSpec:
         # transfer, which the cost model would never flag on its own.
         with pytest.raises(ValueError, match="setup_cycles must be >= 0"):
             LinkSpec(setup_cycles=-1)
-        # the per-pair override path builds LinkSpec too: same guard
-        with pytest.raises(ValueError, match="setup_cycles must be >= 0"):
-            Interconnect(overrides={(0, 1): LinkSpec(setup_cycles=-3)})
 
     def test_zero_latency_link(self):
         # cycles_per_word=0 expresses the ideal link of the kernel
@@ -86,12 +83,6 @@ class TestInterconnect:
     def test_self_link_rejected(self):
         with pytest.raises(ValueError, match="same-PE"):
             Interconnect().link(2, 2)
-
-    def test_override_spec_per_pair(self):
-        slow = LinkSpec(setup_cycles=100)
-        net = Interconnect(overrides={(0, 1): slow})
-        assert net.link(0, 1).spec.setup_cycles == 100
-        assert net.link(1, 0).spec.setup_cycles == 4  # default
 
     def test_totals_across_links(self):
         net = Interconnect()

@@ -147,7 +147,7 @@ class TestInstrumentation:
         transport = PointToPointTransport(
             sim, Interconnect(LinkSpec(4, 4, 1)), observer=hub
         )
-        transport.send("a", 0, 1, 4, 0, lambda: None, kind="data")
+        transport.send("a", 0, 1, 4, 0, lambda: None)
         sim.run()
         assert len(hub.messages) == 1
         record = hub.messages[0]
@@ -235,41 +235,6 @@ class TestFastPath:
         sim.run()
         assert log == [5]
         assert transport.fast_path_deliveries == 0
-
-    def test_fast_path_wakes_waitset(self):
-        from repro.platform import PESequencer, ProcessingElement
-
-        sim = Simulator()
-        transport = PointToPointTransport(sim, Interconnect(LinkSpec(0, 4, 0)))
-        arrived = []
-
-        class RecvTask:
-            name = "recv"
-
-            def ready(self, now):
-                return bool(arrived)
-
-            def wait_on(self, now):
-                return [transport.waitset]
-
-            def start(self, now):
-                arrived.pop()
-                return 1
-
-            def finish(self, now):
-                pass
-
-        seq = PESequencer(
-            sim, ProcessingElement(0), [RecvTask()], iterations=1
-        )
-        seq.begin()
-        sim.at(7, lambda: transport.send(
-            "a", 1, 0, 4, 7, lambda: arrived.append(1)
-        ))
-        final = sim.run()
-        assert final == 8  # parked consumer woken by the inline delivery
-        assert transport.fast_path_deliveries == 1
-        assert sim.targeted_wakeups == 1
 
     def test_stats_still_recorded_on_fast_path(self):
         sim = Simulator()

@@ -22,8 +22,15 @@ steady-state sweep: the same applications at ``STEADY_ITERATIONS`` with
 and extrapolates the remaining iterations analytically; fig7's
 resampling traffic is data-dependent, so auto must decline and stay
 within noise of off.  ``check_bench.py`` gates both.
+
+Every measurement repeats until it has ``MIN_RUNS`` runs and
+``MIN_SECONDS`` of wall time in total (the off and auto runs of the
+sweep alternate).  The gated walls and events/s are the best run's, to
+shed scheduler noise; each entry also records its run count, median
+wall and spread ((slowest - fastest) / median).
 """
 
+import statistics
 import time
 
 import pytest
@@ -36,8 +43,9 @@ ITERATIONS = 40 if QUICK else 200
 WIDE_PAIRS = 16 if QUICK else 32
 DEEP_STAGES = 16 if QUICK else 32
 CONTENDED_CONSUMERS = 24 if QUICK else 48
-#: wall-clock repeats per measurement (best-of, to shed scheduler noise)
-REPEATS = 2 if QUICK else 3
+#: runs and total wall seconds every measurement reaches at least
+MIN_RUNS = 3 if QUICK else 5
+MIN_SECONDS = 0.2 if QUICK else 0.5
 #: graph iterations for the steady-state off-vs-auto application sweep
 STEADY_ITERATIONS = 60 if QUICK else 200
 
@@ -115,21 +123,46 @@ class ConsumeTask:
             self.out_queue.push()
 
 
+def _repeat(*measures):
+    """Call every ``measure() -> (wall, result)`` in turn, round robin
+    (so measurements compared with each other share the host's speed
+    changes), until each has MIN_RUNS runs and MIN_SECONDS of wall
+    time.  Returns, per measure, the best run's wall and result and the
+    summary of all its walls."""
+    runs = [[] for _ in measures]
+
+    def short(done):
+        return len(done) < MIN_RUNS or sum(w for w, _ in done) < MIN_SECONDS
+
+    while any(short(done) for done in runs):
+        for measure, done in zip(measures, runs):
+            done.append(measure())
+    summaries = []
+    for done in runs:
+        walls = sorted(wall for wall, _ in done)
+        median = statistics.median(walls)
+        best_wall, best = min(done, key=lambda run: run[0])
+        summaries.append((best_wall, best, {
+            "runs": len(walls),
+            "median_wall_seconds": median,
+            "spread": (walls[-1] - walls[0]) / median if median > 0 else 0.0,
+        }))
+    return summaries
+
+
 def _run(build) -> dict:
     """Build and drain one synthetic graph; return kernel statistics."""
-    best_wall = None
-    stats = None
-    for _ in range(REPEATS):
+
+    def measure():
         sim = Simulator()
         sequencers = build(sim)
         for sequencer in sequencers:
             sequencer.begin()
         start = time.perf_counter()
         sim.run()
-        wall = time.perf_counter() - start
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            stats = sim
+        return time.perf_counter() - start, sim
+
+    [(best_wall, stats, summary)] = _repeat(measure)
     events = stats.events_processed
     total_wakeups = stats.total_wakeups
     return {
@@ -144,6 +177,7 @@ def _run(build) -> dict:
         "spurious_fraction": (
             stats.spurious_wakeups / total_wakeups if total_wakeups else 0.0
         ),
+        **summary,
     }
 
 
@@ -259,25 +293,23 @@ def _fig7_system() -> SpiSystem:
 
 
 def _steady_measure(build_system, steady_state: str):
-    """Best-of-REPEATS wall for one steady-state mode.
+    """One timed run of ``steady_state`` mode: ``measure()`` for
+    :func:`_repeat`.
 
     A fresh system is compiled for every run: the application kernels
     are stateful (RNG, collectors), so reusing one would change the
     simulated work between repeats.
     """
-    best_wall = None
-    best_run = None
-    for _ in range(REPEATS):
+
+    def measure():
         system = build_system()
         start = time.perf_counter()
         run = system.run(
             iterations=STEADY_ITERATIONS, steady_state=steady_state
         )
-        wall = time.perf_counter() - start
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            best_run = run
-    return best_wall, best_run
+        return time.perf_counter() - start, run
+
+    return measure
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +317,12 @@ def steady_sweep():
     """fig6/fig7 at STEADY_ITERATIONS, steady-state off vs auto."""
     sweep = {}
     for fig, build_system in (("fig6", _fig6_system), ("fig7", _fig7_system)):
-        wall_off, run_off = _steady_measure(build_system, "off")
-        wall_auto, run_auto = _steady_measure(build_system, "auto")
+        off, auto = _repeat(
+            _steady_measure(build_system, "off"),
+            _steady_measure(build_system, "auto"),
+        )
+        wall_off, run_off, summary_off = off
+        wall_auto, run_auto, summary_auto = auto
         # one instrumented off run counts the kernel events the auto
         # run gets to skip — the "effective events/sec" numerator
         events_off = build_system().run(
@@ -296,6 +332,8 @@ def steady_sweep():
             "iterations": STEADY_ITERATIONS,
             "off_wall_seconds": wall_off,
             "auto_wall_seconds": wall_auto,
+            **{f"off_{key}": value for key, value in summary_off.items()},
+            **{f"auto_{key}": value for key, value in summary_auto.items()},
             "speedup": wall_off / wall_auto if wall_auto > 0 else 0.0,
             "events_off": events_off,
             "events_per_second_off": (

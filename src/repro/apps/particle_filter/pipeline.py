@@ -69,7 +69,7 @@ def _sum_left_to_right(values) -> float:
     keeps the builtin's start value: a sum of negative zeros is
     ``0.0``.
     """
-    running = np.cumsum(np.asarray(values, dtype=np.float64))
+    running = np.asarray(values, dtype=np.float64).cumsum()
     if not len(running):
         return 0.0
     return 0.0 + float(running[-1])
@@ -115,19 +115,13 @@ def pf_pe_resources(particles_per_pe: int) -> ResourceVector:
 class _Estimator:
     """Actor E_i: propagate the PE's particles through the growth model."""
 
-    def __init__(
-        self, model: CrackGrowthModel, capacity: int, seed: int
-    ) -> None:
+    def __init__(self, model: CrackGrowthModel, seed: int) -> None:
         self.model = model
-        self.capacity = capacity
         self.rng = np.random.RandomState(seed)
 
     def kernel(self, firing_index: int, inputs: Dict[str, list]) -> Dict[str, list]:
         particles = np.asarray(inputs["particles"], dtype=np.float64)
         return {"predicted": self.model.propagate(particles, self.rng)}
-
-    def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
-        return self.capacity * PROPAGATE_CYCLES_PER_PARTICLE + 12
 
 
 class _Updater:
@@ -142,13 +136,11 @@ class _Updater:
         self,
         model: CrackGrowthModel,
         observations: Sequence[float],
-        capacity: int,
         pe_index: int,
         collector: List[dict],
     ) -> None:
         self.model = model
         self.observations = list(observations)
-        self.capacity = capacity
         self.pe_index = pe_index
         self.collector = collector
 
@@ -169,9 +161,6 @@ class _Updater:
         weighted[:, 1] = weights
         return {"weighted": weighted}
 
-    def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
-        return self.capacity * LIKELIHOOD_CYCLES_PER_PARTICLE + 12
-
 
 class _PartialSum:
     """Actor S1_i: local weight sum, broadcast to the other PEs.
@@ -183,13 +172,8 @@ class _PartialSum:
     """
 
     def __init__(
-        self,
-        capacity: int,
-        n_pes: int,
-        pe_index: int,
-        collectives: bool = False,
+        self, n_pes: int, pe_index: int, collectives: bool = False
     ) -> None:
-        self.capacity = capacity
         self.n_pes = n_pes
         self.pe_index = pe_index
         self.collectives = collectives
@@ -207,9 +191,6 @@ class _PartialSum:
                 if other != self.pe_index:
                     outputs[f"wsum_to_{other}"] = [total]
         return outputs
-
-    def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
-        return self.capacity * SUM_CYCLES_PER_PARTICLE + 8
 
 
 class _LocalResampler:
@@ -255,13 +236,6 @@ class _LocalResampler:
             raise RuntimeError("local resampling lost replicas")
         return outputs
 
-    def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
-        return (
-            self.capacity * RESAMPLE_CYCLES_PER_PARTICLE
-            + self.n_pes * 8
-            + 12
-        )
-
 
 class _Assembler:
     """Actor S3_i: merge kept + imported replicas into the next population."""
@@ -286,9 +260,6 @@ class _Assembler:
                 f"expected {self.capacity}"
             )
         return {"particles": population}
-
-    def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
-        return self.capacity * ASSEMBLE_CYCLES_PER_PARTICLE + 8
 
 
 @dataclass
@@ -362,23 +333,34 @@ def build_particle_filter_graph(
     pe_resources = pf_pe_resources(capacity)
 
     for pe in range(n_pes):
-        estimator = _Estimator(model, capacity, seed=seed + 1 + pe)
-        updater = _Updater(model, observations, capacity, pe, collected)
-        partial = _PartialSum(capacity, n_pes, pe, collectives=collectives)
+        estimator = _Estimator(model, seed=seed + 1 + pe)
+        updater = _Updater(model, observations, pe, collected)
+        partial = _PartialSum(n_pes, pe, collectives=collectives)
         resampler = _LocalResampler(capacity, n_pes, pe)
         assembler = _Assembler(capacity, n_pes, pe)
 
-        e_actor = graph.actor(f"E_{pe}", kernel=estimator.kernel,
-                              cycles=estimator.cycles,
-                              params={"resources": pe_resources})
-        u_actor = graph.actor(f"U_{pe}", kernel=updater.kernel,
-                              cycles=updater.cycles)
-        s1_actor = graph.actor(f"S1_{pe}", kernel=partial.kernel,
-                               cycles=partial.cycles)
-        s2_actor = graph.actor(f"S2_{pe}", kernel=resampler.kernel,
-                               cycles=resampler.cycles)
-        s3_actor = graph.actor(f"S3_{pe}", kernel=assembler.kernel,
-                               cycles=assembler.cycles)
+        # every actor's time is a constant of the PE's capacity (and PE count)
+        e_actor = graph.actor(
+            f"E_{pe}", kernel=estimator.kernel,
+            cycles=capacity * PROPAGATE_CYCLES_PER_PARTICLE + 12,
+            params={"resources": pe_resources},
+        )
+        u_actor = graph.actor(
+            f"U_{pe}", kernel=updater.kernel,
+            cycles=capacity * LIKELIHOOD_CYCLES_PER_PARTICLE + 12,
+        )
+        s1_actor = graph.actor(
+            f"S1_{pe}", kernel=partial.kernel,
+            cycles=capacity * SUM_CYCLES_PER_PARTICLE + 8,
+        )
+        s2_actor = graph.actor(
+            f"S2_{pe}", kernel=resampler.kernel,
+            cycles=capacity * RESAMPLE_CYCLES_PER_PARTICLE + n_pes * 8 + 12,
+        )
+        s3_actor = graph.actor(
+            f"S3_{pe}", kernel=assembler.kernel,
+            cycles=capacity * ASSEMBLE_CYCLES_PER_PARTICLE + 8,
+        )
 
         e_actor.add_input("particles", rate=capacity, token_bytes=PARTICLE_BYTES)
         e_actor.add_output("predicted", rate=capacity, token_bytes=PARTICLE_BYTES)

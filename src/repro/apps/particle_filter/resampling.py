@@ -96,10 +96,12 @@ def _systematic_indices(
     positions = np.arange(count, dtype=np.float64)
     positions += offset
     positions /= count
-    cumulative = np.cumsum(w)
+    # the ndarray methods np.cumsum/np.searchsorted forward to, called
+    # directly (they skip numpy's Python dispatch layer)
+    cumulative = w.cumsum()
     cumulative /= total
     cumulative[-1] = 1.0  # guard against rounding
-    return np.searchsorted(cumulative, positions).astype(np.int64, copy=False)
+    return cumulative.searchsorted(positions).astype(np.int64, copy=False)
 
 
 def multinomial_resample(

@@ -77,7 +77,7 @@ class PackedToken:
     @classmethod
     def pack(cls, raw_tokens: Sequence, raw_token_bytes: int) -> "PackedToken":
         if isinstance(raw_tokens, np.ndarray):
-            raw_tokens.setflags(write=False)
+            raw_tokens.setflags(False)  # write=False; positional is cheaper
             return cls(raw_tokens, raw_token_bytes)
         return cls(tuple(raw_tokens), raw_token_bytes)
 

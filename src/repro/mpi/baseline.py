@@ -21,28 +21,30 @@ cites) cannot avoid:
 The same application graph, partition and self-timed schedule are used
 as for SPI — the comparison isolates the communication layer.  Both
 layers compile through :func:`repro.spi.library.lower` and run through
-one harness, :func:`repro.spi.runtime.simulate` (platform, task wiring,
-PE programs, completion check, iteration period and totals); they
-differ only in the channels and the send and receive tasks they plug
-in.  Every MPI transfer, envelope or payload, goes on its link through
-:meth:`repro.platform.interconnect.Link.send`.
+one harness, :func:`repro.spi.runtime.simulate` (platform, firing
+programs, completion check, iteration period and totals); they differ
+only in the channels, the data path and the costs of the send and
+receive ops they plug in.  Every MPI transfer, envelope or payload,
+goes on its link through :meth:`repro.platform.interconnect.Link.send`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Deque, Dict, Optional, Sequence
 
-from repro.dataflow.graph import Actor, DataflowGraph, Edge
+from repro.dataflow.graph import DataflowGraph, Edge
 from repro.mapping.partition import Partition
 from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
 from repro.platform.fpga import ResourceVector, estimate_datapath, estimate_fifo
 from repro.platform.interconnect import Interconnect, LinkSpec
 from repro.platform.simulator import Simulator, Waitset
-from repro.spi.actors import LocalFifo, payload_nbytes
+from repro.spi.actors import LocalFifo, recv_op, send_op
 from repro.spi.channel import ChannelStats
 from repro.spi.library import Lowering, lower
+from repro.spi.message import payload_nbytes
 from repro.spi.runtime import RunResult, simulate
 
 __all__ = ["MpiConfig", "MpiSystem", "mpi_engine_cost"]
@@ -88,7 +90,11 @@ class _MpiChannel:
     ``stats`` counts data messages and payload bytes, RTS/CTS envelopes
     as ``ack_messages``, and every envelope as ``header_bytes``;
     ``buffer_high_water`` is the unexpected-queue peak in messages.
+    The library has no flow control (``flow`` is None): a send never
+    waits for credit.
     """
+
+    flow = None
 
     def __init__(
         self,
@@ -97,12 +103,15 @@ class _MpiChannel:
         dst_pe: int,
         token_bytes: int,
         rendezvous: bool,
+        config: MpiConfig,
     ) -> None:
         self.edge = edge
+        self.key = edge.name
         self.src_pe = src_pe
         self.dst_pe = dst_pe
         self.token_bytes = token_bytes
         self.rendezvous = rendezvous
+        self.config = config
         self.arrived_data: Deque[tuple] = deque()  # (payload block, nbytes)
         self.arrived_rts: int = 0
         self.cts_pending: Deque[Callable[[], None]] = deque()
@@ -111,7 +120,14 @@ class _MpiChannel:
         self.buffer_high_water = 0
         self.stats = ChannelStats()
         #: woken when a message or RTS envelope lands (unblocks MPI_Recv)
-        self.recv_waitset = Waitset(f"{edge.name}.mpi_recv")
+        self.data_waitset = Waitset(f"{edge.name}.mpi_recv")
+        self._sim: Optional[Simulator] = None
+        self._interconnect: Optional[Interconnect] = None
+
+    def attach(self, sim: Simulator, interconnect: Interconnect) -> None:
+        """Bind the run whose links carry the handshake envelopes."""
+        self._sim = sim
+        self._interconnect = interconnect
 
     def deliver_data(self, payload: Sequence, nbytes: int, envelope: int) -> None:
         self.arrived_data.append((payload, nbytes))
@@ -123,7 +139,7 @@ class _MpiChannel:
         if self.data_pending:
             resume = self.data_pending.popleft()
             resume()
-        self.recv_waitset.wake()
+        self.data_waitset.wake()
 
     def _deliver_control(self, envelope: int) -> None:
         self.stats.ack_messages += 1
@@ -132,7 +148,7 @@ class _MpiChannel:
     def deliver_rts(self, envelope: int) -> None:
         self.arrived_rts += 1
         self._deliver_control(envelope)
-        self.recv_waitset.wake()
+        self.data_waitset.wake()
 
     def deliver_cts(self, envelope: int) -> None:
         self._deliver_control(envelope)
@@ -140,212 +156,107 @@ class _MpiChannel:
             resume = self.cts_pending.popleft()
             resume()
 
+    def package(self, payload: Sequence):
+        """An eager transfer of ``payload``: envelope plus payload bytes,
+        and the callback that queues it at the receiver."""
+        nbytes = payload_nbytes(payload, self.token_bytes)
+        envelope = self.config.envelope_bytes
+        return envelope + nbytes, partial(
+            self.deliver_data, payload, nbytes, envelope
+        )
 
-class _MpiSendTask:
-    """MPI_Send, or MPI_Bcast / MPI_Scatter for a collective send actor.
-
-    ``branches`` lists ``(ipc edge, _MpiChannel)`` per remote branch and
-    ``local_branches`` the consumer FIFOs of same-PE branches.  A
-    point-to-point send has one branch and sends its tokens unsliced,
-    eager (buffered) or — on a rendezvous channel — through a blocking
-    RTS/CTS handshake.
-
-    A collective send is one library call serving every branch.  The
-    library still knows nothing about the dataflow graph, but the
-    collective API lets it amortize the *software* send path: one
-    argument check plus one bounce-buffer copy of the root payload,
-    then one eager envelope+payload injection per destination.  On the
-    wire nothing is shared — a point-to-point MPI fabric still carries
-    one full message per rank, which is exactly what the SPI
-    shared-payload transport improves on.  Collectives are always
-    eager: the root cannot block on a rendezvous handshake with every
-    rank inside one call.
-    """
-
-    def __init__(
-        self,
-        actor: Actor,
-        branches: List[tuple],
-        local_branches: List[LocalFifo],
-        in_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        config: MpiConfig,
-        collective: bool = False,
+    def send_rendezvous(
+        self, now: int, tokens: Sequence, nbytes: int, done: Callable[[], None]
     ) -> None:
-        self.actor = actor
-        self.name = actor.name.replace(
-            "spi_send", "mpi_coll" if collective else "mpi_send"
-        )
-        self.collective = collective
-        #: (ipc edge, _MpiChannel) per remote branch, in branch order
-        self.branches = sorted(
-            branches, key=lambda item: item[0].branch_index
-        )
-        self.local_branches = sorted(
-            local_branches, key=lambda fifo: fifo.edge.branch_index
-        )
-        self.in_fifo = in_fifo
-        self.sim = sim
-        self.interconnect = interconnect
-        self.config = config
-        self.rate = actor.port("in").rate
-        #: only a point-to-point send on a rendezvous channel handshakes
-        self.rendezvous = not collective and self.branches[0][1].rendezvous
-        self.complete_async: Optional[Callable[[], None]] = None
-        self._staged: Optional[List] = None
-
-    def ready(self, now: int) -> bool:
-        return self.in_fifo.count >= self.rate
-
-    def blocked_reason(self, now: int) -> Optional[str]:
-        """Why this send cannot start (None when it can)."""
-        if self.in_fifo.count < self.rate:
-            return (
-                f"starved on {self.in_fifo.edge.name!r} "
-                f"(has {self.in_fifo.count}, needs {self.rate})"
-            )
-        return None
-
-    def wait_on(self, now: int) -> List[Waitset]:
-        """Waitsets of the resources currently blocking the guard."""
-        if self.in_fifo.count < self.rate:
-            return [self.in_fifo.waitset]
-        return []
-
-    def start(self, now: int) -> Optional[int]:
-        tokens = self.in_fifo.pop(self.rate)
-        self._staged = tokens
-        nbytes = payload_nbytes(tokens, self.in_fifo.edge.token_bytes)
+        """Blocking MPI_Send: RTS -> CTS -> data injection; ``done``
+        unblocks the sender once the payload has been injected."""
         config = self.config
-        if not self.rendezvous:
-            # Eager: envelope build + bounce-buffer copy, then the PE is
-            # free; the library drains the buffer onto the link.
-            return config.send_sw_cycles + config.copy_cycles(nbytes)
-        # Rendezvous: the PE blocks through RTS -> CTS -> data injection.
-        channel = self.branches[0][1]
-        link = self.interconnect.link(channel.src_pe, channel.dst_pe)
-        sim = self.sim
+        sim = self._sim
+        link = self._interconnect.link(self.src_pe, self.dst_pe)
         envelope = config.envelope_bytes
 
         def on_cts() -> None:
             inject_start = sim.now + config.copy_cycles(nbytes)
             link.send(
                 sim, inject_start, envelope + nbytes,
-                lambda: channel.deliver_data(tokens, nbytes, envelope),
-                ("data", channel.edge.name),
+                partial(self.deliver_data, tokens, nbytes, envelope),
+                ("data", self.key),
             )
-            assert self.complete_async is not None
-            # The sender unblocks once the payload has been injected.
-            sim.at(inject_start, self.complete_async)
+            sim.at(inject_start, done)
 
         def rts_arrive() -> None:
-            channel.deliver_rts(envelope)
-            channel.cts_pending.append(on_cts)
+            self.deliver_rts(envelope)
+            self.cts_pending.append(on_cts)
 
         link.send(
             sim, now + config.send_sw_cycles, envelope, rts_arrive,
-            ("rts", channel.edge.name),
+            ("rts", self.key),
         )
-        return None
 
-    def finish(self, now: int) -> None:
-        tokens = self._staged
-        self._staged = None
+    def receive_ready(self, n: int = 1) -> bool:
+        """MPI_Recv guard: an RTS envelope (rendezvous) or a message."""
         if self.rendezvous:
-            return
-        for fifo in self.local_branches:
-            fifo.push(fifo.edge.connection.produced_tokens(fifo.edge, tokens))
-        envelope = self.config.envelope_bytes
-        for member, channel in self.branches:
-            part = (
-                member.connection.produced_tokens(member, tokens)
-                if self.collective
-                else tokens
-            )
-            nbytes = payload_nbytes(part, channel.token_bytes)
+            return self.arrived_rts > 0
+        return len(self.arrived_data) >= n
 
-            def deliver(ch=channel, payload=part, size=nbytes) -> None:
-                ch.deliver_data(payload, size, envelope)
-
-            self.interconnect.link(channel.src_pe, channel.dst_pe).send(
-                self.sim, now, envelope + nbytes, deliver,
-                ("data", channel.edge.name),
-            )
-
-
-class _MpiRecvTask:
-    """MPI_Recv: matching + copy-out (eager) or CTS handshake (rendezvous)."""
-
-    def __init__(
-        self,
-        actor: Actor,
-        channel: _MpiChannel,
-        out_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        config: MpiConfig,
-    ) -> None:
-        self.actor = actor
-        self.name = actor.name.replace("spi_recv", "mpi_recv")
-        self.channel = channel
-        self.out_fifo = out_fifo
-        self.sim = sim
-        self.interconnect = interconnect
-        self.config = config
-        self.complete_async: Optional[Callable[[], None]] = None
-
-    def ready(self, now: int) -> bool:
-        if self.channel.rendezvous:
-            return self.channel.arrived_rts > 0
-        return bool(self.channel.arrived_data)
-
-    def blocked_reason(self, now: int) -> Optional[str]:
-        """Why this receive cannot start (None when it can)."""
-        if not self.ready(now):
-            kind = "RTS envelope" if self.channel.rendezvous else "message"
-            return (
-                f"waiting for a {kind} on channel "
-                f"{self.channel.edge.name!r}"
-            )
-        return None
-
-    def wait_on(self, now: int) -> List[Waitset]:
-        """Waitsets of the resources currently blocking the guard."""
-        return [self.channel.recv_waitset]
-
-    def start(self, now: int) -> Optional[int]:
-        channel = self.channel
+    def receive_cost(self, now: int, done: Callable[[], None]) -> Optional[int]:
+        """MPI_Recv: matching + copy-out of an eager message, or — on a
+        rendezvous channel — match the RTS, return the CTS and block
+        until the data has arrived and been copied out (then ``done``)."""
         config = self.config
-        if not channel.rendezvous:
-            _, nbytes = channel.arrived_data[0]
+        if not self.rendezvous:
+            _, nbytes = self.arrived_data[0]
             return config.match_cycles + config.copy_cycles(nbytes)
-        # Rendezvous: match the RTS, return CTS, block until the data has
-        # arrived and been copied out.
-        channel.arrived_rts -= 1
-        sim = self.sim
-        self.interconnect.link(channel.dst_pe, channel.src_pe).send(
+        self.arrived_rts -= 1
+        sim = self._sim
+        self._interconnect.link(self.dst_pe, self.src_pe).send(
             sim, now + config.match_cycles, config.envelope_bytes,
-            lambda: channel.deliver_cts(config.envelope_bytes),
-            ("cts", channel.edge.name),
+            partial(self.deliver_cts, config.envelope_bytes),
+            ("cts", self.key),
         )
 
         def data_ready() -> None:
-            _, nbytes = channel.arrived_data[0]
-            assert self.complete_async is not None
-            sim.after(config.copy_cycles(nbytes), self.complete_async)
+            _, nbytes = self.arrived_data[0]
+            sim.after(config.copy_cycles(nbytes), done)
 
         # The payload lands strictly after the CTS round trip; register
         # for its delivery instead of polling the channel every cycle.
-        if channel.arrived_data:
+        if self.arrived_data:
             data_ready()
         else:
-            channel.data_pending.append(data_ready)
+            self.data_pending.append(data_ready)
         return None
 
-    def finish(self, now: int) -> None:
-        payload, _ = self.channel.arrived_data.popleft()
-        self.out_fifo.push(payload)
+    def receive_into(self, fifo: LocalFifo, now: int) -> None:
+        payload, _ = self.arrived_data.popleft()
+        fifo.push(payload)
+
+
+class _MpiWire:
+    """The MPI layer's data path: every transfer on its own link.
+
+    A collective (MPI_Bcast / MPI_Scatter) is one library call serving
+    every branch.  The library still knows nothing about the dataflow
+    graph, but the collective API lets it amortize the *software* send
+    path: one argument check plus one bounce-buffer copy of the root
+    payload (one SEND op), then one eager envelope+payload injection
+    per destination.  On the wire nothing is shared — a point-to-point
+    MPI fabric still carries one full message per rank, which is exactly
+    what the SPI shared-payload transport improves on.
+    """
+
+    def __init__(self, sim: Simulator, interconnect: Interconnect) -> None:
+        self.sim = sim
+        self.interconnect = interconnect
+
+    def send(self, key, src_pe, dst_pe, nbytes, now, deliver) -> None:
+        self.interconnect.link(src_pe, dst_pe).send(
+            self.sim, now, nbytes, deliver, ("data", key)
+        )
+
+    def send_collective(self, group, src_pe, parts, now, shared) -> None:
+        for key, dst_pe, nbytes, deliver in parts:
+            self.send(key, src_pe, dst_pe, nbytes, now, deliver)
 
 
 class MpiSystem:
@@ -419,6 +330,7 @@ class MpiSystem:
         check_lost_wakeups: bool = False,
     ) -> RunResult:
         assignment = self.insertion.partition.assignment
+        config = self.config
         channels = {
             origin_name: _MpiChannel(
                 edge=ipc_edge,
@@ -426,30 +338,57 @@ class MpiSystem:
                 dst_pe=assignment[pair.recv],
                 token_bytes=ipc_edge.token_bytes,
                 rendezvous=self.channel_modes[origin_name],
+                config=config,
             )
             for origin_name, (ipc_edge, pair, _) in self.insertion.channels.items()
         }
-        config = self.config
 
-        def factories(sim: Simulator, interconnect: Interconnect):
-            def send(actor, branches, local_branches, in_fifo, group):
-                return _MpiSendTask(
+        def factories(sim: Simulator, interconnect: Interconnect, counts):
+            wire = _MpiWire(sim, interconnect)
+            for channel in channels.values():
+                channel.attach(sim, interconnect)
+
+            def send(actor, branches, local, in_fifo, group):
+                # Collectives are always eager: the root cannot block on
+                # a rendezvous handshake with every rank inside one call.
+                collective = group is not None
+                channel = branches[0][1]
+                token_bytes = in_fifo.edge.token_bytes
+                rendezvous = not collective and channel.rendezvous
+
+                def cost(now, tokens, done):
+                    nbytes = payload_nbytes(tokens, token_bytes)
+                    if rendezvous:
+                        channel.send_rendezvous(now, tokens, nbytes, done)
+                        return None
+                    # Eager: envelope build + bounce-buffer copy, then the
+                    # PE is free; the library drains the buffer onto the link.
+                    return config.send_sw_cycles + config.copy_cycles(nbytes)
+
+                return send_op(
                     actor,
                     branches,
-                    local_branches,
+                    local,
                     in_fifo,
-                    sim,
-                    interconnect,
-                    config,
-                    collective=group is not None,
+                    wire,
+                    group=group.name if collective else None,
+                    name=actor.name.replace(
+                        "spi_send", "mpi_coll" if collective else "mpi_send"
+                    ),
+                    cost=cost,
+                    rendezvous=rendezvous,
                 )
 
             def recv(actor, channel, out_fifo):
-                return _MpiRecvTask(
-                    actor, channel, out_fifo, sim, interconnect, config
+                return recv_op(
+                    actor,
+                    channel,
+                    out_fifo,
+                    name=actor.name.replace("spi_recv", "mpi_recv"),
+                    cost=channel.receive_cost,
                 )
 
-            return send, recv, None
+            return send, recv
 
         result, _ = simulate(
             self,

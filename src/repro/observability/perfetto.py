@@ -18,6 +18,7 @@ converted through ``clock_mhz``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["PE_PID", "INTERCONNECT_PID", "chrome_trace"]
@@ -55,7 +56,7 @@ def chrome_trace(
         }
     ]
     rows = trace.rows
-    for pe in sorted({row[0] for row in rows}):
+    for pe in sorted(set(map(itemgetter(0), rows))):
         events.append(
             {
                 "ph": "M",
@@ -67,7 +68,7 @@ def chrome_trace(
             }
         )
     # cycles / clock_mhz is microseconds (the format's unit)
-    events.extend(
+    events += [
         {
             "name": task,
             "cat": "task",
@@ -79,7 +80,7 @@ def chrome_trace(
             "args": {"iteration": iteration},
         }
         for pe, task, start, end, iteration in rows
-    )
+    ]
 
     message_list = list(messages) if messages is not None else []
     if message_list:

@@ -18,7 +18,6 @@ through a transport (:mod:`repro.platform.transport`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
@@ -53,7 +52,7 @@ class LinkSpec:
         """Occupancy of the link for one message of ``message_bytes``."""
         if message_bytes < 0:
             raise ValueError("message_bytes must be >= 0")
-        words = math.ceil(message_bytes / self.word_bytes) if message_bytes else 0
+        words = -(-message_bytes // self.word_bytes)
         return self.setup_cycles + words * self.cycles_per_word
 
 
@@ -75,7 +74,7 @@ class Link:
         begins transmitting (after any in-flight transfer drains) and
         ``arrival`` when the last word lands at the destination.
         """
-        start = max(now, self.busy_until)
+        start = now if now > self.busy_until else self.busy_until
         arrival = start + self.spec.transfer_cycles(message_bytes)
         self.busy_until = arrival
         self.bytes_carried += message_bytes
@@ -103,21 +102,10 @@ class Link:
         start, arrival = self.reserve(now, message_bytes)
         if observer is not None:
             observer.message(
-                channel=key[1],
-                kind=key[0],
-                src_pe=self.src_pe,
-                dst_pe=self.dst_pe,
-                nbytes=message_bytes,
-                requested=now,
-                started=start,
-                arrived=arrival,
+                key[1], key[0], self.src_pe, self.dst_pe, message_bytes, now,
+                start, arrival,
             )
         sim.schedule_delivery(arrival, deliver, key)
-
-    def reset(self) -> None:
-        self.busy_until = 0
-        self.bytes_carried = 0
-        self.messages_carried = 0
 
 
 class Interconnect:
@@ -132,23 +120,16 @@ class Interconnect:
         self._links: Dict[Tuple[int, int], Link] = {}
 
     def link(self, src_pe: int, dst_pe: int) -> Link:
-        if src_pe == dst_pe:
-            raise ValueError("no link is needed for same-PE communication")
-        key = (src_pe, dst_pe)
-        if key not in self._links:
-            self._links[key] = Link(src_pe, dst_pe, self.default_spec)
-        return self._links[key]
+        link = self._links.get((src_pe, dst_pe))
+        if link is None:
+            if src_pe == dst_pe:
+                raise ValueError("no link is needed for same-PE communication")
+            link = self._links[src_pe, dst_pe] = Link(
+                src_pe, dst_pe, self.default_spec
+            )
+        return link
 
     @property
     def links(self) -> List[Link]:
         return list(self._links.values())
 
-    def total_bytes(self) -> int:
-        return sum(link.bytes_carried for link in self._links.values())
-
-    def total_messages(self) -> int:
-        return sum(link.messages_carried for link in self._links.values())
-
-    def reset(self) -> None:
-        for link in self._links.values():
-            link.reset()

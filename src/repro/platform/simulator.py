@@ -3,18 +3,19 @@
 The kernel is deliberately small: a time-ordered event heap plus a
 park/wake discipline for sequencers.
 
-* A **task** is anything implementing the :class:`Task` protocol —
-  computation firings, SPI sends/receives, MPI baseline operations.
-* A **sequencer** executes one PE's cyclic task order: it runs tasks in
-  order, starting each as soon as its ``ready()`` guard holds (this *is*
-  the self-timed execution model of the paper: assignment and order are
+* A **firing program** is one PE's cyclic list of :class:`Op` records —
+  computation firings, SPI_init, SPI (or MPI baseline) sends and
+  receives — built once per run.  Any object implementing the
+  :class:`Task` protocol runs as one more op kind.
+* A **sequencer** interprets one PE's program: it runs the ops in
+  order, starting each as soon as its guard holds (this *is* the
+  self-timed execution model of the paper: assignment and order are
   fixed at compile time, firing instants resolve at run time from data
   availability).
-* When a task's guard fails the sequencer parks.  The task's
-  ``wait_on()`` names the :class:`Waitset` objects of the resources it
-  is blocked on (a starved channel, an empty sync pool, an exhausted
-  credit window); the sequencer subscribes to those waitsets and is
-  woken **only** when one of them signals.
+* When an op's guard fails the sequencer parks on the :class:`Waitset`
+  objects of the resources it is blocked on (a starved channel, an
+  empty sync pool, an exhausted credit window) and is woken **only**
+  when one of them signals.
 
 A state change therefore touches exactly the sequencers that can make
 progress.  Wakeups are delivered through the event heap at the current
@@ -22,9 +23,9 @@ simulation time, after the mutating event completes, in subscription
 order.
 
 Deadlock (all sequencers parked, no events pending) raises
-:class:`SimulationDeadlock` with a description of every blocked task —
+:class:`SimulationDeadlock` with a description of every blocked op —
 invaluable when a protocol is mis-wired.  If a parked sequencer's guard
-actually *holds* at deadlock time, or a blocked task names no waitset
+actually *holds* at deadlock time, or a blocked op names no waitset
 to wait on, the kernel raises :class:`LostWakeupError` instead: nothing
 would ever wake that sequencer, which is a kernel-integration bug, never
 an application deadlock.  ``Simulator(check_lost_wakeups=True)`` (used
@@ -36,11 +37,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from heapq import heappush as _heappush
 from typing import Callable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.platform.pe import ProcessingElement
 
 __all__ = [
+    "Op",
     "Task",
     "Waitset",
     "Simulator",
@@ -67,7 +70,7 @@ class LostWakeupError(RuntimeError):
 
 
 class Task(Protocol):
-    """One schedulable unit on a PE."""
+    """One schedulable unit on a PE, run as a ``TASK`` op."""
 
     name: str
 
@@ -107,25 +110,27 @@ class Waitset:
     :meth:`wake` discards by comparing epochs.
     """
 
-    __slots__ = ("name", "_waiters", "wakes")
+    __slots__ = ("name", "waiters", "wakes")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._waiters: List[Tuple["PESequencer", int]] = []
+        #: ``(sequencer, epoch)`` subscriptions, live or stale; a hot
+        #: resource tests it to skip :meth:`wake` when nobody waits
+        self.waiters: List[Tuple["PESequencer", int]] = []
         #: wake() calls that found at least one live waiter
         self.wakes = 0
 
     def __len__(self) -> int:
-        return len(self._waiters)
+        return len(self.waiters)
 
     def subscribe(self, sequencer: "PESequencer") -> None:
-        self._waiters.append((sequencer, sequencer.wait_epoch))
+        self.waiters.append((sequencer, sequencer.wait_epoch))
 
     def wake(self) -> None:
         """Schedule a wakeup for every live subscriber."""
-        if not self._waiters:
+        if not self.waiters:
             return
-        waiters, self._waiters = self._waiters, []
+        waiters, self.waiters = self.waiters, []
         woke = False
         for sequencer, epoch in waiters:
             if sequencer.wait_epoch == epoch:
@@ -135,7 +140,7 @@ class Waitset:
             self.wakes += 1
 
     def __repr__(self) -> str:
-        return f"Waitset({self.name!r}, waiters={len(self._waiters)})"
+        return f"Waitset({self.name!r}, waiters={len(self.waiters)})"
 
 
 class Simulator:
@@ -240,7 +245,7 @@ class Simulator:
         self._wake_queue.append(sequencer)
         if not self._wake_scheduled:
             self._wake_scheduled = True
-            self.at(self.now, self._drain_wakes)
+            _heappush(self._heap, (self.now, next(self._seq), self._drain_wakes))
 
     def _drain_wakes(self) -> None:
         self._wake_scheduled = False
@@ -267,12 +272,11 @@ class Simulator:
         for sequencer in self._parked:
             if sequencer.wake_pending or not sequencer.parked:
                 continue
-            task = sequencer.current
-            if task is not None and task.ready(self.now):
+            if sequencer.ready(self.now):
                 raise LostWakeupError(
-                    f"{sequencer.pe.name}: task {task.name!r} became ready "
-                    f"at t={self.now} but no waitset woke its sequencer "
-                    f"(lost wakeup)"
+                    f"{sequencer.pe.name}: task {sequencer.current.name!r} "
+                    f"became ready at t={self.now} but no waitset woke its "
+                    f"sequencer (lost wakeup)"
                 )
 
     # -- main loop ---------------------------------------------------------------
@@ -310,12 +314,11 @@ class Simulator:
         if blocked:
             blocked.sort(key=lambda s: s.pe.index)
             for sequencer in blocked:
-                task = sequencer.current
-                if task is not None and task.ready(self.now):
+                if sequencer.ready(self.now):
                     raise LostWakeupError(
-                        f"{sequencer.pe.name}: task {task.name!r} is ready "
-                        f"at t={self.now} but its sequencer was never woken "
-                        f"(lost wakeup)"
+                        f"{sequencer.pe.name}: task "
+                        f"{sequencer.current.name!r} is ready at t={self.now} "
+                        f"but its sequencer was never woken (lost wakeup)"
                     )
             details = "; ".join(s.describe_block() for s in blocked)
             raise SimulationDeadlock(
@@ -324,21 +327,169 @@ class Simulator:
         return self.now
 
 
-class PESequencer:
-    """Executes one PE's cyclic task order, self-timed.
+#: op kinds of a firing program (see :class:`Op`)
+TASK, INIT, FIRE, SEND, RECV = range(5)
 
-    ``program`` is the per-iteration task list; the sequencer runs it
-    ``iterations`` times.  Each task may be executed with overlapping of
-    *different PEs* but tasks of one PE strictly serialize (one datapath).
-    Every task must implement ``wait_on`` (see :class:`Task`); a program
-    with a task that does not is rejected here with ``TypeError``.
+
+class Op:
+    """One record of a PE's firing program: what one dispatch does.
+
+    A firing program is a PE's per-iteration list of op records, built
+    once per run (:func:`repro.spi.actors.wire_ops`).  An actor that
+    fires several times per iteration occupies several entries that
+    share one record, whose ``index`` counts its logical firings.  The
+    :class:`PESequencer` interprets the records by ``kind``; each kind
+    is a fixed sequence of the ops *guard*, *consume*, *compute*,
+    *produce*, *send*, *recv* and *init*:
+
+    * ``INIT`` (SPI_init) is always ready and costs ``cycles`` on its
+      first dispatch and nothing afterwards.
+    * ``FIRE`` guards on ``guard`` (``(fifo, rate)`` per member edge of
+      every connected input), consumes through ``pops`` (``(port, fifo,
+      rate, members, connection)``: a port with one plain member pops
+      it, a collective port assembles its ``members``), computes with
+      ``actor.fire`` and produces through ``pushes`` (``(port, fifo,
+      scatter span)``).
+    * ``SEND`` guards on its input ``fifo`` holding ``rate`` tokens and
+      on the send window of every ``credited`` channel, consumes one
+      message of tokens, charges every flow in ``flows`` and, at completion,
+      delivers ``local`` branch fifos and sends every ``remote`` ``(ipc
+      edge, channel)`` branch through ``wire``: one ``wire.send`` for a
+      point-to-point send, one ``wire.send_collective`` keyed by
+      ``group`` for a collective (``shared`` for a broadcast payload).
+      A channel turns a payload into its wire bytes and delivery with
+      ``channel.package(payload)``.  A ``rendezvous`` send hands the
+      whole transfer to its channel at start and produces nothing at
+      completion.
+    * ``RECV`` guards on ``channel.receive_ready(n)`` and at completion
+      moves each message into ``fifo`` with ``channel.receive_into``
+      (which also sends the channel's acknowledgment, if any).
+    * ``TASK`` runs any object of the :class:`Task` protocol (``task``).
+
+    Cost: ``cycles`` when static, else ``cost(...)`` when the layer
+    prices the op itself (``cost(now, tokens, done)`` for a send,
+    ``cost(now, done)`` for a receive; ``None`` means event-completed,
+    and ``done`` must then be called), else ``actor.execution_cycles``.
+
+    A **burst** is a count on the same ops: ``counts`` holds the firings
+    per macro-pass of a batched run (the sequencer's iteration is the
+    macro-pass), and a FIRE, SEND or RECV op on an accelerator or with
+    ``counts`` runs its burst atomically at the PE class's amortized
+    cost; the sequencer sets ``single`` on the others, and ``classic``
+    on a single FIRE op without sync layers, whose whole firing it
+    interprets inline.  ``sync`` lists resynchronization layers,
+    outermost first (see :class:`repro.spi.actors.SyncLayer`): each
+    guards on and consumes its pools, and deposits into its notified
+    pools after the op completes, on the invocations its phase selects.
+    """
+
+    __slots__ = (
+        "kind", "name", "index", "staged", "sync", "actor", "cycles",
+        "cost", "guard", "pops", "pushes", "fifo", "rate", "flows",
+        "credited", "remote", "local", "connection", "wire", "group",
+        "shared", "rendezvous", "channel", "counts", "single", "classic",
+        "task",
+    )
+
+    def __init__(self, kind: int, name: str, **fields) -> None:
+        self.kind = kind
+        self.name = name
+        self.index = 0
+        self.staged = None
+        self.sync = None
+        self.actor = self.cycles = self.cost = None
+        self.guard = self.pops = self.pushes = ()
+        self.fifo = self.channel = self.task = None
+        self.rate = 0
+        self.flows = self.credited = self.remote = self.local = ()
+        self.connection = self.wire = self.group = None
+        self.shared = self.rendezvous = False
+        self.counts = None
+        self.single = True
+        self.classic = False
+        for key, value in fields.items():
+            setattr(self, key, value)
+
+    def __repr__(self) -> str:
+        return f"Op({self.name!r}, kind={self.kind})"
+
+
+def _task_op(pe: ProcessingElement, task) -> Op:
+    """The TASK op running ``task`` (a program entry that is no Op)."""
+    if not callable(getattr(task, "wait_on", None)):
+        raise TypeError(
+            f"{pe.name}: task {task.name!r} does not implement "
+            f"wait_on(now); a blocked task must name the waitsets that "
+            f"can wake it"
+        )
+    return Op(TASK, task.name, task=task)
+
+
+def _consume(op: Op) -> dict:
+    """One firing's input values, popped through ``op.pops``."""
+    consumed = {}
+    for port, fifo, rate, members, connection in op.pops:
+        if fifo is not None:
+            consumed[port] = fifo.pop(rate)
+        else:
+            consumed[port] = connection.assemble(
+                [member.pop(count) for member, count in members]
+            )
+    return consumed
+
+
+def _produce(op: Op, consumed: dict) -> None:
+    """Fire ``op.actor`` once on ``consumed`` and push its outputs."""
+    produced = op.actor.fire(op.index, consumed)
+    for port, fifo, span in op.pushes:
+        if span is None:
+            fifo.push(produced[port])
+        else:
+            fifo.push(produced[port][span[0]:span[1]])
+    op.index += 1
+
+
+def _launch(op: Op, now: int, tokens) -> None:
+    """Deliver one SEND firing's ``tokens`` to every branch."""
+    connection = op.connection
+    for fifo in op.local:
+        fifo.push(connection.produced_tokens(fifo.edge, tokens))
+    remote = op.remote
+    if not remote:
+        return
+    if op.group is None:
+        channel = remote[0][1]
+        nbytes, deliver = channel.package(tokens)
+        op.wire.send(
+            channel.key, channel.src_pe, channel.dst_pe, nbytes, now, deliver
+        )
+        return
+    parts = []
+    for edge, channel in remote:
+        nbytes, deliver = channel.package(
+            connection.produced_tokens(edge, tokens)
+        )
+        parts.append((channel.key, channel.dst_pe, nbytes, deliver))
+    op.wire.send_collective(op.group, remote[0][1].src_pe, parts, now, op.shared)
+
+
+class PESequencer:
+    """Interprets one PE's firing program, self-timed.
+
+    ``program`` is the per-iteration list of :class:`Op` records (any
+    other entry is a :class:`Task` and runs as a ``TASK`` op); the
+    sequencer runs it ``iterations`` times.  Dispatches of *different
+    PEs* overlap, but the dispatches of one PE strictly serialize (one
+    datapath).  Every task must implement ``wait_on`` (see
+    :class:`Task`); a program with a task that does not is rejected
+    here with ``TypeError``.
     """
 
     def __init__(
         self,
         sim: Simulator,
         pe: ProcessingElement,
-        program: Sequence[Task],
+        program: Sequence,
         iterations: int,
         trace=None,
     ) -> None:
@@ -346,17 +497,20 @@ class PESequencer:
             raise ValueError("iterations must be >= 1")
         self.sim = sim
         self.pe = pe
-        self.program = list(program)
+        self.program = [
+            entry if isinstance(entry, Op) else _task_op(pe, entry)
+            for entry in program
+        ]
+        accelerated = pe.pe_class.is_accelerator
+        for op in self.program:
+            op.single = op.counts is None and not (
+                accelerated and op.kind in (FIRE, SEND, RECV)
+            )
+            op.classic = op.kind == FIRE and op.single and op.sync is None
         self._length = len(self.program)
-        for task in self.program:
-            if not callable(getattr(task, "wait_on", None)):
-                raise TypeError(
-                    f"{pe.name}: task {task.name!r} does not implement "
-                    f"wait_on(now); a blocked task must name the waitsets "
-                    f"that can wake it"
-                )
         self.iterations = iterations
         self.trace = trace
+        self._add_row = trace.add_row if trace is not None else None
         self.iteration = 0
         self.position = 0
         self.done = not self.program
@@ -366,9 +520,9 @@ class PESequencer:
         #: kernel state here and may reduce ``iterations`` (a warp)
         self.on_iteration: Optional[Callable[[], None]] = None
         self._running = False
-        #: absolute completion time of the running task (state hashing)
+        #: absolute completion time of the running op (state hashing)
         self._busy_until: Optional[int] = None
-        #: when the current task first failed its guard (None = not blocked)
+        #: when the current op first failed its guard (None = not blocked)
         self._blocked_since: Optional[int] = None
         #: parked on waitset subscriptions
         self.parked = False
@@ -382,10 +536,8 @@ class PESequencer:
         #: the advance() call was delivered by a wakeup (spurious-wakeup
         #: accounting: set by the kernel, cleared on entry to advance)
         self._woken = False
-        # One completion closure per sequencer, reused across every task
-        # start (tasks of one PE strictly serialize, so a single slot is
-        # enough) — avoids two closure allocations per firing.
-        self._current_task: Optional[Task] = None
+        #: the running op and its start time
+        self._op: Optional[Op] = None
         self._started_at = 0
         self._complete_cb = self._complete
         self._async_hook = self._install_async_complete
@@ -396,7 +548,7 @@ class PESequencer:
             self.sim.at(self.sim.now, self.advance)
 
     @property
-    def current(self) -> Optional[Task]:
+    def current(self) -> Optional[Op]:
         if self.done:
             return None
         return self.program[self.position]
@@ -406,126 +558,385 @@ class PESequencer:
         self.wait_epoch += 1
 
     def advance(self) -> None:
-        """Try to start the current task; park on a failed guard."""
+        """Try to start the current op; park on a failed guard."""
         woken, self._woken = self._woken, False
         if self.done or self._running:
             return
         if self.parked:
             self._unpark()
-        task = self.program[self.position]
-        now = self.sim.now
-        if not task.ready(now):
-            self._park(task, now, woken)
-            return
-        if self._blocked_since is not None:
-            # The blocked interval ends now: attribute it to the task
-            # whose guard held the PE up (observability).
-            self.pe.record_blocked_interval(
-                task.name, now - self._blocked_since
-            )
-            self._blocked_since = None
-        self._current_task = task
-        self._started_at = now
-        duration = task.start(now)
-        self._running = True
-        if duration is None:
-            # Event-completed task (e.g. a blocking rendezvous send):
-            # the task signals completion through this callback.
-            self._busy_until = None
-            task.complete_async = self._async_hook
-            return
-        if duration < 0:
-            raise ValueError("delay must be >= 0")
-        self._busy_until = now + duration
-        sim = self.sim
-        heapq.heappush(
-            sim._heap, (now + duration, next(sim._seq), self._complete_cb)
-        )
+        self._complete(False, woken)
 
-    def _park(self, task: Task, now: int, woken: bool) -> None:
-        """The current task's guard failed: park on its waitsets."""
+    def _park(self, op: Op, now: int, woken: bool) -> None:
+        """The current op's guard failed: park on its waitsets."""
         sim = self.sim
         if woken:
             sim.spurious_wakeups += 1
         if self._blocked_since is None:
             self._blocked_since = now
         self.pe.record_block()
-        sim.park(self, task.wait_on(now))
+        task = op.task
+        sim.park(
+            self, task.wait_on(now) if task is not None else self._wait_on(op, now)
+        )
+
+    def _unblock(self, op: Op, now: int) -> None:
+        """The blocked interval ends now: attribute it to the op whose
+        guard held the PE up (observability)."""
+        self.pe.record_blocked_interval(op.name, now - self._blocked_since)
+        self._blocked_since = None
 
     def _install_async_complete(self) -> None:
         self.sim.at(self.sim.now, self._complete_cb)
 
-    def _complete(self) -> None:
-        """Finish the running task and start (or park on) the next one.
+    def _complete(self, finishing: bool = True, woken: bool = False) -> None:
+        """Finish the running op, then start (or park on) the next one.
 
-        One call per task completion: it records the busy cycles and the
-        trace row, finishes the task, steps the program position (an
-        iteration wrap runs ``on_iteration`` before the done check, as
-        the steady-state tracker may shrink ``iterations`` there) and
-        then does what :meth:`advance` does for the next task.  A
-        running sequencer is never parked, woken or blocked, so that
-        part needs none of :meth:`advance`'s entry checks.
+        The event heap calls this once per dispatch completion: it
+        records the busy cycles and the trace row, finishes the op,
+        steps the program position (an iteration wrap runs
+        ``on_iteration`` before the done check, as the steady-state
+        tracker may shrink ``iterations`` there) and dispatches the next
+        op.  :meth:`advance` calls it with ``finishing=False`` to only
+        dispatch, after the entry checks of the wake path (a running
+        sequencer is never parked, woken or blocked).  The classic
+        firing (a FIRE op, one firing per dispatch, no sync layer) is
+        interpreted inline — guard, consume, compute, produce — and so
+        are a TASK op's protocol calls; every other op goes through
+        :meth:`_ready`, :meth:`_start` and :meth:`_finish`.
         """
-        sim = self.sim
-        now = sim.now
-        task = self._current_task
-        self._current_task = None
-        self._running = False
-        started = self._started_at
-        pe = self.pe
-        pe.busy_cycles += now - started
-        pe.firings += 1
-        if self.trace is not None:
-            self.trace.record(
-                pe.index, task.name, started, now, self.iteration
-            )
-        task.finish(now)
-        position = self.position + 1
-        if position < self._length:
-            self.position = position
-        else:
-            self.position = 0
-            self.iteration += 1
-            self.finish_times.append(now)
-            if self.on_iteration is not None:
-                # may warp: every sequencer's target can shrink here, so
-                # the done check below must run after the hook
-                self.on_iteration()
-            if self.iteration >= self.iterations:
-                self.done = True
+        now = self.sim.now
+        if finishing:
+            op = self._op
+            started = self._started_at
+            pe = self.pe
+            pe.busy_cycles += now - started
+            pe.firings += 1
+            if self._add_row is not None:
+                self._add_row((pe.index, op.name, started, now, self.iteration))
+            self._running = False
+            if op.classic:
+                produced = op.actor.fire(op.index, op.staged)
+                op.staged = None
+                for port, fifo, span in op.pushes:
+                    if span is None:
+                        fifo.push(produced[port])
+                    else:
+                        fifo.push(produced[port][span[0]:span[1]])
+                op.index += 1
+            elif op.task is not None:
+                op.task.finish(now)
+            else:
+                self._finish(op, now)
+                if op.sync is not None:
+                    self._sync_finish(op, now)
+            position = self.position + 1
+            if position == self._length:
+                position = self.position = 0
+                self.iteration += 1
+                self.finish_times.append(now)
+                if self.on_iteration is not None:
+                    # may warp: every sequencer's target can shrink here,
+                    # so the done check below must run after the hook
+                    self.on_iteration()
+                if self.iteration >= self.iterations:
+                    self.done = True
+                    return
+            else:
+                self.position = position
+        op = self.program[self.position]
+        if op.classic:
+            for fifo, rate in op.guard:
+                if fifo.count < rate:
+                    self._park(op, now, woken)
+                    return
+            if self._blocked_since is not None:
+                self._unblock(op, now)
+            consumed = {}
+            for port, fifo, rate, members, connection in op.pops:
+                if fifo is not None:
+                    consumed[port] = fifo.pop(rate)
+                else:
+                    consumed[port] = connection.assemble(
+                        [member.pop(count) for member, count in members]
+                    )
+            op.staged = consumed
+            duration = op.cycles
+            if duration is None:
+                duration = op.actor.execution_cycles(op.index, consumed)
+        elif op.task is not None:
+            task = op.task
+            if not task.ready(now):
+                self._park(op, now, woken)
                 return
-        task = self.program[self.position]
-        if not task.ready(now):
-            self._park(task, now, False)
-            return
-        self._current_task = task
+            if self._blocked_since is not None:
+                self._unblock(op, now)
+            duration = task.start(now)
+            if duration is None:
+                task.complete_async = self._async_hook
+        else:
+            if not self._ready(op, now):
+                self._park(op, now, woken)
+                return
+            if self._blocked_since is not None:
+                self._unblock(op, now)
+            if op.sync is not None:
+                self._sync_start(op)
+            duration = self._start(op, now)
+        self._op = op
         self._started_at = now
-        duration = task.start(now)
         self._running = True
         if duration is None:
+            # Event-completed op (e.g. a blocking rendezvous send):
+            # completion arrives through ``_async_hook``.
             self._busy_until = None
-            task.complete_async = self._async_hook
             return
         if duration < 0:
             raise ValueError("delay must be >= 0")
-        self._busy_until = now + duration
-        heapq.heappush(
-            sim._heap, (now + duration, next(sim._seq), self._complete_cb)
-        )
+        end = self._busy_until = now + duration
+        sim = self.sim
+        _heappush(sim._heap, (end, next(sim._seq), self._complete_cb))
+
+    # -- the interpreter: the ops _complete does not run inline ---------------
+
+    def _burst(self, op: Op) -> int:
+        """Logical firings ``op`` runs in the current macro-pass."""
+        return 1 if op.counts is None else op.counts[self.iteration]
+
+    def ready(self, now: int) -> bool:
+        """Does the current op's guard hold?  (Lost-wakeup audits.)"""
+        return not self.done and self._ready(self.program[self.position], now)
+
+    def _ready(self, op: Op, now: int) -> bool:
+        """``op``'s guard; sync pools first (a failed check counts a stall)."""
+        if op.sync is not None and not self._sync_ready(op):
+            return False
+        kind = op.kind
+        if kind == TASK:
+            return op.task.ready(now)
+        if kind == INIT:
+            return True
+        burst = 1 if op.counts is None else op.counts[self.iteration]
+        if kind == SEND:
+            if op.fifo.count < burst * op.rate:
+                return False
+            for channel in op.credited:
+                if not channel.flow.can_send_n(burst):
+                    return False
+            return True
+        if kind == RECV:
+            return op.channel.receive_ready(burst)
+        for fifo, rate in op.guard:
+            if fifo.count < burst * rate:
+                return False
+        return True
+
+    def _start(self, op: Op, now: int) -> Optional[int]:
+        """``op``'s start effects; its duration (None: event-completed)."""
+        kind = op.kind
+        if kind == FIRE and op.single:
+            consumed = op.staged = _consume(op)
+            if op.cycles is not None:
+                return op.cycles
+            return op.actor.execution_cycles(op.index, consumed)
+        if kind == SEND and op.single:
+            tokens = op.staged = op.fifo.pop(op.rate)
+            for flow in op.flows:
+                flow.on_send()
+            if op.cycles is not None:
+                return op.cycles
+            if op.cost is not None:
+                return op.cost(now, tokens, self._async_hook)
+            return op.actor.execution_cycles(op.index, {"in": tokens})
+        if kind == RECV and op.single:
+            # The message is consumed at completion; the duration
+            # models header decode plus the payload copy.
+            if op.cycles is not None:
+                return op.cycles
+            if op.cost is not None:
+                return op.cost(now, self._async_hook)
+            return op.actor.execution_cycles(op.index, {})
+        if kind == INIT:
+            return op.cycles if op.index == 0 else 0
+        # a burst: every firing's inputs are consumed at start
+        staged = []
+        native = []
+        for i in range(self._burst(op)):
+            if kind == FIRE:
+                inputs = _consume(op)
+                staged.append(inputs)
+            elif kind == SEND:
+                tokens = op.fifo.pop(op.rate)
+                for flow in op.flows:
+                    flow.on_send()
+                staged.append(tokens)
+                inputs = {"in": tokens}
+            else:
+                inputs = {}
+            native.append(
+                op.cycles
+                if op.cycles is not None
+                else op.actor.execution_cycles(op.index + i, inputs)
+            )
+        op.staged = staged
+        pe_class = self.pe.pe_class
+        burst = len(native)
+        if burst > 1:
+            self.pe.record_batched_dispatch(
+                burst, pe_class.dispatch_cycles_saved(burst)
+            )
+        return pe_class.batch_cycles(native)
+
+    def _finish(self, op: Op, now: int) -> None:
+        """``op``'s completion effects (before its sync layers' deposits)."""
+        kind = op.kind
+        if kind == FIRE:
+            staged = op.staged
+            op.staged = None
+            if op.single:
+                _produce(op, staged)
+            else:
+                for consumed in staged:
+                    _produce(op, consumed)
+        elif kind == SEND:
+            staged = op.staged
+            op.staged = None
+            if op.rendezvous:
+                op.index += 1
+            elif op.single:
+                op.index += 1
+                _launch(op, now, staged)
+            else:
+                for tokens in staged:
+                    op.index += 1
+                    _launch(op, now, tokens)
+        elif kind == RECV:
+            channel = op.channel
+            for _ in range(1 if op.counts is None else op.counts[self.iteration]):
+                op.index += 1
+                channel.receive_into(op.fifo, now)
+        else:
+            op.index += 1
+
+    @staticmethod
+    def _sync_ready(op: Op) -> bool:
+        for layer in op.sync:
+            if layer.count % layer.period == layer.phase:
+                for pool in layer.guards:
+                    if not pool.available():
+                        return False
+        return True
+
+    @staticmethod
+    def _sync_start(op: Op) -> None:
+        for layer in op.sync:
+            if layer.count % layer.period == layer.phase:
+                for pool in layer.guards:
+                    pool.consume()
+
+    def _sync_finish(self, op: Op, now: int) -> None:
+        # innermost layer first, as each wraps everything inside it
+        for layer in reversed(op.sync):
+            if layer.count % layer.period == layer.phase:
+                for pool, link, nbytes in layer.notify:
+                    pool.messages_sent += 1
+                    link.send(
+                        self.sim, now, nbytes, pool.deposit,
+                        ("resync", pool.name), layer.observer,
+                    )
+            layer.count += 1
+
+    def _wait_on(self, op: Op, now: int) -> List[Waitset]:
+        """Waitsets of the resources currently blocking ``op``'s guard.
+
+        Reads ``pool.tokens`` rather than calling ``available``, which
+        counts stalls: diagnosis must not perturb the metrics.
+        """
+        waitsets = []
+        for layer in op.sync or ():
+            if layer.count % layer.period == layer.phase:
+                waitsets.extend(
+                    pool.waitset for pool in layer.guards if pool.tokens <= 0
+                )
+        kind = op.kind
+        burst = self._burst(op)
+        if kind == FIRE:
+            waitsets.extend(
+                fifo.waitset
+                for fifo, rate in op.guard
+                if fifo.count < burst * rate
+            )
+        elif kind == SEND:
+            if op.fifo.count < burst * op.rate:
+                waitsets.append(op.fifo.waitset)
+            waitsets.extend(
+                channel.space_waitset
+                for channel in op.credited
+                if not channel.flow.can_send_n(burst)
+            )
+        elif kind == RECV:
+            waitsets.append(op.channel.data_waitset)
+        return waitsets
+
+    def _blocked_reason(self, op: Op, now: int) -> Optional[str]:
+        """Why ``op`` cannot start (None when it can)."""
+        for layer in op.sync or ():
+            if layer.count % layer.period == layer.phase:
+                empty = [pool.name for pool in layer.guards if pool.tokens <= 0]
+                if empty:
+                    return "waiting for sync tokens on " + ", ".join(
+                        repr(name) for name in empty
+                    )
+        kind = op.kind
+        if kind == TASK:
+            reason = getattr(op.task, "blocked_reason", None)
+            return reason(now) if reason is not None else None
+        burst = self._burst(op)
+        if kind == FIRE:
+            starved = [
+                f"{fifo.edge.name!r} (has {fifo.count}, needs {burst * rate})"
+                for fifo, rate in op.guard
+                if fifo.count < burst * rate
+            ]
+            if starved:
+                return "starved on " + ", ".join(starved)
+        elif kind == SEND:
+            fifo = op.fifo
+            if fifo.count < burst * op.rate:
+                return (
+                    f"starved on {fifo.edge.name!r} "
+                    f"(has {fifo.count}, needs {burst * op.rate})"
+                )
+            closed = [
+                repr(channel.edge.name)
+                for channel in op.credited
+                if not channel.flow.can_send_n(burst)
+            ]
+            if closed:
+                return "waiting for ack credit on channel " + ", ".join(closed)
+        elif kind == RECV:
+            channel = op.channel
+            if not channel.receive_ready(burst):
+                if burst > 1:
+                    need = f"{burst} messages"
+                elif channel.rendezvous:
+                    need = "a RTS envelope"
+                else:
+                    need = "a message"
+                return f"waiting for {need} on channel {channel.edge.name!r}"
+        return None
 
     def describe_block(self) -> str:
-        task = self.current
-        name = task.name if task is not None else "<none>"
+        op = self.current
+        name = op.name if op is not None else "<none>"
         base = (
             f"{self.pe.name} blocked on task {name!r} "
             f"(iteration {self.iteration}, position {self.position})"
         )
-        # tasks that know *why* they cannot proceed (which channel or
+        # ops that know *why* they cannot proceed (which channel or
         # fifo is starved/full) report it, making deadlocks diagnosable
-        reason_fn = getattr(task, "blocked_reason", None)
-        if reason_fn is not None:
+        if op is not None:
             try:
-                reason = reason_fn(self.sim.now)
+                reason = self._blocked_reason(op, self.sim.now)
             except Exception:
                 reason = None
             if reason:

@@ -126,14 +126,8 @@ class _TransportStats:
         traffic.contention_cycles += contention
         if self.observer is not None:
             self.observer.message(
-                channel=str(channel_key),
-                kind="data",
-                src_pe=src_pe,
-                dst_pe=dst_pe,
-                nbytes=nbytes,
-                requested=requested,
-                started=started,
-                arrived=arrived,
+                str(channel_key), "data", src_pe, dst_pe, nbytes, requested,
+                started, arrived,
             )
 
 
@@ -158,17 +152,11 @@ class PointToPointTransport(_TransportStats):
         now: int,
         deliver: Callable[[], None],
     ) -> None:
-        link = self.interconnect.link(src_pe, dst_pe)
-        start, arrival = link.reserve(now, nbytes)
+        start, arrival = self.interconnect.link(src_pe, dst_pe).reserve(
+            now, nbytes
+        )
         self._record(
-            channel_key,
-            src_pe,
-            dst_pe,
-            nbytes,
-            requested=now,
-            started=start,
-            arrived=arrival,
-            contention=start - now,
+            channel_key, src_pe, dst_pe, nbytes, now, start, arrival, start - now
         )
         if arrival <= self.sim.now:
             # Uncontended zero-latency transfer: deliver inline instead

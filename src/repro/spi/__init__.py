@@ -1,12 +1,6 @@
 """The Signal Passing Interface: messages, protocols, library, runtime."""
 
-from repro.spi.actors import (
-    ComputationTask,
-    LocalFifo,
-    SpiInitTask,
-    SpiReceiveTask,
-    SpiSendTask,
-)
+from repro.spi.actors import LocalFifo, wire_ops
 from repro.spi.channel import ChannelStats, SpiChannel
 from repro.spi.library import (
     RECV_PREFIX,
@@ -30,11 +24,8 @@ from repro.spi.protocols import ChannelFlowControl, Protocol, ProtocolConfig
 from repro.spi.runtime import ChannelPlan, RunResult, SpiConfig, SpiSystem
 
 __all__ = [
-    "ComputationTask",
     "LocalFifo",
-    "SpiInitTask",
-    "SpiReceiveTask",
-    "SpiSendTask",
+    "wire_ops",
     "ChannelStats",
     "SpiChannel",
     "RECV_PREFIX",

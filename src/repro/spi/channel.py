@@ -7,7 +7,8 @@ SPI_send and draining SPI_receive are ordinary local edges of the
 SPI-inserted graph (``x -> spi_send`` and ``spi_recv -> y``) and are
 simulated as :class:`~repro.spi.actors.LocalFifo` objects like every
 other same-PE edge — the channel itself only models what crosses the
-link.
+link: it packages a payload into a data message for the SEND op and
+decodes arrived messages into the consumer FIFO for the RECV op.
 
 Data path (all stages simulated, none abstracted away)::
 
@@ -21,12 +22,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from functools import partial
+from typing import Callable, Deque, Optional, Sequence, Tuple
 
 from repro.dataflow.graph import Edge
 from repro.platform.memory import BufferMemory
 from repro.platform.simulator import Waitset
-from repro.spi.message import Message, MessageKind
+from repro.spi.message import (
+    ACK_BYTES,
+    Message,
+    MessageKind,
+    make_ack_message,
+    make_data_message,
+    payload_nbytes,
+)
 from repro.spi.protocols import ChannelFlowControl, ProtocolConfig
 
 __all__ = ["SpiChannel", "ChannelStats"]
@@ -57,7 +66,15 @@ class ChannelStats:
 
 
 class SpiChannel:
-    """Link-side state of one interprocessor edge."""
+    """Link-side state of one interprocessor edge.
+
+    :meth:`attach` binds the run's simulator, interconnect and optional
+    observer, which the acknowledgments of :meth:`receive_into` travel
+    through.
+    """
+
+    #: SPI has no rendezvous handshake (see the MPI baseline's channel)
+    rendezvous = False
 
     def __init__(
         self,
@@ -72,6 +89,8 @@ class SpiChannel:
         if src_pe == dst_pe:
             raise ValueError("SPI channels connect distinct PEs")
         self.edge = edge
+        #: transport key of the channel's data messages
+        self.key = edge.name
         self.src_pe = src_pe
         self.dst_pe = dst_pe
         self.config = config
@@ -91,16 +110,23 @@ class SpiChannel:
         self.data_waitset = Waitset(f"{edge.name}.data")
         #: woken when an ack restores a send credit (unblocks SPI_send)
         self.space_waitset = Waitset(f"{edge.name}.space")
+        self._sim = None
+        self._interconnect = None
+        self._observer = None
+        self._deliver_ack = partial(self.deliver, make_ack_message(edge.edge_id))
+        self._ack_key = ("ack", edge.name)
+
+    def attach(self, sim, interconnect, observer=None) -> None:
+        """Bind the run whose reverse links carry this channel's acks."""
+        self._sim = sim
+        self._interconnect = interconnect
+        self._observer = observer
 
     @property
     def buffer_high_water(self) -> int:
         """Peak receive-buffer occupancy in bytes (the run's
         ``buffer_high_water`` entry for this channel)."""
         return self.recv_buffer.high_water_bytes
-
-    def on_send(self) -> None:
-        """Sender committed one message (credit accounting for UBS)."""
-        self.flow.on_send()
 
     def deliver(self, message: Message) -> None:
         """A message finished its link transfer (data or ack)."""
@@ -119,15 +145,45 @@ class SpiChannel:
         self.stats.header_bytes += message.header_bytes
         self.data_waitset.wake()
 
-    def receive_ready(self) -> bool:
-        """SPI_receive guard: a message is waiting."""
-        return bool(self.arrived)
+    def package(self, payload: Sequence) -> Tuple[int, Callable[[], None]]:
+        """One data message of ``payload``: its wire bytes and the
+        callback that delivers it when it lands."""
+        message = make_data_message(
+            self.edge.edge_id,
+            payload,
+            payload_nbytes(payload, self.token_bytes),
+            self.dynamic,
+        )
+        return message.wire_bytes, partial(self.deliver, message)
 
-    def receive_ready_n(self, n: int) -> bool:
-        """Batched SPI_receive guard: the whole burst has arrived."""
+    def receive_ready(self, n: int = 1) -> bool:
+        """SPI_receive guard: the ``n`` messages of a burst have arrived."""
         if n < 1:
             raise ValueError("burst size must be >= 1")
         return len(self.arrived) >= n
+
+    def receive_into(self, fifo, now: int) -> None:
+        """SPI_receive: decode the oldest message into ``fifo``.
+
+        A dynamic message's header size field must match its payload.
+        For UBS channels with acknowledgments enabled, the ack then
+        goes back on the reverse link ("implemented as separate
+        messages", paper §4.1); resynchronization may have disabled it
+        (``flow.uses_credits`` false), and then the message never exists.
+        """
+        message = self.accept()
+        if message.is_dynamic and message.size_field != len(message.payload):
+            raise RuntimeError(
+                f"channel {self.edge.name}: dynamic header size "
+                f"field {message.size_field} does not match payload "
+                f"length {len(message.payload)}"
+            )
+        fifo.push(message.payload)
+        if self.flow.uses_credits:
+            self._interconnect.link(self.dst_pe, self.src_pe).send(
+                self._sim, now, ACK_BYTES, self._deliver_ack, self._ack_key,
+                self._observer,
+            )
 
     def accept(self) -> Message:
         """SPI_receive consumes one message, freeing its buffer bytes."""

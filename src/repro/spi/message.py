@@ -24,6 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.dataflow.vts import PackedToken
+
 __all__ = [
     "WORD_BYTES",
     "STATIC_HEADER_BYTES",
@@ -33,6 +35,7 @@ __all__ = [
     "Message",
     "make_data_message",
     "make_ack_message",
+    "payload_nbytes",
 ]
 
 #: the fabric word size of the HDL library (32-bit streaming links)
@@ -50,7 +53,7 @@ class MessageKind:
     ACK = "ack"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Message:
     """One message on a link.
 
@@ -68,13 +71,28 @@ class Message:
     payload_bytes: int = 0
     size_field: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (MessageKind.DATA, MessageKind.ACK):
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if self.payload_bytes < 0:
+    def __init__(
+        self,
+        kind: str,
+        edge_id: int,
+        payload: Sequence = (),
+        payload_bytes: int = 0,
+        size_field: Optional[int] = None,
+    ) -> None:
+        if kind != MessageKind.DATA and kind != MessageKind.ACK:
+            raise ValueError(f"unknown message kind {kind!r}")
+        if payload_bytes < 0:
             raise ValueError("payload_bytes must be >= 0")
-        if self.kind == MessageKind.ACK and len(self.payload):
+        if kind == MessageKind.ACK and len(payload):
             raise ValueError("acknowledgments carry no payload")
+        # one dict update instead of a frozen-dataclass setattr per field
+        self.__dict__.update(
+            kind=kind,
+            edge_id=edge_id,
+            payload=payload,
+            payload_bytes=payload_bytes,
+            size_field=size_field,
+        )
 
     @property
     def header_bytes(self) -> int:
@@ -117,3 +135,16 @@ def make_data_message(
 def make_ack_message(edge_id: int) -> Message:
     """Build an acknowledgment for the given interprocessor edge."""
     return Message(kind=MessageKind.ACK, edge_id=edge_id)
+
+
+def payload_nbytes(block: Sequence, default_token_bytes: int) -> int:
+    """Wire size of a token block (packed tokens know their own size)."""
+    if isinstance(block, np.ndarray) and block.dtype != object:
+        return len(block) * default_token_bytes
+    total = 0
+    for token in block:
+        if isinstance(token, PackedToken):
+            total += token.nbytes
+        else:
+            total += default_token_bytes
+    return total

@@ -70,13 +70,13 @@ class ChannelFlowControl:
 
     def __init__(self, config: ProtocolConfig) -> None:
         self.config = config
+        #: the sender spends window credits (UBS with acks)
+        self.uses_credits = (
+            config.protocol == Protocol.UBS and config.acks_enabled
+        )
         self._credits = config.capacity_tokens
         self.acks_received = 0
         self.sends = 0
-
-    @property
-    def uses_credits(self) -> bool:
-        return self.config.protocol == Protocol.UBS and self.config.acks_enabled
 
     def can_send(self) -> bool:
         if not self.uses_credits:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
+from repro.dataflow.graph import DataflowGraph, Edge, GraphError
 from repro.mapping.graph_arrays import NO_PATH, GraphArrays, min_delay_matrix
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
 from repro.mapping.partition import Partition
@@ -41,18 +41,18 @@ from repro.platform.fpga import (
 )
 from repro.platform.interconnect import Interconnect, LinkSpec
 from repro.platform.pe import ProcessingElement
-from repro.platform.simulator import PESequencer, Simulator
+from repro.platform.simulator import INIT, Op, PESequencer, Simulator
 from repro.platform.trace import TraceRecorder
 from repro.spi import resources as spi_resources
 from repro.spi.actors import (
     BatchSchedule,
     LocalFifo,
-    SpiInitTask,
-    SpiReceiveTask,
-    SpiSendTask,
+    SyncLayer,
     SyncTokenPool,
-    SyncedTask,
-    wire_tasks,
+    init_op,
+    recv_op,
+    send_op,
+    wire_ops,
 )
 from repro.spi.message import ACK_BYTES
 from repro.spi.channel import SpiChannel
@@ -225,12 +225,12 @@ class RunResult:
 
 @dataclass
 class SimRun:
-    """The platform and tasks of one run built by :func:`simulate`."""
+    """The platform and firing programs of one run built by :func:`simulate`."""
 
     sim: Simulator
     interconnect: Interconnect
-    #: run-time task by actor name (:func:`~repro.spi.actors.wire_tasks`)
-    tasks: Dict[str, object]
+    #: op record by actor name (:func:`~repro.spi.actors.wire_ops`)
+    ops: Dict[str, Op]
     #: same-PE FIFO by edge id
     fifos: Dict[int, LocalFifo]
     sequencers: List[PESequencer] = field(default_factory=list)
@@ -243,7 +243,7 @@ def simulate(
     layer: str,
     iterations: int,
     channels: Dict[str, object],
-    factories: Callable[[Simulator, Interconnect], Tuple],
+    factories: Callable[[Simulator, Interconnect, Optional[List[int]]], Tuple],
     max_cycles: Optional[int] = None,
     check_lost_wakeups: bool = False,
     *,
@@ -260,26 +260,26 @@ def simulate(
     and :meth:`repro.mpi.baseline.MpiSystem.run`), so the graph,
     partition, self-timed schedule, platform, completion check, period
     formula and totals are the same code and only the channels and the
-    send and receive tasks differ.
+    send and receive ops differ.
 
     ``system`` supplies ``lowering.wiring``, ``schedule``, ``partition``
     and ``config.link_spec`` / ``config.clock``.  ``channels`` maps each
     origin edge name to the layer's channel object, which counts its
     traffic in ``stats`` (a :class:`~repro.spi.channel.ChannelStats`)
     and reports its receive-side peak as ``buffer_high_water``.
-    ``factories(sim, interconnect)`` returns the ``(send, recv,
-    options)`` arguments of :func:`~repro.spi.actors.wire_tasks`.
+    ``factories(sim, interconnect, counts)`` returns the ``(send,
+    recv)`` op builders of :func:`~repro.spi.actors.wire_ops`;
+    ``counts`` are the burst counts of a batched run (None unbatched).
 
     ``pes`` supplies the processing elements (default: one plain
     :class:`ProcessingElement` per PE with a program); ``batch`` is the
     blocking factor (each sequencer runs the macro-passes of a
     :class:`~repro.spi.actors.BatchSchedule`); ``trace`` records every
-    task interval; ``init``
-    starts every program with :class:`~repro.spi.actors.SpiInitTask`.
-    ``wrap(run)`` may replace entries of ``run.tasks`` before the
-    programs are built; ``arm(run)`` runs between building the
-    sequencers and starting them and may return a steady-state tracker,
-    whose extrapolated cycles count toward the makespan.
+    dispatch interval; ``init`` starts every program with an SPI_init
+    op.  ``wrap(run)`` may amend ``run.ops`` before the programs are
+    built; ``arm(run)`` runs between building the sequencers and
+    starting them and may return a steady-state tracker, whose
+    extrapolated cycles count toward the makespan.
 
     Raises :class:`GraphError` naming ``layer`` when a sequencer does not
     finish.
@@ -288,15 +288,16 @@ def simulate(
         raise GraphError("iterations must be >= 1")
     sim = Simulator(check_lost_wakeups=check_lost_wakeups)
     interconnect = Interconnect(default_spec=system.config.link_spec)
-    send, recv, options = factories(sim, interconnect)
-    tasks, fifos = wire_tasks(
-        system.lowering.wiring, channels, send, recv, options=options
+    plan = BatchSchedule(iterations, batch)
+    counts = plan.counts if batch > 1 else None
+    send, recv = factories(sim, interconnect, counts)
+    ops, fifos = wire_ops(
+        system.lowering.wiring, channels, send, recv, counts=counts
     )
-    run = SimRun(sim, interconnect, tasks, fifos)
+    run = SimRun(sim, interconnect, ops, fifos)
     if wrap is not None:
         wrap(run)
 
-    passes = BatchSchedule(iterations, batch).passes
     script = system.schedule.firing_script()
     used: List[ProcessingElement] = []
     for pe_index in range(system.partition.n_pes):
@@ -304,10 +305,10 @@ def simulate(
         if not entries:
             continue
         pe = pes[pe_index] if pes is not None else ProcessingElement(pe_index)
-        program: List[object] = [SpiInitTask(pe_index)] if init else []
-        program.extend(run.tasks[origin] for _, origin in entries)
+        program = [init_op(pe_index)] if init else []
+        program.extend(run.ops[origin] for _, origin in entries)
         run.sequencers.append(
-            PESequencer(sim, pe, program, passes, trace=trace)
+            PESequencer(sim, pe, program, plan.passes, trace=trace)
         )
         used.append(pe)
     if arm is not None:
@@ -769,64 +770,48 @@ class SpiSystem:
                 recv_capacity_bytes=capacity_bytes,
             )
 
-        # Blocked-schedule plumbing: every task on every PE runs the
-        # same per-macro-pass burst counts (lockstep), and the PE
-        # objects must exist before their tasks so batched dispatches
-        # can be accounted to the owning PE.
+        # Burst ops of a batched run charge their dispatches to the PE
+        # objects built here (one per PE, with its class).
         pe_objects: Dict[int, ProcessingElement] = {
             pe_index: ProcessingElement(
                 pe_index, pe_class=self.partition.pe_class_of(pe_index)
             )
             for pe_index in range(self.partition.n_pes)
         }
-        pe_assignment = self.insertion.partition.assignment
         transport = None
         sync_pools: List[SyncTokenPool] = []
 
-        def factories(sim: Simulator, interconnect: Interconnect):
+        def factories(sim: Simulator, interconnect: Interconnect, counts):
             nonlocal transport
             transport = self._build_transport(sim, interconnect, observer=hub)
-            batch_counts = (
-                BatchSchedule(iterations, self.batch).counts
-                if self.batch > 1
-                else None
-            )
+            for channel in channels.values():
+                channel.attach(sim, interconnect, observer=hub)
 
-            def batch_options(actor: Actor) -> Dict[str, object]:
-                owner = pe_objects[pe_assignment[actor.name]]
-                return dict(
-                    batch_counts=batch_counts, pe_class=owner.pe_class, pe=owner
-                )
-
-            def send(actor, branches, local_branches, in_fifo, group, **kw):
-                group_key = f"{group.name}.collective" if group else None
-                return SpiSendTask(
+            def send(actor, branches, local, in_fifo, group):
+                return send_op(
                     actor,
                     branches,
-                    local_branches,
+                    local,
                     in_fifo,
                     transport,
-                    group_key=group_key,
-                    **kw,
+                    group=f"{group.name}.collective" if group else None,
+                    counts=counts,
                 )
 
-            def recv(actor, channel, out_fifo, **kw):
-                return SpiReceiveTask(
-                    actor, channel, out_fifo, sim, interconnect, observer=hub,
-                    **kw,
-                )
+            def recv(actor, channel, out_fifo):
+                return recv_op(actor, channel, out_fifo, counts=counts)
 
-            return send, recv, batch_options
+            return send, recv
 
         def wrap(run: SimRun) -> None:
             # Materialise the *added* resynchronization edges as run-time
             # sync-message channels (a counting semaphore fed by
-            # zero-payload messages) wrapped around the endpoint tasks.
+            # zero-payload messages) layered on the endpoint ops.
             # Without this, disabling the acks those edges made redundant
             # would be unsound.
             if self.resync_result is None:
                 return
-            tasks = run.tasks
+            ops = run.ops
             task_reps = self.task_repetitions()
             for added in self.resync_result.added:
                 src_task = self.schedule.task_graph.get_actor(added.src)
@@ -840,35 +825,25 @@ class SpiSystem:
                 )
                 sync_pools.append(pool)
                 link = run.interconnect.link(src_pe, snk_pe)
-                tasks[src_origin] = SyncedTask(
-                    tasks[src_origin],
-                    run.sim,
-                    notifications=[(pool, link, ACK_BYTES)],
-                    phase=src_task.params.get("invocation", 0),
-                    period=task_reps[src_origin],
-                    observer=hub,
+                SyncLayer.attach(
+                    ops[src_origin],
+                    SyncLayer(
+                        notify=[(pool, link, ACK_BYTES)],
+                        phase=src_task.params.get("invocation", 0),
+                        period=task_reps[src_origin],
+                        observer=hub,
+                    ),
                 )
-                tasks[snk_origin] = SyncedTask(
-                    tasks[snk_origin],
-                    run.sim,
-                    guards=[pool],
-                    phase=snk_task.params.get("invocation", 0),
-                    period=task_reps[snk_origin],
+                SyncLayer.attach(
+                    ops[snk_origin],
+                    SyncLayer(
+                        guards=[pool],
+                        phase=snk_task.params.get("invocation", 0),
+                        period=task_reps[snk_origin],
+                    ),
                 )
 
         def arm(run: SimRun):
-            if self.batch > 1:
-                # An actor with repetitions > 1 occupies several program
-                # entries; its pass cursor must advance only after the
-                # last one, so every entry of a macro-pass runs the same
-                # burst.
-                for sequencer in run.sequencers:
-                    entry_counts: Dict[int, int] = {}
-                    for task in sequencer.program:
-                        entry_counts[id(task)] = entry_counts.get(id(task), 0) + 1
-                    for task in sequencer.program:
-                        if hasattr(task, "occurrences"):
-                            task.occurrences = entry_counts[id(task)]
             if not (arm_steady and run.sequencers):
                 return None
             return self._arm_steady_state(
@@ -964,21 +939,19 @@ class SpiSystem:
         ]
         sorted_fifos = [fifos[k] for k in sorted(fifos)]
 
-        # SyncedTask wrappers and SpiInitTask instances hide modular /
-        # one-shot state inside the per-PE programs; collect them once.
-        synced: List[SyncedTask] = []
-        inits: List[SpiInitTask] = []
+        # Sync layers and SPI_init ops hide modular / one-shot state
+        # inside the per-PE programs; collect them once.
+        layers: List[SyncLayer] = []
+        inits: List[Op] = []
         seen_ids = set()
         for sequencer in sequencers:
-            for task in sequencer.program:
-                while isinstance(task, SyncedTask):
-                    if id(task) not in seen_ids:
-                        seen_ids.add(id(task))
-                        synced.append(task)
-                    task = task.inner
-                if isinstance(task, SpiInitTask) and id(task) not in seen_ids:
-                    seen_ids.add(id(task))
-                    inits.append(task)
+            for op in sequencer.program:
+                if id(op) in seen_ids:
+                    continue
+                seen_ids.add(id(op))
+                layers.extend(op.sync or ())
+                if op.kind == INIT:
+                    inits.append(op)
 
         def sequencer_state(now: int):
             ref_iteration = ref.iteration
@@ -1016,10 +989,10 @@ class SpiSystem:
             return tuple(p.tokens for p in sync_pools)
 
         def synced_state(now: int):
-            return tuple(t._count % t.period for t in synced)
+            return tuple(layer.count % layer.period for layer in layers)
 
         def init_state(now: int):
-            return tuple(t._done for t in inits)
+            return tuple(op.index > 0 for op in inits)
 
         def link_state(now: int):
             return tuple(

@@ -54,7 +54,7 @@ def test_likelihood_is_the_expression(lengths, observation):
 def test_updater_block_is_the_column_stack():
     model = CrackGrowthModel()
     particles = 2.0 + np.random.RandomState(3).rand(17)
-    updater = _Updater(model, [2.4], 17, 0, [])
+    updater = _Updater(model, [2.4], 0, [])
     weighted = updater.kernel(0, {"predicted": particles})["weighted"]
     expected = np.column_stack((particles, model.likelihood(2.4, particles)))
     assert identical(weighted, expected)

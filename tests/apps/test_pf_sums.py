@@ -43,7 +43,7 @@ def test_absorbed_ones_stay_absorbed(values):
 def test_partial_sum_kernel_adds_left_to_right(values):
     weighted = np.zeros((len(values), 2))
     weighted[:, 1] = values
-    outputs = _PartialSum(len(values), 2, 0, collectives=True).kernel(
+    outputs = _PartialSum(2, 0, collectives=True).kernel(
         0, {"weighted": weighted}
     )
     assert outputs["wsum"] == [1e16]

@@ -245,6 +245,13 @@ class TestSharedUnpack:
             for actor in system.graph.actors
             if actor.is_dynamic and actor.kernel is not None
         }
+        # the filter's cycle models are constants: give its converted
+        # actors data-dependent ones, so both adapters read each firing
+        for name in converted:
+            actor = system.graph.get_actor(name)
+            actor.cycles = lambda k, inputs, base=actor.cycles: base + sum(
+                len(values) for values in inputs.values()
+            )
         assert any(
             callable(system.graph.get_actor(name).cycles) for name in converted
         )

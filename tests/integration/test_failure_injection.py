@@ -96,10 +96,16 @@ class TestRunTimeViolations:
             size_field=7,  # lies about the payload length
         )
         channel.deliver(corrupt)
-        from repro.platform import Simulator, Interconnect
-        from repro.spi.actors import LocalFifo, SpiReceiveTask
+        from repro.platform import (
+            Interconnect,
+            PESequencer,
+            ProcessingElement,
+            Simulator,
+        )
+        from repro.spi.actors import LocalFifo, recv_op
 
         sim = Simulator()
+        channel.attach(sim, Interconnect())
         recv_actor = DataflowGraph("x").actor("recv", cycles=1)
         recv_actor.add_output("out")
         out_graph = DataflowGraph("fifo_holder")
@@ -108,10 +114,11 @@ class TestRunTimeViolations:
         fa.add_output("o")
         fb.add_input("i")
         fifo = LocalFifo(out_graph.connect((fa, "o"), (fb, "i")))
-        task = SpiReceiveTask(recv_actor, channel, fifo, sim, Interconnect())
-        task.start(0)
+        op = recv_op(recv_actor, channel, fifo)
+        PESequencer(sim, ProcessingElement(1), [op], 1).begin()
         with pytest.raises(RuntimeError, match="size"):
-            task.finish(0)
+            sim.run()
+        assert fifo.count == 0
 
     def test_undersized_buffer_overflows_loudly(self):
         """If the user hand-shrinks a channel buffer below the bound,

@@ -65,14 +65,6 @@ class TestLink:
         assert link.bytes_carried == 16
         assert link.messages_carried == 2
 
-    def test_reset(self):
-        net = Interconnect()
-        link = net.link(0, 1)
-        link.reserve(0, 10)
-        net.reset()
-        assert link.busy_until == 0
-        assert net.total_bytes() == 0
-
 
 class TestInterconnect:
     def test_directional_links_distinct(self):
@@ -83,10 +75,3 @@ class TestInterconnect:
     def test_self_link_rejected(self):
         with pytest.raises(ValueError, match="same-PE"):
             Interconnect().link(2, 2)
-
-    def test_totals_across_links(self):
-        net = Interconnect()
-        net.link(0, 1).reserve(0, 10)
-        net.link(1, 0).reserve(0, 20)
-        assert net.total_bytes() == 30
-        assert net.total_messages() == 2

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.dataflow import DataflowGraph, PackedToken
-from repro.spi.actors import (
-    INIT_CYCLES,
-    LocalFifo,
-    SpiInitTask,
-    payload_nbytes,
-)
+from repro.platform import PESequencer, ProcessingElement, Simulator, TraceRecorder
+from repro.spi.actors import INIT_CYCLES, LocalFifo, init_op
+from repro.spi.message import payload_nbytes
 
 
 def make_edge(delay=0, initial=None):
@@ -68,8 +65,15 @@ class TestPayloadBytes:
 
 class TestSpiInit:
     def test_charges_once(self):
-        task = SpiInitTask(0)
-        assert task.ready(0)
-        assert task.start(0) == INIT_CYCLES
-        task.finish(INIT_CYCLES)
-        assert task.start(INIT_CYCLES) == 0
+        """SPI_init costs INIT_CYCLES on the PE's first dispatch and is a
+        free (but still dispatched) program slot afterwards."""
+        sim, trace = Simulator(), TraceRecorder()
+        PESequencer(
+            sim, ProcessingElement(0), [init_op(0)], 3, trace=trace
+        ).begin()
+        assert sim.run() == INIT_CYCLES
+        assert trace.rows == (
+            (0, "spi_init:PE0", 0, INIT_CYCLES, 0),
+            (0, "spi_init:PE0", INIT_CYCLES, INIT_CYCLES, 1),
+            (0, "spi_init:PE0", INIT_CYCLES, INIT_CYCLES, 2),
+        )

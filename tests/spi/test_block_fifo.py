@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import DataflowGraph, PackedToken
-from repro.spi.actors import LocalFifo, payload_nbytes
+from repro.spi.actors import LocalFifo
+from repro.spi.message import payload_nbytes
 
 BLOCK_KINDS = ("list", "tuple", "int1d", "float1d", "float2d")
 

@@ -75,7 +75,7 @@ class TestDelivery:
         channel = make_channel(
             protocol=Protocol.UBS, capacity=2, acks=True
         )
-        channel.on_send()
+        channel.flow.on_send()
         channel.deliver(make_ack_message(channel.edge.edge_id))
         assert channel.stats.ack_messages == 1
         assert channel.recv_buffer.occupancy_bytes == 0
@@ -85,7 +85,7 @@ class TestDelivery:
 class TestStats:
     def test_overhead_bytes(self):
         channel = make_channel(protocol=Protocol.UBS, capacity=4, acks=True)
-        channel.on_send()
+        channel.flow.on_send()
         channel.deliver(make_data_message(1, [1], 4, False))
         channel.deliver(make_ack_message(1))
         assert channel.stats.overhead_bytes == 4 + 4  # header + ack

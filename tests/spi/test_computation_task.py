@@ -1,19 +1,29 @@
-"""Unit tests for :class:`ComputationTask`, the one computation task of
-both the SPI runtime and the MPI baseline.
+"""Unit tests for the FIRE op, the one computation op of both the SPI
+runtime and the MPI baseline.
 
-The task pre-resolves its ports into flat wait chains and scatter spans
-at construction; these tests pin that lowering against the reference
-definitions on :class:`~repro.dataflow.graph.Connection`
-(``assemble`` for consumed port values, ``produced_tokens`` for
-per-branch pushes) on every collective kind, through both the
-single-firing path and the burst path.
+:func:`~repro.spi.actors.compute_op` pre-resolves an actor's ports into
+a flat guard chain, a pop table and scatter spans; the PE sequencer
+interprets the record.  These tests run one op on one sequencer and pin
+that lowering against the reference definitions on
+:class:`~repro.dataflow.graph.Connection` (``assemble`` for consumed
+port values, ``produced_tokens`` for per-branch pushes) on every
+collective kind, through both the classic single-firing path and the
+burst path.
 """
 
 import pytest
 
 from repro.dataflow import DataflowGraph
-from repro.platform.pe import PEClass, ProcessingElement
-from repro.spi.actors import ComputationTask, LocalFifo
+from repro.platform import (
+    PESequencer,
+    ProcessingElement,
+    SimulationDeadlock,
+    Simulator,
+    TraceRecorder,
+)
+from repro.platform.pe import PEClass
+from repro.spi.actors import LocalFifo, compute_op
+from repro.spi.library import ComputeWiring
 
 ACCEL = PEClass(kind="accelerator", dispatch_cycles=100, cycles_per_element=0.5)
 
@@ -53,10 +63,34 @@ def hub_graph(cycles=7):
     return graph, hub, seen
 
 
-def wire(graph, hub, **batch_kwargs):
+def wire(graph, hub, counts=None):
     fifos = {edge.edge_id: LocalFifo(edge) for edge in graph.edges}
-    task = ComputationTask.wired(hub, graph, fifos, **batch_kwargs)
-    return task, fifos
+    op = compute_op(hub, ComputeWiring.of(graph, hub, fifos), fifos, counts)
+    return op, fifos
+
+
+class Run:
+    """One sequencer running ``[op]`` for ``iterations`` passes."""
+
+    def __init__(self, op, iterations=1, pe=None):
+        self.sim = Simulator()
+        self.trace = TraceRecorder()
+        self.pe = pe or ProcessingElement(0)
+        self.sequencer = PESequencer(
+            self.sim, self.pe, [op], iterations, trace=self.trace
+        )
+        self.sequencer.begin()
+
+    def drain(self):
+        """Run to completion or to the deadlock; returns its text."""
+        try:
+            self.sim.run()
+        except SimulationDeadlock as error:
+            return str(error)
+        return None
+
+    def durations(self):
+        return [end - start for _, _, start, end, _ in self.trace.rows]
 
 
 def feed(graph, hub, fifos, firings):
@@ -98,71 +132,74 @@ def check_outputs(graph, hub, fifos, consumed):
 class TestSingleFiring:
     def test_unbatched_gpp_dispatch_runs_one_firing(self):
         graph, hub, seen = hub_graph()
-        task, fifos = wire(graph, hub)
-        assert not task.ready(0)
+        op, fifos = wire(graph, hub)
+        assert op.name == "fire:hub"
         expected = feed(graph, hub, fifos, firings=2)
-        for k in range(2):
-            assert task.ready(0)
-            assert task.start(0) == 7
-            task.finish(7)
-            assert seen[k] == expected[k]
-        assert task.firing_index == 2
-        assert not task.ready(0)
+        run = Run(op, iterations=3)
+        assert run.drain() is not None  # the third firing starves
+        assert run.sequencer.current.classic
+        assert run.durations() == [7, 7]
+        assert seen == expected
+        assert op.index == 2
+        assert not run.sequencer.ready(run.sim.now)
         check_outputs(graph, hub, fifos, expected)
 
     def test_starved_guard_names_the_empty_branches(self):
         graph, hub, _ = hub_graph()
-        task, fifos = wire(graph, hub)
-        reason = task.blocked_reason(0)
-        assert reason.startswith("starved on ")
+        op, fifos = wire(graph, hub)
+        run = Run(op)
+        reason = run.drain()
+        assert "blocked on task 'fire:hub'" in reason
+        assert ": starved on " in reason
         assert "'gather[0]' (has 0, needs 2)" in reason
         assert "'reduce[1]' (has 0, needs 3)" in reason
-        assert len(task.wait_on(0)) == 4
+        # parked on exactly the four starved member fifos
+        assert sum(len(fifo.waitset) for fifo in fifos.values()) == 4
         feed(graph, hub, fifos, firings=1)
-        assert task.blocked_reason(0) is None
-        assert task.wait_on(0) == []
+        assert run.sequencer.ready(run.sim.now)
+        assert run.drain() is None
+        assert run.sequencer.done
 
 
 class TestBurst:
     def test_burst_of_three_on_an_accelerator(self):
         graph, hub, seen = hub_graph()
         pe = ProcessingElement(1, pe_class=ACCEL)
-        task, fifos = wire(
-            graph, hub, batch_counts=[3], pe_class=ACCEL, pe=pe
-        )
+        op, fifos = wire(graph, hub, counts=[3])
         expected = feed(graph, hub, fifos, firings=2)
-        assert task.burst == 3
-        assert not task.ready(0)  # needs all three firings' tokens
-        assert "needs 6" in task.blocked_reason(0)
+        run = Run(op, pe=pe)
+        reason = run.drain()  # needs all three firings' tokens
+        assert "needs 6" in reason
+        assert not op.single
         expected += feed(graph, hub, fifos, firings=1)
-        assert task.ready(0)
-        assert task.start(0) == ACCEL.batch_cycles([7, 7, 7])
+        assert run.drain() is None
+        assert run.durations() == [ACCEL.batch_cycles([7, 7, 7])]
         assert pe.batched_firings == 3
         assert pe.batch_dispatches == 1
         assert pe.amortized_dispatch_cycles_saved == 200
-        assert seen == []  # the burst fires at completion
-        task.finish(0)
-        assert task.firing_index == 3
+        assert op.index == 3
         assert seen == expected
         check_outputs(graph, hub, fifos, expected)
 
 
 class TestCycleModels:
     @pytest.mark.parametrize(
-        "batch_kwargs, duration",
+        "counts, pe_class, duration",
         [
-            ({}, 7),
-            ({"batch_counts": [3], "pe_class": ACCEL}, 100 + 3 * 4),
+            (None, None, 7),
+            ([3], ACCEL, 100 + 3 * 4),
         ],
         ids=["single", "burst"],
     )
-    def test_static_and_callable_models_agree(self, batch_kwargs, duration):
+    def test_static_and_callable_models_agree(self, counts, pe_class, duration):
         for cycles in (7, lambda k, inputs: 7):
             graph, hub, _ = hub_graph(cycles=cycles)
-            task, fifos = wire(graph, hub, **batch_kwargs)
+            op, fifos = wire(graph, hub, counts=counts)
             feed(graph, hub, fifos, firings=3)
-            assert task.start(0) == duration
-            task.finish(0)
+            pe = ProcessingElement(0, pe_class=pe_class or PEClass())
+            run = Run(op, pe=pe)
+            assert run.drain() is None
+            assert run.durations() == [duration]
 
     def test_callable_model_sees_each_firing(self):
         calls = []
@@ -172,9 +209,11 @@ class TestCycleModels:
             return 5 + k
 
         graph, hub, _ = hub_graph(cycles=cycles)
-        task, fifos = wire(graph, hub, batch_counts=[3], pe_class=ACCEL)
+        op, fifos = wire(graph, hub, counts=[3])
         feed(graph, hub, fifos, firings=3)
-        assert task.start(0) == ACCEL.batch_cycles([5, 6, 7])
+        run = Run(op, pe=ProcessingElement(0, pe_class=ACCEL))
+        assert run.drain() is None
+        assert run.durations() == [ACCEL.batch_cycles([5, 6, 7])]
         assert calls == [(k, ["g", "r"]) for k in range(3)]
 
 
@@ -194,9 +233,8 @@ def test_a_single_branch_reduce_still_combines():
         combine=lambda branches: [10 * v for v in branches[0]],
         name="reduce",
     )
-    task, fifos = wire(graph, sink)
+    op, fifos = wire(graph, sink)
     (edge,) = graph.in_edges(sink)
     fifos[edge.edge_id].push([1, 2])
-    task.start(0)
-    task.finish(1)
+    assert Run(op).drain() is None
     assert seen == [{"r": [10, 20]}]

@@ -20,7 +20,7 @@ from perfbench.tracer import TARGETS, Tracer
 from perfbench.workloads import SimTap
 from repro.conformance import build_case, generate_spec
 from repro.mpi.baseline import MpiSystem
-from repro.spi import SpiSystem
+from repro.spi import RECV_PREFIX, SEND_PREFIX, SpiSystem
 
 
 def _resolve(module_name: str, attr: str):
@@ -32,10 +32,19 @@ def _resolve(module_name: str, attr: str):
     return getattr(owner, attr)
 
 
-def _run_both() -> None:
+def _run_both() -> int:
+    """Run one case on both layers; returns the computation firings
+    the two runs make (every one goes through ``Actor.fire``)."""
     case = build_case(generate_spec(1))
-    SpiSystem.compile(case.graph, case.partition).run(iterations=2)
+    system = SpiSystem.compile(case.graph, case.partition)
+    system.run(iterations=2)
     MpiSystem.compile(case.graph, case.partition).run(iterations=2)
+    computations = sum(
+        not origin.startswith((SEND_PREFIX, RECV_PREFIX))
+        for entries in system.schedule.firing_script().values()
+        for _, origin in entries
+    )
+    return 2 * 2 * computations  # two layers, two iterations each
 
 
 @pytest.mark.parametrize(
@@ -61,7 +70,7 @@ def test_tracer_installs_spans_and_uninstalls():
     try:
         for module_name, attr, original in originals:
             assert _resolve(module_name, attr) is not original
-        _run_both()
+        firings = _run_both()
     finally:
         tracer.uninstall()
     for module_name, attr, original in originals:
@@ -71,6 +80,9 @@ def test_tracer_installs_spans_and_uninstalls():
     assert tracer.calls["mpi"] == 2  # MpiSystem.compile + MpiSystem.run
     assert tracer.calls["platform.kernel"] == 2
     assert tracer.counts["mpi.runs"] == 1
+    # a firing program that skipped Actor.fire would zero apps.fire_s
+    assert firings > 0
+    assert tracer.calls["apps.fire"] == firings
 
 
 def test_sim_tap_counts_both_layers_and_uninstalls():

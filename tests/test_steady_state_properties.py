@@ -47,7 +47,7 @@ def test_period_firings_are_repetition_vector_multiples(seed):
         if not entries:
             continue
         delta = report.period_delta.get((f"pe:{pe_index}", "firings"), 0)
-        # + 1: the SpiInitTask slot cycles with the program (a no-op
+        # + 1: the SPI_init op's slot cycles with the program (a no-op
         # after iteration 0, but still a counted firing)
         assert delta == period * (len(entries) + 1), (
             f"seed {seed} PE{pe_index}: {delta} firings over "

@@ -2,8 +2,9 @@
 
 Unlike the figure benches, this suite measures the *simulation kernel*
 itself, not the modelled application: synthetic wide/deep/contended
-task graphs built directly on :class:`~repro.platform.simulator
-.Simulator` stress the waitset park/wakeup path.
+dataflow graphs, run as FIRE ops over one ``LocalFifo`` per edge on
+:class:`~repro.platform.simulator.Simulator`, stress the waitset
+park/wakeup path the SPI and MPI runs take.
 
 Workloads:
 
@@ -25,19 +26,25 @@ within noise of off.  ``check_bench.py`` gates both.
 
 Every measurement repeats until it has ``MIN_RUNS`` runs and
 ``MIN_SECONDS`` of wall time in total (the off and auto runs of the
-sweep alternate).  The gated walls and events/s are the best run's, to
-shed scheduler noise; each entry also records its run count, median
-wall and spread ((slowest - fastest) / median).
+sweep alternate).  The reported walls and events/s are the best run's,
+to shed scheduler noise; each entry also records its run count, median
+and mean wall and spread ((slowest - fastest) / median).  The events/s
+gate uses the mean rate scaled by the host factor (see :func:`_run`).
 """
 
+import importlib.util
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import QUICK, emit, save_bench_json
-from repro.platform import ProcessingElement, PESequencer, Simulator, Waitset
+from repro.dataflow import DataflowGraph
+from repro.platform import ProcessingElement, PESequencer, Simulator
 from repro.spi import SpiSystem
+from repro.spi.actors import LocalFifo, compute_op
+from repro.spi.library import ComputeWiring
 
 ITERATIONS = 40 if QUICK else 200
 WIDE_PAIRS = 16 if QUICK else 32
@@ -48,79 +55,20 @@ MIN_RUNS = 3 if QUICK else 5
 MIN_SECONDS = 0.2 if QUICK else 0.5
 #: graph iterations for the steady-state off-vs-auto application sweep
 STEADY_ITERATIONS = 60 if QUICK else 200
+#: events / parks / targeted wakeups / spurious wakeups per workload
+COUNTS = {
+    "wide": (1448, 523, 523, 0) if QUICK else (13540, 5206, 5206, 0),
+    "deep": (713, 16, 16, 0) if QUICK else (6665, 32, 32, 0),
+    "contended": (2905, 960, 960, 0) if QUICK else (28849, 9600, 9600, 0),
+}
 
-
-class TokenQueue:
-    """Minimal counting channel with a waitset (the bench's only resource)."""
-
-    __slots__ = ("name", "tokens", "waitset")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.tokens = 0
-        self.waitset = Waitset(name)
-
-    def push(self) -> None:
-        self.tokens += 1
-        self.waitset.wake()
-
-    def pop(self) -> None:
-        if self.tokens <= 0:
-            raise RuntimeError(f"queue {self.name}: pop on empty")
-        self.tokens -= 1
-
-
-class ProduceTask:
-    """Unconditionally-ready task depositing into one or more queues."""
-
-    def __init__(self, name, queues, cycles, round_robin=False):
-        self.name = name
-        self.queues = list(queues)
-        self.cycles = cycles
-        self.round_robin = round_robin
-        self._count = 0
-
-    def ready(self, now):
-        return True
-
-    def wait_on(self, now):
-        return []
-
-    def start(self, now):
-        return self.cycles
-
-    def finish(self, now):
-        if self.round_robin:
-            targets = [self.queues[self._count % len(self.queues)]]
-        else:
-            targets = self.queues
-        self._count += 1
-        for queue in targets:
-            queue.push()
-
-
-class ConsumeTask:
-    """Parks until its input queue holds a token; optionally forwards."""
-
-    def __init__(self, name, in_queue, cycles, out_queue=None):
-        self.name = name
-        self.in_queue = in_queue
-        self.out_queue = out_queue
-        self.cycles = cycles
-
-    def ready(self, now):
-        return self.in_queue.tokens > 0
-
-    def wait_on(self, now):
-        return [self.in_queue.waitset]
-
-    def start(self, now):
-        self.in_queue.pop()
-        return self.cycles
-
-    def finish(self, now):
-        if self.out_queue is not None:
-            self.out_queue.push()
+# perfbench/ is not a package: load its host-speed calibration by path
+_spec = importlib.util.spec_from_file_location(
+    "calibration",
+    Path(__file__).resolve().parents[1] / "perfbench" / "calibration.py",
+)
+calibration = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(calibration)
 
 
 def _repeat(*measures):
@@ -145,22 +93,35 @@ def _repeat(*measures):
         summaries.append((best_wall, best, {
             "runs": len(walls),
             "median_wall_seconds": median,
+            "mean_wall_seconds": statistics.fmean(walls),
             "spread": (walls[-1] - walls[0]) / median if median > 0 else 0.0,
         }))
     return summaries
 
 
 def _run(build) -> dict:
-    """Build and drain one synthetic graph; return kernel statistics."""
+    """Build and drain one synthetic graph; return kernel statistics.
+
+    The host clock is sampled after every run: ``host_factor`` is the
+    host's mean speed over the workload's runs (> 1: slower than the
+    calibration reference).  ``check_bench.py`` compares
+    ``mean_events_per_second`` (events over the mean wall, a time
+    average over the same runs) scaled by it; the best run's
+    ``events_per_second`` comes from the host's fastest moment, which
+    a mean factor does not describe.
+    """
+    clock = calibration.HostClock()
 
     def measure():
         sim = Simulator()
-        sequencers = build(sim)
-        for sequencer in sequencers:
+        build(sim)
+        for sequencer in sim.sequencers:
             sequencer.begin()
         start = time.perf_counter()
         sim.run()
-        return time.perf_counter() - start, sim
+        wall = time.perf_counter() - start
+        clock.sample(force=True)
+        return wall, sim
 
     [(best_wall, stats, summary)] = _repeat(measure)
     events = stats.events_processed
@@ -169,6 +130,8 @@ def _run(build) -> dict:
         "wall_seconds": best_wall,
         "events_processed": events,
         "events_per_second": events / best_wall if best_wall > 0 else 0.0,
+        "mean_events_per_second": events / summary["mean_wall_seconds"],
+        "host_factor": clock.factor(),
         "parks": stats.parks,
         "spurious_wakeups": stats.spurious_wakeups,
         "total_wakeups": total_wakeups,
@@ -181,56 +144,68 @@ def _run(build) -> dict:
     }
 
 
-def _sequencer(sim, index, tasks):
+def _graph(name, edges, cycles):
+    """A graph of rate-1 ``(source, sink)`` edges with the actors'
+    ``cycles``, and one FIRE op per actor over a LocalFifo per edge."""
+    graph = DataflowGraph(name)
+    for actor, count in cycles.items():
+        graph.actor(actor, cycles=count)
+    for source, sink in edges:
+        producer, consumer = graph.get_actor(source), graph.get_actor(sink)
+        producer.add_output("o")
+        consumer.add_input("i")
+        graph.connect((producer, "o"), (consumer, "i"))
+    fifos = {edge.edge_id: LocalFifo(edge) for edge in graph.edges}
+    return {
+        actor.name: compute_op(
+            actor, ComputeWiring.of(graph, actor, fifos), fifos
+        )
+        for actor in graph.actors
+    }
+
+
+def _sequencer(sim, index, ops):
     pe = ProcessingElement(index=index, name=f"PE{index}")
-    return PESequencer(sim, pe, tasks, iterations=ITERATIONS)
+    PESequencer(sim, pe, ops, iterations=ITERATIONS)
 
 
 def build_wide(sim):
     """N independent producer->consumer pairs on 2N PEs."""
-    sequencers = []
+    cycles = {}
     for i in range(WIDE_PAIRS):
-        queue = TokenQueue(f"wide{i}")
-        producer = ProduceTask(f"prod{i}", [queue], cycles=3 + i % 5)
-        consumer = ConsumeTask(f"cons{i}", queue, cycles=2 + i % 3)
-        sequencers.append(_sequencer(sim, 2 * i, [producer]))
-        sequencers.append(_sequencer(sim, 2 * i + 1, [consumer]))
-    return sequencers
+        cycles[f"prod{i}"] = 3 + i % 5
+        cycles[f"cons{i}"] = 2 + i % 3
+    ops = _graph(
+        "wide", [(f"prod{i}", f"cons{i}") for i in range(WIDE_PAIRS)], cycles
+    )
+    for i in range(WIDE_PAIRS):
+        _sequencer(sim, 2 * i, [ops[f"prod{i}"]])
+        _sequencer(sim, 2 * i + 1, [ops[f"cons{i}"]])
 
 
 def build_deep(sim):
     """One pipeline of N stages, each on its own PE."""
-    queues = [TokenQueue(f"deep{i}") for i in range(DEEP_STAGES)]
-    sequencers = [
-        _sequencer(
-            sim, 0, [ProduceTask("source", [queues[0]], cycles=4)]
-        )
-    ]
-    for i in range(DEEP_STAGES):
-        out_queue = queues[i + 1] if i + 1 < DEEP_STAGES else None
-        stage = ConsumeTask(
-            f"stage{i}", queues[i], cycles=4, out_queue=out_queue
-        )
-        sequencers.append(_sequencer(sim, i + 1, [stage]))
-    return sequencers
+    stages = ["source"] + [f"stage{i}" for i in range(DEEP_STAGES)]
+    ops = _graph(
+        "deep", list(zip(stages, stages[1:])), dict.fromkeys(stages, 4)
+    )
+    for i, name in enumerate(stages):
+        _sequencer(sim, i, [ops[name]])
 
 
 def build_contended(sim):
-    """One producer feeding N consumers round-robin: N-1 consumers are
-    parked at any instant, and every token wakes exactly one."""
-    queues = [TokenQueue(f"cont{i}") for i in range(CONTENDED_CONSUMERS)]
-    producer = ProduceTask("producer", queues, cycles=1, round_robin=True)
-    source = PESequencer(
-        sim,
-        ProcessingElement(index=0, name="PE0"),
-        [producer],
-        iterations=ITERATIONS * CONTENDED_CONSUMERS,
-    )
-    sequencers = [source]
-    for i, queue in enumerate(queues):
-        consumer = ConsumeTask(f"cons{i}", queue, cycles=2)
-        sequencers.append(_sequencer(sim, i + 1, [consumer]))
-    return sequencers
+    """One producer PE feeding N consumers round-robin (its program
+    holds one single-output producer op per consumer): N-1 consumers
+    are parked at any instant, and every token wakes exactly one."""
+    n = CONTENDED_CONSUMERS
+    cycles = {}
+    for i in range(n):
+        cycles[f"prod{i}"] = 1
+        cycles[f"cons{i}"] = 2
+    ops = _graph("contended", [(f"prod{i}", f"cons{i}") for i in range(n)], cycles)
+    _sequencer(sim, 0, [ops[f"prod{i}"] for i in range(n)])
+    for i in range(n):
+        _sequencer(sim, i + 1, [ops[f"cons{i}"]])
 
 
 WORKLOADS = {
@@ -263,6 +238,18 @@ def test_kernel_wakeups_are_never_spurious(kernel_sweep):
         assert stats["parks"] > 0, name
         assert stats["total_wakeups"] == stats["parks"], name
         assert stats["spurious_wakeups"] == 0, name
+
+
+def test_kernel_counts_are_pinned(kernel_sweep):
+    """Each workload's kernel counters, as the same graphs counted when
+    they were built from hand-written task objects instead of FIRE ops."""
+    for name, stats in kernel_sweep.items():
+        assert (
+            stats["events_processed"],
+            stats["parks"],
+            stats["total_wakeups"],
+            stats["spurious_wakeups"],
+        ) == COUNTS[name], name
 
 
 def _fig6_system() -> SpiSystem:

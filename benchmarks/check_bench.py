@@ -35,7 +35,9 @@ FLOORS = {
         "auto_slowdown": 1.15,
         # the sweep's periodic workload must report its period, > this
         "period": 0.0,
-        # events/s of each synthetic workload
+        # mean events/s of each synthetic workload, scaled by the host
+        # factor sampled over the same runs (perfbench/calibration.py),
+        # so that runs in different host speed phases compare
         "tolerance": 0.20,
     },
     "campaign": {
@@ -122,12 +124,14 @@ def check_kernel(floors: dict, current: dict, baseline):
         if key not in workloads:
             yield f"[tolerance] workload {key!r} missing from the current run"
             continue
-        then = get(stats, "events_per_second")
-        now = get(workloads[key], "events_per_second")
+        then = get(stats, "mean_events_per_second") * get(stats, "host_factor")
+        now = get(workloads[key], "mean_events_per_second") * get(
+            workloads[key], "host_factor"
+        )
         if now < then * (1.0 - loss):
             yield (
-                f"[tolerance] {key}: events/s regressed {then:.0f} -> "
-                f"{now:.0f} (> {loss:.0%} loss)"
+                f"[tolerance] {key}: host-scaled events/s regressed "
+                f"{then:.0f} -> {now:.0f} (> {loss:.0%} loss)"
             )
 
 

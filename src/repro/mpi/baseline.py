@@ -392,7 +392,6 @@ class MpiSystem:
 
         result, _ = simulate(
             self,
-            "MPI",
             iterations,
             channels,
             factories,

@@ -24,7 +24,6 @@ from repro.platform.simulator import (
     PESequencer,
     SimulationDeadlock,
     Simulator,
-    Task,
     Waitset,
 )
 from repro.platform.steady_state import (
@@ -65,7 +64,6 @@ __all__ = [
     "LostWakeupError",
     "SimulationDeadlock",
     "Simulator",
-    "Task",
     "Waitset",
     "TraceEvent",
     "TraceRecorder",

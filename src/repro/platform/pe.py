@@ -134,12 +134,6 @@ class ProcessingElement:
         if not self.name:
             self.name = f"PE{self.index}"
 
-    def record_execution(self, cycles: int) -> None:
-        if cycles < 0:
-            raise ValueError("execution cycles must be >= 0")
-        self.busy_cycles += cycles
-        self.firings += 1
-
     def record_batched_dispatch(self, firings: int, cycles_saved: int) -> None:
         """Account one batched dispatch covering ``firings`` invocations."""
         if firings < 2:

@@ -5,8 +5,7 @@ park/wake discipline for sequencers.
 
 * A **firing program** is one PE's cyclic list of :class:`Op` records —
   computation firings, SPI_init, SPI (or MPI baseline) sends and
-  receives — built once per run.  Any object implementing the
-  :class:`Task` protocol runs as one more op kind.
+  receives — built once per run.
 * A **sequencer** interprets one PE's program: it runs the ops in
   order, starting each as soon as its guard holds (this *is* the
   self-timed execution model of the paper: assignment and order are
@@ -22,14 +21,17 @@ progress.  Wakeups are delivered through the event heap at the current
 simulation time, after the mutating event completes, in subscription
 order.
 
-Deadlock (all sequencers parked, no events pending) raises
-:class:`SimulationDeadlock` with a description of every blocked op —
-invaluable when a protocol is mis-wired.  If a parked sequencer's guard
-actually *holds* at deadlock time, or a blocked op names no waitset
-to wait on, the kernel raises :class:`LostWakeupError` instead: nothing
-would ever wake that sequencer, which is a kernel-integration bug, never
-an application deadlock.  ``Simulator(check_lost_wakeups=True)`` (used
-by the conformance oracles) additionally audits every wakeup round for
+Every sequencer registers with its :class:`Simulator`.  When the event
+heap drains while a sequencer is not done — parked on a failed guard,
+or running an event-completed op (a rendezvous send) whose completion
+never comes — the run raises :class:`SimulationDeadlock` with a
+description of every blocked op, invaluable when a protocol is
+mis-wired.  If a parked sequencer's guard actually *holds* at deadlock
+time, or a blocked op names no waitset to wait on, the kernel raises
+:class:`LostWakeupError` instead: nothing would ever wake that
+sequencer, which is a kernel-integration bug, never an application
+deadlock.  ``Simulator(check_lost_wakeups=True)`` (used by the
+conformance oracles) additionally audits every wakeup round for
 ready-but-unwoken sequencers instead of waiting for the deadlock.
 """
 
@@ -38,13 +40,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from heapq import heappush as _heappush
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.platform.pe import ProcessingElement
 
 __all__ = [
     "Op",
-    "Task",
     "Waitset",
     "Simulator",
     "PESequencer",
@@ -62,40 +63,11 @@ class LostWakeupError(RuntimeError):
 
     Raised when a sequencer parked on waitsets has a passing guard but
     was never woken — i.e. some resource mutation forgot to call
-    :meth:`Waitset.wake` — or when a blocked task names no waitset at
-    all.  This is a kernel/task integration bug, and is
+    :meth:`Waitset.wake` — or when a blocked op names no waitset at
+    all.  This is a kernel/resource integration bug, and is
     kept distinct from :class:`SimulationDeadlock` (a property of the
     simulated application) so conformance campaigns can tell them apart.
     """
-
-
-class Task(Protocol):
-    """One schedulable unit on a PE, run as a ``TASK`` op."""
-
-    name: str
-
-    def ready(self, now: int) -> bool:
-        """May the task start at time ``now``?"""
-
-    def start(self, now: int) -> Optional[int]:
-        """Perform start-of-execution effects.
-
-        Return the duration in cycles for fixed-latency tasks, or
-        ``None`` for event-completed tasks (e.g. a blocking rendezvous
-        send): the task must then invoke the ``complete_async`` callback
-        installed on it by the sequencer when it is done.
-        """
-
-    def finish(self, now: int) -> None:
-        """Perform end-of-execution effects (produce tokens, send, ...)."""
-
-    def wait_on(self, now: int) -> Sequence["Waitset"]:
-        """Waitsets whose signal may let a failed ``ready`` guard pass.
-
-        Called only after ``ready(now)`` returned False; a blocked task
-        must name at least one waitset.  Tasks that are always ready
-        return an empty list.
-        """
 
 
 class Waitset:
@@ -110,15 +82,13 @@ class Waitset:
     :meth:`wake` discards by comparing epochs.
     """
 
-    __slots__ = ("name", "waiters", "wakes")
+    __slots__ = ("name", "waiters")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
         #: ``(sequencer, epoch)`` subscriptions, live or stale; a hot
         #: resource tests it to skip :meth:`wake` when nobody waits
         self.waiters: List[Tuple["PESequencer", int]] = []
-        #: wake() calls that found at least one live waiter
-        self.wakes = 0
 
     def __len__(self) -> int:
         return len(self.waiters)
@@ -131,20 +101,16 @@ class Waitset:
         if not self.waiters:
             return
         waiters, self.waiters = self.waiters, []
-        woke = False
         for sequencer, epoch in waiters:
             if sequencer.wait_epoch == epoch:
                 sequencer.sim._schedule_wake(sequencer)
-                woke = True
-        if woke:
-            self.wakes += 1
 
     def __repr__(self) -> str:
         return f"Waitset({self.name!r}, waiters={len(self.waiters)})"
 
 
 class Simulator:
-    """Event heap + parked-sequencer bookkeeping.
+    """Event heap + the registry of every sequencer it drives.
 
     ``check_lost_wakeups`` audits every wakeup round for ready-but-
     unwoken parked sequencers (see :class:`LostWakeupError`).
@@ -160,7 +126,8 @@ class Simulator:
         #: mirrored into its in-flight multiset for state hashing
         self.state_probe = None
         self._seq = itertools.count()
-        self._parked: List["PESequencer"] = []
+        #: every sequencer built on this simulator, in construction order
+        self.sequencers: List["PESequencer"] = []
         self._wake_queue: List["PESequencer"] = []
         self._wake_scheduled = False
         #: kernel counters (observability: exported into the metrics JSON)
@@ -231,9 +198,6 @@ class Simulator:
             )
         sequencer.parked = True
         self.parks += 1
-        if not sequencer._tracked:
-            sequencer._tracked = True
-            self._parked.append(sequencer)
         for waitset in waitsets:
             waitset.subscribe(sequencer)
 
@@ -255,21 +219,12 @@ class Simulator:
             self.targeted_wakeups += 1
             sequencer._woken = True
             sequencer.advance()
-        if self._parked:
-            # prune sequencers that were woken (or finished) this round
-            kept = []
-            for sequencer in self._parked:
-                if sequencer.parked:
-                    kept.append(sequencer)
-                else:
-                    sequencer._tracked = False
-            self._parked = kept
         if self.check_lost_wakeups:
-            self._audit_parked()
+            self._audit_wakeups()
 
-    def _audit_parked(self) -> None:
+    def _audit_wakeups(self) -> None:
         """Assert no parked sequencer is ready but unwoken."""
-        for sequencer in self._parked:
+        for sequencer in self.sequencers:
             if sequencer.wake_pending or not sequencer.parked:
                 continue
             if sequencer.ready(self.now):
@@ -285,7 +240,9 @@ class Simulator:
         """Drain the event heap; returns the final simulation time.
 
         ``max_cycles`` guards against runaway simulations (raises
-        ``RuntimeError`` when exceeded).
+        ``RuntimeError`` when exceeded).  Raises
+        :class:`SimulationDeadlock` (or :class:`LostWakeupError`) when
+        the heap drains before every sequencer is done.
         """
         heap = self._heap
         pop = heapq.heappop
@@ -310,11 +267,11 @@ class Simulator:
                     callback()
         finally:
             self.events_processed += processed
-        blocked = [s for s in self._parked if s.parked and not s.done]
+        blocked = [s for s in self.sequencers if not s.done]
         if blocked:
             blocked.sort(key=lambda s: s.pe.index)
             for sequencer in blocked:
-                if sequencer.ready(self.now):
+                if not sequencer._running and sequencer.ready(self.now):
                     raise LostWakeupError(
                         f"{sequencer.pe.name}: task "
                         f"{sequencer.current.name!r} is ready at t={self.now} "
@@ -328,7 +285,7 @@ class Simulator:
 
 
 #: op kinds of a firing program (see :class:`Op`)
-TASK, INIT, FIRE, SEND, RECV = range(5)
+INIT, FIRE, SEND, RECV = range(4)
 
 
 class Op:
@@ -364,7 +321,6 @@ class Op:
     * ``RECV`` guards on ``channel.receive_ready(n)`` and at completion
       moves each message into ``fifo`` with ``channel.receive_into``
       (which also sends the channel's acknowledgment, if any).
-    * ``TASK`` runs any object of the :class:`Task` protocol (``task``).
 
     Cost: ``cycles`` when static, else ``cost(...)`` when the layer
     prices the op itself (``cost(now, tokens, done)`` for a send,
@@ -388,7 +344,6 @@ class Op:
         "cost", "guard", "pops", "pushes", "fifo", "rate", "flows",
         "credited", "remote", "local", "connection", "wire", "group",
         "shared", "rendezvous", "channel", "counts", "single", "classic",
-        "task",
     )
 
     def __init__(self, kind: int, name: str, **fields) -> None:
@@ -399,7 +354,7 @@ class Op:
         self.sync = None
         self.actor = self.cycles = self.cost = None
         self.guard = self.pops = self.pushes = ()
-        self.fifo = self.channel = self.task = None
+        self.fifo = self.channel = None
         self.rate = 0
         self.flows = self.credited = self.remote = self.local = ()
         self.connection = self.wire = self.group = None
@@ -412,17 +367,6 @@ class Op:
 
     def __repr__(self) -> str:
         return f"Op({self.name!r}, kind={self.kind})"
-
-
-def _task_op(pe: ProcessingElement, task) -> Op:
-    """The TASK op running ``task`` (a program entry that is no Op)."""
-    if not callable(getattr(task, "wait_on", None)):
-        raise TypeError(
-            f"{pe.name}: task {task.name!r} does not implement "
-            f"wait_on(now); a blocked task must name the waitsets that "
-            f"can wake it"
-        )
-    return Op(TASK, task.name, task=task)
 
 
 def _consume(op: Op) -> dict:
@@ -477,12 +421,10 @@ class PESequencer:
     """Interprets one PE's firing program, self-timed.
 
     ``program`` is the per-iteration list of :class:`Op` records (any
-    other entry is a :class:`Task` and runs as a ``TASK`` op); the
-    sequencer runs it ``iterations`` times.  Dispatches of *different
-    PEs* overlap, but the dispatches of one PE strictly serialize (one
-    datapath).  Every task must implement ``wait_on`` (see
-    :class:`Task`); a program with a task that does not is rejected
-    here with ``TypeError``.
+    other entry is rejected with ``TypeError``); the sequencer runs it
+    ``iterations`` times and registers itself in ``sim.sequencers``.
+    Dispatches of *different PEs* overlap, but the dispatches of one PE
+    strictly serialize (one datapath).
     """
 
     def __init__(
@@ -495,12 +437,14 @@ class PESequencer:
     ) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
+        for entry in program:
+            if not isinstance(entry, Op):
+                raise TypeError(
+                    f"{pe.name}: program entry {entry!r} is not an Op record"
+                )
         self.sim = sim
         self.pe = pe
-        self.program = [
-            entry if isinstance(entry, Op) else _task_op(pe, entry)
-            for entry in program
-        ]
+        self.program = list(program)
         accelerated = pe.pe_class.is_accelerator
         for op in self.program:
             op.single = op.counts is None and not (
@@ -531,8 +475,6 @@ class PESequencer:
         #: bumped every time the sequencer leaves the parked state —
         #: invalidates stale waitset subscriptions
         self.wait_epoch = 0
-        #: membership flag for the kernel's parked list
-        self._tracked = False
         #: the advance() call was delivered by a wakeup (spurious-wakeup
         #: accounting: set by the kernel, cleared on entry to advance)
         self._woken = False
@@ -541,6 +483,7 @@ class PESequencer:
         self._started_at = 0
         self._complete_cb = self._complete
         self._async_hook = self._install_async_complete
+        sim.sequencers.append(self)
 
     def begin(self) -> None:
         """Arm the sequencer (schedule its first advance at t=0)."""
@@ -574,9 +517,9 @@ class PESequencer:
         if self._blocked_since is None:
             self._blocked_since = now
         self.pe.record_block()
-        task = op.task
         sim.park(
-            self, task.wait_on(now) if task is not None else self._wait_on(op, now)
+            self,
+            [waitset for _, unmet in self._unmet(op) for waitset, _, _ in unmet],
         )
 
     def _unblock(self, op: Op, now: int) -> None:
@@ -600,9 +543,9 @@ class PESequencer:
         dispatch, after the entry checks of the wake path (a running
         sequencer is never parked, woken or blocked).  The classic
         firing (a FIRE op, one firing per dispatch, no sync layer) is
-        interpreted inline — guard, consume, compute, produce — and so
-        are a TASK op's protocol calls; every other op goes through
-        :meth:`_ready`, :meth:`_start` and :meth:`_finish`.
+        interpreted inline — guard, consume, compute, produce; every
+        other op goes through :meth:`_ready`, :meth:`_start` and
+        :meth:`_finish`.
         """
         now = self.sim.now
         if finishing:
@@ -623,8 +566,6 @@ class PESequencer:
                     else:
                         fifo.push(produced[port][span[0]:span[1]])
                 op.index += 1
-            elif op.task is not None:
-                op.task.finish(now)
             else:
                 self._finish(op, now)
                 if op.sync is not None:
@@ -663,16 +604,6 @@ class PESequencer:
             duration = op.cycles
             if duration is None:
                 duration = op.actor.execution_cycles(op.index, consumed)
-        elif op.task is not None:
-            task = op.task
-            if not task.ready(now):
-                self._park(op, now, woken)
-                return
-            if self._blocked_since is not None:
-                self._unblock(op, now)
-            duration = task.start(now)
-            if duration is None:
-                task.complete_async = self._async_hook
         else:
             if not self._ready(op, now):
                 self._park(op, now, woken)
@@ -707,12 +638,10 @@ class PESequencer:
         return not self.done and self._ready(self.program[self.position], now)
 
     def _ready(self, op: Op, now: int) -> bool:
-        """``op``'s guard; sync pools first (a failed check counts a stall)."""
+        """``op``'s guard, sync pools first."""
         if op.sync is not None and not self._sync_ready(op):
             return False
         kind = op.kind
-        if kind == TASK:
-            return op.task.ready(now)
         if kind == INIT:
             return True
         burst = 1 if op.counts is None else op.counts[self.iteration]
@@ -822,7 +751,7 @@ class PESequencer:
         for layer in op.sync:
             if layer.count % layer.period == layer.phase:
                 for pool in layer.guards:
-                    if not pool.available():
+                    if pool.tokens <= 0:
                         return False
         return True
 
@@ -845,100 +774,80 @@ class PESequencer:
                     )
             layer.count += 1
 
-    def _wait_on(self, op: Op, now: int) -> List[Waitset]:
-        """Waitsets of the resources currently blocking ``op``'s guard.
+    def _unmet(self, op: Op) -> Iterator[Tuple[str, List[tuple]]]:
+        """Walk ``op``'s guard and yield every unmet group of conditions.
 
-        Reads ``pool.tokens`` rather than calling ``available``, which
-        counts stalls: diagnosis must not perturb the metrics.
+        A group is one sync layer, the FIRE inputs, the SEND input fifo,
+        the SEND credit windows or the RECV channel; each is yielded as
+        ``(prefix, [(waitset, name, shortfall), ...])``, one entry per
+        unmet condition, where ``shortfall`` is a starved fifo's ``(has,
+        needs)`` token counts, else None.  Parking subscribes every
+        waitset of every group; :meth:`describe_block` formats the first
+        group as its prefix and the names (and shortfalls) of its
+        conditions.
         """
-        waitsets = []
         for layer in op.sync or ():
             if layer.count % layer.period == layer.phase:
-                waitsets.extend(
-                    pool.waitset for pool in layer.guards if pool.tokens <= 0
-                )
-        kind = op.kind
-        burst = self._burst(op)
-        if kind == FIRE:
-            waitsets.extend(
-                fifo.waitset
-                for fifo, rate in op.guard
-                if fifo.count < burst * rate
-            )
-        elif kind == SEND:
-            if op.fifo.count < burst * op.rate:
-                waitsets.append(op.fifo.waitset)
-            waitsets.extend(
-                channel.space_waitset
-                for channel in op.credited
-                if not channel.flow.can_send_n(burst)
-            )
-        elif kind == RECV:
-            waitsets.append(op.channel.data_waitset)
-        return waitsets
-
-    def _blocked_reason(self, op: Op, now: int) -> Optional[str]:
-        """Why ``op`` cannot start (None when it can)."""
-        for layer in op.sync or ():
-            if layer.count % layer.period == layer.phase:
-                empty = [pool.name for pool in layer.guards if pool.tokens <= 0]
+                empty = [
+                    (pool.waitset, pool.name, None)
+                    for pool in layer.guards
+                    if pool.tokens <= 0
+                ]
                 if empty:
-                    return "waiting for sync tokens on " + ", ".join(
-                        repr(name) for name in empty
-                    )
+                    yield "waiting for sync tokens on ", empty
         kind = op.kind
-        if kind == TASK:
-            reason = getattr(op.task, "blocked_reason", None)
-            return reason(now) if reason is not None else None
         burst = self._burst(op)
         if kind == FIRE:
             starved = [
-                f"{fifo.edge.name!r} (has {fifo.count}, needs {burst * rate})"
+                (fifo.waitset, fifo.edge.name, (fifo.count, burst * rate))
                 for fifo, rate in op.guard
                 if fifo.count < burst * rate
             ]
             if starved:
-                return "starved on " + ", ".join(starved)
+                yield "starved on ", starved
         elif kind == SEND:
             fifo = op.fifo
-            if fifo.count < burst * op.rate:
-                return (
-                    f"starved on {fifo.edge.name!r} "
-                    f"(has {fifo.count}, needs {burst * op.rate})"
-                )
+            need = burst * op.rate
+            if fifo.count < need:
+                yield "starved on ", [
+                    (fifo.waitset, fifo.edge.name, (fifo.count, need))
+                ]
             closed = [
-                repr(channel.edge.name)
+                (channel.space_waitset, channel.edge.name, None)
                 for channel in op.credited
                 if not channel.flow.can_send_n(burst)
             ]
             if closed:
-                return "waiting for ack credit on channel " + ", ".join(closed)
+                yield "waiting for ack credit on channel ", closed
         elif kind == RECV:
             channel = op.channel
             if not channel.receive_ready(burst):
                 if burst > 1:
-                    need = f"{burst} messages"
+                    prefix = f"waiting for {burst} messages on channel "
                 elif channel.rendezvous:
-                    need = "a RTS envelope"
+                    prefix = "waiting for a RTS envelope on channel "
                 else:
-                    need = "a message"
-                return f"waiting for {need} on channel {channel.edge.name!r}"
-        return None
+                    prefix = "waiting for a message on channel "
+                yield prefix, [(channel.data_waitset, channel.edge.name, None)]
 
     def describe_block(self) -> str:
+        """Which op holds this unfinished sequencer up, and why."""
         op = self.current
-        name = op.name if op is not None else "<none>"
         base = (
-            f"{self.pe.name} blocked on task {name!r} "
+            f"{self.pe.name} blocked on task {op.name!r} "
             f"(iteration {self.iteration}, position {self.position})"
         )
-        # ops that know *why* they cannot proceed (which channel or
-        # fifo is starved/full) report it, making deadlocks diagnosable
-        if op is not None:
-            try:
-                reason = self._blocked_reason(op, self.sim.now)
-            except Exception:
-                reason = None
-            if reason:
-                base = f"{base}: {reason}"
+        if self._running:
+            # an event-completed op whose completion never came
+            if op.rendezvous:
+                channel = op.remote[0][1]
+                return f"{base}: waiting for a CTS on channel {channel.edge.name!r}"
+            return f"{base}: waiting for its completion event"
+        for prefix, unmet in self._unmet(op):
+            return f"{base}: {prefix}" + ", ".join(
+                repr(name) if shortfall is None
+                else f"{name!r} (has {shortfall[0]}, needs {shortfall[1]})"
+                for _, name, shortfall in unmet
+            )
         return base
+

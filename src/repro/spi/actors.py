@@ -174,16 +174,8 @@ class SyncTokenPool:
         self.messages_sent = 0
         #: most tokens ever held at once (observability)
         self.high_water = initial
-        #: failed availability checks — the consumer retried on empty
-        self.empty_stalls = 0
         #: woken on every deposit (unblocks a guarded consumer)
         self.waitset = Waitset(f"pool:{name}")
-
-    def available(self) -> bool:
-        if self.tokens > 0:
-            return True
-        self.empty_stalls += 1
-        return False
 
     def consume(self) -> None:
         if self.tokens <= 0:

@@ -83,7 +83,7 @@ class CollectiveSendGroup:
     branch of the connection: remote branches each own a member IPC edge
     (and a per-branch channel keyed by the original member edge name),
     local branches are delivered directly into their consumer FIFOs.
-    The runtime turns this into an ``SpiSendTask`` with a group key, which
+    The runtime turns this into a SEND op with a group key, which
     makes one shared-payload transport transfer per destination (or one
     bus transaction) instead of one send firing per branch.
     """

@@ -233,14 +233,17 @@ class SimRun:
     ops: Dict[str, Op]
     #: same-PE FIFO by edge id
     fifos: Dict[int, LocalFifo]
-    sequencers: List[PESequencer] = field(default_factory=list)
     #: steady-state tracker armed for the run, if any
     tracker: Optional[object] = None
+
+    @property
+    def sequencers(self) -> List[PESequencer]:
+        """Every PE's sequencer, in PE order (the simulator's registry)."""
+        return self.sim.sequencers
 
 
 def simulate(
     system,
-    layer: str,
     iterations: int,
     channels: Dict[str, object],
     factories: Callable[[Simulator, Interconnect, Optional[List[int]]], Tuple],
@@ -281,8 +284,8 @@ def simulate(
     starting them and may return a steady-state tracker, whose
     extrapolated cycles count toward the makespan.
 
-    Raises :class:`GraphError` naming ``layer`` when a sequencer does not
-    finish.
+    A sequencer that cannot finish makes :meth:`Simulator.run` raise
+    :class:`~repro.platform.SimulationDeadlock`.
     """
     if iterations < 1:
         raise GraphError("iterations must be >= 1")
@@ -307,9 +310,7 @@ def simulate(
         pe = pes[pe_index] if pes is not None else ProcessingElement(pe_index)
         program = [init_op(pe_index)] if init else []
         program.extend(run.ops[origin] for _, origin in entries)
-        run.sequencers.append(
-            PESequencer(sim, pe, program, plan.passes, trace=trace)
-        )
+        PESequencer(sim, pe, program, plan.passes, trace=trace)
         used.append(pe)
     if arm is not None:
         run.tracker = arm(run)
@@ -317,12 +318,6 @@ def simulate(
     for sequencer in run.sequencers:
         sequencer.begin()
     final = sim.run(max_cycles=max_cycles)
-    unfinished = [s for s in run.sequencers if not s.done]
-    if unfinished:
-        raise GraphError(
-            f"{layer} simulation ended with unfinished sequencers: "
-            f"{[s.pe.name for s in unfinished]}"
-        )
 
     extra_cycles = (
         run.tracker.report.extrapolated_cycles if run.tracker is not None else 0
@@ -859,7 +854,6 @@ class SpiSystem:
 
         result, run = simulate(
             self,
-            "SPI",
             iterations,
             channels,
             factories,
@@ -1062,7 +1056,7 @@ class SpiSystem:
         for pool in sync_pools:
             meters.append(
                 AttrMeter(
-                    f"pool:{pool.name}", pool, ("messages_sent", "empty_stalls")
+                    f"pool:{pool.name}", pool, ("messages_sent",)
                 )
             )
         meters.append(AttrMeter("transport", transport, transport_fields))

@@ -140,34 +140,22 @@ class TestRunTimeViolations:
 
     def test_deadlock_diagnostic_names_blocked_task(self):
         """A consumer waiting on data that never comes reports itself."""
-        from repro.platform import (
-            PESequencer,
-            ProcessingElement,
-            Simulator,
-            Waitset,
+        from repro.platform import PESequencer, ProcessingElement, Simulator
+        from repro.spi.actors import LocalFifo, compute_op
+        from repro.spi.library import ComputeWiring
+
+        graph, _ = two_actor_graph()
+        consumer = graph.get_actor("B")
+        fifos = {edge.edge_id: LocalFifo(edge) for edge in graph.edges}
+        op = compute_op(
+            consumer, ComputeWiring.of(graph, consumer, fifos), fifos
         )
-
-        class NeverReady:
-            name = "starved"
-
-            def ready(self, now):
-                return False
-
-            def wait_on(self, now):
-                return [Waitset("data")]
-
-            def start(self, now):
-                return 1
-
-            def finish(self, now):
-                pass
-
         sim = Simulator()
-        seq = PESequencer(
-            sim, ProcessingElement(0), [NeverReady()], iterations=1
-        )
+        seq = PESequencer(sim, ProcessingElement(0), [op], iterations=1)
         seq.begin()
-        with pytest.raises(SimulationDeadlock, match="starved"):
+        with pytest.raises(
+            SimulationDeadlock, match="blocked on task 'fire:B'.*starved on"
+        ):
             sim.run()
 
 

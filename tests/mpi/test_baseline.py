@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mpi import MpiConfig, MpiSystem, mpi_engine_cost
+from repro.platform import SimulationDeadlock
 from repro.spi import SpiSystem
 from tests.conftest import build_payload_pipeline as pipeline
 
@@ -74,6 +75,36 @@ class TestRun:
         system = MpiSystem.compile(graph, partition)
         with pytest.raises(Exception):
             system.run(iterations=0)
+
+
+    def test_cross_rendezvous_deadlock_is_reported(self):
+        """The particle filter's two PEs each post a blocking rendezvous
+        send to the other before their receives: both sends wait for a
+        CTS forever.  The simulator reports that as a deadlock of the
+        two running sends, naming their PEs and channels."""
+        from repro.apps.particle_filter import (
+            CrackGrowthModel,
+            build_particle_filter_graph,
+            simulate_crack_history,
+        )
+
+        model = CrackGrowthModel()
+        _, observations = simulate_crack_history(model, steps=6, seed=1)
+        app = build_particle_filter_graph(
+            model, observations, n_particles=160, n_pes=2
+        )
+        system = MpiSystem.compile(app.graph, app.partition)
+        with pytest.raises(SimulationDeadlock) as excinfo:
+            system.run(iterations=4)
+        assert str(excinfo.value) == (
+            "simulation deadlocked at t=3626: "
+            "PE0 blocked on task 'mpi_send_12_S2_0' (iteration 0, "
+            "position 6): waiting for a CTS on channel "
+            "'particles_0_to_1.ipc'; "
+            "PE1 blocked on task 'mpi_send_13_S2_1' (iteration 0, "
+            "position 6): waiting for a CTS on channel "
+            "'particles_1_to_0.ipc'"
+        )
 
 
 class TestResources:

@@ -88,7 +88,7 @@ FLOOR_ROWS = [
     (
         "kernel",
         "tolerance",
-        scale("extra.workloads.wide.events_per_second", 0.7),
+        scale("extra.workloads.wide.mean_events_per_second", 0.7),
         True,
     ),
     ("kernel", "tolerance", lambda d: d["extra"]["workloads"].pop("deep"), True),
@@ -123,6 +123,8 @@ FLOOR_ROWS = [
     ("batching", "fig7_batch", put("extra.fig7.batch_dispatches", 3), False),
     ("batching", "kernel_speedup", put("extra.kernels.0.speedup", 0.9), False),
     ("batching", "tolerance", scale("extra.rows.0.cycles", 1.01), True),
+    # the same events/s on a host that calibrated 30% faster
+    ("kernel", "tolerance", scale("extra.workloads.wide.host_factor", 0.7), True),
 ]
 
 
@@ -181,6 +183,22 @@ def test_quick_vs_full_still_applies_the_quick_floors(tmp_path, capsys):
     assert status == 1 and "[steady_speedup]" in out, out
 
 
+def test_kernel_events_per_second_are_compared_at_one_host_speed(
+    tmp_path, capsys
+):
+    """A run in the host's slow phase (every workload 40% slower, and a
+    host factor to match) passes against the committed baseline."""
+
+    def slow_phase(document):
+        for stats in document["extra"]["workloads"].values():
+            stats["mean_events_per_second"] *= 0.6
+            stats["host_factor"] /= 0.6
+
+    current = doctored("kernel", slow_phase)
+    status, out = run_gate(tmp_path, capsys, committed("kernel"), current)
+    assert status == 0, out
+
+
 def test_quick_mode_skips_the_wall_clock_kernel_floor(tmp_path, capsys):
     current = doctored("batching", put("extra.kernels.0.speedup", 0.9))
     current["quick"] = True
@@ -197,6 +215,12 @@ def test_quick_mode_skips_the_wall_clock_kernel_floor(tmp_path, capsys):
         ),
         ("campaign", doctored("campaign", lambda d: d["extra"].pop("cache"))),
         ("kernel", doctored("kernel", lambda d: d["extra"].pop("workloads"))),
+        (
+            "kernel",
+            doctored(
+                "kernel", lambda d: d["extra"]["workloads"]["deep"].pop("host_factor")
+            ),
+        ),
         ("collectives", doctored("collectives", put("extra.rows", []))),
         ("campaign", doctored("campaign", put("extra.speedup", "fast"))),
         ("batching", doctored("batching", put("extra.fig7", [1]))),
@@ -212,6 +236,7 @@ def test_quick_mode_skips_the_wall_clock_kernel_floor(tmp_path, capsys):
         "batching-no-fig6_best_cycles",
         "campaign-no-cache",
         "kernel-no-workloads",
+        "kernel-no-host-factor",
         "collectives-empty-rows",
         "campaign-ill-typed-speedup",
         "batching-ill-typed-fig7",

@@ -76,7 +76,7 @@ class TestProcessingElementBatchAccounting:
         # the sequencer records one firing per task *execution*; the
         # batched-dispatch hook must add the burst's remaining B-1 so
         # ``firings`` stays the logical invocation count
-        pe.record_execution(40)
+        pe.busy_cycles, pe.firings = 40, 1
         pe.record_batched_dispatch(firings=4, cycles_saved=30)
         assert pe.firings == 4
         assert pe.batched_firings == 4
@@ -92,7 +92,7 @@ class TestProcessingElementBatchAccounting:
 
     def test_reset_clears_batch_counters(self):
         pe = ProcessingElement(index=0)
-        pe.record_execution(10)
+        pe.busy_cycles, pe.firings = 10, 1
         pe.record_batched_dispatch(firings=3, cycles_saved=20)
         pe.reset()
         assert pe.firings == 0

@@ -4,65 +4,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataflow import DataflowGraph
 from repro.platform import (
     LostWakeupError,
     PESequencer,
     ProcessingElement,
     SimulationDeadlock,
     Simulator,
-    Waitset,
+    TraceRecorder,
 )
+from repro.spi.actors import LocalFifo, compute_op, recv_op
+from repro.spi.library import ComputeWiring
 
 
-class StubTask:
-    """Configurable task: guard flag, fixed duration, completion log.
-
-    A gated task parks on its own waitset; whoever opens the gate wakes
-    it.
-    """
-
-    def __init__(self, name, duration=5, gate=None):
-        self.name = name
-        self.duration = duration
-        self.gate = gate  # None = always ready, else a mutable [bool]
-        self.waitset = Waitset(name)
-        self.finishes = []
-
-    def ready(self, now):
-        return True if self.gate is None else self.gate[0]
-
-    def wait_on(self, now):
-        return [self.waitset]
-
-    def start(self, now):
-        return self.duration
-
-    def finish(self, now):
-        self.finishes.append(now)
+def resource(name="r"):
+    """A fifo the test deposits tokens into: one edge of a graph of its own."""
+    graph = DataflowGraph(name)
+    graph.actor("deposit").add_output("o")
+    graph.actor("take").add_input("i")
+    edge = graph.connect(
+        (graph.get_actor("deposit"), "o"), (graph.get_actor("take"), "i")
+    )
+    return LocalFifo(edge)
 
 
-class AsyncTask:
-    """Event-completed task: finishes when an external event fires."""
+def fire(name, cycles=5, inputs=()):
+    """The FIRE op ``fire:<name>``: pops one token of every fifo in
+    ``inputs`` per firing (always ready without inputs)."""
+    graph = DataflowGraph(name)
+    actor = graph.actor(name, cycles=cycles)
+    fifos = {}
+    for i, fifo in enumerate(inputs):
+        source = graph.actor(f"source{i}")
+        source.add_output("o")
+        actor.add_input(f"i{i}")
+        fifos[graph.connect((source, "o"), (actor, f"i{i}")).edge_id] = fifo
+    return compute_op(actor, ComputeWiring.of(graph, actor, fifos), fifos)
 
-    def __init__(self, name, sim, complete_at):
-        self.name = name
-        self.sim = sim
-        self.complete_at = complete_at
-        self.complete_async = None
-        self.finishes = []
 
-    def ready(self, now):
-        return True
+def deposit(fifo, wake=True):
+    """Push one token; ``wake=False`` hides the push from the fifo's
+    waitset, as a resource mutation that forgot to wake would."""
+    waiters = fifo.waitset.waiters
+    if not wake:
+        fifo.waitset.waiters = []
+    fifo.push([1])
+    if not wake:
+        fifo.waitset.waiters = waiters
 
-    def wait_on(self, now):
-        return []
 
-    def start(self, now):
-        self.sim.at(self.complete_at, lambda: self.complete_async())
-        return None
-
-    def finish(self, now):
-        self.finishes.append(now)
+def finishes(trace, name):
+    """End times of every dispatch of the op called ``name``."""
+    return [end for _, task, _, end, _ in trace.rows if task == name]
 
 
 class TestSimulator:
@@ -95,68 +88,34 @@ class TestPESequencer:
     def test_serial_execution_on_one_pe(self):
         sim = Simulator()
         pe = ProcessingElement(0)
-        tasks = [StubTask("t1", 5), StubTask("t2", 7)]
-        seq = PESequencer(sim, pe, tasks, iterations=2)
+        trace = TraceRecorder()
+        seq = PESequencer(
+            sim, pe, [fire("t1", 5), fire("t2", 7)], iterations=2, trace=trace
+        )
         seq.begin()
         sim.run()
-        assert tasks[0].finishes == [5, 17]
-        assert tasks[1].finishes == [12, 24]
+        assert finishes(trace, "fire:t1") == [5, 17]
+        assert finishes(trace, "fire:t2") == [12, 24]
         assert seq.done
         assert seq.finish_times == [12, 24]
         assert pe.busy_cycles == 24
         assert pe.firings == 4
 
-    def test_blocked_task_deadlocks_alone(self):
+    def test_blocked_op_deadlocks_alone(self):
         sim = Simulator()
         pe = ProcessingElement(0)
-        gate = [False]
-        seq = PESequencer(sim, pe, [StubTask("t", gate=gate)], iterations=1)
+        gate = resource("gate")
+        seq = PESequencer(sim, pe, [fire("t", inputs=[gate])], iterations=1)
         seq.begin()
         with pytest.raises(SimulationDeadlock) as excinfo:
             sim.run()
-        # the message names the PE and the parked task
+        # the message names the PE and the parked op
         assert "PE0" in str(excinfo.value)
-        assert "blocked on task 't'" in str(excinfo.value)
-
-    def test_deadlock_message_includes_task_reason(self):
-        """Tasks exposing ``blocked_reason`` get it appended — the
-        mechanism the SPI/MPI tasks use to name the starved channel."""
-
-        class ChannelTask(StubTask):
-            def blocked_reason(self, now):
-                return "waiting for a message on channel 'A.o->B.i'"
-
-        sim = Simulator()
-        pe = ProcessingElement(1)
-        task = ChannelTask("recv", gate=[False])
-        seq = PESequencer(sim, pe, [task], iterations=1)
-        seq.begin()
-        with pytest.raises(SimulationDeadlock) as excinfo:
-            sim.run()
-        message = str(excinfo.value)
-        assert "PE1" in message
-        assert "waiting for a message on channel 'A.o->B.i'" in message
-
-    def test_deadlock_message_tolerates_broken_reason(self):
-        """A faulty ``blocked_reason`` must not mask the deadlock."""
-
-        class BadReasonTask(StubTask):
-            def blocked_reason(self, now):
-                raise RuntimeError("diagnosis failed")
-
-        sim = Simulator()
-        pe = ProcessingElement(0)
-        seq = PESequencer(
-            sim, pe, [BadReasonTask("t", gate=[False])], iterations=1
-        )
-        seq.begin()
-        with pytest.raises(SimulationDeadlock, match="blocked on task"):
-            sim.run()
+        assert "blocked on task 'fire:t'" in str(excinfo.value)
 
     def test_spi_deadlock_names_pe_and_channel(self):
         """End to end: an SPI receiver whose producer never sends tokens
         deadlocks with a message naming its PE and the starved channel."""
-        from repro.dataflow import DataflowGraph
         from repro.mapping import Partition
         from repro.spi import SpiSystem
 
@@ -184,223 +143,182 @@ class TestPESequencer:
     def test_waitset_wake_unblocks(self):
         sim = Simulator()
         pe = ProcessingElement(0)
-        gate = [False]
-        blocked = StubTask("blocked", duration=3, gate=gate)
-        seq = PESequencer(sim, pe, [blocked], iterations=1)
+        gate = resource("gate")
+        trace = TraceRecorder()
+        seq = PESequencer(
+            sim, pe, [fire("blocked", 3, [gate])], iterations=1, trace=trace
+        )
         seq.begin()
-
-        def open_gate():
-            gate[0] = True
-            blocked.waitset.wake()
-
-        sim.at(20, open_gate)
+        sim.at(20, lambda: deposit(gate))
         sim.run()
-        assert blocked.finishes == [23]
+        assert finishes(trace, "fire:blocked") == [23]
         assert pe.blocked_events >= 1
 
     def test_two_pes_run_concurrently(self):
         sim = Simulator()
         pe0, pe1 = ProcessingElement(0), ProcessingElement(1)
-        t0, t1 = StubTask("t0", 10), StubTask("t1", 10)
-        seq0 = PESequencer(sim, pe0, [t0], iterations=1)
-        seq1 = PESequencer(sim, pe1, [t1], iterations=1)
+        seq0 = PESequencer(sim, pe0, [fire("t0", 10)], iterations=1)
+        seq1 = PESequencer(sim, pe1, [fire("t1", 10)], iterations=1)
         seq0.begin()
         seq1.begin()
         final = sim.run()
         assert final == 10  # parallel, not 20
+        assert sim.sequencers == [seq0, seq1]
+
+    @staticmethod
+    def _async_recv(sim, out, cost):
+        """A RECV op priced by ``cost(now, done)`` whose channel always
+        holds a message; its receive pushes the completion time."""
+
+        class Channel:
+            rendezvous = False
+            edge = out.edge
+            data_waitset = out.waitset
+
+            def receive_ready(self, n):
+                return True
+
+            def receive_into(self, fifo, now):
+                fifo.push([now])
+
+        return recv_op(
+            out.edge.sink.actor, Channel(), out, name="recv", cost=cost
+        )
 
     def test_async_completion(self):
+        """A RECV op whose cost hook returns None completes when the
+        event it scheduled calls ``done``."""
         sim = Simulator()
         pe = ProcessingElement(0)
-        task = AsyncTask("rendezvous", sim, complete_at=42)
-        seq = PESequencer(sim, pe, [task], iterations=1)
-        seq.begin()
+        out = resource("out")
+        op = self._async_recv(sim, out, lambda now, done: sim.at(42, done))
+        PESequencer(sim, pe, [op], iterations=1).begin()
         sim.run()
-        assert task.finishes == [42]
+        assert out.snapshot() == (42,)
         assert pe.busy_cycles == 42  # blocked the PE the whole time
+
+    def test_async_op_never_completed_is_a_deadlock(self):
+        """A running event-completed op whose ``done`` never comes
+        leaves its sequencer unfinished: the drained heap reports it."""
+        sim = Simulator()
+        op = self._async_recv(sim, resource("out"), lambda now, done: None)
+        PESequencer(sim, ProcessingElement(1), [op], iterations=1).begin()
+        with pytest.raises(SimulationDeadlock) as excinfo:
+            sim.run()
+        assert str(excinfo.value) == (
+            "simulation deadlocked at t=0: PE1 blocked on task 'recv' "
+            "(iteration 0, position 0): waiting for its completion event"
+        )
 
     def test_iterations_validated(self):
         sim = Simulator()
         with pytest.raises(ValueError):
             PESequencer(sim, ProcessingElement(0), [], iterations=0)
 
-    def test_task_without_wait_on_rejected(self):
-        """Every task must name its waitsets: the sequencer refuses a
-        program with a task that cannot, before anything runs."""
-
-        class Plain:
-            name = "plain"
-
-            def ready(self, now):
-                return False
-
-            def start(self, now):
-                return 1
-
-            def finish(self, now):
-                pass
-
+    def test_non_op_entry_rejected(self):
+        """A program is a list of Op records: the sequencer refuses any
+        other entry before anything runs, and does not register."""
         sim = Simulator()
-        with pytest.raises(TypeError, match="'plain'.*wait_on"):
-            PESequencer(
-                sim, ProcessingElement(0), [StubTask("ok"), Plain()], 1
-            )
+        with pytest.raises(TypeError, match="'plain' is not an Op record"):
+            PESequencer(sim, ProcessingElement(0), [fire("ok"), "plain"], 1)
+        assert sim.sequencers == []
 
-    def test_blocked_task_without_waitsets_raises(self):
-        """A blocked task naming no waitset could never be woken: the
+    def test_park_without_waitsets_raises(self):
+        """A blocked op naming no waitset could never be woken: the
         kernel reports it when the sequencer parks."""
-
-        class Stranded(StubTask):
-            def wait_on(self, now):
-                return []
-
         sim = Simulator()
+        gate = resource("gate")
         seq = PESequencer(
-            sim,
-            ProcessingElement(0),
-            [Stranded("stranded", gate=[False])],
-            iterations=1,
+            sim, ProcessingElement(0), [fire("stranded", inputs=[gate])], 1
         )
-        seq.begin()
         with pytest.raises(
-            LostWakeupError, match="'stranded' is blocked.*no waitset"
+            LostWakeupError, match="'fire:stranded' is blocked.*no waitset"
         ):
-            sim.run()
+            sim.park(seq, [])
         assert sim.parks == 0
 
     def test_utilization(self):
         pe = ProcessingElement(3)
-        pe.record_execution(30)
+        pe.busy_cycles = 30
         assert pe.utilization(60) == pytest.approx(0.5)
         assert pe.utilization(0) == 0.0
         assert pe.name == "PE3"
 
 
-class Resource:
-    """Counting resource with a waitset — the targeted-wakeup testbed."""
-
-    def __init__(self, sim, name="r"):
-        self.sim = sim
-        self.tokens = 0
-        self.waitset = Waitset(name)
-
-    def deposit(self, wake=True):
-        self.tokens += 1
-        if wake:
-            self.waitset.wake()
-
-
-class WaitingTask(StubTask):
-    """Consumes one token per firing; declares its waitset via wait_on."""
-
-    def __init__(self, name, resource, duration=2):
-        super().__init__(name, duration)
-        self.resource = resource
-
-    def ready(self, now):
-        return self.resource.tokens > 0
-
-    def wait_on(self, now):
-        return [self.resource.waitset]
-
-    def start(self, now):
-        self.resource.tokens -= 1
-        return self.duration
-
-
 class TestWaitsets:
-    def _consumer(self, sim, resource, iterations=1, idx=0):
-        task = WaitingTask(f"consume{idx}", resource)
+    def _consumer(self, sim, fifo, iterations=1, idx=0, cycles=2):
+        trace = TraceRecorder()
         seq = PESequencer(
-            sim, ProcessingElement(idx), [task], iterations=iterations
+            sim,
+            ProcessingElement(idx),
+            [fire(f"consume{idx}", cycles, [fifo])],
+            iterations=iterations,
+            trace=trace,
         )
         seq.begin()
-        return task, seq
+        return trace, seq
 
     def test_targeted_wakeup_counters(self):
         sim = Simulator()
-        resource = Resource(sim)
-        task, _ = self._consumer(sim, resource)
-        sim.at(10, resource.deposit)
+        fifo = resource()
+        trace, _ = self._consumer(sim, fifo)
+        sim.at(10, lambda: deposit(fifo))
         sim.run()
-        assert task.finishes == [12]
+        assert finishes(trace, "fire:consume0") == [12]
         assert sim.parks == 1
         assert sim.targeted_wakeups == 1
         assert sim.spurious_wakeups == 0
         assert sim.total_wakeups == 1
-        assert resource.waitset.wakes == 1
 
     def test_spurious_wakeup_counted(self):
-        """Two consumers on one waitset, one token: the loser re-parks
-        and the kernel books one spurious wakeup."""
+        """Two consumers on one fifo, one token: the loser re-parks and
+        the kernel books one spurious wakeup."""
         sim = Simulator()
-        resource = Resource(sim)
-        t0, _ = self._consumer(sim, resource, idx=0)
-        t1, _ = self._consumer(sim, resource, idx=1)
-        sim.at(5, resource.deposit)
-        sim.at(20, resource.deposit)
+        fifo = resource()
+        t0, _ = self._consumer(sim, fifo, idx=0)
+        t1, _ = self._consumer(sim, fifo, idx=1)
+        sim.at(5, lambda: deposit(fifo))
+        sim.at(20, lambda: deposit(fifo))
         sim.run()
-        assert t0.finishes and t1.finishes
+        assert finishes(t0, "fire:consume0") and finishes(t1, "fire:consume1")
         assert sim.spurious_wakeups == 1
         assert sim.targeted_wakeups == 3  # 2 at t=5 (1 spurious) + 1 at t=20
 
     def test_stale_subscriptions_invalidated_by_epoch(self):
         """A sequencer re-parking leaves stale entries in waitsets it no
         longer waits on; epoch comparison must discard them."""
-
-        class TwoResourceTask(StubTask):
-            def __init__(self, name, a, b):
-                super().__init__(name, duration=1)
-                self.a, self.b = a, b
-
-            def ready(self, now):
-                return self.a.tokens > 0 and self.b.tokens > 0
-
-            def wait_on(self, now):
-                waitsets = []
-                if self.a.tokens <= 0:
-                    waitsets.append(self.a.waitset)
-                if self.b.tokens <= 0:
-                    waitsets.append(self.b.waitset)
-                return waitsets
-
-            def start(self, now):
-                self.a.tokens -= 1
-                self.b.tokens -= 1
-                return self.duration
-
         sim = Simulator()
-        a, b = Resource(sim, "a"), Resource(sim, "b")
-        task = TwoResourceTask("t", a, b)
-        seq = PESequencer(sim, ProcessingElement(0), [task], iterations=1)
+        a, b = resource("a"), resource("b")
+        trace = TraceRecorder()
+        seq = PESequencer(
+            sim, ProcessingElement(0), [fire("t", 1, [a, b])], 1, trace=trace
+        )
         seq.begin()
-        sim.at(5, a.deposit)   # wakes, guard still fails (b empty)
-        sim.at(10, b.deposit)  # wakes the *new* subscription only
+        sim.at(5, lambda: deposit(a))   # wakes, guard still fails (b empty)
+        sim.at(10, lambda: deposit(b))  # wakes the *new* subscription only
         sim.run()
-        assert task.finishes == [11]
+        assert finishes(trace, "fire:t") == [11]
         assert sim.spurious_wakeups == 1
         assert sim.targeted_wakeups == 2
 
     def test_park_is_idempotent(self):
         sim = Simulator()
-        task = StubTask("t")
-        seq = PESequencer(sim, ProcessingElement(0), [task], iterations=1)
-        sim.park(seq, [task.waitset])
-        sim.park(seq, [task.waitset])
+        fifo = resource()
+        seq = PESequencer(
+            sim, ProcessingElement(0), [fire("t", inputs=[fifo])], 1
+        )
+        sim.park(seq, [fifo.waitset])
+        sim.park(seq, [fifo.waitset])
         assert sim.parks == 1
-        assert sim._parked.count(seq) == 1
+        assert len(fifo.waitset) == 1
 
     def test_lost_wakeup_detected_at_deadlock(self):
         """A resource mutated without wake(): the drained heap finds the
-        parked task ready and reports a kernel bug, not an app deadlock."""
+        parked op ready and reports a kernel bug, not an app deadlock."""
         sim = Simulator()
-        resource = Resource(sim)
-        self._consumer(sim, resource)
-
-        def silent_deposit():
-            resource.tokens += 1  # no wake
-
-        sim.at(5, silent_deposit)
+        fifo = resource()
+        self._consumer(sim, fifo)
+        sim.at(5, lambda: deposit(fifo, wake=False))
         with pytest.raises(LostWakeupError, match="lost wakeup"):
             sim.run()
 
@@ -408,13 +326,13 @@ class TestWaitsets:
         """check_lost_wakeups=True catches the lost wakeup at the next
         wake round instead of waiting for the deadlock."""
         sim = Simulator(check_lost_wakeups=True)
-        starved, healthy = Resource(sim, "starved"), Resource(sim, "ok")
+        starved, healthy = resource("starved"), resource("ok")
         self._consumer(sim, starved, idx=0)
         self._consumer(sim, healthy, idx=1)
 
         def mixed():
-            starved.tokens += 1       # forgotten wake
-            healthy.deposit()         # proper wake -> drives a wake round
+            deposit(starved, wake=False)  # forgotten wake
+            deposit(healthy)              # proper wake -> drives a wake round
 
         sim.at(5, mixed)
         with pytest.raises(LostWakeupError, match="lost wakeup"):
@@ -422,14 +340,13 @@ class TestWaitsets:
 
     def test_deadlock_reported_while_parked(self):
         sim = Simulator()
-        resource = Resource(sim)  # never deposited
-        self._consumer(sim, resource)
+        self._consumer(sim, resource())  # never deposited
         with pytest.raises(SimulationDeadlock, match="blocked on task"):
             sim.run()
 
 
 class TestCompletionStep:
-    """One call per task completion: the checks and the bookkeeping the
+    """One call per op completion: the checks and the bookkeeping the
     former ``after``/``at``/``_step``/``advance`` hops made still hold."""
 
     @pytest.mark.parametrize("position", [0, 1], ids=["first", "next"])
@@ -437,9 +354,9 @@ class TestCompletionStep:
         """At the first start (``advance``) and at a start that follows
         a completion (``_complete``) alike."""
         sim = Simulator()
-        tasks = [StubTask("ok", 5), StubTask("ok2", 5)]
-        tasks[position].duration = -1
-        PESequencer(sim, ProcessingElement(0), tasks, iterations=1).begin()
+        ops = [fire("ok", 5), fire("ok2", 5)]
+        ops[position].cycles = -1
+        PESequencer(sim, ProcessingElement(0), ops, iterations=1).begin()
         with pytest.raises(ValueError, match="delay must be >= 0"):
             sim.run()
 
@@ -465,8 +382,7 @@ class TestCompletionStep:
     def test_iteration_hook_runs_at_the_wrap_before_the_done_check(self):
         sim = Simulator()
         pe = ProcessingElement(0)
-        tasks = [StubTask("a", 3), StubTask("b", 4)]
-        seq = PESequencer(sim, pe, tasks, iterations=5)
+        seq = PESequencer(sim, pe, [fire("a", 3), fire("b", 4)], iterations=5)
         seen = []
 
         def hook():
@@ -485,33 +401,29 @@ class TestCompletionStep:
         assert seq._busy_until == 14
 
     def test_completion_records_busy_cycles_and_trace_rows(self):
-        from repro.platform.trace import TraceRecorder
-
         sim = Simulator()
         pe = ProcessingElement(3)
-        gate = [False]
-        waiting = StubTask("gated", 2, gate=gate)
+        gate = resource("gate")
         recorder = TraceRecorder()
         seq = PESequencer(
-            sim, pe, [StubTask("a", 5), waiting], iterations=2, trace=recorder
+            sim,
+            pe,
+            [fire("a", 5), fire("gated", 2, [gate])],
+            iterations=2,
+            trace=recorder,
         )
         seq.begin()
-
-        def open_gate():
-            gate[0] = True
-            waiting.waitset.wake()
-
-        sim.at(9, open_gate)
+        sim.at(9, lambda: [deposit(gate), deposit(gate)])
         sim.run()
         assert recorder.rows == (
-            (3, "a", 0, 5, 0),
-            (3, "gated", 9, 11, 0),
-            (3, "a", 11, 16, 1),
-            (3, "gated", 16, 18, 1),
+            (3, "fire:a", 0, 5, 0),
+            (3, "fire:gated", 9, 11, 0),
+            (3, "fire:a", 11, 16, 1),
+            (3, "fire:gated", 16, 18, 1),
         )
         assert (pe.busy_cycles, pe.firings) == (14, 4)
         assert (pe.blocked_events, pe.blocked_cycles) == (1, 4)
-        assert pe.blocked_by_task == {"gated": 4}
+        assert pe.blocked_by_task == {"fire:gated": 4}
         assert (sim.parks, sim.targeted_wakeups, sim.spurious_wakeups) == (
             1,
             1,
@@ -522,7 +434,7 @@ class TestCompletionStep:
 class TestProcessingElementReset:
     def test_reset_clears_all_statistics(self):
         pe = ProcessingElement(2)
-        pe.record_execution(30)
+        pe.busy_cycles, pe.firings = 30, 1
         pe.record_block()
         pe.record_blocked_interval("recv", 12)
         pe.reset()
@@ -546,21 +458,19 @@ class TestNoLostWakeupProperty:
     @staticmethod
     def _build(plan):
         sim = Simulator(check_lost_wakeups=True)
-        tasks = []
+        trace = TraceRecorder()
         for idx, (duration, deposits) in enumerate(plan):
-            resource = Resource(sim, f"r{idx}")
-            task = WaitingTask(f"c{idx}", resource, duration=duration)
-            seq = PESequencer(
+            fifo = resource(f"r{idx}")
+            PESequencer(
                 sim,
                 ProcessingElement(idx),
-                [task],
+                [fire(f"c{idx}", duration, [fifo])],
                 iterations=len(deposits),
-            )
-            seq.begin()
-            tasks.append((task, seq))
+                trace=trace,
+            ).begin()
             for t in deposits:
-                sim.at(t, resource.deposit)
-        return sim, tasks
+                sim.at(t, lambda fifo=fifo: deposit(fifo))
+        return sim, trace
 
     @staticmethod
     def _expected_finishes(duration, deposits):
@@ -573,7 +483,7 @@ class TestNoLostWakeupProperty:
     @given(
         plan=st.lists(
             st.tuples(
-                st.integers(0, 4),                    # task duration
+                st.integers(0, 4),                    # op duration
                 st.lists(                             # deposit times
                     st.integers(0, 40), min_size=1, max_size=5
                 ),
@@ -584,11 +494,11 @@ class TestNoLostWakeupProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_interleavings(self, plan):
-        sim, tasks = self._build(plan)
+        sim, trace = self._build(plan)
         sim.run()
-        for (task, seq), (duration, deposits) in zip(tasks, plan):
-            assert seq.done
-            assert task.finishes == self._expected_finishes(
+        for idx, (duration, deposits) in enumerate(plan):
+            assert sim.sequencers[idx].done
+            assert finishes(trace, f"fire:c{idx}") == self._expected_finishes(
                 duration, deposits
             )
         assert sim.spurious_wakeups <= sim.total_wakeups

@@ -5,9 +5,9 @@ message log, but only on the interpreter paths their cases reach.  This
 suite runs a small fixed set of cases and requires that every op kind
 and every path of it executed at least once: a batched burst and an
 accelerator burst; broadcast, scatter, gather and reduce; a UBS ack and
-a resynchronization guard and deposit; a dynamic size field; MPI eager
-and rendezvous transfers; and a generic task.  With it, the goldens pin
-every interpreter path.
+a resynchronization guard and deposit; a dynamic size field; and MPI
+eager and rendezvous transfers.  With it, the goldens pin every
+interpreter path.
 """
 
 from dataclasses import replace
@@ -23,8 +23,8 @@ from repro.conformance import build_case, generate_spec
 from repro.dataflow import DataflowGraph
 from repro.mapping.partition import Partition
 from repro.mpi.baseline import MpiSystem
-from repro.platform import PESequencer, ProcessingElement, Simulator, Waitset
-from repro.platform.simulator import FIRE, INIT, RECV, SEND, TASK
+from repro.platform import PESequencer
+from repro.platform.simulator import FIRE, INIT, RECV, SEND
 from repro.spi import SpiConfig, SpiSystem
 
 
@@ -171,31 +171,3 @@ def test_mpi_eager_and_rendezvous(programs):
     assert fired(programs, SEND, lambda op: not op.rendezvous and op.cost)
     assert fired(programs, RECV, lambda op: op.channel.rendezvous)
     assert fired(programs, RECV, lambda op: not op.channel.rendezvous)
-
-
-def test_generic_task(programs):
-    class Gate:
-        name = "gate"
-
-        def __init__(self):
-            self.waitset = Waitset("gate")
-            self.finishes = []
-
-        def ready(self, now):
-            return True
-
-        def wait_on(self, now):
-            return [self.waitset]
-
-        def start(self, now):
-            return 2
-
-        def finish(self, now):
-            self.finishes.append(now)
-
-    gate = Gate()
-    sim = Simulator()
-    PESequencer(sim, ProcessingElement(0), [gate], 3).begin()
-    assert sim.run() == 6
-    assert gate.finishes == [2, 4, 6]
-    assert [op.kind for op in programs] == [TASK]

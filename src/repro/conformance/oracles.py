@@ -177,15 +177,26 @@ def run_oracle_stack(
     verdicts — the service test suite enforces exactly that).
 
     The case is lowered once (:func:`repro.spi.library.lower`) and every
-    SPI and MPI compile reuses that front half.  When lowering raises,
-    each run records the same ``execution`` violation, as if each
-    compile had raised on its own.
+    SPI and MPI compile reuses that front half; the reference reuses
+    its VTS conversion.  When lowering raises, the reference converts
+    on its own and, if it succeeds, each run records the same
+    ``execution`` violation, as if each compile had raised on its own.
     """
     bound_fn = occupancy_bound_fn or default_occupancy_bound
     report = OracleReport(seed=case.spec.seed)
 
+    lowering = lowering_error = None
     try:
-        reference = run_reference(case, iterations)
+        lowering = lower(case.graph, case.partition)
+    except Exception as exc:
+        lowering_error = f"{type(exc).__name__}: {exc}"
+
+    try:
+        reference = run_reference(
+            case,
+            iterations,
+            conversion=lowering.conversion if lowering is not None else None,
+        )
     except Exception as exc:
         report.violations.append(
             Violation("execution", "reference", f"{type(exc).__name__}: {exc}")
@@ -196,12 +207,9 @@ def run_oracle_stack(
     }
 
     matrix = _spi_run_matrix(quick)
-    try:
-        lowering = lower(case.graph, case.partition)
-    except Exception as exc:
-        detail = f"{type(exc).__name__}: {exc}"
+    if lowering is None:
         report.violations.extend(
-            Violation("execution", label, detail)
+            Violation("execution", label, lowering_error)
             for label in [label for label, _ in matrix] + ["mpi"]
         )
         return report

@@ -14,11 +14,11 @@ runs of the same case.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.conformance.spec import ConformanceCase
 from repro.dataflow.sdf import build_pass
-from repro.dataflow.vts import vts_convert
+from repro.dataflow.vts import VtsConversion, vts_convert
 
 __all__ = ["ReferenceError", "run_reference"]
 
@@ -28,18 +28,25 @@ class ReferenceError(RuntimeError):
 
 
 def run_reference(
-    case: ConformanceCase, iterations: int, label: str = "reference"
+    case: ConformanceCase,
+    iterations: int,
+    label: str = "reference",
+    conversion: Optional[VtsConversion] = None,
 ) -> Dict[str, List[tuple]]:
     """Execute ``iterations`` graph iterations on a conceptual single PE.
 
     Records every firing through ``case.tap`` under ``label`` and returns
     the recorded streams (``actor name -> [(firing, inputs, outputs)]``).
+    ``conversion`` may pass the VTS conversion of a dynamic case's
+    graph when the caller already holds one; the reference only reads
+    it.
     """
     if iterations < 1:
         raise ReferenceError("iterations must be >= 1")
     graph = case.graph
     if graph.is_dynamic:
-        conversion = vts_convert(graph)
+        if conversion is None:
+            conversion = vts_convert(graph)
         graph = conversion.graph
         repetitions = conversion.repetitions
     else:

@@ -21,12 +21,55 @@ O(dependencies) per edge rather than O(tokens).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from repro.dataflow.graph import DataflowGraph, GraphError
+from repro.dataflow.graph import DataflowGraph, GraphError, Port
 from repro.dataflow.sdf import repetitions_vector
 
-__all__ = ["hsdf_expand", "invocation_name"]
+__all__ = ["TaskTable", "expansion_table", "hsdf_expand", "invocation_name"]
+
+
+@dataclass(frozen=True)
+class TaskTable:
+    """A task graph as two index tables, read by multiprocessor analysis.
+
+    ``tasks[t] = (name, origin, invocation, cycles)``: task ``t`` is
+    invocation ``invocation`` of actor ``origin``, which takes
+    ``cycles`` with no inputs.  ``deps[k] = (src, snk, delay, name,
+    payload_bytes)``: dependency ``k`` runs from task ``src`` to task
+    ``snk`` with iteration offset ``delay`` and moves one token of
+    ``payload_bytes`` per firing at either end.
+    """
+
+    tasks: Tuple[Tuple[str, str, int, int], ...]
+    deps: Tuple[Tuple[int, int, int, str, int], ...]
+
+    @cached_property
+    def index(self) -> Dict[str, int]:
+        """Task id by task name."""
+        return {task[0]: t for t, task in enumerate(self.tasks)}
+
+    @classmethod
+    def of_homogeneous(cls, graph: DataflowGraph) -> "TaskTable":
+        """A homogeneous graph as its own task graph: each actor is its
+        own single task, each edge one dependency."""
+        actors = graph.actors
+        index = {actor.name: t for t, actor in enumerate(actors)}
+        return cls(
+            tuple((a.name, a.name, 0, a.execution_cycles(0)) for a in actors),
+            tuple(
+                (
+                    index[e.src_actor.name],
+                    index[e.snk_actor.name],
+                    e.delay,
+                    e.name,
+                    e.token_bytes * e.max_prod_rate,
+                )
+                for e in graph.edges
+            ),
+        )
 
 
 def _edge_dependencies(
@@ -68,44 +111,34 @@ def invocation_name(actor_name: str, index: int) -> str:
     return f"{actor_name}#{index}"
 
 
-def hsdf_expand(
-    graph: DataflowGraph,
-    name: str = "",
-    repetitions: Optional[Dict[str, int]] = None,
-) -> DataflowGraph:
-    """Expand a consistent SDF graph into its homogeneous equivalent.
+def expansion_table(
+    graph: DataflowGraph, repetitions: Optional[Dict[str, int]] = None
+) -> TaskTable:
+    """The HSDF expansion of a consistent SDF graph, as a :class:`TaskTable`.
 
-    Every port of the result has rate 1.  Invocation vertices inherit the
-    kernel-free timing model of their actor (``cycles`` of the original
-    actor, evaluated at the invocation's local firing index).  Ports are
-    synthesised per edge; the result is only meant for precedence/timing
-    analysis, not functional execution.  ``repetitions`` may pass the
-    graph's repetitions vector when the caller already has it.
+    Tasks list the actors in graph order, each with its invocations
+    ascending; dependencies list the edges in graph order, each with
+    its ``(i, j)`` invocation pairs sorted, named ``edge[i->j]``.  Their
+    tokens are those of the expansion's synthesised ports, of the
+    default size.  ``repetitions`` may pass the graph's repetitions
+    vector when the caller already has it.
     """
     reps = repetitions if repetitions is not None else repetitions_vector(graph)
-    expanded = DataflowGraph(name or f"{graph.name}_hsdf")
-
+    tasks = []
+    first: Dict[str, int] = {}
     for actor in graph.actors:
+        first[actor.name] = len(tasks)
         for index in range(reps[actor.name]):
-            def cycles_model(firing, inputs, _actor=actor, _index=index):
-                return _actor.execution_cycles(_index, inputs)
-
-            expanded.actor(
-                invocation_name(actor.name, index),
-                cycles=cycles_model,
-                params={"origin": actor.name, "invocation": index},
+            tasks.append(
+                (
+                    invocation_name(actor.name, index),
+                    actor.name,
+                    index,
+                    actor.execution_cycles(index),
+                )
             )
 
-    port_counter: Dict[str, int] = {}
-
-    def fresh_port(owner_name: str, direction: str):
-        owner = expanded.get_actor(owner_name)
-        count = port_counter.get(owner_name, 0)
-        port_counter[owner_name] = count + 1
-        if direction == "out":
-            return owner.add_output(f"o{count}")
-        return owner.add_input(f"i{count}")
-
+    table = []
     for edge in graph.edges:
         p = edge.prod_rate
         c = edge.cons_rate
@@ -126,17 +159,54 @@ def hsdf_expand(
                 f"edge {edge.name}"
             )
         for (i, j), delta in sorted(deps.items()):
-            src_inv = invocation_name(edge.src_actor.name, i)
-            snk_inv = invocation_name(edge.snk_actor.name, j)
-            if src_inv == snk_inv and delta == 0:
+            src = first[edge.src_actor.name] + i
+            snk = first[edge.snk_actor.name] + j
+            if src == snk and delta == 0:
                 raise GraphError(
                     f"edge {edge.name} induces a zero-delay self "
-                    f"dependency on {src_inv} — graph deadlocks"
+                    f"dependency on {tasks[src][0]} — graph deadlocks"
                 )
-            expanded.connect(
-                fresh_port(src_inv, "out"),
-                fresh_port(snk_inv, "in"),
-                delay=delta,
-                name=f"{edge.name}[{i}->{j}]",
+            name = f"{edge.name}[{i}->{j}]"
+            table.append((src, snk, delta, name, Port.token_bytes))
+    return TaskTable(tuple(tasks), tuple(table))
+
+
+def hsdf_expand(
+    graph: DataflowGraph,
+    name: str = "",
+    repetitions: Optional[Dict[str, int]] = None,
+) -> DataflowGraph:
+    """Expand a consistent SDF graph into its homogeneous equivalent.
+
+    Every port of the result has rate 1.  Invocation vertices inherit the
+    kernel-free timing model of their actor (``cycles`` of the original
+    actor, evaluated at the invocation's local firing index).  Ports are
+    synthesised per edge; the result is only meant for precedence/timing
+    analysis, not functional execution.  ``repetitions`` may pass the
+    graph's repetitions vector when the caller already has it.  The
+    graph materialises :func:`expansion_table`, which compiles read.
+    """
+    table = expansion_table(graph, repetitions)
+    expanded = DataflowGraph(name or f"{graph.name}_hsdf")
+    actors = []
+    for task_name, origin, index, _ in table.tasks:
+        actor = graph.get_actor(origin)
+
+        def cycles_model(firing, inputs, _actor=actor, _index=index):
+            return _actor.execution_cycles(_index, inputs)
+
+        actors.append(
+            expanded.actor(
+                task_name,
+                cycles=cycles_model,
+                params={"origin": origin, "invocation": index},
             )
+        )
+    ports = [0] * len(actors)
+    for src, snk, delay, edge_name, _ in table.deps:
+        source = actors[src].add_output(f"o{ports[src]}")
+        ports[src] += 1
+        sink = actors[snk].add_input(f"i{ports[snk]}")
+        ports[snk] += 1
+        expanded.connect(source, sink, delay=delay, name=edge_name)
     return expanded

@@ -30,21 +30,18 @@ __all__ = ["build_ipc_graph"]
 def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> TimedGraph:
     """Construct ``G_ipc`` from a self-timed schedule.
 
-    The task graph of the schedule (the application graph itself, or its
-    HSDF expansion for multirate applications) provides the data edges;
-    the per-PE orders provide the sequencing edges.
+    The task table of the schedule (the application graph itself, or
+    its HSDF expansion for multirate applications) provides the tasks
+    and the data edges; the per-PE orders provide the sequencing edges.
     """
-    task_graph = schedule.task_graph
-    ipc = TimedGraph(name or f"{task_graph.name}_ipc")
-
-    for task in task_graph.actors:
-        pe = schedule.pe_of_task(task.name)
+    table = schedule.task_table
+    suffix = "_ipc" if schedule.homogeneous else "_hsdf_ipc"
+    ipc = TimedGraph(name or schedule.graph.name + suffix)
+    task_pe = schedule.task_pe
+    for task, origin, _, cycles in table.tasks:
         ipc.add_vertex(
             TimedVertex(
-                name=task.name,
-                cycles=task.execution_cycles(0),
-                pe=pe,
-                origin_actor=task.params.get("origin", task.name),
+                name=task, cycles=cycles, pe=task_pe[task], origin_actor=origin
             )
         )
 
@@ -71,20 +68,18 @@ def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> TimedGraph:
             )
         )
 
-    for edge in task_graph.edges:
-        src_pe = schedule.pe_of_task(edge.src_actor.name)
-        snk_pe = schedule.pe_of_task(edge.snk_actor.name)
-        if src_pe == snk_pe:
+    for s, k, delay, origin_edge, payload in table.deps:
+        src, snk = table.tasks[s][0], table.tasks[k][0]
+        if task_pe[src] == task_pe[snk]:
             continue
-        payload = edge.token_bytes * edge.max_prod_rate
         ipc.add_edge(
             TimedEdge(
-                src=edge.src_actor.name,
-                snk=edge.snk_actor.name,
-                delay=edge.delay,
+                src=src,
+                snk=snk,
+                delay=delay,
                 kind=EdgeKind.IPC,
                 payload_bytes=payload,
-                origin_edge=edge.name,
+                origin_edge=origin_edge,
             )
         )
 

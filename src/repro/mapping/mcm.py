@@ -77,53 +77,14 @@ class McmResult:
         )
 
 
-def _zero_delay_cycle(graph: TimedGraph) -> List[str]:
-    """Vertices of one zero-total-delay cycle (graph known to have one)."""
-    adjacency: Dict[str, List[str]] = {v.name: [] for v in graph.vertices}
-    for edge in graph.edges:
-        if edge.delay == 0:
-            adjacency[edge.src].append(edge.snk)
-    state: Dict[str, int] = {}
-    parent: Dict[str, str] = {}
-    for root in adjacency:
-        if state.get(root, 0):
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        state[root] = 1
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for nxt in successors:
-                mark = state.get(nxt, 0)
-                if mark == 1:
-                    # Back edge: unwind the cycle nxt -> ... -> node.
-                    cycle = [node]
-                    walk = node
-                    while walk != nxt:
-                        walk = parent[walk]
-                        cycle.append(walk)
-                    cycle.reverse()
-                    return cycle
-                if mark == 0:
-                    parent[nxt] = node
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-    raise AssertionError("no zero-delay cycle found")  # pragma: no cover
-
-
 def maximum_cycle_mean_result(graph: TimedGraph) -> McmResult:
     """MCM of ``graph`` with a critical-cycle witness.
 
     Deadlocked graphs return ``math.inf`` with a zero-delay cycle as the
     witness; acyclic graphs return 0.0.
     """
-    if graph.has_zero_delay_cycle():
-        cycle = _zero_delay_cycle(graph)
+    cycle = graph.zero_delay_cycle()
+    if cycle:
         return McmResult(
             value=math.inf,
             cycle=tuple(cycle),

@@ -11,10 +11,16 @@ so the orders are always admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import DataflowGraph, GraphError
-from repro.dataflow.hsdf import hsdf_expand, invocation_name
+from repro.dataflow.hsdf import (
+    TaskTable,
+    expansion_table,
+    hsdf_expand,
+    invocation_name,
+)
 from repro.dataflow.sdf import build_pass, repetitions_vector
 from repro.mapping.partition import Partition
 
@@ -37,17 +43,28 @@ class SelfTimedSchedule:
     its next pass as soon as data allows).
 
     For multirate graphs the tasks are HSDF invocations
-    (``actor#k`` names) of the expanded graph stored in ``task_graph``;
-    for homogeneous graphs the invocation index is always 0.
-    ``repetitions`` is the repetitions vector of ``graph``.
+    (``actor#k`` names) of the expansion held as columns in ``task_table``;
+    for homogeneous graphs the tasks are the actors themselves and the
+    invocation index is always 0.  ``repetitions`` is the repetitions
+    vector of ``graph``.
     """
 
     graph: DataflowGraph
     partition: Partition
     orders: Dict[int, List[str]]
-    task_graph: DataflowGraph
+    task_table: TaskTable
+    homogeneous: bool
     repetitions: Dict[str, int]
     task_pe: Dict[str, int] = field(default_factory=dict)
+
+    @cached_property
+    def task_graph(self) -> DataflowGraph:
+        """The task graph as a :class:`DataflowGraph`: ``graph`` itself
+        when homogeneous, else its HSDF expansion, built on first use.
+        Compilation reads :attr:`task_table` instead."""
+        if self.homogeneous:
+            return self.graph
+        return hsdf_expand(self.graph, repetitions=self.repetitions)
 
     def pe_of_task(self, task_name: str) -> int:
         return self.task_pe[task_name]
@@ -69,16 +86,11 @@ class SelfTimedSchedule:
         programs from exactly this plan.  For homogeneous graphs the
         task name and the origin coincide.
         """
-        script: Dict[int, List[Tuple[str, str]]] = {}
-        for pe, order in self.orders.items():
-            entries: List[Tuple[str, str]] = []
-            for task_name in order:
-                actor = self.task_graph.get_actor(task_name)
-                entries.append(
-                    (task_name, actor.params.get("origin", task_name))
-                )
-            script[pe] = entries
-        return script
+        tasks, index = self.task_table.tasks, self.task_table.index
+        return {
+            pe: [(name, tasks[index[name]][1]) for name in order]
+            for pe, order in self.orders.items()
+        }
 
     @property
     def n_pes(self) -> int:
@@ -95,7 +107,7 @@ class SelfTimedSchedule:
                         f"and PE {pe}"
                     )
                 seen[task] = pe
-        expected = {a.name for a in self.task_graph.actors}
+        expected = set(self.task_table.index)
         if set(seen) != expected:
             missing = expected - set(seen)
             extra = set(seen) - expected
@@ -114,10 +126,11 @@ class TaskPlan:
     of the *same* graph (``Partition.exhaustive``) compute the plan once
     with :func:`task_plan` and pass it to every
     :func:`build_selftimed_schedule` call.  ``repetitions`` is the
-    graph's repetitions vector, computed once here.
+    graph's repetitions vector, computed once here; ``tasks`` is the
+    task graph as a :class:`~repro.dataflow.hsdf.TaskTable`.
     """
 
-    task_graph: DataflowGraph
+    tasks: TaskTable
     task_sequence: Tuple[str, ...]
     homogeneous: bool
     repetitions: Dict[str, int]
@@ -133,10 +146,10 @@ def task_plan(graph: DataflowGraph) -> TaskPlan:
     )
     pass_firings = build_pass(graph, repetitions=reps)
     if homogeneous:
-        task_graph = graph
+        tasks = TaskTable.of_homogeneous(graph)
         task_sequence = tuple(a.name for a in pass_firings)
     else:
-        task_graph = hsdf_expand(graph, repetitions=reps)
+        tasks = expansion_table(graph, repetitions=reps)
         counters: Dict[str, int] = {}
         names: List[str] = []
         for actor in pass_firings:
@@ -145,7 +158,7 @@ def task_plan(graph: DataflowGraph) -> TaskPlan:
             names.append(invocation_name(actor.name, k))
         task_sequence = tuple(names)
     return TaskPlan(
-        task_graph=task_graph,
+        tasks=tasks,
         task_sequence=task_sequence,
         homogeneous=homogeneous,
         repetitions=reps,
@@ -168,25 +181,25 @@ def build_selftimed_schedule(
     """
     if plan is None:
         plan = task_plan(graph)
-    task_graph = plan.task_graph
-    task_sequence = plan.task_sequence
+    tasks = plan.tasks
     if plan.homogeneous:
         task_pe = {a.name: partition.pe_of(a) for a in graph.actors}
     else:
         task_pe = {
-            t.name: partition.assignment[t.params["origin"]]
-            for t in task_graph.actors
+            name: partition.assignment[origin]
+            for name, origin, _, _ in tasks.tasks
         }
 
     orders: Dict[int, List[str]] = {pe: [] for pe in range(partition.n_pes)}
-    for task in task_sequence:
+    for task in plan.task_sequence:
         orders[task_pe[task]].append(task)
 
     schedule = SelfTimedSchedule(
         graph=graph,
         partition=partition,
         orders=orders,
-        task_graph=task_graph,
+        task_table=tasks,
+        homogeneous=plan.homogeneous,
         task_pe=task_pe,
         repetitions=plan.repetitions,
     )
@@ -203,7 +216,8 @@ def batch_is_admissible(schedule: SelfTimedSchedule, batch: int) -> bool:
     ``batch * rate`` tokens in one burst.  That is admissible iff a
     symbolic token simulation of one macro-pass completes — each PE
     advances through its cyclic order, a task fires only when every
-    input edge of the task graph holds the full burst.  One macro-pass
+    input edge of the task graph holds the full burst (every edge moves
+    one token per firing at either end).  One macro-pass
     suffices: a consistent graph returns to its initial token state
     after any whole number of iterations.
 
@@ -214,16 +228,15 @@ def batch_is_admissible(schedule: SelfTimedSchedule, batch: int) -> bool:
         raise ValueError("batch must be >= 1")
     if batch == 1:
         return True  # the PASS-derived orders are admissible by construction
-    task_graph = schedule.task_graph
-    tokens: Dict[Tuple[str, str, int], int] = {}
-    in_edges: Dict[str, list] = {t.name: [] for t in task_graph.actors}
-    out_edges: Dict[str, list] = {t.name: [] for t in task_graph.actors}
-    for i, edge in enumerate(task_graph.edges):
-        key = (edge.src_actor.name, edge.snk_actor.name, i)
-        tokens[key] = edge.delay
-        in_edges[edge.snk_actor.name].append((key, edge.cons_rate))
-        out_edges[edge.src_actor.name].append((key, edge.prod_rate))
+    table = schedule.task_table
+    tokens = [delay for _, _, delay, _, _ in table.deps]
+    in_edges: List[List[int]] = [[] for _ in table.tasks]
+    out_edges: List[List[int]] = [[] for _ in table.tasks]
+    for k, (src, snk, _, _, _) in enumerate(table.deps):
+        in_edges[snk].append(k)
+        out_edges[src].append(k)
 
+    index = table.index
     pointers = {pe: 0 for pe in schedule.orders}
     remaining = sum(len(order) for order in schedule.orders.values())
     while remaining:
@@ -232,14 +245,12 @@ def batch_is_admissible(schedule: SelfTimedSchedule, batch: int) -> bool:
             i = pointers[pe]
             if i >= len(order):
                 continue
-            task = order[i]
-            if all(
-                tokens[key] >= batch * rate for key, rate in in_edges[task]
-            ):
-                for key, rate in in_edges[task]:
-                    tokens[key] -= batch * rate
-                for key, rate in out_edges[task]:
-                    tokens[key] += batch * rate
+            task = index[order[i]]
+            if all(tokens[k] >= batch for k in in_edges[task]):
+                for k in in_edges[task]:
+                    tokens[k] -= batch
+                for k in out_edges[task]:
+                    tokens[k] += batch
                 pointers[pe] = i + 1
                 remaining -= 1
                 advanced = True

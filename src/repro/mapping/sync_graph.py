@@ -18,9 +18,9 @@ for every removable edge at once on the min-delay matrix.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.mapping.timed_graph import TimedEdge, TimedGraph
+from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
     "SynchronizationGraph",
@@ -46,38 +46,12 @@ class SynchronizationGraph(TimedGraph):
             result[edge.kind] = result.get(edge.kind, 0) + 1
         return result
 
-    def copy(self, name: Optional[str] = None) -> "SynchronizationGraph":
-        clone = SynchronizationGraph(name or self.name)
-        for vertex in self.vertices:
-            clone.add_vertex(vertex)
-        for edge in self.edges:
-            clone.add_edge(
-                TimedEdge(
-                    src=edge.src,
-                    snk=edge.snk,
-                    delay=edge.delay,
-                    kind=edge.kind,
-                    payload_bytes=edge.payload_bytes,
-                    origin_edge=edge.origin_edge,
-                )
-            )
-        return clone
-
 
 def derive_sync_graph(ipc_graph: TimedGraph, name: str = "") -> SynchronizationGraph:
-    """Initial synchronization graph: a copy of ``G_ipc`` (paper §4.1)."""
-    sync = SynchronizationGraph(name or ipc_graph.name.replace("_ipc", "") + "_sync")
-    for vertex in ipc_graph.vertices:
-        sync.add_vertex(vertex)
-    for edge in ipc_graph.edges:
-        sync.add_edge(
-            TimedEdge(
-                src=edge.src,
-                snk=edge.snk,
-                delay=edge.delay,
-                kind=edge.kind,
-                payload_bytes=edge.payload_bytes,
-                origin_edge=edge.origin_edge,
-            )
-        )
-    return sync
+    """Initial synchronization graph: a copy of ``G_ipc`` (paper §4.1),
+    sharing its vertices and edges."""
+    return SynchronizationGraph.sharing(
+        name or ipc_graph.name.replace("_ipc", "") + "_sync",
+        ipc_graph.vertices,
+        ipc_graph.edges,
+    )

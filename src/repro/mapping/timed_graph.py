@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["TimedVertex", "TimedEdge", "TimedGraph", "EdgeKind"]
 
@@ -89,6 +89,24 @@ class TimedGraph:
         self._min_delay_cache: Optional[Dict[str, Dict[str, int]]] = None
 
     # -- construction -------------------------------------------------------
+
+    @classmethod
+    def sharing(
+        cls,
+        name: str,
+        vertices: Iterable[TimedVertex],
+        edges: Iterable[TimedEdge],
+    ) -> "TimedGraph":
+        """A graph over existing vertices and edges, shared, not copied.
+
+        Both are frozen, so graphs may share them; an edge keeps its
+        ``uid``, which identifies it within each graph that holds it.
+        The edges' endpoints must be among ``vertices``.
+        """
+        graph = cls(name)
+        graph._vertices = {vertex.name: vertex for vertex in vertices}
+        graph._edges = list(edges)
+        return graph
 
     def add_vertex(self, vertex: TimedVertex) -> TimedVertex:
         if vertex.name in self._vertices:
@@ -197,43 +215,49 @@ class TimedGraph:
 
     def has_zero_delay_cycle(self) -> bool:
         """True when some directed cycle has total delay 0 (deadlock)."""
+        return bool(self.zero_delay_cycle())
+
+    def zero_delay_cycle(self) -> List[str]:
+        """Vertices of one zero-total-delay cycle, or [] when none exists."""
         # Restrict to zero-delay edges; any cycle there is a 0-delay cycle.
         adjacency: Dict[str, List[str]] = {v: [] for v in self._vertices}
         for edge in self._edges:
             if edge.delay == 0:
                 adjacency[edge.src].append(edge.snk)
         state: Dict[str, int] = {}
-
-        def dfs(node: str) -> bool:
-            state[node] = 1
-            for nxt in adjacency[node]:
-                mark = state.get(nxt, 0)
-                if mark == 1:
-                    return True
-                if mark == 0 and dfs(nxt):
-                    return True
-            state[node] = 2
-            return False
-
-        return any(state.get(v, 0) == 0 and dfs(v) for v in self._vertices)
+        parent: Dict[str, str] = {}
+        for root in adjacency:
+            if state.get(root, 0):
+                continue
+            stack = [(root, iter(adjacency[root]))]
+            state[root] = 1
+            while stack:
+                node, successors = stack[-1]
+                for nxt in successors:
+                    mark = state.get(nxt, 0)
+                    if mark == 1:
+                        # Back edge: unwind the cycle nxt -> ... -> node.
+                        cycle = [node]
+                        while cycle[-1] != nxt:
+                            cycle.append(parent[cycle[-1]])
+                        cycle.reverse()
+                        return cycle
+                    if mark == 0:
+                        parent[nxt] = node
+                        state[nxt] = 1
+                        stack.append((nxt, iter(adjacency[nxt])))
+                        break
+                else:
+                    state[node] = 2
+                    stack.pop()
+        return []
 
     def copy(self, name: Optional[str] = None) -> "TimedGraph":
-        clone = TimedGraph(name or self.name)
-        for vertex in self._vertices.values():
-            clone.add_vertex(vertex)
-        for edge in self._edges:
-            # Re-instantiate to obtain fresh uids in the clone.
-            clone.add_edge(
-                TimedEdge(
-                    src=edge.src,
-                    snk=edge.snk,
-                    delay=edge.delay,
-                    kind=edge.kind,
-                    payload_bytes=edge.payload_bytes,
-                    origin_edge=edge.origin_edge,
-                )
-            )
-        return clone
+        """A graph of this class with its own edge list, sharing the
+        vertices and edges (see :meth:`sharing`)."""
+        return type(self).sharing(
+            name or self.name, self._vertices.values(), self._edges
+        )
 
     def to_dot(self) -> str:
         styles = {

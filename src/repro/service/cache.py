@@ -463,10 +463,13 @@ class AnalysisCache:
             {"iterations": period_iterations, "cycles": period_cycles},
         )
 
-    def resynchronize(self, key: Optional[str], sync_graph) -> ResynchronizationResult:
-        """Replay the cached resynchronization solution, or compute it."""
+    def resynchronize(
+        self, key: Optional[str], sync_graph, rho=None
+    ) -> ResynchronizationResult:
+        """Replay the cached resynchronization solution, or compute it
+        (``rho`` as for :func:`~repro.mapping.resync.resynchronize`)."""
         if key is None:
-            return resynchronize(sync_graph)
+            return resynchronize(sync_graph, rho)
         raw = self._load(key, "resync")
         if raw is not None:
             try:
@@ -477,7 +480,7 @@ class AnalysisCache:
                 self._note("resync", True)
                 return result
         self._note("resync", False)
-        result = resynchronize(sync_graph)
+        result = resynchronize(sync_graph, rho)
         self._store(key, "resync", _encode_resync(result))
         return result
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Container, Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.dataflow.graph import (
     Actor,
     Connection,
@@ -35,9 +37,15 @@ from repro.dataflow.graph import (
     GraphError,
 )
 from repro.dataflow.vts import VtsConversion, vts_convert
+from repro.mapping.graph_arrays import GraphArrays, min_delay_matrix
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.partition import Partition
-from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
+from repro.mapping.selftimed import (
+    SelfTimedSchedule,
+    build_selftimed_schedule,
+    max_feasible_batch,
+)
+from repro.mapping.sync_graph import SynchronizationGraph, derive_sync_graph
 from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
@@ -445,8 +453,9 @@ class Lowering:
     assignment and ``word_bytes``, never on the SPI configuration, so
     one lowering serves every :class:`~repro.spi.runtime.SpiConfig`
     compile and the MPI baseline compile of the same case.  Compiles
-    only read it: the SPI compile derives its own mutable
-    synchronization graph from :attr:`ipc_graph`.
+    only read it: each SPI compile copies :attr:`sync_graph` before
+    adding its own ack edges.  The derived parts are built on first
+    use and live as long as the lowering.
     """
 
     graph: DataflowGraph
@@ -456,11 +465,37 @@ class Lowering:
     conversion: Optional[VtsConversion]
     insertion: SpiInsertion
     schedule: SelfTimedSchedule
+    _batches: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def ipc_graph(self) -> TimedGraph:
         """``G_ipc`` of the schedule, built on first use (MPI never asks)."""
         return build_ipc_graph(self.schedule)
+
+    @cached_property
+    def sync_graph(self) -> SynchronizationGraph:
+        """The synchronization graph before any ack edge (paper §4.1);
+        never mutated: each SPI compile adds its acks to a copy."""
+        return derive_sync_graph(self.ipc_graph)
+
+    @cached_property
+    def min_delays(self) -> Tuple[Dict[str, int], np.ndarray]:
+        """Vertex index and read-only min-delay matrix of :attr:`sync_graph`."""
+        arrays = GraphArrays(self.sync_graph)
+        rho = min_delay_matrix(
+            arrays.n, arrays.edge_src, arrays.edge_snk, arrays.edge_delay
+        )
+        rho.setflags(write=False)
+        return {name: i for i, name in enumerate(arrays.names)}, rho
+
+    def feasible_batch(self, requested: int) -> int:
+        """:func:`~repro.mapping.selftimed.max_feasible_batch` of the
+        schedule, once per requested batch."""
+        if requested not in self._batches:
+            self._batches[requested] = max_feasible_batch(self.schedule, requested)
+        return self._batches[requested]
 
     @cached_property
     def wiring(self) -> WiringPlan:

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import DataflowGraph, Edge, GraphError
-from repro.mapping.graph_arrays import NO_PATH, GraphArrays, min_delay_matrix
+from repro.mapping.graph_arrays import NO_PATH, insert_edge_min_delay
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
 from repro.mapping.partition import Partition
 from repro.mapping.resync import ResynchronizationResult, resynchronize
-from repro.mapping.selftimed import SelfTimedSchedule, max_feasible_batch
-from repro.mapping.sync_graph import SynchronizationGraph, derive_sync_graph
+from repro.mapping.selftimed import SelfTimedSchedule
+from repro.mapping.sync_graph import SynchronizationGraph
 from repro.mapping.timed_graph import EdgeKind, TimedEdge
 from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
 from repro.platform.fpga import (
@@ -56,7 +56,7 @@ from repro.spi.actors import (
 )
 from repro.spi.message import ACK_BYTES
 from repro.spi.channel import SpiChannel
-from repro.spi.library import Lowering, SpiInsertion, lower
+from repro.spi.library import Lowering, lower
 from repro.spi.protocols import Protocol, ProtocolConfig
 
 __all__ = [
@@ -428,14 +428,15 @@ class SpiSystem:
         of this graph, assignment and ``config.word_bytes``, when the
         caller compiles the same case several times; without one the
         compile lowers the graph itself.  A lowering built for other
-        inputs raises :class:`ValueError`.
+        inputs raises :class:`ValueError`.  What does not depend on
+        ``config`` (the pre-ack synchronization graph, its min-delay
+        matrix, the batch clamp) is computed once per lowering.
         """
         config = config or SpiConfig()
         if lowering is None:
             lowering = lower(graph, partition, config.word_bytes)
         else:
             lowering.check(graph, partition, config.word_bytes)
-        insertion = lowering.insertion
         schedule = lowering.schedule
 
         analysis_key = structure_key = None
@@ -444,24 +445,19 @@ class SpiSystem:
                 lowering.fingerprint, partition, config
             )
 
-        sync_graph = derive_sync_graph(lowering.ipc_graph)
+        sync_graph = lowering.sync_graph.copy()
 
         # Blocked (batched) execution: the partition's requested batch
         # (a no-op on all-gpp platforms) clamped to the largest blocking
         # factor the schedule's token dependencies admit — a feedback
         # loop with few delay tokens forces the clamp back to 1.
-        batch = max_feasible_batch(schedule, partition.requested_batch)
+        batch = lowering.feasible_batch(partition.requested_batch)
 
         decisions = None
         if cache is not None:
             decisions = cache.channel_decisions(analysis_key)
         channel_plans = cls._plan_channels(
-            insertion,
-            schedule,
-            sync_graph,
-            config,
-            decisions=decisions,
-            batch=batch,
+            lowering, config, decisions=decisions, batch=batch
         )
 
         # UBS channels synchronize backwards through ack edges; add them to
@@ -476,34 +472,45 @@ class SpiSystem:
         # iteration-granularity sync edges below (and the resync solver
         # that judges them) would misprice the burst: acks stay as the
         # protocol chose them and resynchronization is skipped entirely.
-        judged_acks = set()
+        acks: List[TimedEdge] = []
         for plan in channel_plans.values():
             if batch > 1:
                 break
             if plan.protocol != Protocol.UBS:
                 continue
-            if cls._messages_per_iteration(schedule, plan.send_actor) != 1:
+            if schedule.repetitions[plan.send_actor] != 1:
                 continue
             send_task, recv_task = cls._channel_tasks(
                 schedule, plan.send_actor, plan.recv_actor
             )
-            sync_graph.add_edge(
-                TimedEdge(
-                    src=recv_task,
-                    snk=send_task,
-                    delay=plan.capacity_messages,
-                    kind=EdgeKind.ACK,
-                    origin_edge=plan.origin_edge_name,
+            acks.append(
+                sync_graph.add_edge(
+                    TimedEdge(
+                        src=recv_task,
+                        snk=send_task,
+                        delay=plan.capacity_messages,
+                        kind=EdgeKind.ACK,
+                        origin_edge=plan.origin_edge_name,
+                    )
                 )
             )
-            judged_acks.add(plan.origin_edge_name)
+        judged_acks = {edge.origin_edge for edge in acks}
 
         resync_result: Optional[ResynchronizationResult] = None
         if config.resynchronize and batch == 1:
+            # The pre-ack matrix plus one exact relaxation per ack edge
+            # is the matrix of ``sync_graph``.
+            index, rho = lowering.min_delays
+            for edge in acks:
+                rho = insert_edge_min_delay(
+                    rho, index[edge.src], index[edge.snk], edge.delay
+                )
             if cache is not None:
-                resync_result = cache.resynchronize(analysis_key, sync_graph)
+                resync_result = cache.resynchronize(
+                    analysis_key, sync_graph, rho
+                )
             else:
-                resync_result = resynchronize(sync_graph)
+                resync_result = resynchronize(sync_graph, rho)
             surviving_acks = {
                 e.origin_edge
                 for e in resync_result.graph.edges
@@ -550,27 +557,10 @@ class SpiSystem:
             return send_actor, recv_actor
         return f"{send_actor}#0", f"{recv_actor}#0"
 
-    @staticmethod
-    def _messages_per_iteration(
-        schedule: SelfTimedSchedule, send_actor: str
-    ) -> int:
-        """How many messages the channel carries per graph iteration.
-
-        Each invocation of the SPI_send actor launches exactly one
-        message, so the count equals the actor's HSDF repetition count
-        (1 when the schedule kept the unexpanded name).
-        """
-        if send_actor in schedule.task_pe:
-            return 1
-        prefix = send_actor + "#"
-        return sum(1 for task in schedule.task_pe if task.startswith(prefix))
-
     @classmethod
     def _plan_channels(
         cls,
-        insertion: SpiInsertion,
-        schedule: SelfTimedSchedule,
-        sync_graph: SynchronizationGraph,
+        lowering: Lowering,
         config: SpiConfig,
         decisions: Optional[Dict[str, Dict[str, object]]] = None,
         batch: int = 1,
@@ -585,9 +575,13 @@ class SpiSystem:
         such path exists — or the bound is impractically large — SPI
         falls back to UBS with an acknowledgment window.
 
-        ``decisions`` replays previously cached per-channel decisions,
-        skipping the all-pairs min-delay analysis entirely; channels
+        The feedback delays come from the lowering's pre-ack min-delay
+        matrix (ack edges are added after planning).  ``decisions``
+        replays previously cached per-channel decisions; channels
         missing from it (stale entry) fall back to the computed path.
+        Each SPI_send invocation launches one message, so a channel
+        carries the send actor's repetition count of messages per
+        iteration.
 
         ``batch`` is the effective global blocking factor: a batched
         sender emits its whole burst before the receiver's batched
@@ -595,7 +589,8 @@ class SpiSystem:
         BBS bound scales by ``batch`` and the UBS ack window must admit
         at least one full burst.
         """
-        rho = None
+        insertion = lowering.insertion
+        schedule = lowering.schedule
         plans: Dict[str, ChannelPlan] = {}
         for origin_name, (ipc_edge, pair, dynamic) in insertion.channels.items():
             cached = decisions.get(origin_name) if decisions is not None else None
@@ -604,15 +599,7 @@ class SpiSystem:
                 capacity = cached["capacity_messages"]
                 acks = cached["acks_enabled"]
             else:
-                if rho is None:
-                    arrays = GraphArrays(sync_graph)
-                    index = {name: i for i, name in enumerate(arrays.names)}
-                    rho = min_delay_matrix(
-                        arrays.n,
-                        arrays.edge_src,
-                        arrays.edge_snk,
-                        arrays.edge_delay,
-                    )
+                index, rho = lowering.min_delays
                 send_task, recv_task = cls._channel_tasks(
                     schedule, pair.send, pair.recv
                 )
@@ -620,7 +607,7 @@ class SpiSystem:
                 if feedback >= NO_PATH:
                     feedback = None
                 delay_msgs = ipc_edge.delay // max(1, ipc_edge.prod_rate)
-                msgs_per_iter = cls._messages_per_iteration(schedule, pair.send)
+                msgs_per_iter = schedule.repetitions[pair.send]
                 if (
                     config.protocol_policy == "auto"
                     and feedback is not None
@@ -808,11 +795,10 @@ class SpiSystem:
                 return
             ops = run.ops
             task_reps = self.task_repetitions()
+            table = self.schedule.task_table
             for added in self.resync_result.added:
-                src_task = self.schedule.task_graph.get_actor(added.src)
-                snk_task = self.schedule.task_graph.get_actor(added.snk)
-                src_origin = src_task.params.get("origin", added.src)
-                snk_origin = snk_task.params.get("origin", added.snk)
+                _, src_origin, src_phase, _ = table.tasks[table.index[added.src]]
+                _, snk_origin, snk_phase, _ = table.tasks[table.index[added.snk]]
                 src_pe = self.schedule.task_pe[added.src]
                 snk_pe = self.schedule.task_pe[added.snk]
                 pool = SyncTokenPool(
@@ -824,7 +810,7 @@ class SpiSystem:
                     ops[src_origin],
                     SyncLayer(
                         notify=[(pool, link, ACK_BYTES)],
-                        phase=src_task.params.get("invocation", 0),
+                        phase=src_phase,
                         period=task_reps[src_origin],
                         observer=hub,
                     ),
@@ -833,7 +819,7 @@ class SpiSystem:
                     ops[snk_origin],
                     SyncLayer(
                         guards=[pool],
-                        phase=snk_task.params.get("invocation", 0),
+                        phase=snk_phase,
                         period=task_reps[snk_origin],
                     ),
                 )

@@ -153,12 +153,11 @@ class TestMultirateAckSoundness:
 
     def test_multirate_ubs_channels_keep_acks(self):
         system = self._compile_seed36()
-        from repro.spi.runtime import SpiSystem as _S
-
+        reps = system.schedule.repetitions
         multirate = [
             plan
             for plan in system.channel_plans.values()
-            if _S._messages_per_iteration(system.schedule, plan.send_actor) > 1
+            if reps[plan.send_actor] > 1
         ]
         assert multirate, "seed 36 must contain a multirate IPC edge"
         for plan in multirate:

@@ -12,6 +12,9 @@ export as
   track per PE and async arrows for inter-PE messages,
 * per-benchmark **BENCH_<name>.json** perf documents
   (:func:`write_bench_json`) consumed by CI.
+
+The message log is a list of :class:`MessageRecord` NamedTuples; the
+hub's link meters are replayed from it when its registry is read.
 """
 
 from repro.observability.bench import (

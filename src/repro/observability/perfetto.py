@@ -94,25 +94,28 @@ def chrome_trace(
                 "args": {"name": "interconnect"},
             }
         )
-    for index, record in enumerate(message_list):
-        name = f"{record.kind}:{record.channel}"
-        common = {
-            "name": name,
-            "cat": "message",
-            "id": index,
-            "pid": INTERCONNECT_PID,
-            "tid": 0,
-            "args": {
-                "channel": record.channel,
-                "kind": record.kind,
-                "src_pe": record.src_pe,
-                "dst_pe": record.dst_pe,
-                "nbytes": record.nbytes,
-                "queueing_cycles": record.queueing_cycles,
-            },
+    # both events of a pair share one args dict
+    for index, (channel, kind, src_pe, dst_pe, nbytes, requested, started,
+                arrived) in enumerate(message_list):
+        name = f"{kind}:{channel}"
+        args = {
+            "channel": channel,
+            "kind": kind,
+            "src_pe": src_pe,
+            "dst_pe": dst_pe,
+            "nbytes": nbytes,
+            "queueing_cycles": started - requested,
         }
-        events.append({**common, "ph": "b", "ts": record.started / clock_mhz})
-        events.append({**common, "ph": "e", "ts": record.arrived / clock_mhz})
+        events.append({
+            "name": name, "cat": "message", "id": index,
+            "pid": INTERCONNECT_PID, "tid": 0, "args": args,
+            "ph": "b", "ts": started / clock_mhz,
+        })
+        events.append({
+            "name": name, "cat": "message", "id": index,
+            "pid": INTERCONNECT_PID, "tid": 0, "args": args,
+            "ph": "e", "ts": arrived / clock_mhz,
+        })
 
     return {
         "traceEvents": events,

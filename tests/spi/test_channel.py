@@ -8,7 +8,6 @@ from repro.spi import (
     Protocol,
     ProtocolConfig,
     SpiChannel,
-    make_ack_message,
     make_data_message,
 )
 
@@ -76,7 +75,7 @@ class TestDelivery:
             protocol=Protocol.UBS, capacity=2, acks=True
         )
         channel.flow.on_send()
-        channel.deliver(make_ack_message(channel.edge.edge_id))
+        channel.deliver_ack()
         assert channel.stats.ack_messages == 1
         assert channel.recv_buffer.occupancy_bytes == 0
         assert channel.flow.can_send()
@@ -87,7 +86,7 @@ class TestStats:
         channel = make_channel(protocol=Protocol.UBS, capacity=4, acks=True)
         channel.flow.on_send()
         channel.deliver(make_data_message(1, [1], 4, False))
-        channel.deliver(make_ack_message(1))
+        channel.deliver_ack()
         assert channel.stats.overhead_bytes == 4 + 4  # header + ack
         assert channel.stats.total_wire_bytes == 12
         assert channel.stats.total_messages == 2

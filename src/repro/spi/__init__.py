@@ -17,7 +17,6 @@ from repro.spi.message import (
     STATIC_HEADER_BYTES,
     Message,
     MessageKind,
-    make_ack_message,
     make_data_message,
 )
 from repro.spi.protocols import ChannelFlowControl, Protocol, ProtocolConfig
@@ -40,7 +39,6 @@ __all__ = [
     "STATIC_HEADER_BYTES",
     "Message",
     "MessageKind",
-    "make_ack_message",
     "make_data_message",
     "ChannelFlowControl",
     "Protocol",

@@ -8,9 +8,9 @@ from repro.spi import (
     STATIC_HEADER_BYTES,
     Message,
     MessageKind,
-    make_ack_message,
     make_data_message,
 )
+from repro.spi.message import WORD_BYTES, header_nbytes
 
 
 class TestHeaders:
@@ -29,10 +29,14 @@ class TestHeaders:
         assert message.is_dynamic
 
     def test_ack_is_one_word(self):
-        ack = make_ack_message(9)
-        assert ack.kind == MessageKind.ACK
-        assert ack.wire_bytes == ACK_BYTES == 4
-        assert not ack.payload
+        """An acknowledgment is the edge ID word alone."""
+        assert ACK_BYTES == WORD_BYTES == 4
+
+    def test_header_rule_is_shared(self):
+        """Messages and channels size headers by one rule."""
+        for dynamic in (False, True):
+            message = make_data_message(2, [1], 4, dynamic)
+            assert message.header_bytes == header_nbytes(dynamic)
 
     def test_wire_bytes_is_header_plus_payload(self):
         message = make_data_message(1, list(range(10)), 40, dynamic=True)
@@ -48,9 +52,10 @@ class TestHeaders:
 
 
 class TestValidation:
-    def test_ack_with_payload_rejected(self):
-        with pytest.raises(ValueError, match="no payload"):
-            Message(kind=MessageKind.ACK, edge_id=1, payload=(1,))
+    def test_ack_message_rejected(self):
+        """Acks are counted by their channel, never built as messages."""
+        with pytest.raises(ValueError, match="kind"):
+            Message(kind="ack", edge_id=1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):

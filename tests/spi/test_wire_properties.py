@@ -9,9 +9,9 @@ from repro.spi import (
     Protocol,
     ProtocolConfig,
     STATIC_HEADER_BYTES,
-    make_ack_message,
     make_data_message,
 )
+from tests.spi.test_channel import make_channel
 
 
 class TestMessageProperties:
@@ -35,12 +35,19 @@ class TestMessageProperties:
         if dynamic:
             assert message.size_field == len(payload)
 
-    @given(edge_id=st.integers(0, 2**16))
+    @given(window=st.integers(1, 8), dynamic=st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_ack_is_constant_size(self, edge_id):
-        ack = make_ack_message(edge_id)
-        assert ack.wire_bytes == 4
-        assert ack.edge_id == edge_id
+    def test_ack_is_constant_size(self, window, dynamic):
+        channel = make_channel(
+            protocol=Protocol.UBS, capacity=window, acks=True, dynamic=dynamic
+        )
+        for _ in range(window):
+            channel.flow.on_send()
+        for _ in range(window):
+            channel.deliver_ack()
+        assert channel.stats.ack_messages == window
+        assert channel.stats.ack_bytes == 4 * window
+        assert channel.stats.header_bytes == 0
 
 
 class TestFlowControlStateMachine:

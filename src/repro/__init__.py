@@ -17,7 +17,6 @@ from repro.dataflow import (
     Edge,
     GraphError,
     Port,
-    RateOracle,
     build_pass,
     is_consistent,
     repetitions_vector,
@@ -57,7 +56,6 @@ __all__ = [
     "Edge",
     "GraphError",
     "Port",
-    "RateOracle",
     "build_pass",
     "is_consistent",
     "repetitions_vector",

@@ -1,25 +1,18 @@
 """Reporting and derived metrics for the experiment harness."""
 
 from repro.analysis.metrics import (
-    SweepPoint,
     first_output_latency,
     pipeline_fill_latency,
-    amdahl_bound,
-    crossover_x,
-    parallel_efficiency,
     speedups,
-    steady_state_us,
 )
 from repro.analysis.report import (
     Figure,
     Series,
-    render_figure,
     render_metrics_summary,
     render_table,
 )
 
 __all__ = [
-    "SweepPoint", "first_output_latency", "pipeline_fill_latency", "amdahl_bound", "crossover_x", "parallel_efficiency",
-    "speedups", "steady_state_us",
-    "Figure", "Series", "render_figure", "render_metrics_summary", "render_table",
+    "first_output_latency", "pipeline_fill_latency", "speedups",
+    "Figure", "Series", "render_metrics_summary", "render_table",
 ]

@@ -15,7 +15,6 @@ __all__ = [
     "Series",
     "Figure",
     "render_table",
-    "render_figure",
     "render_metrics_summary",
 ]
 
@@ -120,11 +119,6 @@ def render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     for row in rows:
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_figure(figure: Figure) -> str:
-    """Convenience alias for ``figure.render()``."""
-    return figure.render()
 
 
 def render_metrics_summary(document: Dict) -> str:

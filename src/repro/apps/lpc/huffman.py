@@ -80,21 +80,6 @@ class HuffmanCode:
             raise ValueError(f"dangling bits {current!r} at end of stream")
         return symbols
 
-    def encoded_bits(self, symbols: Sequence[Hashable]) -> int:
-        return sum(len(self._codebook[s]) for s in symbols)
-
-    def mean_code_length(self, frequencies: Dict[Hashable, int]) -> float:
-        total = sum(frequencies.values())
-        if total == 0:
-            raise ValueError("empty frequency table")
-        return (
-            sum(
-                len(self._codebook[s]) * count
-                for s, count in frequencies.items()
-            )
-            / total
-        )
-
 
 def build_huffman_code(frequencies: Dict[Hashable, int]) -> HuffmanCode:
     """Optimal prefix code for the given symbol frequencies.

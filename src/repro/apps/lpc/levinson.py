@@ -30,11 +30,6 @@ class LevinsonResult:
     #: final prediction-error power
     error_power: float
 
-    @property
-    def is_minimum_phase(self) -> bool:
-        """Stability: all reflection coefficients strictly inside (-1, 1)."""
-        return bool(np.all(np.abs(self.reflection) < 1.0))
-
 
 def levinson_durbin(
     autocorr: Sequence[float], order: int

@@ -22,13 +22,10 @@ from repro.apps.lpc.linalg import SingularMatrixError, solve
 
 __all__ = [
     "autocorrelation",
-    "autocorrelation_batch",
     "normal_equations",
     "lpc_coefficients",
     "predict",
-    "predict_batch",
     "prediction_error",
-    "prediction_error_batch",
     "reconstruct",
     "Quantizer",
     "autocorr_cycles",
@@ -43,25 +40,6 @@ def autocorrelation(frame: Sequence[float], lags: int) -> np.ndarray:
     if lags >= n:
         raise ValueError(f"need frame longer than {lags} samples, got {n}")
     return np.array([x[: n - k] @ x[k:] for k in range(lags + 1)])
-
-
-def autocorrelation_batch(frames: np.ndarray, lags: int) -> np.ndarray:
-    """Biased autocorrelation of a batch of equal-length frames.
-
-    ``frames`` is ``(B, N)``; returns ``(B, lags + 1)``.  The batch
-    dimension is vectorized (one einsum per lag over all B frames), so
-    a batched accelerator dispatch prices B windows at one numpy-call
-    overhead instead of B.  Each row equals
-    :func:`autocorrelation` of that frame up to float summation order.
-    """
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    n = x.shape[1]
-    if lags >= n:
-        raise ValueError(f"need frames longer than {lags} samples, got {n}")
-    r = np.empty((x.shape[0], lags + 1))
-    for k in range(lags + 1):
-        r[:, k] = np.einsum("bi,bi->b", x[:, : n - k], x[:, k:])
-    return r
 
 
 def normal_equations(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -109,41 +87,11 @@ def predict(frame: Sequence[float], coefficients: np.ndarray) -> np.ndarray:
     return predicted
 
 
-def predict_batch(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """:func:`predict` vectorized over a batch of frames.
-
-    ``frames`` is ``(B, N)`` and ``coefficients`` ``(B, M)`` (one
-    predictor per frame).  Per-lag accumulation replaces the per-sample
-    Python loop: lag ``k`` contributes ``a[:, k-1] * x[:, :-k]`` to
-    every sample at once, across the whole batch.  Agrees with the
-    scalar :func:`predict` to within float summation order
-    (``allclose``, not bit-identity).
-    """
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    a = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
-    if a.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"batch mismatch: {x.shape[0]} frames, "
-            f"{a.shape[0]} coefficient sets"
-        )
-    predicted = np.zeros_like(x)
-    for k in range(1, min(a.shape[1], x.shape[1] - 1) + 1):
-        predicted[:, k:] += a[:, k - 1 : k] * x[:, :-k]
-    return predicted
-
 
 def prediction_error(frame: Sequence[float], coefficients: np.ndarray) -> np.ndarray:
     """The residual actor D computes: ``e[i] = x[i] - x_hat[i]``."""
     x = np.asarray(frame, dtype=np.float64)
     return x - predict(x, coefficients)
-
-
-def prediction_error_batch(
-    frames: np.ndarray, coefficients: np.ndarray
-) -> np.ndarray:
-    """Residuals of a batch of frames in one vectorized pass."""
-    x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
-    return x - predict_batch(x, coefficients)
 
 
 def reconstruct(error: Sequence[float], coefficients: np.ndarray) -> np.ndarray:

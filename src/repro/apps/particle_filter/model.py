@@ -16,7 +16,6 @@ DESIGN.md §2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -53,13 +52,6 @@ class CrackGrowthModel:
     measurement_noise: float = 0.25
     initial_length: float = 2.0
     initial_spread: float = 0.3
-
-    def growth_rate(self, length: float) -> float:
-        """Deterministic Paris-law growth per load cycle."""
-        if length <= 0:
-            raise ValueError("crack length must be positive")
-        delta_k = self.stress_factor * math.sqrt(length)
-        return self.paris_c * delta_k ** self.paris_m
 
     def propagate(self, lengths: np.ndarray, rng: np.random.RandomState) -> np.ndarray:
         """One prediction step for a particle population."""

@@ -196,12 +196,6 @@ class ExchangePlan:
     #: flows[src][dst] = particles PE ``src`` sends to PE ``dst``
     flows: Tuple[Tuple[int, ...], ...]
 
-    def sent_by(self, pe: int) -> int:
-        return sum(self.flows[pe])
-
-    def received_by(self, pe: int) -> int:
-        return sum(row[pe] for row in self.flows)
-
 
 def plan_exchanges(targets: Sequence[int], capacity: int) -> ExchangePlan:
     """Match surplus PEs to deficit PEs (greedy in PE order).

@@ -1,7 +1,7 @@
 """Dataflow substrate: graphs, SDF analysis, schedules, VTS conversion."""
 
 from repro.dataflow.buffers import sdf_buffer_bounds, simulate_edge_occupancy
-from repro.dataflow.dynamic import DynamicRate, RateOracle
+from repro.dataflow.dynamic import DynamicRate
 from repro.dataflow.graph import (
     Actor,
     DataflowGraph,
@@ -44,7 +44,6 @@ __all__ = [
     "GraphError",
     "Port",
     "DynamicRate",
-    "RateOracle",
     "sdf_buffer_bounds",
     "simulate_edge_occupancy",
     "FlatSchedule",

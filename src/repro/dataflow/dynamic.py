@@ -6,17 +6,14 @@ a dynamic port declares an upper bound on its rate, and the VTS conversion
 (:mod:`repro.dataflow.vts`) turns the varying rate into a *fixed* rate of
 one variable-size packed token per firing.
 
-This module provides the :class:`DynamicRate` annotation plus helpers to
-sample admissible rate sequences, which the token-level simulator and the
-property-based tests use to exercise dynamic behaviour.
+This module provides the :class:`DynamicRate` annotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
 
-__all__ = ["DynamicRate", "RateOracle"]
+__all__ = ["DynamicRate"]
 
 
 @dataclass(frozen=True)
@@ -58,78 +55,3 @@ class DynamicRate:
 
     def __repr__(self) -> str:
         return f"DynamicRate(bound={self.bound}, minimum={self.minimum})"
-
-
-class RateOracle:
-    """Deterministic generator of admissible rate sequences.
-
-    A rate oracle answers "how many raw tokens does firing *k* of this
-    port move?".  It is used by:
-
-    * the token-level simulator, to model data-dependent behaviour
-      without requiring a full functional kernel;
-    * the VTS soundness tests, to drive occupancy up against the computed
-      bounds.
-
-    Parameters
-    ----------
-    spec:
-        The :class:`DynamicRate` this oracle must respect.
-    sequence:
-        Explicit rate sequence (cycled when exhausted), or ``None``.
-    function:
-        ``function(firing_index) -> rate``; mutually exclusive with
-        ``sequence``.  When both are ``None`` the oracle always answers
-        the upper bound (the conservative worst case).
-    """
-
-    def __init__(
-        self,
-        spec: DynamicRate,
-        sequence: Optional[Sequence[int]] = None,
-        function: Optional[Callable[[int], int]] = None,
-    ) -> None:
-        if sequence is not None and function is not None:
-            raise ValueError("pass either sequence or function, not both")
-        if sequence is not None:
-            if not sequence:
-                raise ValueError("rate sequence must be non-empty")
-            bad = [r for r in sequence if not spec.admits(r)]
-            if bad:
-                raise ValueError(
-                    f"rates {bad} are outside the admissible range "
-                    f"[{spec.minimum}, {spec.bound}]"
-                )
-        self.spec = spec
-        self._sequence = list(sequence) if sequence is not None else None
-        self._function = function
-
-    def rate(self, firing_index: int) -> int:
-        """Admissible rate for firing ``firing_index`` (0-based)."""
-        if self._sequence is not None:
-            value = self._sequence[firing_index % len(self._sequence)]
-        elif self._function is not None:
-            value = self._function(firing_index)
-            if not self.spec.admits(value):
-                raise ValueError(
-                    f"rate function returned {value} for firing "
-                    f"{firing_index}, outside [{self.spec.minimum}, "
-                    f"{self.spec.bound}]"
-                )
-        else:
-            value = self.spec.bound
-        return value
-
-    def rates(self, count: int) -> Iterator[int]:
-        """First ``count`` rates as an iterator."""
-        return (self.rate(k) for k in range(count))
-
-    @classmethod
-    def constant(cls, spec: DynamicRate, value: int) -> "RateOracle":
-        """Oracle that always answers ``value``."""
-        return cls(spec, sequence=[value])
-
-    @classmethod
-    def worst_case(cls, spec: DynamicRate) -> "RateOracle":
-        """Oracle that always answers the upper bound."""
-        return cls(spec)

@@ -853,10 +853,6 @@ class DataflowGraph:
         """Connections with true fan-out/fan-in (degenerates excluded)."""
         return tuple(c for c in self._connections if c.is_collective)
 
-    @property
-    def has_collectives(self) -> bool:
-        return any(c.is_collective for c in self._connections)
-
     def get_actor(self, name: str) -> Actor:
         try:
             return self._actors[name]
@@ -899,10 +895,6 @@ class DataflowGraph:
     @property
     def dynamic_edges(self) -> List[Edge]:
         return [e for e in self._edges if e.is_dynamic]
-
-    @property
-    def static_edges(self) -> List[Edge]:
-        return [e for e in self._edges if not e.is_dynamic]
 
     # -- validation & structure -------------------------------------------
 
@@ -950,25 +942,6 @@ class DataflowGraph:
                     f"port {port.qualified_name} is unconnected and not an "
                     f"interface port"
                 )
-
-    def is_connected(self) -> bool:
-        """True if the undirected version of the graph is connected."""
-        if not self._actors:
-            return True
-        adjacency: Dict[str, set] = {name: set() for name in self._actors}
-        for edge in self._edges:
-            adjacency[edge.src_actor.name].add(edge.snk_actor.name)
-            adjacency[edge.snk_actor.name].add(edge.src_actor.name)
-        start = next(iter(self._actors))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self._actors)
 
     def topological_order(self, ignore_delay_edges: bool = True) -> List[Actor]:
         """Topological order of actors.

@@ -39,10 +39,6 @@ class ScheduleProfile:
     buffer_tokens: Dict[int, int]  # edge_id -> max tokens
     firings: int
 
-    @property
-    def total_buffer_tokens(self) -> int:
-        return sum(self.buffer_tokens.values())
-
 
 class FlatSchedule:
     """An explicit single-processor firing sequence."""
@@ -69,10 +65,6 @@ class FlatSchedule:
         for actor in self.firings:
             result[actor.name] = result.get(actor.name, 0) + 1
         return result
-
-    def is_valid_iteration(self) -> bool:
-        """True if firing counts equal the repetitions vector."""
-        return self.counts() == repetitions_vector(self.graph)
 
     def validate_admissible(self) -> None:
         """Raise :class:`GraphError` if any edge underflows mid-schedule."""
@@ -155,24 +147,6 @@ class LoopedSchedule:
     def flatten(self) -> FlatSchedule:
         firings = [self.graph.get_actor(name) for name in self.root.expand()]
         return FlatSchedule(self.graph, firings)
-
-    def appearances(self) -> Dict[str, int]:
-        """Lexical appearance count per actor (1 everywhere ⇒ single-appearance)."""
-        counts: Dict[str, int] = {}
-
-        def walk(loop: ScheduleLoop) -> None:
-            for item in loop.body:
-                if isinstance(item, ScheduleLoop):
-                    walk(item)
-                else:
-                    counts[item] = counts.get(item, 0) + 1
-
-        walk(self.root)
-        return counts
-
-    @property
-    def is_single_appearance(self) -> bool:
-        return all(count == 1 for count in self.appearances().values())
 
     def __str__(self) -> str:
         return str(self.root)

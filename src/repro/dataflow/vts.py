@@ -105,10 +105,6 @@ class VtsEdgeInfo:
         """Paper eq. 1: total bytes of coexisting packed tokens."""
         return self.c_sdf * self.b_max_bytes
 
-    def admits_packed_size(self, size: int) -> bool:
-        """True if a packed token of ``size`` raw tokens respects the bound."""
-        return 1 <= size <= max(self.producer_bound, self.consumer_bound)
-
 
 @dataclass
 class VtsConversion:
@@ -134,17 +130,6 @@ class VtsConversion:
     original: DataflowGraph
     repetitions: Dict[str, int] = field(default_factory=dict, repr=False)
     _c_sdf: Dict[int, int] = field(default_factory=dict, repr=False)
-
-    def is_converted_edge(self, edge: Edge) -> bool:
-        return edge.name in self.edge_info
-
-    def packed_token_bound_bytes(self, edge: Edge) -> int:
-        """``b_max(e)`` for a converted edge."""
-        return self.edge_info[edge.name].b_max_bytes
-
-    def coexisting_bytes_bound(self, edge: Edge) -> int:
-        """Paper eq. 1: ``c(e) = c_sdf(e) * b_max(e)``."""
-        return self.edge_info[edge.name].c_bytes
 
     def ipc_buffer_bound_bytes(self, edge: Edge) -> Optional[int]:
         """Paper eq. 2: ``B(e) = (G + delay(e)) * c(e)``.

@@ -15,9 +15,8 @@ replicas of application 2).  This module provides:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
 from repro.dataflow.sdf import repetitions_vector
@@ -196,110 +195,6 @@ class Partition:
         return best
 
     @classmethod
-    def choose_platform(
-        cls,
-        graph: DataflowGraph,
-        budget: float,
-        accelerator: PEClass,
-        gpp: PEClass = GPP,
-        batch_candidates: Sequence[int] = (1, 2, 4, 8),
-        pinned: Optional[Mapping[str, int]] = None,
-    ) -> "Partition":
-        """Choose PE classes, counts and a batch size under a resource budget.
-
-        Enumerates every (gpp count, accelerator count) split whose
-        total :attr:`PEClass.resource_cost` fits ``budget`` and every
-        candidate blocking factor, estimates the iteration makespan of a
-        greedy longest-processing-time assignment under the amortized
-        cost model (an accelerator firing costs
-        ``ceil(native * cycles_per_element) + dispatch_cycles / B``),
-        and returns the partition with the lowest estimate.  gpp PEs
-        take the low indices so PE 0 — where the apps pin their I/O
-        actors — stays general-purpose.
-
-        ``pinned`` forces named actors onto fixed PE indices (they must
-        be valid in every candidate, i.e. below the minimum PE count).
-        The estimate is a mapping heuristic; the runtime still clamps
-        the batch to the largest admissible blocking factor.
-        """
-        if budget < min(gpp.resource_cost, accelerator.resource_cost):
-            raise GraphError(
-                f"budget {budget} cannot afford any PE "
-                f"(gpp={gpp.resource_cost}, "
-                f"accelerator={accelerator.resource_cost})"
-            )
-        if not batch_candidates or min(batch_candidates) < 1:
-            raise GraphError("batch_candidates must be positive")
-        reps = repetitions_vector(graph)
-        workloads = sorted(
-            (
-                (a.execution_cycles(0) * reps[a.name], a.name)
-                for a in graph.actors
-            ),
-            key=lambda item: (-item[0], item[1]),
-        )
-        pinned = dict(pinned or {})
-
-        best: Optional["Partition"] = None
-        best_score: Optional[tuple] = None
-        max_accel = int(budget // accelerator.resource_cost)
-        for n_accel in range(max_accel + 1):
-            left = budget - n_accel * accelerator.resource_cost
-            n_gpp = int(left // gpp.resource_cost)
-            n_pes = n_gpp + n_accel
-            if n_pes < 1 or n_pes > len(workloads):
-                continue
-            if pinned and max(pinned.values()) >= n_pes:
-                continue
-            classes = {
-                pe: accelerator for pe in range(n_gpp, n_pes)
-            }
-            for batch in batch_candidates:
-                if n_accel == 0 and batch != 1:
-                    continue  # batching is a no-op without accelerators
-
-                def firing_cost(cycles: int, pe: int) -> float:
-                    kind = classes.get(pe, gpp)
-                    if not kind.is_accelerator:
-                        return float(cycles)
-                    return (
-                        math.ceil(cycles * kind.cycles_per_element)
-                        + kind.dispatch_cycles / batch
-                    )
-
-                load = [0.0] * n_pes
-                assignment: Dict[str, int] = {}
-                for cycles, name in workloads:
-                    if name in pinned:
-                        pe = pinned[name]
-                    else:
-                        pe = min(
-                            range(n_pes),
-                            key=lambda p: (
-                                load[p] + firing_cost(cycles, p),
-                                p,
-                            ),
-                        )
-                    assignment[name] = pe
-                    load[pe] += firing_cost(cycles, pe)
-                score = (max(load), n_accel, batch, n_pes)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best = cls(
-                        graph,
-                        n_pes,
-                        assignment,
-                        pe_classes=classes,
-                        batch_size=batch,
-                    )
-        if best is None:
-            raise GraphError(
-                f"no platform fits budget {budget} for "
-                f"{len(workloads)} actor(s)"
-            )
-        return best
-
-    @classmethod
     def _round_robin(cls, graph: DataflowGraph, n_pes: int) -> "Partition":
         order = graph.topological_order(ignore_delay_edges=True)
         assignment = {a.name: i % n_pes for i, a in enumerate(order)}
@@ -399,15 +294,6 @@ class Partition:
         when the platform has an accelerator PE, else 1 (the gpp no-op
         rule that keeps homogeneous platforms bit-identical)."""
         return self.batch_size if self.has_accelerators else 1
-
-    def resource_budget_used(self) -> float:
-        """Total resource cost of the platform (for equal-budget ablations)."""
-        return sum(
-            self.pe_class_of(pe).resource_cost for pe in range(self.n_pes)
-        )
-
-    def actors_on(self, pe: int) -> List[Actor]:
-        return [a for a in self.graph.actors if self.assignment[a.name] == pe]
 
     def interprocessor_edges(self) -> List[Edge]:
         """Edges whose endpoints live on different PEs — these are exactly

@@ -11,14 +11,12 @@ so the orders are always admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import DataflowGraph, GraphError
 from repro.dataflow.hsdf import (
     TaskTable,
     expansion_table,
-    hsdf_expand,
     invocation_name,
 )
 from repro.dataflow.sdf import build_pass, repetitions_vector
@@ -56,18 +54,6 @@ class SelfTimedSchedule:
     homogeneous: bool
     repetitions: Dict[str, int]
     task_pe: Dict[str, int] = field(default_factory=dict)
-
-    @cached_property
-    def task_graph(self) -> DataflowGraph:
-        """The task graph as a :class:`DataflowGraph`: ``graph`` itself
-        when homogeneous, else its HSDF expansion, built on first use.
-        Compilation reads :attr:`task_table` instead."""
-        if self.homogeneous:
-            return self.graph
-        return hsdf_expand(self.graph, repetitions=self.repetitions)
-
-    def pe_of_task(self, task_name: str) -> int:
-        return self.task_pe[task_name]
 
     def tasks(self) -> List[str]:
         return [name for order in self.orders.values() for name in order]

@@ -18,8 +18,6 @@ for every removable edge at once on the min-delay matrix.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
@@ -31,20 +29,13 @@ __all__ = [
 class SynchronizationGraph(TimedGraph):
     """A :class:`TimedGraph` specialised for synchronization analysis.
 
-    Adds convenience metrics used by the resynchronization benchmarks:
-    the number of cross-PE synchronization operations per iteration, and
-    per-kind breakdowns.
+    Adds the metric the resynchronization benchmarks report: the number
+    of cross-PE synchronization operations per iteration.
     """
 
     def sync_cost(self) -> int:
         """Cross-PE synchronization operations per graph iteration."""
         return len(self.synchronization_edges())
-
-    def sync_cost_by_kind(self) -> Dict[str, int]:
-        result: Dict[str, int] = {}
-        for edge in self.synchronization_edges():
-            result[edge.kind] = result.get(edge.kind, 0) + 1
-        return result
 
 
 def derive_sync_graph(ipc_graph: TimedGraph, name: str = "") -> SynchronizationGraph:

@@ -25,20 +25,9 @@ class ClockDomain:
         if self.frequency_mhz <= 0:
             raise ValueError("clock frequency must be positive")
 
-    @property
-    def period_us(self) -> float:
-        """Clock period in microseconds."""
-        return 1.0 / self.frequency_mhz
-
     def cycles_to_us(self, cycles: float) -> float:
         """Convert a cycle count to microseconds."""
         return cycles / self.frequency_mhz
-
-    def us_to_cycles(self, microseconds: float) -> int:
-        """Convert microseconds to a (ceiling) cycle count."""
-        cycles = microseconds * self.frequency_mhz
-        whole = int(cycles)
-        return whole if whole == cycles else whole + 1
 
 
 DEFAULT_CLOCK = ClockDomain(100.0)

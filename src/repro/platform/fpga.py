@@ -84,10 +84,6 @@ class ResourceVector:
     def as_dict(self) -> Dict[str, int]:
         return {f: getattr(self, f) for f in RESOURCE_FIELDS}
 
-    @property
-    def is_zero(self) -> bool:
-        return all(getattr(self, f) == 0 for f in RESOURCE_FIELDS)
-
     @classmethod
     def sum(cls, vectors: Iterable["ResourceVector"]) -> "ResourceVector":
         total = cls()

@@ -38,16 +38,6 @@ class BufferMemory:
         self.high_water_bytes = 0
         self.total_written_bytes = 0
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.capacity_bytes is not None
-
-    def free_bytes(self) -> Optional[int]:
-        """Remaining space, or ``None`` for unbounded buffers."""
-        if self.capacity_bytes is None:
-            return None
-        return self.capacity_bytes - self.occupancy_bytes
-
     def can_accept(self, nbytes: int) -> bool:
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
@@ -75,11 +65,6 @@ class BufferMemory:
                 f"{self.occupancy_bytes}B"
             )
         self.occupancy_bytes -= nbytes
-
-    def reset(self) -> None:
-        self.occupancy_bytes = 0
-        self.high_water_bytes = 0
-        self.total_written_bytes = 0
 
     def __repr__(self) -> str:
         cap = "inf" if self.capacity_bytes is None else str(self.capacity_bytes)

@@ -44,7 +44,7 @@ class PEClass:
     kind: str = "gpp"
     dispatch_cycles: int = 0
     cycles_per_element: float = 1.0
-    #: relative resource cost for the equal-budget partitioner ablation
+    #: relative resource cost, for equal-budget platform comparisons
     resource_cost: float = 1.0
 
     def __post_init__(self) -> None:
@@ -163,13 +163,3 @@ class ProcessingElement:
         if horizon_cycles <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / horizon_cycles)
-
-    def reset(self) -> None:
-        self.busy_cycles = 0
-        self.firings = 0
-        self.blocked_events = 0
-        self.blocked_cycles = 0
-        self.blocked_by_task = {}
-        self.batched_firings = 0
-        self.batch_dispatches = 0
-        self.amortized_dispatch_cycles_saved = 0

@@ -87,20 +87,11 @@ class TraceRecorder:
 
     # -- queries ---------------------------------------------------------------
 
-    def events_on(self, pe: int) -> List[TraceEvent]:
-        return [TraceEvent(*row) for row in self._rows if row[0] == pe]
-
     def events_of(self, task: str) -> List[TraceEvent]:
         return [TraceEvent(*row) for row in self._rows if row[1] == task]
 
     def makespan(self) -> int:
         return max((row[3] for row in self._rows), default=0)
-
-    def pe_busy_cycles(self) -> Dict[int, int]:
-        busy: Dict[int, int] = {}
-        for pe, _, start, end, _ in self._rows:
-            busy[pe] = busy.get(pe, 0) + (end - start)
-        return busy
 
     def task_statistics(self) -> Dict[str, Dict[str, float]]:
         """Per-task execution count, total and mean duration."""

@@ -51,14 +51,6 @@ class ChannelStats:
     ack_bytes: int = 0
 
     @property
-    def total_wire_bytes(self) -> int:
-        return self.data_bytes + self.header_bytes + self.ack_bytes
-
-    @property
-    def total_messages(self) -> int:
-        return self.data_messages + self.ack_messages
-
-    @property
     def overhead_bytes(self) -> int:
         """Non-payload bytes: headers plus acknowledgments."""
         return self.header_bytes + self.ack_bytes

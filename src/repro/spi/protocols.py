@@ -78,11 +78,6 @@ class ChannelFlowControl:
         self.acks_received = 0
         self.sends = 0
 
-    def can_send(self) -> bool:
-        if not self.uses_credits:
-            return True
-        return self._credits > 0
-
     def can_send_n(self, n: int) -> bool:
         """Window room for a burst of ``n`` sends (batched dispatch)."""
         if n < 1:

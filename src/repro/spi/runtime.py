@@ -217,11 +217,6 @@ class RunResult:
             + self.resync_bytes
         )
 
-    def speedup_against(self, baseline: "RunResult") -> float:
-        if self.execution_time_us == 0:
-            raise ZeroDivisionError("zero execution time")
-        return baseline.execution_time_us / self.execution_time_us
-
 
 @dataclass
 class SimRun:
@@ -1258,15 +1253,6 @@ class SpiSystem:
     def estimated_iteration_period_cycles(self) -> float:
         """MCM bound on the steady-state iteration period (memoised)."""
         return self.mcm_result().value
-
-    def sync_cost_per_iteration(self) -> int:
-        """Cross-PE synchronization edges after resynchronization."""
-        reference = (
-            self.resync_result.graph
-            if self.resync_result is not None
-            else self.sync_graph
-        )
-        return reference.sync_cost()
 
     def describe(self) -> str:
         """Human-readable compilation report.

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    amdahl_bound,
-    crossover_x,
-    parallel_efficiency,
-    speedups,
-)
+from repro.analysis import speedups
 
 
 class TestSpeedups:
@@ -22,48 +17,3 @@ class TestSpeedups:
         with pytest.raises(ValueError):
             speedups([0.0, 1.0])
 
-
-class TestEfficiency:
-    def test_perfect_scaling(self):
-        eff = parallel_efficiency([100.0, 50.0, 25.0], [1, 2, 4])
-        assert eff == [1.0, 1.0, 1.0]
-
-    def test_sublinear(self):
-        eff = parallel_efficiency([100.0, 60.0], [1, 2])
-        assert eff[1] < 1.0
-
-    def test_alignment_checked(self):
-        with pytest.raises(ValueError):
-            parallel_efficiency([1.0], [1, 2])
-
-
-class TestCrossover:
-    def test_found(self):
-        xs = [1, 2, 3, 4]
-        a = [10, 8, 5, 2]
-        b = [6, 6, 6, 6]
-        assert crossover_x(xs, a, b) == 3
-
-    def test_not_found(self):
-        assert crossover_x([1, 2], [9, 9], [1, 1]) is None
-
-    def test_alignment_checked(self):
-        with pytest.raises(ValueError):
-            crossover_x([1], [1, 2], [1])
-
-
-class TestAmdahl:
-    def test_no_serial_fraction(self):
-        assert amdahl_bound(0.0, 4) == pytest.approx(4.0)
-
-    def test_all_serial(self):
-        assert amdahl_bound(1.0, 100) == pytest.approx(1.0)
-
-    def test_classic_value(self):
-        assert amdahl_bound(0.5, 2) == pytest.approx(4 / 3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            amdahl_bound(-0.1, 2)
-        with pytest.raises(ValueError):
-            amdahl_bound(0.5, 0)

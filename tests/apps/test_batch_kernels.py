@@ -3,9 +3,7 @@
 The batched accelerator dispatch runs one numpy-vectorized kernel over
 B queued firings.  Where the vectorized form reproduces the exact
 operand pairing of the scalar kernel (FFT butterflies, elementwise
-likelihoods, integer bincount) the rows must be *bit-identical*; where
-float summation order legitimately differs (einsum autocorrelation,
-per-lag prediction) the contract is ``allclose``.
+likelihoods, integer bincount) the rows must be *bit-identical*.
 """
 
 import numpy as np
@@ -17,15 +15,6 @@ from repro.apps.lpc.fft import (
     fft_batch,
     power_spectrum,
     power_spectrum_batch,
-)
-from repro.apps.lpc.lpc import (
-    autocorrelation,
-    autocorrelation_batch,
-    lpc_coefficients,
-    predict,
-    predict_batch,
-    prediction_error,
-    prediction_error_batch,
 )
 from repro.apps.particle_filter.model import CrackGrowthModel
 from repro.apps.particle_filter.resampling import multiplicities
@@ -77,35 +66,6 @@ class TestFftBatch:
         for row, frame in zip(batched, frames):
             out = analyzer.kernel(0, {"frame": [{"frame": frame}]})
             assert np.array_equal(row, out["analyzed"][0]["spectrum"])
-
-
-class TestLpcBatch:
-    def test_autocorrelation_rows_close(self):
-        frames = speech_frames(6, 64)
-        batched = autocorrelation_batch(frames, lags=8)
-        for row, frame in zip(batched, frames):
-            assert np.allclose(row, autocorrelation(frame, lags=8))
-
-    def test_autocorrelation_short_frames_rejected(self):
-        with pytest.raises(ValueError, match="longer than"):
-            autocorrelation_batch(np.zeros((2, 8)), lags=8)
-
-    def test_predict_and_error_rows_close(self):
-        frames = speech_frames(4, 64)
-        coefficients = np.stack(
-            [lpc_coefficients(frame, order=6) for frame in frames]
-        )
-        predicted = predict_batch(frames, coefficients)
-        errors = prediction_error_batch(frames, coefficients)
-        for i, frame in enumerate(frames):
-            assert np.allclose(predicted[i], predict(frame, coefficients[i]))
-            assert np.allclose(
-                errors[i], prediction_error(frame, coefficients[i])
-            )
-
-    def test_batch_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="batch mismatch"):
-            predict_batch(np.zeros((3, 16)), np.zeros((2, 4)))
 
 
 class TestParticleFilterBatch:

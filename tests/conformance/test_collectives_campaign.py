@@ -80,7 +80,7 @@ class TestRates:
             case = build_case(spec)
             case.graph.validate()
             if spec.connections:
-                assert case.graph.has_collectives or all(
+                assert case.graph.collective_connections or all(
                     len(c.branches) == 1 for c in spec.connections
                 )
 

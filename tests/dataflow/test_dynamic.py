@@ -1,10 +1,8 @@
-"""Unit tests for dynamic-rate annotations and rate oracles."""
+"""Unit tests for dynamic-rate annotations."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dataflow import DynamicRate, RateOracle
+from repro.dataflow import DynamicRate
 
 
 class TestDynamicRate:
@@ -38,42 +36,3 @@ class TestDynamicRate:
         with pytest.raises(AttributeError):
             rate.bound = 5
 
-
-class TestRateOracle:
-    def test_default_is_worst_case(self):
-        oracle = RateOracle(DynamicRate(6))
-        assert list(oracle.rates(4)) == [6, 6, 6, 6]
-
-    def test_sequence_cycles(self):
-        oracle = RateOracle(DynamicRate(5), sequence=[1, 3, 5])
-        assert [oracle.rate(k) for k in range(6)] == [1, 3, 5, 1, 3, 5]
-
-    def test_sequence_validated(self):
-        with pytest.raises(ValueError, match="outside"):
-            RateOracle(DynamicRate(3), sequence=[1, 9])
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            RateOracle(DynamicRate(3), sequence=[])
-
-    def test_function_checked_on_use(self):
-        oracle = RateOracle(DynamicRate(4), function=lambda k: k + 1)
-        assert oracle.rate(0) == 1
-        assert oracle.rate(3) == 4
-        with pytest.raises(ValueError, match="outside"):
-            oracle.rate(4)
-
-    def test_sequence_and_function_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            RateOracle(DynamicRate(3), sequence=[1], function=lambda k: 1)
-
-    def test_constant_constructor(self):
-        oracle = RateOracle.constant(DynamicRate(9), 4)
-        assert oracle.rate(123) == 4
-
-    @given(bound=st.integers(1, 30), count=st.integers(1, 50))
-    @settings(max_examples=30, deadline=None)
-    def test_worst_case_always_admissible(self, bound, count):
-        spec = DynamicRate(bound)
-        oracle = RateOracle.worst_case(spec)
-        assert all(spec.admits(r) for r in oracle.rates(count))

@@ -40,7 +40,7 @@ class TestConstruction:
         assert conn.edges == (edge,)
         assert edge.connection is conn
         assert not conn.is_collective
-        assert not graph.has_collectives
+        assert graph.collective_connections == ()
 
     def test_broadcast_membership_and_edge_names(self):
         graph = _fan_out_graph(n_sinks=3)
@@ -88,7 +88,6 @@ class TestDegenerate:
         graph = _fan_out_graph(n_sinks=1)
         conn = graph.add_broadcast("src.o", ["snk0.i"])
         assert not conn.is_collective
-        assert not graph.has_collectives
         assert graph.collective_connections == ()
 
     def test_single_branch_gather_orients_into_the_hub(self):

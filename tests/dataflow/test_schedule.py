@@ -9,6 +9,7 @@ from repro.dataflow import (
     LoopedSchedule,
     ScheduleLoop,
     build_pass,
+    repetitions_vector,
     single_appearance_schedule,
 )
 
@@ -17,7 +18,7 @@ class TestFlatSchedule:
     def test_counts_and_validity(self, multirate_graph):
         flat = FlatSchedule(multirate_graph, build_pass(multirate_graph))
         assert flat.counts() == {"A": 3, "B": 2, "C": 1}
-        assert flat.is_valid_iteration()
+        assert flat.counts() == repetitions_vector(multirate_graph)
 
     def test_underflow_detected(self, chain_graph):
         b = chain_graph.get_actor("B")
@@ -34,7 +35,7 @@ class TestFlatSchedule:
     def test_profile_buffer_tokens(self, multirate_graph):
         flat = FlatSchedule(multirate_graph, build_pass(multirate_graph))
         profile = flat.profile()
-        assert profile.total_buffer_tokens == 4 + 2
+        assert sum(profile.buffer_tokens.values()) == 4 + 2
 
     def test_foreign_actor_rejected(self, chain_graph):
         other = DataflowGraph()
@@ -63,20 +64,13 @@ class TestScheduleLoop:
 class TestLoopedSchedule:
     def test_single_appearance_construction(self, multirate_graph):
         looped = single_appearance_schedule(multirate_graph)
-        assert looped.is_single_appearance
         flat = looped.flatten()
-        assert flat.is_valid_iteration()
+        assert flat.counts() == repetitions_vector(multirate_graph)
         flat.validate_admissible()
 
     def test_single_appearance_text(self, multirate_graph):
         looped = single_appearance_schedule(multirate_graph)
         assert str(looped) == "(1 (3 A) (2 B) (1 C))"
-
-    def test_appearances(self, chain_graph):
-        root = ScheduleLoop(1, ("A", "B", "A", "C"))
-        looped = LoopedSchedule(chain_graph, root)
-        assert looped.appearances() == {"A": 2, "B": 1, "C": 1}
-        assert not looped.is_single_appearance
 
     def test_flatten_resolves_actor_names(self, chain_graph):
         root = ScheduleLoop(1, ("A", "B", "C"))

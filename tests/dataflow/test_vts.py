@@ -44,7 +44,7 @@ class TestVtsConversion:
         assert info.producer_bound == 10
         assert info.consumer_bound == 8
         # b_max = max bound x raw bytes = 10 x 2
-        assert conversion.packed_token_bound_bytes(edge) == 20
+        assert info.b_max_bytes == 20
 
     def test_eq1_uses_converted_c_sdf(self, fig1_graph):
         conversion = vts_convert(fig1_graph)
@@ -52,7 +52,7 @@ class TestVtsConversion:
         info = conversion.edge_info[edge.name]
         # converted graph is a 1->1 chain: c_sdf = 1 packed token
         assert info.c_sdf == 1
-        assert conversion.coexisting_bytes_bound(edge) == 1 * 20
+        assert info.c_bytes == 1 * 20
 
     def test_eq2_unbounded_without_feedback(self, fig1_graph):
         conversion = vts_convert(fig1_graph)
@@ -112,7 +112,7 @@ class TestVtsConversion:
         static_edge = conversion.graph.edge_between("A", "C")
         assert static_edge.source.rate == 3
         assert static_edge.token_bytes == 4
-        assert not conversion.is_converted_edge(static_edge)
+        assert static_edge.name not in conversion.edge_info
 
 
 class TestKernelWrapping:

@@ -47,13 +47,7 @@ class TestEquationOne:
         assert info.producer_bound == prod
         assert info.consumer_bound == cons
         assert info.b_max_bytes == max(prod, cons) * nbytes
-        assert (
-            conversion.coexisting_bytes_bound(edge)
-            == info.c_sdf * info.b_max_bytes
-        )
-        # packed sizes up to the rate bound are admissible, one more not
-        assert info.admits_packed_size(max(prod, cons))
-        assert not info.admits_packed_size(max(prod, cons) + 1)
+        assert info.c_bytes == info.c_sdf * info.b_max_bytes
 
     @given(prod=BOUNDS, cons=BOUNDS, nbytes=BYTES, bump=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -64,13 +58,10 @@ class TestEquationOne:
         )
         edge_small = small.graph.edge_between("A", "B")
         edge_grown = grown.graph.edge_between("A", "B")
-        assert (
-            grown.packed_token_bound_bytes(edge_grown)
-            >= small.packed_token_bound_bytes(edge_small)
-        )
-        assert grown.coexisting_bytes_bound(
-            edge_grown
-        ) >= small.coexisting_bytes_bound(edge_small)
+        grown_info = grown.edge_info[edge_grown.name]
+        small_info = small.edge_info[edge_small.name]
+        assert grown_info.b_max_bytes >= small_info.b_max_bytes
+        assert grown_info.c_bytes >= small_info.c_bytes
 
 
 class TestEquationTwo:
@@ -82,7 +73,8 @@ class TestEquationTwo:
         feedback = minimum_feedback_delay(conversion.graph, edge)
         assert feedback == delay  # the cycle's only return path
         bound = conversion.ipc_buffer_bound_bytes(edge)
-        assert bound == (feedback + edge.delay) * conversion.coexisting_bytes_bound(edge)
+        c_bytes = conversion.edge_info[edge.name].c_bytes
+        assert bound == (feedback + edge.delay) * c_bytes
 
     @given(prod=BOUNDS, cons=BOUNDS, nbytes=BYTES, delay=DELAYS,
            extra=st.integers(1, 4))

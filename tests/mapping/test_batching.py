@@ -3,7 +3,6 @@
 Covers the mapping-layer surface of heterogeneous batching:
 
 * :class:`Partition` batch/PE-class queries and validation;
-* :meth:`Partition.choose_platform` — equal-budget platform selection;
 * :func:`batch_is_admissible` / :func:`max_feasible_batch` — the
   blocked-schedule deadlock-freedom check (feedback loops clamp);
 * :class:`BatchSchedule` macro-pass arithmetic (exact tail);
@@ -76,10 +75,6 @@ class TestPartitionBatchApi:
         assert partition.pe_class_of(0) is GPP
         assert partition.pe_class_of(1) is ACCEL
 
-    def test_resource_budget_used(self):
-        partition = hetero_partition(pipeline_graph(), batch_size=1)
-        assert partition.resource_budget_used() == pytest.approx(3.0)
-
     def test_validation(self):
         graph = pipeline_graph()
         assignment = {"A": 0, "B": 1, "C": 0}
@@ -93,62 +88,6 @@ class TestPartitionBatchApi:
             Partition(
                 graph, 2, assignment, pe_classes={1: "accelerator"}
             ).validate()
-
-
-class TestChoosePlatform:
-    def test_fits_budget_and_keeps_pe0_gpp(self):
-        graph = pipeline_graph()
-        partition = Partition.choose_platform(
-            graph, budget=3.0, accelerator=ACCEL
-        )
-        partition.validate()
-        assert partition.resource_budget_used() <= 3.0
-        # gpp PEs take the low indices: PE 0 (where the apps pin their
-        # I/O actors) must stay general-purpose whenever a gpp exists
-        if any(not partition.pe_class_of(pe).is_accelerator
-               for pe in range(partition.n_pes)):
-            assert not partition.pe_class_of(0).is_accelerator
-
-    def test_unaffordable_budget_raises(self):
-        with pytest.raises(GraphError, match="budget"):
-            Partition.choose_platform(
-                pipeline_graph(), budget=0.5, accelerator=ACCEL
-            )
-
-    def test_bad_batch_candidates_raise(self):
-        graph = pipeline_graph()
-        with pytest.raises(GraphError, match="batch_candidates"):
-            Partition.choose_platform(
-                graph, budget=3.0, accelerator=ACCEL, batch_candidates=()
-            )
-        with pytest.raises(GraphError, match="batch_candidates"):
-            Partition.choose_platform(
-                graph, budget=3.0, accelerator=ACCEL, batch_candidates=(0,)
-            )
-
-    def test_all_gpp_budget_forces_batch_1(self):
-        # accelerator unaffordable -> only gpp splits remain, and
-        # batching without accelerators is skipped as a no-op
-        expensive = PEClass(
-            kind="accelerator",
-            dispatch_cycles=20,
-            cycles_per_element=0.5,
-            resource_cost=100.0,
-        )
-        partition = Partition.choose_platform(
-            pipeline_graph(), budget=3.0, accelerator=expensive
-        )
-        assert not partition.has_accelerators
-        assert partition.batch_size == 1
-
-    def test_pinned_actors_respected(self):
-        partition = Partition.choose_platform(
-            pipeline_graph(),
-            budget=3.0,
-            accelerator=ACCEL,
-            pinned={"A": 0},
-        )
-        assert partition.assignment["A"] == 0
 
 
 class TestBatchAdmissibility:

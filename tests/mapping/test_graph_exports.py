@@ -1,5 +1,6 @@
 """Rendering/reporting coverage: dot exports and sync-cost breakdowns."""
 
+from collections import Counter
 
 from repro.dataflow import DataflowGraph, DynamicRate
 from repro.mapping import (
@@ -39,7 +40,7 @@ class TestSyncCostBreakdown:
     def test_by_kind_with_acks(self, chain_graph):
         sync = two_pe_sync_graph(chain_graph)
         sync.add_edge(TimedEdge("B", "A", delay=4, kind=EdgeKind.ACK))
-        breakdown = sync.sync_cost_by_kind()
+        breakdown = Counter(e.kind for e in sync.synchronization_edges())
         assert breakdown[EdgeKind.IPC] == 2
         assert breakdown[EdgeKind.ACK] == 1
         assert sync.sync_cost() == 3

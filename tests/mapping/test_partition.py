@@ -25,7 +25,7 @@ class TestPartition:
         partition = Partition.manual(chain_graph, {"A": 0, "B": 1, "C": 0})
         assert partition.n_pes == 2
         assert partition.pe_of(chain_graph.get_actor("B")) == 1
-        assert [a.name for a in partition.actors_on(0)] == ["A", "C"]
+        assert partition.assignment == {"A": 0, "B": 1, "C": 0}
 
     def test_manual_missing_actor_rejected(self, chain_graph):
         with pytest.raises(GraphError, match="does not assign"):

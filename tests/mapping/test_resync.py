@@ -100,7 +100,6 @@ class TestResynchronize:
         result = resynchronize(graph)
         assert result.cost_before == 3
         assert result.cost_after <= 1
-        assert result.net_savings >= 2
 
     def test_never_increases_mcm(self):
         graph = fan_graph(3)

@@ -11,11 +11,11 @@ class TestHomogeneous:
         schedule = build_selftimed_schedule(chain_graph, two_pe_partition)
         assert schedule.orders[0] == ["A", "C"]
         assert schedule.orders[1] == ["B"]
-        assert schedule.task_graph is chain_graph
+        assert schedule.homogeneous
 
     def test_pe_lookup(self, chain_graph, two_pe_partition):
         schedule = build_selftimed_schedule(chain_graph, two_pe_partition)
-        assert schedule.pe_of_task("B") == 1
+        assert schedule.task_pe["B"] == 1
         assert schedule.position("C") == 1
 
     def test_single_pe(self, chain_graph):
@@ -36,8 +36,8 @@ class TestMultirate:
     def test_task_graph_is_expansion(self, multirate_graph):
         partition = Partition.single_processor(multirate_graph)
         schedule = build_selftimed_schedule(multirate_graph, partition)
-        assert len(schedule.task_graph) == 6
-        assert schedule.task_graph is not multirate_graph
+        assert len(schedule.task_table.tasks) == 6
+        assert not schedule.homogeneous
 
     def test_invocations_inherit_actor_pe(self, multirate_graph):
         partition = Partition.manual(

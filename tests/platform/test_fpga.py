@@ -34,10 +34,6 @@ class TestResourceVector:
         with pytest.raises(ValueError):
             ResourceVector(slices=-1)
 
-    def test_is_zero(self):
-        assert ResourceVector().is_zero
-        assert not ResourceVector(bram=1).is_zero
-
     def test_as_dict_covers_all_fields(self):
         d = ResourceVector(1, 2, 3, 4, 5).as_dict()
         assert set(d) == set(RESOURCE_FIELDS)

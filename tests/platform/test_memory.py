@@ -16,7 +16,6 @@ class TestBoundedBuffer:
         assert buffer.occupancy_bytes == 6
         buffer.read(4)
         assert buffer.occupancy_bytes == 2
-        assert buffer.free_bytes() == 8
 
     def test_overflow_raises(self):
         buffer = BufferMemory("b", capacity_bytes=10)
@@ -45,20 +44,12 @@ class TestBoundedBuffer:
         buffer.write(1)
         assert not buffer.can_accept(4)
 
-    def test_reset(self):
-        buffer = BufferMemory("b", capacity_bytes=4)
-        buffer.write(3)
-        buffer.reset()
-        assert buffer.occupancy_bytes == 0
-        assert buffer.high_water_bytes == 0
-
 
 class TestUnboundedBuffer:
     def test_never_overflows(self):
         buffer = BufferMemory("u")
         buffer.write(10**9)
-        assert buffer.free_bytes() is None
-        assert not buffer.is_bounded
+        assert buffer.occupancy_bytes == 10**9
 
     def test_still_tracks_high_water(self):
         buffer = BufferMemory("u")

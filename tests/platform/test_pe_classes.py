@@ -89,13 +89,3 @@ class TestProcessingElementBatchAccounting:
             pe.record_batched_dispatch(firings=1, cycles_saved=0)
         with pytest.raises(ValueError, match="cycles_saved"):
             pe.record_batched_dispatch(firings=2, cycles_saved=-1)
-
-    def test_reset_clears_batch_counters(self):
-        pe = ProcessingElement(index=0)
-        pe.busy_cycles, pe.firings = 10, 1
-        pe.record_batched_dispatch(firings=3, cycles_saved=20)
-        pe.reset()
-        assert pe.firings == 0
-        assert pe.batched_firings == 0
-        assert pe.batch_dispatches == 0
-        assert pe.amortized_dispatch_cycles_saved == 0

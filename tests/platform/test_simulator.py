@@ -431,24 +431,6 @@ class TestCompletionStep:
         )
 
 
-class TestProcessingElementReset:
-    def test_reset_clears_all_statistics(self):
-        pe = ProcessingElement(2)
-        pe.busy_cycles, pe.firings = 30, 1
-        pe.record_block()
-        pe.record_blocked_interval("recv", 12)
-        pe.reset()
-        assert pe.busy_cycles == 0
-        assert pe.firings == 0
-        assert pe.blocked_events == 0
-        assert pe.blocked_cycles == 0
-        assert pe.blocked_by_task == {}
-        # identity survives, accounting restarts cleanly
-        assert pe.index == 2 and pe.name == "PE2"
-        pe.record_blocked_interval("send", 3)
-        assert pe.blocked_by_task == {"send": 3}
-
-
 class TestNoLostWakeupProperty:
     """Property: under random deposit/consume interleavings the kernel
     (with its lost-wakeup audit armed) never strands a sequencer, and

@@ -29,13 +29,8 @@ class TestTraceRecorder:
     def test_queries(self):
         trace = self.recorder()
         assert len(trace) == 3
-        assert len(trace.events_on(0)) == 2
         assert len(trace.events_of("b")) == 1
         assert trace.makespan() == 25
-
-    def test_pe_busy_cycles(self):
-        busy = self.recorder().pe_busy_cycles()
-        assert busy == {0: 25, 1: 15}
 
     def test_task_statistics(self):
         stats = self.recorder().task_statistics()

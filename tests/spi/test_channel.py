@@ -78,7 +78,7 @@ class TestDelivery:
         channel.deliver_ack()
         assert channel.stats.ack_messages == 1
         assert channel.recv_buffer.occupancy_bytes == 0
-        assert channel.flow.can_send()
+        assert channel.flow.can_send_n(1)
 
 
 class TestStats:
@@ -88,8 +88,6 @@ class TestStats:
         channel.deliver(make_data_message(1, [1], 4, False))
         channel.deliver_ack()
         assert channel.stats.overhead_bytes == 4 + 4  # header + ack
-        assert channel.stats.total_wire_bytes == 12
-        assert channel.stats.total_messages == 2
 
     def test_same_pe_rejected(self):
         graph = DataflowGraph("x")

@@ -142,7 +142,9 @@ class TestLowering:
             SpiConfig(protocol_policy="always_ubs", resynchronize=False),
             lowering=lowering,
         )
-        assert raw.sync_graph.sync_cost_by_kind().get("ack", 0) > 0
+        assert any(
+            e.kind == "ack" for e in raw.sync_graph.synchronization_edges()
+        )
         resynced = SpiSystem.compile(
             chain_graph,
             two_pe_partition,

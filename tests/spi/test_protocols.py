@@ -25,7 +25,7 @@ class TestBbsFlow:
             ProtocolConfig(Protocol.BBS, capacity_tokens=2, acks_enabled=False)
         )
         for _ in range(100):
-            assert flow.can_send()
+            assert flow.can_send_n(1)
             flow.on_send()
         assert flow.credits is None
         assert flow.sends == 100
@@ -41,16 +41,16 @@ class TestUbsFlow:
     def test_window_blocks_after_exhaustion(self):
         flow = self.flow(window=3)
         for _ in range(3):
-            assert flow.can_send()
+            assert flow.can_send_n(1)
             flow.on_send()
-        assert not flow.can_send()
+        assert not flow.can_send_n(1)
 
     def test_ack_restores_credit(self):
         flow = self.flow(window=1)
         flow.on_send()
-        assert not flow.can_send()
+        assert not flow.can_send_n(1)
         flow.on_ack()
-        assert flow.can_send()
+        assert flow.can_send_n(1)
         assert flow.acks_received == 1
 
     def test_send_without_credit_is_violation(self):
@@ -72,6 +72,6 @@ class TestUbsFlow:
                            acks_enabled=False)
         )
         for _ in range(10):
-            assert flow.can_send()
+            assert flow.can_send_n(1)
             flow.on_send()
         assert flow.credits is None

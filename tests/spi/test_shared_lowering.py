@@ -215,7 +215,6 @@ def test_config_independent_work_runs_once_per_lowering(monkeypatch):
         "GraphArrays": 1,
         "hsdf connect": 0,
     }
-    assert "task_graph" not in vars(lowering.schedule)
 
 
 @pytest.mark.parametrize("seed", range(1, 41))

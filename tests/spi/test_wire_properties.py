@@ -66,7 +66,7 @@ class TestFlowControlStateMachine:
         in_flight = 0
         for wants_send in operations:
             if wants_send:
-                if flow.can_send():
+                if flow.can_send_n(1):
                     flow.on_send()
                     in_flight += 1
             else:
@@ -75,7 +75,7 @@ class TestFlowControlStateMachine:
                     in_flight -= 1
             assert 0 <= flow.credits <= window
             assert in_flight == window - flow.credits
-            assert flow.can_send() == (flow.credits > 0)
+            assert flow.can_send_n(1) == (flow.credits > 0)
 
     @given(window=st.integers(1, 8), sends=st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
@@ -84,6 +84,6 @@ class TestFlowControlStateMachine:
             ProtocolConfig(Protocol.BBS, window, acks_enabled=False)
         )
         for _ in range(sends):
-            assert flow.can_send()
+            assert flow.can_send_n(1)
             flow.on_send()
         assert flow.sends == sends

@@ -1,16 +1,25 @@
 """Unit tests for maximum cycle mean and self-timed simulation."""
 
+import json
 import math
+import random
 
 import pytest
 
 from repro.mapping import (
+    McmResult,
     TimedEdge,
     TimedGraph,
     TimedVertex,
     maximum_cycle_mean,
+    maximum_cycle_mean_result,
     simulate_selftimed,
 )
+from repro.mapping.graph_arrays import (
+    GraphArrays,
+    strongly_connected_components,
+)
+from tests.conftest import build_random_timed_graph
 
 
 def ring(cycles, delays):
@@ -57,6 +66,57 @@ class TestMaximumCycleMean:
 
     def test_empty_graph(self):
         assert maximum_cycle_mean(TimedGraph()) == 0.0
+
+
+class TestMcmResultRecord:
+    @pytest.mark.parametrize(
+        "graph", [ring([10, 20], [0, 1]), ring([1, 1], [0, 0])],
+        ids=["finite", "deadlock"],
+    )
+    def test_json_round_trip(self, graph):
+        result = maximum_cycle_mean_result(graph)
+        payload = json.loads(json.dumps(result.to_dict()))
+        assert McmResult.from_dict(payload) == result
+
+
+def reachable(graph, start):
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for edge in graph.edges:
+            if edge.src == u and edge.snk not in seen:
+                seen.add(edge.snk)
+                stack.append(edge.snk)
+    return seen
+
+
+class TestCycleStructure:
+    def test_components_are_mutual_reachability_classes(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            graph = build_random_timed_graph(rng)
+            arrays = GraphArrays(graph)
+            reach = {v: reachable(graph, v) for v in arrays.names}
+            components = strongly_connected_components(arrays)
+            assert sorted(v for c in components for v in c) == list(
+                range(arrays.n)
+            )
+            for component in components:
+                names = {arrays.names[v] for v in component}
+                for u in names:
+                    assert {w for w in reach[u] if u in reach[w]} == names
+
+    def test_zero_delay_cycle_is_a_real_cycle_iff_deadlock(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            graph = build_random_timed_graph(rng, max_delay=1)
+            cycle = graph.zero_delay_cycle()
+            assert bool(cycle) == math.isinf(maximum_cycle_mean(graph))
+            zero_delay = {
+                (e.src, e.snk) for e in graph.edges if e.delay == 0
+            }
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (u, v) in zero_delay
 
 
 class TestSelfTimedSimulation:

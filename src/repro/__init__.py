@@ -18,7 +18,6 @@ from repro.dataflow import (
     GraphError,
     Port,
     build_pass,
-    is_consistent,
     repetitions_vector,
     sdf_buffer_bounds,
     vts_convert,
@@ -32,7 +31,6 @@ from repro.mapping import (
     derive_sync_graph,
     maximum_cycle_mean,
     maximum_cycle_mean_result,
-    remove_redundant_synchronizations,
     resynchronize,
     simulate_selftimed,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "GraphError",
     "Port",
     "build_pass",
-    "is_consistent",
     "repetitions_vector",
     "sdf_buffer_bounds",
     "vts_convert",
@@ -70,7 +67,6 @@ __all__ = [
     "derive_sync_graph",
     "maximum_cycle_mean",
     "maximum_cycle_mean_result",
-    "remove_redundant_synchronizations",
     "resynchronize",
     "simulate_selftimed",
     "MpiConfig",

@@ -1,6 +1,6 @@
 """Application 1: LPC-based acoustic data compression (paper §5.2)."""
 
-from repro.apps.lpc.fft import fft, fft_cycles, ifft, power_spectrum
+from repro.apps.lpc.fft import fft, fft_cycles, power_spectrum
 from repro.apps.lpc.huffman import HuffmanCode, build_huffman_code
 from repro.apps.lpc.linalg import lu_decompose, lu_solve, solve
 from repro.apps.lpc.lpc import (
@@ -19,7 +19,7 @@ from repro.apps.lpc.pipeline import (
 from repro.apps.lpc.signal_gen import SpeechLikeSource, frame_stream
 
 __all__ = [
-    "fft", "fft_cycles", "ifft", "power_spectrum",
+    "fft", "fft_cycles", "power_spectrum",
     "HuffmanCode", "build_huffman_code",
     "lu_decompose", "lu_solve", "solve",
     "Quantizer", "autocorrelation", "lpc_coefficients",

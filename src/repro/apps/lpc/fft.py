@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "fft",
     "fft_batch",
-    "ifft",
     "power_spectrum",
     "power_spectrum_batch",
     "fft_cycles",
@@ -89,12 +88,6 @@ def fft_batch(frames: Sequence[Sequence[complex]]) -> np.ndarray:
         view[:, :, half:] = upper - lower
         span *= 2
     return out
-
-
-def ifft(spectrum: Sequence[complex]) -> np.ndarray:
-    """Inverse FFT (conjugate trick over :func:`fft`)."""
-    data = np.asarray(spectrum, dtype=np.complex128)
-    return np.conj(fft(np.conj(data))) / data.shape[0]
 
 
 def power_spectrum(samples: Sequence[float]) -> np.ndarray:

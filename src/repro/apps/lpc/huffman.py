@@ -18,8 +18,6 @@ __all__ = [
     "HuffmanCode",
     "build_huffman_code",
     "huffman_cycles",
-    "pack_bits",
-    "unpack_bits",
 ]
 
 
@@ -123,38 +121,6 @@ def build_huffman_code(frequencies: Dict[Hashable, int]) -> HuffmanCode:
 
     walk(root, "")
     return HuffmanCode(codebook)
-
-
-def pack_bits(bits: str) -> bytes:
-    """Pack a '0'/'1' string into bytes with a 4-byte length prefix.
-
-    The prefix carries the exact bit count so :func:`unpack_bits`
-    recovers the stream without padding ambiguity — the on-disk /
-    on-wire form of the compressed frames.
-    """
-    if any(bit not in "01" for bit in bits):
-        raise ValueError("bit string must contain only '0' and '1'")
-    length = len(bits)
-    payload = bytearray(length.to_bytes(4, "big"))
-    for start in range(0, length, 8):
-        chunk = bits[start : start + 8].ljust(8, "0")
-        payload.append(int(chunk, 2))
-    return bytes(payload)
-
-
-def unpack_bits(packed: bytes) -> str:
-    """Invert :func:`pack_bits`."""
-    if len(packed) < 4:
-        raise ValueError("packed stream too short for its length prefix")
-    length = int.from_bytes(packed[:4], "big")
-    needed = 4 + (length + 7) // 8
-    if len(packed) < needed:
-        raise ValueError(
-            f"packed stream truncated: need {needed} bytes, have "
-            f"{len(packed)}"
-        )
-    bits = "".join(f"{byte:08b}" for byte in packed[4:needed])
-    return bits[:length]
 
 
 def huffman_cycles(samples: int, cycles_per_symbol: int = 2) -> int:

@@ -13,8 +13,6 @@ from repro.apps.particle_filter.pipeline import (
 )
 from repro.apps.particle_filter.resampling import (
     allocate_targets,
-    local_resample,
-    multinomial_resample,
     multiplicities,
     plan_exchanges,
     systematic_resample,
@@ -25,6 +23,5 @@ __all__ = [
     "FilterTrace", "ParticleFilter",
     "DistributedParticleFilterSystem", "build_particle_filter_graph",
     "pf_pe_resources", "resample_offset",
-    "allocate_targets", "local_resample", "multinomial_resample",
-    "multiplicities", "plan_exchanges", "systematic_resample",
+    "allocate_targets", "multiplicities", "plan_exchanges", "systematic_resample",
 ]

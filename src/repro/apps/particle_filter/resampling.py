@@ -25,11 +25,9 @@ import numpy as np
 
 __all__ = [
     "systematic_resample",
-    "multinomial_resample",
     "multiplicities",
     "allocate_targets",
     "plan_exchanges",
-    "local_resample",
 ]
 
 #: below this many elements numpy's float64 sum is a plain left-to-right
@@ -102,19 +100,6 @@ def _systematic_indices(
     cumulative /= total
     cumulative[-1] = 1.0  # guard against rounding
     return cumulative.searchsorted(positions).astype(np.int64, copy=False)
-
-
-def multinomial_resample(
-    weights: Sequence[float],
-    count: int,
-    rng: np.random.RandomState,
-) -> np.ndarray:
-    """Multinomial resampling (the naive alternative, used in tests)."""
-    w = np.asarray(weights, dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        return rng.randint(0, w.shape[0], size=count).astype(np.int64)
-    return rng.choice(w.shape[0], size=count, p=w / total).astype(np.int64)
 
 
 def multiplicities(indices: Sequence[int], population: int) -> np.ndarray:
@@ -234,14 +219,3 @@ def plan_exchanges(targets: Sequence[int], capacity: int) -> ExchangePlan:
         kept=tuple(kept),
         flows=tuple(tuple(row) for row in flows),
     )
-
-
-def local_resample(
-    particles: np.ndarray,
-    weights: np.ndarray,
-    target: int,
-    offset: float,
-) -> np.ndarray:
-    """Resample ``target`` replicas from a PE's local population."""
-    indices = systematic_resample(weights, target, offset)
-    return np.asarray(particles, dtype=np.float64)[indices]

@@ -171,19 +171,10 @@ def _cmd_resync(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.dataflow import DataflowGraph
-    from repro.mapping import Partition, auto_pipeline
+    from repro.service.operations import build_app_system
 
-    graph = DataflowGraph("chain")
-    stages = [("load", 400), ("transform", 500), ("store", 300)]
-    actors = [graph.actor(name, cycles=c) for name, c in stages]
-    for left, right in zip(actors, actors[1:]):
-        out = left.add_output(f"to_{right.name}")
-        inp = right.add_input(f"from_{left.name}")
-        graph.connect(out, inp)
-    result = auto_pipeline(graph, stages=3)
-    partition = Partition.manual(result.graph, result.stages)
-    system = SpiSystem.compile(result.graph, partition)
+    chain = build_app_system("chain", 3, args.iterations)
+    system = SpiSystem.compile(chain.graph, chain.partition)
     run = system.run(iterations=args.iterations, trace=True)
     print(run.trace.gantt(width=72, upto=min(run.cycles, 4000)))
     print(
@@ -199,8 +190,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis import render_metrics_summary
     from repro.observability import chrome_trace, write_json
     from repro.service.operations import build_app_system
+    from repro.service.registry import RegistryError
 
-    system = build_app_system(args.app, args.pes, args.iterations)
+    try:
+        system = build_app_system(args.app, args.pes, args.iterations)
+    except RegistryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     compiled = SpiSystem.compile(
         system.graph, system.partition, SpiConfig(transport=args.transport)
     )

@@ -12,8 +12,8 @@ Entry points:
 * :func:`build_case` / :class:`GraphSpec` — spec materialisation
 * :func:`run_oracle_stack` — the differential oracle battery
 * :func:`shrink` — counterexample minimisation
-* :func:`run_campaign` / :func:`replay_seed` — campaign driver behind
-  the ``repro conform`` CLI subcommand
+* :func:`run_campaign` — campaign driver behind the ``repro conform``
+  CLI subcommand
 """
 
 from repro.conformance.generator import GraphShape, generate_spec
@@ -28,16 +28,13 @@ from repro.conformance.reference import ReferenceError, run_reference
 from repro.conformance.runner import (
     REPORT_SCHEMA,
     CampaignConfig,
-    replay_seed,
     run_campaign,
 )
 from repro.conformance.shrinker import (
     ShrinkResult,
-    load_replay_file,
     oracle_failure_predicate,
     render_pytest_repro,
     shrink,
-    write_replay_file,
 )
 from repro.conformance.spec import (
     CONFORMANCE_ACCELERATOR,
@@ -69,13 +66,10 @@ __all__ = [
     "build_case",
     "default_occupancy_bound",
     "generate_spec",
-    "load_replay_file",
     "oracle_failure_predicate",
     "render_pytest_repro",
-    "replay_seed",
     "run_campaign",
     "run_oracle_stack",
     "run_reference",
     "shrink",
-    "write_replay_file",
 ]

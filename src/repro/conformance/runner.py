@@ -30,7 +30,7 @@ from repro.conformance.oracles import DEFAULT_MAX_CYCLES
 from repro.observability.bench import bench_document
 from repro.service.campaign import CampaignPlan, run_service_campaign
 
-__all__ = ["CampaignConfig", "run_campaign", "replay_seed", "REPORT_SCHEMA"]
+__all__ = ["CampaignConfig", "run_campaign", "REPORT_SCHEMA"]
 
 #: schema identifier of campaign reports
 REPORT_SCHEMA = "repro.conformance/1"
@@ -178,20 +178,3 @@ def run_campaign(
         "cache": service_report["cache"],
         "bench": bench,
     }
-
-
-def replay_seed(
-    seed: int, config: Optional[CampaignConfig] = None
-) -> Dict[str, object]:
-    """Re-run exactly one seed; deterministic wrt. :func:`run_campaign`."""
-    base = config or CampaignConfig()
-    single = CampaignConfig(
-        seeds=1,
-        seed_start=seed,
-        iterations=base.iterations,
-        quick=base.quick,
-        shrink=base.shrink,
-        shape=base.shape,
-        max_cycles=base.max_cycles,
-    )
-    return run_campaign(single)

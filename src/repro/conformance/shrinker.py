@@ -14,8 +14,9 @@ for other reasons (e.g. a dangling feedback delay that now deadlocks the
 *reference*) simply fail the "same oracle still fires" predicate and are
 discarded.
 
-The final minimal spec is written to a replay JSON file and rendered as
-a ready-to-commit pytest regression test (see ``TESTING.md``).
+The campaign report carries the final minimal spec as JSON, and
+:func:`render_pytest_repro` turns it into a ready-to-commit pytest
+regression test (see ``TESTING.md``).
 """
 
 from __future__ import annotations
@@ -23,24 +24,17 @@ from __future__ import annotations
 import json
 import textwrap
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Iterator, Optional
 
-from repro.conformance.oracles import OracleReport, run_oracle_stack
+from repro.conformance.oracles import run_oracle_stack
 from repro.conformance.spec import GraphSpec, SpecError, build_case
 
 __all__ = [
     "ShrinkResult",
     "shrink",
     "oracle_failure_predicate",
-    "write_replay_file",
-    "load_replay_file",
     "render_pytest_repro",
 ]
-
-#: replay file schema identifier
-REPLAY_SCHEMA = "repro.conformance.replay/1"
-
 
 @dataclass
 class ShrinkResult:
@@ -191,32 +185,6 @@ def shrink(
 
 
 # -- artefact emission ----------------------------------------------------
-
-
-def write_replay_file(
-    spec: GraphSpec, path: Path, report: Optional[OracleReport] = None
-) -> Path:
-    """Write a self-contained replay document for ``spec``."""
-    document = {
-        "schema": REPLAY_SCHEMA,
-        "spec": spec.to_json(),
-    }
-    if report is not None:
-        document["violations"] = [v.to_json() for v in report.violations]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def load_replay_file(path: Path) -> GraphSpec:
-    document = json.loads(Path(path).read_text())
-    if document.get("schema") != REPLAY_SCHEMA:
-        raise SpecError(
-            f"{path}: not a conformance replay file "
-            f"(schema {document.get('schema')!r})"
-        )
-    return GraphSpec.from_json(document["spec"])
 
 
 def render_pytest_repro(spec: GraphSpec, oracle: str) -> str:

@@ -1,4 +1,4 @@
-"""Dataflow substrate: graphs, SDF analysis, schedules, VTS conversion."""
+"""Dataflow substrate: graphs, SDF analysis, HSDF expansion, VTS conversion."""
 
 from repro.dataflow.buffers import sdf_buffer_bounds, simulate_edge_occupancy
 from repro.dataflow.dynamic import DynamicRate
@@ -12,21 +12,12 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.hsdf import hsdf_expand, invocation_name
 from repro.dataflow.kpn import KpnChannelSpec, KpnNetwork, KpnProcess
-from repro.dataflow.schedule import (
-    FlatSchedule,
-    LoopedSchedule,
-    ScheduleLoop,
-    ScheduleProfile,
-    single_appearance_schedule,
-)
 from repro.dataflow.sdf import (
     DeadlockError,
     InconsistentGraphError,
     SdfError,
     build_pass,
-    is_consistent,
     repetitions_vector,
-    total_firings_per_iteration,
 )
 from repro.dataflow.vts import (
     PackedToken,
@@ -46,18 +37,11 @@ __all__ = [
     "DynamicRate",
     "sdf_buffer_bounds",
     "simulate_edge_occupancy",
-    "FlatSchedule",
-    "LoopedSchedule",
-    "ScheduleLoop",
-    "ScheduleProfile",
-    "single_appearance_schedule",
     "DeadlockError",
     "InconsistentGraphError",
     "SdfError",
     "build_pass",
-    "is_consistent",
     "repetitions_vector",
-    "total_firings_per_iteration",
     "PackedToken",
     "VtsConversion",
     "VtsEdgeInfo",

@@ -45,13 +45,5 @@ class DynamicRate:
                 f"minimum={self.minimum}, bound={self.bound}"
             )
 
-    def admits(self, rate: int) -> bool:
-        """True when ``rate`` is an admissible instantaneous rate."""
-        return self.minimum <= rate <= self.bound
-
-    def clamp(self, rate: int) -> int:
-        """Clamp an arbitrary integer into the admissible range."""
-        return max(self.minimum, min(self.bound, rate))
-
     def __repr__(self) -> str:
         return f"DynamicRate(bound={self.bound}, minimum={self.minimum})"

@@ -337,12 +337,6 @@ class Edge:
             return self.cons_rate_override
         return self.sink.rate
 
-    @property
-    def max_prod_rate(self) -> int:
-        if self.prod_rate_override is not None:
-            return self.prod_rate_override
-        return self.source.max_rate
-
     def set_initial_tokens(self, values: list) -> None:
         """Provide concrete values for the initial (delay) tokens."""
         if len(values) != self.delay:
@@ -879,12 +873,6 @@ class DataflowGraph:
         seen: Dict[str, Actor] = {}
         for edge in self.out_edges(actor):
             seen.setdefault(edge.snk_actor.name, edge.snk_actor)
-        return list(seen.values())
-
-    def predecessors(self, actor: Actor) -> List[Actor]:
-        seen: Dict[str, Actor] = {}
-        for edge in self.in_edges(actor):
-            seen.setdefault(edge.src_actor.name, edge.src_actor)
         return list(seen.values())
 
     @property

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from repro.dataflow.graph import DataflowGraph, GraphError, Port
+from repro.dataflow.graph import DataflowGraph, GraphError
 from repro.dataflow.sdf import repetitions_vector
 
 __all__ = ["TaskTable", "expansion_table", "hsdf_expand", "invocation_name"]
@@ -37,14 +37,13 @@ class TaskTable:
 
     ``tasks[t] = (name, origin, invocation, cycles)``: task ``t`` is
     invocation ``invocation`` of actor ``origin``, which takes
-    ``cycles`` with no inputs.  ``deps[k] = (src, snk, delay, name,
-    payload_bytes)``: dependency ``k`` runs from task ``src`` to task
-    ``snk`` with iteration offset ``delay`` and moves one token of
-    ``payload_bytes`` per firing at either end.
+    ``cycles`` with no inputs.  ``deps[k] = (src, snk, delay, name)``:
+    dependency ``k`` runs from task ``src`` to task ``snk`` with
+    iteration offset ``delay``.
     """
 
     tasks: Tuple[Tuple[str, str, int, int], ...]
-    deps: Tuple[Tuple[int, int, int, str, int], ...]
+    deps: Tuple[Tuple[int, int, int, str], ...]
 
     @cached_property
     def index(self) -> Dict[str, int]:
@@ -60,13 +59,8 @@ class TaskTable:
         return cls(
             tuple((a.name, a.name, 0, a.execution_cycles(0)) for a in actors),
             tuple(
-                (
-                    index[e.src_actor.name],
-                    index[e.snk_actor.name],
-                    e.delay,
-                    e.name,
-                    e.token_bytes * e.max_prod_rate,
-                )
+                (index[e.src_actor.name], index[e.snk_actor.name], e.delay,
+                 e.name)
                 for e in graph.edges
             ),
         )
@@ -118,10 +112,9 @@ def expansion_table(
 
     Tasks list the actors in graph order, each with its invocations
     ascending; dependencies list the edges in graph order, each with
-    its ``(i, j)`` invocation pairs sorted, named ``edge[i->j]``.  Their
-    tokens are those of the expansion's synthesised ports, of the
-    default size.  ``repetitions`` may pass the graph's repetitions
-    vector when the caller already has it.
+    its ``(i, j)`` invocation pairs sorted, named ``edge[i->j]``.
+    ``repetitions`` may pass the graph's repetitions vector when the
+    caller already has it.
     """
     reps = repetitions if repetitions is not None else repetitions_vector(graph)
     tasks = []
@@ -167,7 +160,7 @@ def expansion_table(
                     f"dependency on {tasks[src][0]} — graph deadlocks"
                 )
             name = f"{edge.name}[{i}->{j}]"
-            table.append((src, snk, delta, name, Port.token_bytes))
+            table.append((src, snk, delta, name))
     return TaskTable(tuple(tasks), tuple(table))
 
 
@@ -203,7 +196,7 @@ def hsdf_expand(
             )
         )
     ports = [0] * len(actors)
-    for src, snk, delay, edge_name, _ in table.deps:
+    for src, snk, delay, edge_name in table.deps:
         source = actors[src].add_output(f"o{ports[src]}")
         ports[src] += 1
         sink = actors[snk].add_input(f"i{ports[snk]}")

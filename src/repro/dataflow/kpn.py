@@ -144,9 +144,6 @@ class KpnNetwork:
             )
         self._channels.append((producer, out_port, consumer, in_port))
 
-    @property
-    def processes(self) -> List[KpnProcess]:
-        return list(self._processes.values())
 
     def to_dataflow_graph(self) -> DataflowGraph:
         """Convert to a bounded-dynamic dataflow graph.

@@ -28,9 +28,7 @@ __all__ = [
     "InconsistentGraphError",
     "DeadlockError",
     "repetitions_vector",
-    "is_consistent",
     "build_pass",
-    "total_firings_per_iteration",
 ]
 
 
@@ -131,20 +129,6 @@ def repetitions_vector(graph: DataflowGraph) -> Dict[str, int]:
                 f"{edge.cons_rate}"
             )
     return reps
-
-
-def is_consistent(graph: DataflowGraph) -> bool:
-    """True iff the balance equations admit a positive solution."""
-    try:
-        repetitions_vector(graph)
-    except InconsistentGraphError:
-        return False
-    return True
-
-
-def total_firings_per_iteration(graph: DataflowGraph) -> int:
-    """Sum of the repetitions vector — total firings in one graph iteration."""
-    return sum(repetitions_vector(graph).values())
 
 
 def build_pass(

@@ -10,7 +10,7 @@ from repro.mapping.mcm import (
     maximum_cycle_mean_result,
     simulate_selftimed,
 )
-from repro.mapping.partition import Partition, static_levels
+from repro.mapping.partition import Partition
 from repro.mapping.pipelining import (
     PipeliningResult,
     auto_pipeline,
@@ -19,7 +19,6 @@ from repro.mapping.pipelining import (
 )
 from repro.mapping.resync import (
     ResynchronizationResult,
-    remove_redundant_synchronizations,
     resynchronize,
 )
 from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
@@ -38,13 +37,11 @@ __all__ = [
     "maximum_cycle_mean_result",
     "simulate_selftimed",
     "Partition",
-    "static_levels",
     "PipeliningResult",
     "auto_pipeline",
     "insert_pipeline_delays",
     "stage_assignment",
     "ResynchronizationResult",
-    "remove_redundant_synchronizations",
     "resynchronize",
     "SelfTimedSchedule",
     "build_selftimed_schedule",

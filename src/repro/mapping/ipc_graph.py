@@ -68,7 +68,7 @@ def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> TimedGraph:
             )
         )
 
-    for s, k, delay, origin_edge, payload in table.deps:
+    for s, k, delay, origin_edge in table.deps:
         src, snk = table.tasks[s][0], table.tasks[k][0]
         if task_pe[src] == task_pe[snk]:
             continue
@@ -78,7 +78,6 @@ def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> TimedGraph:
                 snk=snk,
                 delay=delay,
                 kind=EdgeKind.IPC,
-                payload_bytes=payload,
                 origin_edge=origin_edge,
             )
         )

@@ -60,7 +60,6 @@ from repro.mapping.timed_graph import EdgeKind, TimedEdge
 __all__ = [
     "ResynchronizationResult",
     "SyncGraphSnapshot",
-    "remove_redundant_synchronizations",
     "resynchronize",
 ]
 
@@ -380,22 +379,6 @@ class SyncGraphSnapshot:
     def _rebuild(self, edges: List[TimedEdge]) -> SynchronizationGraph:
         graph = self.graph
         return type(graph).sharing(graph.name, graph.vertices, edges)
-
-
-def remove_redundant_synchronizations(
-    graph: SynchronizationGraph,
-) -> Tuple[SynchronizationGraph, List[TimedEdge]]:
-    """Iteratively remove redundant sync/ack edges until a fixpoint.
-
-    Edges are removed one at a time and redundancy is re-evaluated on the
-    *current* graph, so mutually-vouching pairs can never both disappear
-    (removing them simultaneously could silently drop a real constraint).
-    Returns the pruned graph and the list of removed edges.  The fixpoint
-    runs on a :class:`SyncGraphSnapshot`: each removal repairs only the
-    min-delay rows it can change.
-    """
-    pruned, removed, _ = SyncGraphSnapshot(graph).prune()
-    return pruned, removed
 
 
 def resynchronize(

@@ -11,7 +11,7 @@ so the orders are always admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.dataflow.graph import DataflowGraph, GraphError
 from repro.dataflow.hsdf import (
@@ -24,8 +24,6 @@ from repro.mapping.partition import Partition
 
 __all__ = [
     "SelfTimedSchedule",
-    "TaskPlan",
-    "task_plan",
     "build_selftimed_schedule",
     "batch_is_admissible",
     "max_feasible_batch",
@@ -103,27 +101,16 @@ class SelfTimedSchedule:
             )
 
 
-@dataclass(frozen=True)
-class TaskPlan:
-    """The partition-independent half of schedule construction.
+def build_selftimed_schedule(
+    graph: DataflowGraph, partition: Partition
+) -> SelfTimedSchedule:
+    """Derive a self-timed schedule from a deterministic PASS.
 
-    HSDF expansion and the deterministic PASS depend only on the
-    application graph, so callers that score many candidate partitions
-    of the *same* graph (``Partition.exhaustive``) compute the plan once
-    with :func:`task_plan` and pass it to every
-    :func:`build_selftimed_schedule` call.  ``repetitions`` is the
-    graph's repetitions vector, computed once here; ``tasks`` is the
-    task graph as a :class:`~repro.dataflow.hsdf.TaskTable`.
+    Multirate graphs are HSDF-expanded first; each invocation inherits the
+    PE of its actor.  The per-PE order is the order in which the PASS
+    fires the invocations, which guarantees an admissible (deadlock-free)
+    self-timed execution given sufficient buffer space.
     """
-
-    tasks: TaskTable
-    task_sequence: Tuple[str, ...]
-    homogeneous: bool
-    repetitions: Dict[str, int]
-
-
-def task_plan(graph: DataflowGraph) -> TaskPlan:
-    """Expand (if multirate) and order the graph's tasks via the PASS."""
     reps = repetitions_vector(graph)
     homogeneous = all(count == 1 for count in reps.values()) and all(
         isinstance(p.rate, int) and p.rate == 1
@@ -133,51 +120,23 @@ def task_plan(graph: DataflowGraph) -> TaskPlan:
     pass_firings = build_pass(graph, repetitions=reps)
     if homogeneous:
         tasks = TaskTable.of_homogeneous(graph)
-        task_sequence = tuple(a.name for a in pass_firings)
+        task_sequence = [a.name for a in pass_firings]
+        task_pe = {a.name: partition.pe_of(a) for a in graph.actors}
     else:
         tasks = expansion_table(graph, repetitions=reps)
         counters: Dict[str, int] = {}
-        names: List[str] = []
+        task_sequence = []
         for actor in pass_firings:
             k = counters.get(actor.name, 0)
             counters[actor.name] = k + 1
-            names.append(invocation_name(actor.name, k))
-        task_sequence = tuple(names)
-    return TaskPlan(
-        tasks=tasks,
-        task_sequence=task_sequence,
-        homogeneous=homogeneous,
-        repetitions=reps,
-    )
-
-
-def build_selftimed_schedule(
-    graph: DataflowGraph,
-    partition: Partition,
-    plan: Optional[TaskPlan] = None,
-) -> SelfTimedSchedule:
-    """Derive a self-timed schedule from a deterministic PASS.
-
-    Multirate graphs are HSDF-expanded first; each invocation inherits the
-    PE of its actor.  The per-PE order is the order in which the PASS
-    fires the invocations, which guarantees an admissible (deadlock-free)
-    self-timed execution given sufficient buffer space.  ``plan`` may
-    carry the precomputed partition-independent work (see
-    :func:`task_plan`).
-    """
-    if plan is None:
-        plan = task_plan(graph)
-    tasks = plan.tasks
-    if plan.homogeneous:
-        task_pe = {a.name: partition.pe_of(a) for a in graph.actors}
-    else:
+            task_sequence.append(invocation_name(actor.name, k))
         task_pe = {
             name: partition.assignment[origin]
             for name, origin, _, _ in tasks.tasks
         }
 
     orders: Dict[int, List[str]] = {pe: [] for pe in range(partition.n_pes)}
-    for task in plan.task_sequence:
+    for task in task_sequence:
         orders[task_pe[task]].append(task)
 
     schedule = SelfTimedSchedule(
@@ -185,9 +144,9 @@ def build_selftimed_schedule(
         partition=partition,
         orders=orders,
         task_table=tasks,
-        homogeneous=plan.homogeneous,
+        homogeneous=homogeneous,
         task_pe=task_pe,
-        repetitions=plan.repetitions,
+        repetitions=reps,
     )
     schedule.validate()
     return schedule
@@ -215,10 +174,10 @@ def batch_is_admissible(schedule: SelfTimedSchedule, batch: int) -> bool:
     if batch == 1:
         return True  # the PASS-derived orders are admissible by construction
     table = schedule.task_table
-    tokens = [delay for _, _, delay, _, _ in table.deps]
+    tokens = [delay for _, _, delay, _ in table.deps]
     in_edges: List[List[int]] = [[] for _ in table.tasks]
     out_edges: List[List[int]] = [[] for _ in table.tasks]
-    for k, (src, snk, _, _, _) in enumerate(table.deps):
+    for k, (src, snk, _, _) in enumerate(table.deps):
         in_edges[snk].append(k)
         out_edges[src].append(k)
 

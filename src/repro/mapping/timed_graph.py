@@ -64,7 +64,6 @@ class TimedEdge:
     snk: str
     delay: int
     kind: str = EdgeKind.SYNC
-    payload_bytes: int = 0
     origin_edge: Optional[str] = None
     uid: int = field(default_factory=itertools.count().__next__, compare=False)
 
@@ -75,8 +74,6 @@ class TimedEdge:
             )
         if self.kind not in EdgeKind.ALL:
             raise ValueError(f"unknown edge kind {self.kind!r}")
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must be >= 0")
 
 
 class TimedGraph:

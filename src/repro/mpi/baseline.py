@@ -31,15 +31,14 @@ goes on its link through :meth:`repro.platform.interconnect.Link.send`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, Optional, Sequence
 
 from repro.dataflow.graph import DataflowGraph, Edge
 from repro.mapping.partition import Partition
-from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
 from repro.platform.fpga import ResourceVector, estimate_datapath, estimate_fifo
-from repro.platform.interconnect import Interconnect, LinkSpec
+from repro.platform.interconnect import Interconnect
 from repro.platform.simulator import Simulator, Waitset
 from repro.spi.actors import LocalFifo, recv_op, send_op
 from repro.spi.channel import ChannelStats
@@ -50,29 +49,29 @@ from repro.spi.runtime import RunResult, simulate
 __all__ = ["MpiConfig", "MpiSystem", "mpi_engine_cost"]
 
 
+#: full MPI envelope: src, dst, tag, comm, datatype, count (6 words)
+ENVELOPE_BYTES = 24
+#: software send-path cost per message (argument checks, envelope
+#: build, bounce-buffer copy setup)
+SEND_SW_CYCLES = 30
+#: receive-side queue matching per arriving message
+MATCH_CYCLES = 40
+#: per-word copy cost through the library's buffers
+COPY_CYCLES_PER_WORD = 1
+
+
 @dataclass(frozen=True)
 class MpiConfig:
     """Cost parameters of the MPI-like baseline."""
 
-    clock: ClockDomain = DEFAULT_CLOCK
-    link_spec: LinkSpec = field(default_factory=LinkSpec)
-    #: full MPI envelope: src, dst, tag, comm, datatype, count (6 words)
-    envelope_bytes: int = 24
     #: payload at or below this size goes eager; above, rendezvous
     eager_threshold_bytes: int = 256
-    #: software send-path cost per message (argument checks, envelope
-    #: build, bounce-buffer copy setup)
-    send_sw_cycles: int = 30
-    #: receive-side queue matching per arriving message
-    match_cycles: int = 40
-    #: per-word copy cost through the library's buffers
-    copy_cycles_per_word: int = 1
     word_bytes: int = 4
 
     def copy_cycles(self, nbytes: int) -> int:
         """Cycles to copy ``nbytes`` through the library's buffers."""
         words = (nbytes + self.word_bytes - 1) // self.word_bytes
-        return words * self.copy_cycles_per_word
+        return words * COPY_CYCLES_PER_WORD
 
 
 def mpi_engine_cost() -> ResourceVector:
@@ -160,7 +159,7 @@ class _MpiChannel:
         """An eager transfer of ``payload``: envelope plus payload bytes,
         and the callback that queues it at the receiver."""
         nbytes = payload_nbytes(payload, self.token_bytes)
-        envelope = self.config.envelope_bytes
+        envelope = ENVELOPE_BYTES
         return envelope + nbytes, partial(
             self.deliver_data, payload, nbytes, envelope
         )
@@ -173,7 +172,7 @@ class _MpiChannel:
         config = self.config
         sim = self._sim
         link = self._interconnect.link(self.src_pe, self.dst_pe)
-        envelope = config.envelope_bytes
+        envelope = ENVELOPE_BYTES
 
         def on_cts() -> None:
             inject_start = sim.now + config.copy_cycles(nbytes)
@@ -189,7 +188,7 @@ class _MpiChannel:
             self.cts_pending.append(on_cts)
 
         link.send(
-            sim, now + config.send_sw_cycles, envelope, rts_arrive,
+            sim, now + SEND_SW_CYCLES, envelope, rts_arrive,
             ("rts", self.key),
         )
 
@@ -206,12 +205,12 @@ class _MpiChannel:
         config = self.config
         if not self.rendezvous:
             _, nbytes = self.arrived_data[0]
-            return config.match_cycles + config.copy_cycles(nbytes)
+            return MATCH_CYCLES + config.copy_cycles(nbytes)
         self.arrived_rts -= 1
         sim = self._sim
         self._interconnect.link(self.dst_pe, self.src_pe).send(
-            sim, now + config.match_cycles, config.envelope_bytes,
-            partial(self.deliver_cts, config.envelope_bytes),
+            sim, now + MATCH_CYCLES, ENVELOPE_BYTES,
+            partial(self.deliver_cts, ENVELOPE_BYTES),
             ("cts", self.key),
         )
 
@@ -363,7 +362,7 @@ class MpiSystem:
                         return None
                     # Eager: envelope build + bounce-buffer copy, then the
                     # PE is free; the library drains the buffer onto the link.
-                    return config.send_sw_cycles + config.copy_cycles(nbytes)
+                    return SEND_SW_CYCLES + config.copy_cycles(nbytes)
 
                 return send_op(
                     actor,

@@ -34,7 +34,6 @@ from repro.observability.exporters import (
 from repro.observability.metrics import (
     METRICS_SCHEMA,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "BenchValidationError",
     "METRICS_SCHEMA",
     "Counter",
-    "Gauge",
     "Histogram",
     "INTERCONNECT_PID",
     "MessageRecord",

@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, histograms, and their registry.
+"""Metric primitives: counters, histograms, and their registry.
 
 The observability layer threads one :class:`MetricsRegistry` through a
 simulated execution — the simulator kernel, the PE sequencers, the data
@@ -9,7 +9,6 @@ set, mirroring the Prometheus data model so the flat JSON export stays
 familiar::
 
     registry.counter("transport.messages", channel="e0").inc()
-    registry.gauge("channel.occupancy", channel="e0").set(3)
     registry.histogram("transport.queueing_cycles").observe(17)
 
 ``registry.as_dict()`` renders everything into the documented metrics
@@ -24,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 __all__ = [
     "METRICS_SCHEMA",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
@@ -58,33 +56,6 @@ class Counter:
             "type": "counter",
             "labels": dict(self.labels),
             "value": self.value,
-        }
-
-
-@dataclass
-class Gauge:
-    """An instantaneous level that also remembers its high-water mark."""
-
-    name: str
-    labels: LabelSet = ()
-    value: float = 0
-    high_water: float = 0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.high_water:
-            self.high_water = value
-
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "type": "gauge",
-            "labels": dict(self.labels),
-            "value": self.value,
-            "high_water": self.high_water,
         }
 
 
@@ -142,9 +113,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self._get("counter", Counter, name, labels)
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get("gauge", Gauge, name, labels)
 
     def histogram(self, name: str, **labels: object) -> Histogram:
         return self._get("histogram", Histogram, name, labels)

@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.mapping.mcm import McmResult
 from repro.mapping.resync import ResynchronizationResult, resynchronize
 from repro.mapping.timed_graph import TimedEdge
+from repro.spi.runtime import MAX_BBS_MESSAGES
 
 __all__ = [
     "AnalysisCache",
@@ -59,14 +60,13 @@ __all__ = [
 ]
 
 #: SpiConfig fields that change the *analysis* outputs (channel plans,
-#: sync graph, resync solution, MCM).  Transport/clock/link knobs only
-#: affect execution, never the compile-time analyses, so they are
-#: deliberately not part of the key — a p2p run and a shared-bus run of
-#: the same graph share cache entries.
+#: sync graph, resync solution, MCM).  The transport only affects
+#: execution, never the compile-time analyses, so it is deliberately
+#: not part of the key — a p2p run and a shared-bus run of the same
+#: graph share cache entries.
 _ANALYSIS_CONFIG_FIELDS = (
     "resynchronize",
     "ubs_window",
-    "max_bbs_messages",
     "protocol_policy",
     "word_bytes",
 )
@@ -196,8 +196,13 @@ def analysis_keys(
                 "graph": fingerprint,
                 "partition": partition_content,
                 "config": {
-                    name: getattr(config, name)
-                    for name in _ANALYSIS_CONFIG_FIELDS
+                    # the BBS bound shapes channel plans; it stays in the
+                    # key so the published key digests stay valid
+                    "max_bbs_messages": MAX_BBS_MESSAGES,
+                    **{
+                        name: getattr(config, name)
+                        for name in _ANALYSIS_CONFIG_FIELDS
+                    },
                 },
             }
         ),
@@ -232,7 +237,6 @@ def _encode_edge(edge: TimedEdge) -> Dict[str, object]:
         "snk": edge.snk,
         "delay": edge.delay,
         "kind": edge.kind,
-        "payload_bytes": edge.payload_bytes,
         "origin_edge": edge.origin_edge,
     }
 
@@ -243,7 +247,6 @@ def _decode_edge(raw: Dict[str, object]) -> TimedEdge:
         snk=raw["snk"],
         delay=raw["delay"],
         kind=raw["kind"],
-        payload_bytes=raw["payload_bytes"],
         origin_edge=raw["origin_edge"],
     )
 

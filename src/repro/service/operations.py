@@ -9,6 +9,7 @@ figure benchmarks are all thin clients of these four.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Dict, Optional
 
 from repro.service.registry import (
@@ -16,6 +17,7 @@ from repro.service.registry import (
     OperationResult,
     OperationSpec,
     Param,
+    RegistryError,
     RunContext,
     register_operation,
 )
@@ -29,8 +31,20 @@ __all__ = [
 ]
 
 
+def _check_pes(app: str, pes: int) -> None:
+    if app == "chain" and pes < 2:
+        raise RegistryError(
+            f"app 'chain' pipelines its stages over at least 2 PEs, "
+            f"got pes={pes}"
+        )
+
+
 def build_app_system(app: str, pes: int, iterations: int):
-    """Build one of the example applications (shared with the CLI)."""
+    """Build one of the example applications (shared with the CLI).
+
+    Raises :class:`RegistryError` for a PE count the app cannot use.
+    """
+    _check_pes(app, pes)
     if app == "lpc":
         from repro.apps.lpc import build_parallel_error_graph, frame_stream
 
@@ -62,15 +76,21 @@ def build_app_system(app: str, pes: int, iterations: int):
             inp = right.add_input(f"from_{left.name}")
             graph.connect(out, inp)
         result = auto_pipeline(graph, stages=min(pes, len(stages)))
-
-        class _System:
-            pass
-
-        system = _System()
-        system.graph = result.graph
-        system.partition = Partition.manual(result.graph, result.stages)
-        return system
+        return SimpleNamespace(
+            graph=result.graph,
+            partition=Partition.manual(result.graph, result.stages),
+        )
     raise ValueError(f"unknown app {app!r}")
+
+
+class _AppSpec(OperationSpec):
+    """Parameters of an operation that builds an example app: the app
+    must be able to use the requested PE count."""
+
+    def validate(self, values: Dict[str, object]) -> Dict[str, object]:
+        resolved = super().validate(values)
+        _check_pes(resolved["app"], resolved["pes"])
+        return resolved
 
 
 @register_operation
@@ -188,7 +208,7 @@ class SimulateAppOperation(Operation):
 
     name = "simulate.app"
     description = "compile + run an example app, report run statistics"
-    spec = OperationSpec(
+    spec = _AppSpec(
         params=(
             Param("app", str, required=True, choices=("lpc", "pf", "chain"),
                   help="example application to simulate"),
@@ -310,7 +330,7 @@ class AblateResyncOperation(Operation):
     description = (
         "measure sync-message and wire-byte savings of resynchronization"
     )
-    spec = OperationSpec(
+    spec = _AppSpec(
         params=(
             Param("app", str, required=True, choices=("lpc", "pf", "chain"),
                   help="example application to ablate"),

@@ -25,7 +25,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["Protocol", "ProtocolConfig", "ChannelFlowControl"]
 
@@ -74,7 +73,7 @@ class ChannelFlowControl:
         self.uses_credits = (
             config.protocol == Protocol.UBS and config.acks_enabled
         )
-        self._credits = config.capacity_tokens
+        self.credits = config.capacity_tokens
         self.acks_received = 0
         self.sends = 0
 
@@ -84,26 +83,22 @@ class ChannelFlowControl:
             raise ValueError("burst size must be >= 1")
         if not self.uses_credits:
             return True
-        return self._credits >= n
+        return self.credits >= n
 
     def on_send(self) -> None:
         self.sends += 1
         if self.uses_credits:
-            if self._credits <= 0:
+            if self.credits <= 0:
                 raise RuntimeError(
                     "protocol violation: send issued with zero credits"
                 )
-            self._credits -= 1
+            self.credits -= 1
 
     def on_ack(self) -> None:
         self.acks_received += 1
         if self.uses_credits:
-            if self._credits >= self.config.capacity_tokens:
+            if self.credits >= self.config.capacity_tokens:
                 raise RuntimeError(
                     "protocol violation: more acks than outstanding sends"
                 )
-            self._credits += 1
-
-    @property
-    def credits(self) -> Optional[int]:
-        return self._credits if self.uses_credits else None
+            self.credits += 1

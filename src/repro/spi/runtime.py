@@ -21,7 +21,7 @@ simulator (``run``), or prices it on the FPGA resource model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import DataflowGraph, Edge, GraphError
@@ -32,7 +32,7 @@ from repro.mapping.resync import ResynchronizationResult, resynchronize
 from repro.mapping.selftimed import SelfTimedSchedule
 from repro.mapping.sync_graph import SynchronizationGraph
 from repro.mapping.timed_graph import EdgeKind, TimedEdge
-from repro.platform.clock import DEFAULT_CLOCK, ClockDomain
+from repro.platform.clock import DEFAULT_CLOCK
 from repro.platform.fpga import (
     FpgaDevice,
     ResourceVector,
@@ -63,19 +63,22 @@ __all__ = [
     "SpiConfig", "ChannelPlan", "RunResult", "SimRun", "SpiSystem", "simulate",
 ]
 
+#: timing of every link, for SPI and for the MPI baseline alike
+LINK_SPEC = LinkSpec()
+#: BBS is chosen only when the static bound is at most this many messages
+MAX_BBS_MESSAGES = 1024
+#: per-transfer arbitration cost of the shared bus
+BUS_ARBITRATION_CYCLES = 2
+
 
 @dataclass(frozen=True)
 class SpiConfig:
     """Compile-time knobs of an SPI system."""
 
-    clock: ClockDomain = DEFAULT_CLOCK
-    link_spec: LinkSpec = field(default_factory=LinkSpec)
     #: apply resynchronization (redundant sync/ack pruning + additions)
     resynchronize: bool = True
     #: UBS acknowledgment window, in messages
     ubs_window: int = 4
-    #: BBS is chosen only when the static bound is at most this many messages
-    max_bbs_messages: int = 1024
     word_bytes: int = 4
     #: protocol policy: "auto" picks BBS whenever the synchronization
     #: structure bounds the buffer (paper §4); "always_ubs" forces the
@@ -88,8 +91,6 @@ class SpiConfig:
     #: Control traffic (acks, resynchronization messages) always rides
     #: dedicated control links.
     transport: str = "p2p"
-    #: per-transfer arbitration cost of the shared bus
-    bus_arbitration_cycles: int = 2
 
     def __post_init__(self) -> None:
         if self.protocol_policy not in ("auto", "always_ubs"):
@@ -100,8 +101,6 @@ class SpiConfig:
             raise ValueError("ubs_window must be >= 1")
         if self.transport not in ("p2p", "shared_bus", "ordered_bus"):
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.bus_arbitration_cycles < 0:
-            raise ValueError("bus_arbitration_cycles must be >= 0")
 
 
 @dataclass
@@ -260,9 +259,10 @@ def simulate(
     formula and totals are the same code and only the channels and the
     send and receive ops differ.
 
-    ``system`` supplies ``lowering.wiring``, ``schedule``, ``partition``
-    and ``config.link_spec`` / ``config.clock``.  ``channels`` maps each
-    origin edge name to the layer's channel object, which counts its
+    ``system`` supplies ``lowering.wiring``, ``schedule`` and
+    ``partition``; every run uses :data:`LINK_SPEC` links and the
+    default clock.  ``channels`` maps each origin edge name to the
+    layer's channel object, which counts its
     traffic in ``stats`` (a :class:`~repro.spi.channel.ChannelStats`)
     and reports its receive-side peak as ``buffer_high_water``.
     ``factories(sim, interconnect, counts)`` returns the ``(send,
@@ -285,7 +285,7 @@ def simulate(
     if iterations < 1:
         raise GraphError("iterations must be >= 1")
     sim = Simulator(check_lost_wakeups=check_lost_wakeups)
-    interconnect = Interconnect(default_spec=system.config.link_spec)
+    interconnect = Interconnect(default_spec=LINK_SPEC)
     plan = BatchSchedule(iterations, batch)
     counts = plan.counts if batch > 1 else None
     send, recv = factories(sim, interconnect, counts)
@@ -336,7 +336,7 @@ def simulate(
     stats = [channel.stats for channel in channels.values()]
     result = RunResult(
         cycles=total_cycles,
-        execution_time_us=system.config.clock.cycles_to_us(total_cycles),
+        execution_time_us=DEFAULT_CLOCK.cycles_to_us(total_cycles),
         iterations=iterations,
         pe_stats=used,
         data_messages=sum(s.data_messages for s in stats),
@@ -608,7 +608,7 @@ class SpiSystem:
                     and feedback is not None
                     and 0
                     < batch * msgs_per_iter * (feedback + 1) + delay_msgs
-                    <= config.max_bbs_messages
+                    <= MAX_BBS_MESSAGES
                 ):
                     # Sync-graph delays count *iterations* between the #0
                     # invocations, while the bound counts *messages*: with
@@ -951,7 +951,7 @@ class SpiSystem:
             return tuple(
                 (
                     tuple(m.payload_bytes for m in ch.arrived),
-                    ch.flow._credits if ch.flow.uses_credits else -1,
+                    ch.flow.credits if ch.flow.uses_credits else -1,
                     ch.recv_buffer.occupancy_bytes,
                 )
                 for _name, ch in sorted_channels
@@ -1089,15 +1089,14 @@ class SpiSystem:
         import hashlib
         import json
 
-        spec = self.config.link_spec
         payload = json.dumps(
             {
                 "analysis": self._analysis_key,
                 "transport": self.config.transport,
-                "bus_arbitration_cycles": self.config.bus_arbitration_cycles,
-                "setup_cycles": spec.setup_cycles,
-                "word_bytes": spec.word_bytes,
-                "cycles_per_word": spec.cycles_per_word,
+                "bus_arbitration_cycles": BUS_ARBITRATION_CYCLES,
+                "setup_cycles": LINK_SPEC.setup_cycles,
+                "word_bytes": LINK_SPEC.word_bytes,
+                "cycles_per_word": LINK_SPEC.cycles_per_word,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -1129,14 +1128,14 @@ class SpiSystem:
         if self.config.transport == "shared_bus":
             return SharedBusTransport(
                 sim,
-                spec=self.config.link_spec,
-                arbitration_cycles=self.config.bus_arbitration_cycles,
+                spec=LINK_SPEC,
+                arbitration_cycles=BUS_ARBITRATION_CYCLES,
                 observer=observer,
             )
         return OrderedBusTransport(
             sim,
             order=self.transaction_order(),
-            spec=self.config.link_spec,
+            spec=LINK_SPEC,
             observer=observer,
         )
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.apps.lpc.fft import (
     fft,
     fft_cycles,
-    ifft,
     is_power_of_two,
     power_spectrum,
 )
@@ -40,11 +39,6 @@ class TestFft:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             fft(np.zeros(12))
-
-    def test_ifft_roundtrip(self):
-        rng = np.random.RandomState(1)
-        x = rng.randn(128) + 1j * rng.randn(128)
-        assert np.allclose(ifft(fft(x)), x, atol=1e-9)
 
     @given(
         st.lists(

@@ -119,51 +119,6 @@ class TestOptimality:
         assert kraft == pytest.approx(1.0)
 
 
-class TestBitPacking:
-    def test_roundtrip(self):
-        from repro.apps.lpc.huffman import pack_bits, unpack_bits
-
-        for bits in ("", "1", "10110", "0" * 8, "1" * 17, "01" * 100):
-            assert unpack_bits(pack_bits(bits)) == bits
-
-    def test_packed_size(self):
-        from repro.apps.lpc.huffman import pack_bits
-
-        assert len(pack_bits("1" * 16)) == 4 + 2
-        assert len(pack_bits("1" * 17)) == 4 + 3
-
-    def test_invalid_bits_rejected(self):
-        from repro.apps.lpc.huffman import pack_bits
-
-        with pytest.raises(ValueError):
-            pack_bits("10x")
-
-    def test_truncated_stream_rejected(self):
-        from repro.apps.lpc.huffman import pack_bits, unpack_bits
-
-        packed = pack_bits("1" * 64)
-        with pytest.raises(ValueError, match="truncated"):
-            unpack_bits(packed[:-2])
-        with pytest.raises(ValueError, match="length prefix"):
-            unpack_bits(b"\x00")
-
-    @given(st.text(alphabet="01", max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_roundtrip_property(self, bits):
-        from repro.apps.lpc.huffman import pack_bits, unpack_bits
-
-        assert unpack_bits(pack_bits(bits)) == bits
-
-    def test_end_to_end_with_code(self):
-        """symbols -> Huffman bits -> bytes -> bits -> symbols."""
-        from repro.apps.lpc.huffman import pack_bits, unpack_bits
-
-        code = build_huffman_code({"a": 9, "b": 3, "c": 1})
-        message = list("abacabacba")
-        wire = pack_bits(code.encode(message))
-        assert code.decode(unpack_bits(wire)) == message
-
-
 class TestCycleModel:
     def test_linear_in_samples(self):
         assert huffman_cycles(200) - huffman_cycles(100) == 200

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.apps.particle_filter.resampling import (
     _float64_sum,
     allocate_targets,
-    local_resample,
-    multinomial_resample,
     multiplicities,
     plan_exchanges,
     systematic_resample,
@@ -66,18 +64,6 @@ class TestSystematicResample:
         for i, w in enumerate(weights):
             share = count * w / total
             assert share - 1 - tolerance <= counts[i] <= share + 1 + tolerance
-
-
-class TestMultinomial:
-    def test_count(self):
-        rng = np.random.RandomState(0)
-        indices = multinomial_resample([1, 1, 1], 30, rng)
-        assert indices.shape == (30,)
-
-    def test_concentrates_on_heavy_particle(self):
-        rng = np.random.RandomState(1)
-        indices = multinomial_resample([0.001, 1000.0], 100, rng)
-        assert multiplicities(indices, 2)[1] > 95
 
 
 class TestAllocateTargets:
@@ -158,18 +144,6 @@ class TestPlanExchanges:
             received = sum(row[pe] for row in plan.flows)
             assert plan.kept[pe] + received == capacity
             assert plan.kept[pe] + sum(plan.flows[pe]) == targets[pe]
-
-
-class TestLocalResample:
-    def test_replicates_heavy_particles(self):
-        particles = np.array([1.0, 2.0])
-        weights = np.array([0.0, 1.0])
-        replicas = local_resample(particles, weights, target=5, offset=0.5)
-        assert np.all(replicas == 2.0)
-
-    def test_target_zero(self):
-        replicas = local_resample(np.array([1.0]), np.array([1.0]), 0, 0.0)
-        assert replicas.shape == (0,)
 
 
 # -- exactness against the numpy-array references ---------------------------
@@ -388,10 +362,6 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="weights must be finite") as info:
             systematic_resample([1.0, bad], 4, 0.5)
         assert f"got {bad!r} at index 1" in str(info.value)
-
-    def test_local_resample(self):
-        with pytest.raises(ValueError, match="weights must be finite"):
-            local_resample(np.array([1.0, 2.0]), np.array([np.nan, 1.0]), 2, 0.5)
 
     def test_zero_count_still_skips_validation(self):
         assert systematic_resample([float("nan")], 0, 0.5).shape == (0,)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.conformance import CampaignConfig, replay_seed, run_campaign
+from repro.conformance import CampaignConfig, run_campaign
 from repro.observability.bench import BENCH_SCHEMA
 
 
@@ -53,7 +53,10 @@ class TestReplay:
         campaign = run_campaign(
             CampaignConfig(seeds=3, seed_start=5, quick=True)
         )
-        replayed = replay_seed(6, CampaignConfig(seeds=1, quick=True))
+        # what ``repro conform --replay 6`` runs
+        replayed = run_campaign(
+            CampaignConfig(seeds=1, seed_start=6, quick=True)
+        )
         campaign_case = next(
             case for case in campaign["cases"] if case["seed"] == 6
         )

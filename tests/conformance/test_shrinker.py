@@ -1,18 +1,13 @@
-"""Shrinker tests: minimisation, replay artefacts, pytest repro."""
-
-import pytest
+"""Shrinker tests: minimisation and the pytest repro."""
 
 from repro.conformance import (
     build_case,
     generate_spec,
-    load_replay_file,
     oracle_failure_predicate,
     render_pytest_repro,
     run_oracle_stack,
     shrink,
-    write_replay_file,
 )
-from repro.conformance.spec import SpecError
 
 
 def _mutated_bound(plan):
@@ -74,17 +69,6 @@ class TestCandidateSafety:
 
 
 class TestArtefacts:
-    def test_replay_file_roundtrip(self, tmp_path):
-        spec = generate_spec(7)
-        path = write_replay_file(spec, tmp_path / "replay_7.json")
-        assert load_replay_file(path) == spec
-
-    def test_replay_file_rejects_other_schemas(self, tmp_path):
-        target = tmp_path / "bogus.json"
-        target.write_text('{"schema": "other/1"}')
-        with pytest.raises(SpecError, match="replay"):
-            load_replay_file(target)
-
     def test_pytest_repro_is_executable_source(self):
         spec = generate_spec(3)
         source = render_pytest_repro(spec, "occupancy")

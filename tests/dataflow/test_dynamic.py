@@ -14,22 +14,8 @@ class TestDynamicRate:
         with pytest.raises(ValueError):
             DynamicRate(5, minimum=-1)
 
-    def test_admits(self):
-        rate = DynamicRate(8, minimum=2)
-        assert rate.admits(2)
-        assert rate.admits(8)
-        assert not rate.admits(1)
-        assert not rate.admits(9)
-
     def test_zero_minimum_allowed_explicitly(self):
-        rate = DynamicRate(4, minimum=0)
-        assert rate.admits(0)
-
-    def test_clamp(self):
-        rate = DynamicRate(8, minimum=2)
-        assert rate.clamp(1) == 2
-        assert rate.clamp(100) == 8
-        assert rate.clamp(5) == 5
+        assert DynamicRate(4, minimum=0).minimum == 0
 
     def test_frozen(self):
         rate = DynamicRate(3)

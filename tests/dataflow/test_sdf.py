@@ -10,9 +10,7 @@ from repro.dataflow import (
     InconsistentGraphError,
     SdfError,
     build_pass,
-    is_consistent,
     repetitions_vector,
-    total_firings_per_iteration,
 )
 
 
@@ -43,7 +41,6 @@ class TestRepetitionsVector:
         graph.connect((a, "o2"), (b, "i2"))
         with pytest.raises(InconsistentGraphError):
             repetitions_vector(graph)
-        assert not is_consistent(graph)
 
     def test_disconnected_components_each_minimal(self):
         graph = DataflowGraph("two")
@@ -84,9 +81,6 @@ class TestRepetitionsVector:
     def test_empty_graph_rejected(self):
         with pytest.raises(SdfError, match="empty"):
             repetitions_vector(DataflowGraph())
-
-    def test_total_firings(self, multirate_graph):
-        assert total_firings_per_iteration(multirate_graph) == 6
 
     @given(p=st.integers(1, 12), c=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)

@@ -72,10 +72,10 @@ from repro.dataflow.hsdf import hsdf_expand
 from repro.mapping import (
     Partition,
     maximum_cycle_mean_result,
-    remove_redundant_synchronizations,
     resynchronize,
     simulate_selftimed,
 )
+from repro.mapping.resync import SyncGraphSnapshot
 from repro.mpi.baseline import MpiSystem
 from repro.observability import chrome_trace
 from repro.platform.simulator import PESequencer, Simulator
@@ -522,7 +522,7 @@ def _random_record(suite: str, graph) -> Dict:
         entry["selftimed"] = _selftimed_digest(graph)
         return entry
     if suite == "prune":
-        _, removed = remove_redundant_synchronizations(graph)
+        _, removed, _ = SyncGraphSnapshot(graph).prune()
         return {"removed": _edges(removed)}
     result = resynchronize(graph)
     return {

@@ -5,8 +5,7 @@ the self-timed simulation, exactness on the deadlock / acyclic /
 parallel-edge / self-loop corners, the all-pairs min-delay matrix and
 its single-edge insertion/removal repair against full recomputation, the memoized ``min_delay_paths``
 invalidation rules, deterministic topological ordering, the closed-form
-HSDF expansion against the per-token definition, and the
-branch-and-bound exhaustive partitioner.  Value-level regressions of the
+HSDF expansion against the per-token definition.  Value-level regressions of the
 whole stack are pinned by ``tests/golden``.
 """
 
@@ -24,7 +23,6 @@ from repro.dataflow import hsdf as hsdf_module
 from repro.dataflow.hsdf import hsdf_expand
 from repro.mapping import (
     EdgeKind,
-    Partition,
     TimedEdge,
     TimedGraph,
     TimedVertex,
@@ -410,36 +408,3 @@ class TestClosedFormHsdf:
         )
         slow = [self._shape(hsdf_expand(graph)) for graph in graphs]
         assert fast == slow
-
-
-class TestExhaustiveBranchAndBound:
-    def _graph(self, rng, n):
-        graph = DataflowGraph("bb")
-        actors = [graph.actor(f"A{i}", cycles=rng.randint(1, 9)) for i in range(n)]
-        for i in range(n - 1):
-            out = actors[i].add_output(f"o{i}", rate=1)
-            inp = actors[i + 1].add_input(f"i{i}", rate=1)
-            graph.connect(out, inp, delay=0)
-        out = actors[-1].add_output("fb_o", rate=1)
-        inp = actors[0].add_input("fb_i", rate=1)
-        graph.connect(out, inp, delay=n)
-        return graph
-
-    def test_pruned_search_matches_unpruned(self):
-        from repro.mapping.ipc_graph import build_ipc_graph
-        from repro.mapping.mcm import maximum_cycle_mean as mcm
-        from repro.mapping.selftimed import build_selftimed_schedule
-
-        def reference_cost(candidate):
-            schedule = build_selftimed_schedule(candidate.graph, candidate)
-            ipc = build_ipc_graph(schedule)
-            return mcm(ipc) + 2.0 * len(candidate.interprocessor_edges())
-
-        rng = random.Random(41)
-        for n in (3, 4, 5):
-            graph = self._graph(rng, n)
-            pruned = Partition.exhaustive(graph, 2)
-            # passing the same cost explicitly disables pruning, so this
-            # walks every candidate exactly like the legacy product loop
-            unpruned = Partition.exhaustive(graph, 2, cost=reference_cost)
-            assert pruned.assignment == unpruned.assignment

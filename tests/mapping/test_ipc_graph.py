@@ -43,13 +43,6 @@ class TestConstruction:
         crossing = {(e.src, e.snk) for e in ipc.edges_of_kind(EdgeKind.IPC)}
         assert crossing == {("A", "B"), ("B", "C")}
 
-    def test_ipc_edge_carries_payload_bytes(self, chain_graph, two_pe_partition):
-        ipc = build_ipc_graph(
-            build_selftimed_schedule(chain_graph, two_pe_partition)
-        )
-        for edge in ipc.edges_of_kind(EdgeKind.IPC):
-            assert edge.payload_bytes == 4  # rate 1 x 4-byte tokens
-
     def test_single_pe_has_no_ipc_edges(self, chain_graph):
         ipc = ipc_of(chain_graph, {"A": 0, "B": 0, "C": 0})
         assert not ipc.edges_of_kind(EdgeKind.IPC)

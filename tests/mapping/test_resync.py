@@ -21,7 +21,6 @@ from repro.mapping import (
     TimedVertex,
     maximum_cycle_mean,
     maximum_cycle_mean_result,
-    remove_redundant_synchronizations,
     resynchronize,
 )
 from repro.mapping.resync import SyncGraphSnapshot
@@ -59,7 +58,7 @@ def fan_graph(n_targets=3):
 class TestRemoveRedundant:
     def test_fan_collapses_to_head_sync(self):
         graph = fan_graph(3)
-        pruned, removed = remove_redundant_synchronizations(graph)
+        pruned, removed, _ = SyncGraphSnapshot(graph).prune()
         # syncs to t1 and t2 are implied by the sync to t0 + intra chain
         assert len(removed) == 2
         survivors = {
@@ -75,20 +74,20 @@ class TestRemoveRedundant:
         graph.add_vertex(TimedVertex("b", 1, 1))
         graph.add_edge(TimedEdge("a", "b", delay=0, kind=EdgeKind.SYNC))
         graph.add_edge(TimedEdge("a", "b", delay=0, kind=EdgeKind.SYNC))
-        pruned, removed = remove_redundant_synchronizations(graph)
+        pruned, removed, _ = SyncGraphSnapshot(graph).prune()
         assert len(removed) == 1
         assert len(pruned.edges) == 1
 
     def test_intra_edges_never_removed(self):
         graph = fan_graph(3)
-        pruned, _ = remove_redundant_synchronizations(graph)
+        pruned, _, _ = SyncGraphSnapshot(graph).prune()
         intra = pruned.edges_of_kind(EdgeKind.INTRA)
         assert len(intra) == 2
 
     def test_semantics_preserved(self):
         """Every removed constraint stays implied by the pruned graph."""
         graph = fan_graph(4)
-        pruned, removed = remove_redundant_synchronizations(graph)
+        pruned, removed, _ = SyncGraphSnapshot(graph).prune()
         rho = pruned.min_delay_paths()
         for edge in removed:
             assert rho[edge.src].get(edge.snk, edge.delay + 1) <= edge.delay
@@ -130,7 +129,7 @@ class TestResynchronize:
             TimedEdge("recv", "send", delay=4, kind=EdgeKind.ACK)
         )
         assert is_redundant(graph, ack)
-        pruned, removed = remove_redundant_synchronizations(graph)
+        pruned, removed, _ = SyncGraphSnapshot(graph).prune()
         assert ack in removed
         assert not pruned.edges_of_kind(EdgeKind.ACK)
 
@@ -200,7 +199,7 @@ def check_rounds_against_definition(graph):
     many candidates with a path ``v -> u`` did and did not raise the
     MCM."""
     current = reference_prune(graph)
-    fast, _ = remove_redundant_synchronizations(graph)
+    fast, _, _ = SyncGraphSnapshot(graph).prune()
     assert edge_keys(fast.edges) == edge_keys(current.edges)
     threshold = maximum_cycle_mean(graph) * (1 + 1e-6) + 1e-6
     verdicts = {True: 0, False: 0}
@@ -385,7 +384,7 @@ def unscreened_search(graph, tight):
     each trial's removal count against the round's removal bound;
     ``tight[True]`` counts trials that meet the bound exactly.  Returns
     the final graph."""
-    current, _ = remove_redundant_synchronizations(graph)
+    current, _, _ = SyncGraphSnapshot(graph).prune()
     if len(graph) > 24 or current.has_zero_delay_cycle():
         return current
     threshold = maximum_cycle_mean(graph) * (1 + 1e-6) + 1e-6
@@ -424,7 +423,7 @@ class TestRemovalScreen:
         """The MCM of the pruned graph serves as ``mcm_before``, and the
         result carries the exact MCM of its own graph."""
         for graph in graph_suite(suite):
-            pruned, _ = remove_redundant_synchronizations(graph)
+            pruned, _, _ = SyncGraphSnapshot(graph).prune()
             before = maximum_cycle_mean_result(graph).value
             assert maximum_cycle_mean_result(pruned).value == before
             result = resynchronize(graph)

@@ -13,10 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapping.mcm import maximum_cycle_mean
-from repro.mapping.resync import (
-    remove_redundant_synchronizations,
-    resynchronize,
-)
+from repro.mapping.resync import SyncGraphSnapshot, resynchronize
 from repro.mapping.sync_graph import SynchronizationGraph
 from repro.mapping.timed_graph import EdgeKind, TimedEdge, TimedVertex
 
@@ -78,7 +75,7 @@ class TestPruneSoundness:
     @given(graph=sync_graphs())
     @settings(max_examples=60, deadline=None)
     def test_removed_edges_are_covered_by_remaining_paths(self, graph):
-        pruned, removed = remove_redundant_synchronizations(graph)
+        pruned, removed, _ = SyncGraphSnapshot(graph).prune()
         table = pruned.min_delay_paths()
         for edge in removed:
             assert edge.kind in EdgeKind.SYNCHRONIZING
@@ -92,8 +89,8 @@ class TestPruneSoundness:
     @given(graph=sync_graphs())
     @settings(max_examples=40, deadline=None)
     def test_prune_is_a_fixpoint(self, graph):
-        pruned, _ = remove_redundant_synchronizations(graph)
-        again, removed_again = remove_redundant_synchronizations(pruned)
+        pruned, _, _ = SyncGraphSnapshot(graph).prune()
+        again, removed_again, _ = SyncGraphSnapshot(pruned).prune()
         assert removed_again == []
         assert again.sync_cost() == pruned.sync_cost()
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mpi import MpiConfig, MpiSystem, mpi_engine_cost
+from repro.mpi.baseline import ENVELOPE_BYTES
 from repro.platform import SimulationDeadlock
 from repro.spi import SpiSystem
 from tests.conftest import build_payload_pipeline as pipeline
@@ -43,9 +44,8 @@ class TestRun:
 
     def test_envelope_overhead_counted(self):
         graph, partition = pipeline()
-        config = MpiConfig()
-        result = MpiSystem.compile(graph, partition, config).run(iterations=4)
-        assert result.header_bytes == 8 * config.envelope_bytes
+        result = MpiSystem.compile(graph, partition).run(iterations=4)
+        assert result.header_bytes == 8 * ENVELOPE_BYTES
 
     def test_mpi_slower_than_spi_small_messages(self):
         """The headline claim: SPI's specialisation beats the generic

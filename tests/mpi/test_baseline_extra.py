@@ -114,12 +114,3 @@ class TestFairness:
         graph, partition = build(mpi_out)
         MpiSystem.compile(graph, partition).run(iterations=6)
         assert spi_out == mpi_out == [0, 1, 4, 9, 16, 25]
-
-    def test_same_platform_parameters(self):
-        """Both layers default to the same link model and clock — the
-        comparison isolates protocol overhead only."""
-        from repro.spi import SpiConfig
-
-        spi, mpi = SpiConfig(), MpiConfig()
-        assert spi.link_spec == mpi.link_spec
-        assert spi.clock == mpi.clock

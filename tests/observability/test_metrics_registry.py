@@ -30,23 +30,6 @@ class TestCounter:
         )
 
 
-class TestGauge:
-    def test_tracks_high_water(self):
-        gauge = MetricsRegistry().gauge("occupancy")
-        gauge.set(3)
-        gauge.set(7)
-        gauge.set(2)
-        assert gauge.value == 2
-        assert gauge.high_water == 7
-
-    def test_add(self):
-        gauge = MetricsRegistry().gauge("level")
-        gauge.add(5)
-        gauge.add(-2)
-        assert gauge.value == 3
-        assert gauge.high_water == 5
-
-
 class TestHistogram:
     def test_summary_statistics(self):
         histogram = MetricsRegistry().histogram("delay")
@@ -66,15 +49,13 @@ class TestRegistryExport:
     def test_as_dict_schema(self):
         registry = MetricsRegistry()
         registry.counter("messages", channel="e0").inc(2)
-        registry.gauge("occupancy").set(1)
         registry.histogram("delay").observe(9)
         document = registry.as_dict()
         assert document["schema"] == METRICS_SCHEMA
-        assert len(document["metrics"]) == 3
+        assert len(document["metrics"]) == 2
         by_name = {m["name"]: m for m in document["metrics"]}
         assert by_name["messages"]["value"] == 2
         assert by_name["messages"]["labels"] == {"channel": "e0"}
-        assert by_name["occupancy"]["high_water"] == 1
         assert by_name["delay"]["mean"] == 9.0
 
     def test_len_and_iter(self):

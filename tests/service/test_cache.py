@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from repro.dataflow import DataflowGraph
-from repro.mapping import McmResult, Partition
+from repro.mapping import EdgeKind, McmResult, Partition, TimedEdge
 from repro.service import AnalysisCache, analysis_key, graph_fingerprint
-from repro.service.cache import structure_key
+from repro.service.cache import _decode_edge, _encode_edge, structure_key
 from repro.spi import SpiConfig, SpiSystem
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -295,6 +295,13 @@ class TestDiskTier:
         result = cache.mcm(key, lambda: pytest.fail("must hit the cache"))
         assert result.value == 4.0
         assert result.cycle == ()
+
+    def test_edge_entry_with_payload_bytes_still_decodes(self):
+        # Entries written while timed edges carried a payload size.
+        edge = TimedEdge("A", "B", 1, EdgeKind.IPC, origin_edge="A.o->B.i")
+        raw = {**_encode_edge(edge), "payload_bytes": 4}
+        assert _decode_edge(raw) == edge
+        assert _decode_edge(_encode_edge(edge)) == edge
 
     def test_none_key_bypasses_cache(self):
         cache = AnalysisCache()

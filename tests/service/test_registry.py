@@ -87,6 +87,13 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="missing required"):
             run_operation("conform.seed", {})
 
+    @pytest.mark.parametrize("name", ["simulate.app", "ablate.resync"])
+    def test_single_pe_chain_rejected_at_validation(self, name):
+        spec = get_operation(name).spec
+        with pytest.raises(RegistryError, match="at least 2 PEs"):
+            spec.validate({"app": "chain", "pes": 1})
+        assert spec.validate({"app": "chain", "pes": 2})["pes"] == 2
+
     def test_run_operation_executes(self):
         result = run_operation(
             "simulate.app",

@@ -44,11 +44,10 @@ class TestHeaders:
 
     def test_dynamic_beats_mpi_envelope(self):
         """Both SPI headers are smaller than a 6-word MPI envelope."""
-        from repro.mpi import MpiConfig
+        from repro.mpi.baseline import ENVELOPE_BYTES
 
-        envelope = MpiConfig().envelope_bytes
-        assert DYNAMIC_HEADER_BYTES < envelope
-        assert STATIC_HEADER_BYTES < envelope
+        assert DYNAMIC_HEADER_BYTES < ENVELOPE_BYTES
+        assert STATIC_HEADER_BYTES < ENVELOPE_BYTES
 
 
 class TestValidation:

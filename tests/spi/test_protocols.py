@@ -27,7 +27,7 @@ class TestBbsFlow:
         for _ in range(100):
             assert flow.can_send_n(1)
             flow.on_send()
-        assert flow.credits is None
+        assert not flow.uses_credits
         assert flow.sends == 100
 
 
@@ -74,4 +74,4 @@ class TestUbsFlow:
         for _ in range(10):
             assert flow.can_send_n(1)
             flow.on_send()
-        assert flow.credits is None
+        assert not flow.uses_credits

@@ -223,3 +223,57 @@ class TestVtsIntegration:
         assert result.header_bytes == 6 * 8
         # payload: sizes cycle 1,2,3 raw tokens x 2 bytes
         assert result.payload_bytes == (1 + 2 + 3) * 2 * 2
+
+
+def fork_graph():
+    """src feeding two heavy parallel branches joined by a sink."""
+    graph = DataflowGraph("fork")
+    src = graph.actor("src", cycles=10)
+    left = graph.actor("left", cycles=400)
+    right = graph.actor("right", cycles=400)
+    sink = graph.actor("sink", cycles=10)
+    src.add_output("l")
+    src.add_output("r")
+    left.add_input("i")
+    left.add_output("o")
+    right.add_input("i")
+    right.add_output("o")
+    sink.add_input("l")
+    sink.add_input("r")
+    graph.connect((src, "l"), (left, "i"))
+    graph.connect((src, "r"), (right, "i"))
+    graph.connect((left, "o"), (sink, "l"))
+    graph.connect((right, "o"), (sink, "r"))
+    return graph
+
+
+class TestDescribe:
+    def test_report_contents(self):
+        graph = fork_graph()
+        partition = Partition.manual(
+            graph, {"src": 0, "left": 0, "right": 1, "sink": 0}
+        )
+        system = SpiSystem.compile(graph, partition)
+        report = system.describe()
+        assert "SPI system" in report
+        assert "self-timed schedule" in report
+        assert "PE0:" in report and "PE1:" in report
+        assert "SPI_static" in report or "none" in report
+        assert "MCM bound" in report
+
+    def test_single_pe_report(self):
+        graph = fork_graph()
+        system = SpiSystem.compile(graph, Partition.single_processor(graph))
+        assert "none (single PE)" in system.describe()
+
+    def test_vts_noted(self):
+        graph = DataflowGraph("dyn")
+        a = graph.actor("A", cycles=1)
+        b = graph.actor("B", cycles=1)
+        a.add_output("o", rate=DynamicRate(3))
+        b.add_input("i", rate=DynamicRate(3))
+        graph.connect((a, "o"), (b, "i"))
+        system = SpiSystem.compile(graph, Partition(graph, 2, {"A": 0, "B": 1}))
+        report = system.describe()
+        assert "VTS conversion" in report
+        assert "SPI_dynamic" in report

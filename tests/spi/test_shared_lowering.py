@@ -34,7 +34,7 @@ SEEDS = list(range(1, 13)) + [25, 28]
 
 def _edges(edges):
     return [
-        (e.src, e.snk, e.delay, e.kind, e.payload_bytes, e.origin_edge)
+        (e.src, e.snk, e.delay, e.kind, e.origin_edge)
         for e in edges
     ]
 

@@ -141,6 +141,13 @@ class TestRunErrorPaths:
         assert main(["run", "--app", "chain", "--pes", "-3"]) == 2
         assert "--pes" in capsys.readouterr().err
 
+    def test_single_pe_chain_is_a_validation_error(self, capsys):
+        assert main(["run", "--app", "chain", "--pes", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "at least 2 PEs" in captured.err
+        assert captured.out == ""
+
     def test_bad_transport_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--app", "lpc", "--transport", "pigeon"])

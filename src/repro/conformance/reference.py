@@ -65,7 +65,7 @@ def run_reference(
     for _ in range(iterations):
         for actor in schedule:
             index = firing_counts[actor.name]
-            # Pop per member edge (a gather/reduce sink port has several
+            # Pop per member edge (a gather sink port has several
             # in-edges); assemble per port via the owning connection.
             branch_pops: Dict[str, List[tuple]] = {}
             for edge in graph.in_edges(actor):
@@ -83,20 +83,14 @@ def run_reference(
             consumed: Dict[str, list] = {}
             for port_name, branches in branch_pops.items():
                 branches.sort(key=lambda item: item[0])
-                connection = branches[0][1]
-                if connection is None or len(branches) == 1 and (
-                    connection.kind != connection.REDUCE
-                ):
+                if len(branches) == 1:
                     consumed[port_name] = branches[0][2]
                 else:
-                    consumed[port_name] = connection.assemble(
+                    consumed[port_name] = branches[0][1].assemble(
                         [values for _, _, values in branches]
                     )
             produced = actor.fire(index, consumed)
             for edge in graph.out_edges(actor):
-                tokens = produced[edge.source.name]
-                if edge.connection is not None:
-                    tokens = edge.connection.produced_tokens(edge, tokens)
-                fifos[edge.edge_id].extend(tokens)
+                fifos[edge.edge_id].extend(produced[edge.source.name])
             firing_counts[actor.name] = index + 1
     return case.tap.streams(label)

@@ -16,9 +16,9 @@ Bhattacharyya's *Embedded Multiprocessors* book, which the paper builds on:
   to one input port, optionally carrying ``delay`` initial tokens;
 * a **connection** generalises the edge to a hyperedge (after
   Liu/Barford/Bhattacharyya's generalized graph connections): a
-  point-to-point FIFO is the degenerate one-branch case, while
-  broadcast/scatter fan one producer port out to k consumer ports and
-  gather/reduce fan k producer ports into one consumer port.  Every
+  point-to-point FIFO is the degenerate one-branch case, while a
+  broadcast fans one producer port out to k consumer ports and a gather
+  fans k producer ports into one consumer port.  Every
   connection *lowers* to one member :class:`Edge` per branch, so all
   edge-based analyses (repetitions vector, PASS, HSDF, IPC graph) keep
   working unchanged — they only need to read the per-branch
@@ -317,17 +317,13 @@ class Edge:
         #: connection) and this edge's position among its branches
         self.connection: Optional["Connection"] = None
         self.branch_index: int = 0
-        #: scatter/gather chunk sizes: a scatter branch produces fewer
-        #: tokens than its (shared) source port rate, a gather branch
-        #: consumes fewer than its (shared) sink port rate
-        self.prod_rate_override: Optional[int] = None
+        #: gather chunk size: a gather branch consumes fewer tokens
+        #: than its (shared) sink port rate
         self.cons_rate_override: Optional[int] = None
 
     @property
     def prod_rate(self) -> "Rate":
         """Tokens produced on this edge per source-actor firing."""
-        if self.prod_rate_override is not None:
-            return self.prod_rate_override
         return self.source.rate
 
     @property
@@ -408,25 +404,6 @@ def concat_blocks(blocks: Sequence[Sequence]) -> Sequence:
     return tokens
 
 
-def _elementwise_add(branches: List[list]) -> list:
-    """Default reduce combine: position-wise sum, tolerating ``None``.
-
-    Structural actors circulate ``None`` placeholder tokens; a reduce
-    over placeholders must stay a placeholder rather than crash.
-    """
-    out = []
-    for values in zip(*branches):
-        concrete = [v for v in values if v is not None]
-        if not concrete:
-            out.append(None)
-            continue
-        acc = concrete[0]
-        for value in concrete[1:]:
-            acc = acc + value
-        out.append(acc)
-    return out
-
-
 class Connection:
     """A (hyper)edge owning one member :class:`Edge` per branch.
 
@@ -439,20 +416,11 @@ class Connection:
         One producer port, k consumer ports; every consumer receives a
         full copy of the produced tokens (branch rates are the natural
         port rates; only the wire lowering is shared).
-    ``scatter``
-        One producer port, k consumer ports; the produced tokens are
-        split into per-branch ``chunks`` (default: even split) in branch
-        order, so branch i carries ``chunks[i]`` tokens per firing
-        (``Edge.prod_rate_override``).
     ``gather``
         k producer ports, one consumer port; the consumer pops
         ``chunks[i]`` tokens from branch i per firing (default: even
         split; ``Edge.cons_rate_override``) and sees the concatenation
         in branch order.
-    ``reduce``
-        k producer ports, one consumer port; every branch carries the
-        full consumer rate and the consumer sees the element-wise
-        combination (``combine``, default: position-wise ``+``).
 
     A connection is *collective* only when it is non-FIFO **and** has
     more than one branch — a 1-consumer broadcast or 1-producer gather
@@ -461,10 +429,8 @@ class Connection:
 
     FIFO = "fifo"
     BROADCAST = "broadcast"
-    SCATTER = "scatter"
     GATHER = "gather"
-    REDUCE = "reduce"
-    KINDS = (FIFO, BROADCAST, SCATTER, GATHER, REDUCE)
+    KINDS = (FIFO, BROADCAST, GATHER)
 
     _ids = itertools.count()
 
@@ -474,7 +440,6 @@ class Connection:
         edges: List[Edge],
         name: Optional[str] = None,
         chunks: Optional[List[int]] = None,
-        combine: Optional[Callable[[List[list]], list]] = None,
     ) -> None:
         if kind not in self.KINDS:
             raise GraphError(
@@ -491,7 +456,6 @@ class Connection:
         self.chunks: Optional[Tuple[int, ...]] = (
             tuple(chunks) if chunks is not None else None
         )
-        self.combine = combine
         for index, edge in enumerate(self.edges):
             edge.connection = self
             edge.branch_index = index
@@ -505,17 +469,13 @@ class Connection:
                 raise GraphError(
                     f"connection {self.name}: chunk sizes must be positive"
                 )
-            if kind == self.SCATTER:
-                for edge, chunk in zip(self.edges, self.chunks):
-                    edge.prod_rate_override = chunk
-            elif kind == self.GATHER:
-                for edge, chunk in zip(self.edges, self.chunks):
-                    edge.cons_rate_override = chunk
-            else:
+            if kind != self.GATHER:
                 raise GraphError(
                     f"connection {self.name}: chunks only apply to "
-                    f"scatter/gather, not {kind!r}"
+                    f"gather, not {kind!r}"
                 )
+            for edge, chunk in zip(self.edges, self.chunks):
+                edge.cons_rate_override = chunk
 
     @property
     def is_collective(self) -> bool:
@@ -526,41 +486,24 @@ class Connection:
     def fan_out(self) -> int:
         return len(self.edges)
 
-    def branch_span(self, branch_index: int) -> Tuple[int, int]:
-        """(start, stop) slice of the produced tokens for a scatter branch."""
-        if self.kind != self.SCATTER:
-            raise GraphError(
-                f"connection {self.name}: branch_span only applies to scatter"
-            )
-        chunks = self.chunks or tuple(
-            e.prod_rate_override or 0 for e in self.edges
-        )
-        start = sum(chunks[:branch_index])
-        return start, start + chunks[branch_index]
-
     def produced_tokens(self, edge: Edge, tokens: Sequence) -> Sequence:
-        """The portion of one firing's output carried by member ``edge``.
+        """The portion of one firing's output carried by member ``edge``:
+        all of it (every kind carries the whole output on each branch).
 
-        An ndarray block stays an ndarray (a slice for a scatter branch);
-        any other sequence comes back as a new list.
+        An ndarray block stays an ndarray; any other sequence comes back
+        as a new list.
         """
-        if self.kind == self.SCATTER:
-            start, stop = self.branch_span(edge.branch_index)
-            tokens = tokens[start:stop]
         return _block(tokens)
 
     def assemble(self, branch_values: List[Sequence]) -> Sequence:
         """Combine per-branch consumed tokens (branch order) for the sink.
 
         ``gather`` concatenates (ndarray blocks of one dtype and token
-        shape into one ndarray), ``reduce`` applies ``combine``; a
-        single branch passes through unchanged for every other kind.
+        shape into one ndarray); a single branch passes through
+        unchanged for every other kind.
         """
         if self.kind == self.GATHER:
             return concat_blocks(branch_values)
-        if self.kind == self.REDUCE:
-            combine = self.combine or _elementwise_add
-            return list(combine(branch_values))
         if len(branch_values) != 1:
             raise GraphError(
                 f"connection {self.name} ({self.kind}): cannot assemble "
@@ -694,7 +637,6 @@ class DataflowGraph:
         delays: Optional[List[int]],
         name: Optional[str],
         chunks: Optional[List[int]] = None,
-        combine: Optional[Callable[[List[list]], list]] = None,
     ) -> Connection:
         branches = max(len(sources), len(sinks))
         if branches < 1:
@@ -702,7 +644,7 @@ class DataflowGraph:
         # Orientation follows the kind, not the branch count — a
         # single-branch gather still fans *in* (its shared port is the
         # sink, and the chunk belongs to the one producer).
-        fan_in = kind in (Connection.GATHER, Connection.REDUCE)
+        fan_in = kind == Connection.GATHER
         pairs = (
             [(src, sinks[0]) for src in sources]
             if fan_in
@@ -722,7 +664,7 @@ class DataflowGraph:
             raise GraphError(
                 f"{kind} connection {name or ''}: duplicate branch port"
             )
-        if chunks is None and kind in (Connection.SCATTER, Connection.GATHER):
+        if chunks is None and fan_in:
             rate = shared.rate
             if rate % branches:
                 raise GraphError(
@@ -753,9 +695,7 @@ class DataflowGraph:
             )
             for index, ((src, snk), delay) in enumerate(zip(pairs, delays))
         ]
-        connection = Connection(
-            kind, edges, name=name, chunks=chunks, combine=combine
-        )
+        connection = Connection(kind, edges, name=name, chunks=chunks)
         for edge in edges:
             self._add_edge(edge)
         self._connections.append(connection)
@@ -775,21 +715,6 @@ class DataflowGraph:
             Connection.BROADCAST, [src], snks, delays, name
         )
 
-    def add_scatter(
-        self,
-        source: Union[Port, Tuple[Actor, str]],
-        sinks: List[Union[Port, Tuple[Actor, str]]],
-        chunks: Optional[List[int]] = None,
-        delays: Optional[List[int]] = None,
-        name: Optional[str] = None,
-    ) -> Connection:
-        """One producer port split into per-branch chunks (branch order)."""
-        src = self._resolve_port(source)
-        snks = [self._resolve_port(s) for s in sinks]
-        return self._add_collective(
-            Connection.SCATTER, [src], snks, delays, name, chunks=chunks
-        )
-
     def add_gather(
         self,
         sources: List[Union[Port, Tuple[Actor, str]]],
@@ -803,21 +728,6 @@ class DataflowGraph:
         snk = self._resolve_port(sink)
         return self._add_collective(
             Connection.GATHER, srcs, [snk], delays, name, chunks=chunks
-        )
-
-    def add_reduce(
-        self,
-        sources: List[Union[Port, Tuple[Actor, str]]],
-        sink: Union[Port, Tuple[Actor, str]],
-        combine: Optional[Callable[[List[list]], list]] = None,
-        delays: Optional[List[int]] = None,
-        name: Optional[str] = None,
-    ) -> Connection:
-        """k producer ports combined element-wise into one sink port."""
-        srcs = [self._resolve_port(s) for s in sources]
-        snk = self._resolve_port(sink)
-        return self._add_collective(
-            Connection.REDUCE, srcs, [snk], delays, name, combine=combine
         )
 
     def mark_interface(self, port: Port) -> None:
@@ -899,15 +809,7 @@ class DataflowGraph:
                     f"{edge.sink.token_bytes}B"
                 )
         for connection in self._connections:
-            if connection.kind == Connection.SCATTER:
-                total = sum(e.prod_rate for e in connection.edges)
-                rate = connection.edges[0].source.rate
-                if total != rate:
-                    raise GraphError(
-                        f"scatter {connection.name}: branch chunks sum to "
-                        f"{total}, source rate is {rate}"
-                    )
-            elif connection.kind == Connection.GATHER:
+            if connection.kind == Connection.GATHER:
                 total = sum(e.cons_rate for e in connection.edges)
                 rate = connection.edges[0].sink.rate
                 if total != rate:
@@ -996,7 +898,6 @@ class DataflowGraph:
                     members,
                     name=connection.name,
                     chunks=connection.chunks,
-                    combine=connection.combine,
                 )
             )
         for actor in self._actors.values():

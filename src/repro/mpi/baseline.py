@@ -38,7 +38,7 @@ from typing import Callable, Deque, Dict, Optional, Sequence
 from repro.dataflow.graph import DataflowGraph, Edge
 from repro.mapping.partition import Partition
 from repro.platform.fpga import ResourceVector, estimate_datapath, estimate_fifo
-from repro.platform.interconnect import Interconnect
+from repro.platform.interconnect import LINK_SPEC, Interconnect
 from repro.platform.simulator import Simulator, Waitset
 from repro.spi.actors import LocalFifo, recv_op, send_op
 from repro.spi.channel import ChannelStats
@@ -66,11 +66,10 @@ class MpiConfig:
 
     #: payload at or below this size goes eager; above, rendezvous
     eager_threshold_bytes: int = 256
-    word_bytes: int = 4
 
     def copy_cycles(self, nbytes: int) -> int:
         """Cycles to copy ``nbytes`` through the library's buffers."""
-        words = (nbytes + self.word_bytes - 1) // self.word_bytes
+        words = -(-nbytes // LINK_SPEC.word_bytes)
         return words * COPY_CYCLES_PER_WORD
 
 
@@ -234,12 +233,12 @@ class _MpiChannel:
 class _MpiWire:
     """The MPI layer's data path: every transfer on its own link.
 
-    A collective (MPI_Bcast / MPI_Scatter) is one library call serving
-    every branch.  The library still knows nothing about the dataflow
-    graph, but the collective API lets it amortize the *software* send
-    path: one argument check plus one bounce-buffer copy of the root
-    payload (one SEND op), then one eager envelope+payload injection
-    per destination.  On the wire nothing is shared — a point-to-point
+    A collective (MPI_Bcast) is one library call serving every branch.
+    The library still knows nothing about the dataflow graph, but the
+    collective API lets it amortize the *software* send path: one
+    argument check plus one bounce-buffer copy of the root payload (one
+    SEND op), then one eager envelope+payload injection per
+    destination.  On the wire nothing is shared — a point-to-point
     MPI fabric still carries one full message per rank, which is exactly
     what the SPI shared-payload transport improves on.
     """
@@ -253,7 +252,7 @@ class _MpiWire:
             self.sim, now, nbytes, deliver, ("data", key)
         )
 
-    def send_collective(self, group, src_pe, parts, now, shared) -> None:
+    def send_collective(self, group, src_pe, parts, now) -> None:
         for key, dst_pe, nbytes, deliver in parts:
             self.send(key, src_pe, dst_pe, nbytes, now, deliver)
 
@@ -296,9 +295,9 @@ class MpiSystem:
         """
         config = config or MpiConfig()
         if lowering is None:
-            lowering = lower(graph, partition, config.word_bytes)
+            lowering = lower(graph, partition)
         else:
-            lowering.check(graph, partition, config.word_bytes)
+            lowering.check(graph, partition)
         insertion = lowering.insertion
         collective_origins = {
             origin

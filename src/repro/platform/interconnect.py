@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
-__all__ = ["LinkSpec", "Link", "Interconnect"]
+__all__ = ["LinkSpec", "LINK_SPEC", "Link", "Interconnect"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class LinkSpec:
         return self.setup_cycles + words * self.cycles_per_word
 
 
+#: timing of every link, for SPI and for the MPI baseline alike
+LINK_SPEC = LinkSpec()
+
+
 class Link:
     """A point-to-point channel with serialized occupancy."""
 
@@ -64,8 +68,6 @@ class Link:
         self.dst_pe = dst_pe
         self.spec = spec
         self.busy_until = 0
-        self.bytes_carried = 0
-        self.messages_carried = 0
 
     def reserve(self, now: int, message_bytes: int) -> Tuple[int, int]:
         """Reserve the link for a message starting no earlier than ``now``.
@@ -77,8 +79,6 @@ class Link:
         start = now if now > self.busy_until else self.busy_until
         arrival = start + self.spec.transfer_cycles(message_bytes)
         self.busy_until = arrival
-        self.bytes_carried += message_bytes
-        self.messages_carried += 1
         return start, arrival
 
     def send(

@@ -305,15 +305,14 @@ class Op:
       every connected input), consumes through ``pops`` (``(port, fifo,
       rate, members, connection)``: a port with one plain member pops
       it, a collective port assembles its ``members``), computes with
-      ``actor.fire`` and produces through ``pushes`` (``(port, fifo,
-      scatter span)``).
+      ``actor.fire`` and produces through ``pushes`` (``(port, fifo)``).
     * ``SEND`` guards on its input ``fifo`` holding ``rate`` tokens and
       on the send window of every ``credited`` channel, consumes one
       message of tokens, charges every flow in ``flows`` and, at completion,
       delivers ``local`` branch fifos and sends every ``remote`` ``(ipc
       edge, channel)`` branch through ``wire``: one ``wire.send`` for a
       point-to-point send, one ``wire.send_collective`` keyed by
-      ``group`` for a collective (``shared`` for a broadcast payload).
+      ``group`` for a collective broadcast.
       A channel turns a payload into its wire bytes and delivery with
       ``channel.package(payload)``.  A ``rendezvous`` send hands the
       whole transfer to its channel at start and produces nothing at
@@ -343,7 +342,7 @@ class Op:
         "kind", "name", "index", "staged", "sync", "actor", "cycles",
         "cost", "guard", "pops", "pushes", "fifo", "rate", "flows",
         "credited", "remote", "local", "connection", "wire", "group",
-        "shared", "rendezvous", "channel", "counts", "single", "classic",
+        "rendezvous", "channel", "counts", "single", "classic",
     )
 
     def __init__(self, kind: int, name: str, **fields) -> None:
@@ -358,7 +357,7 @@ class Op:
         self.rate = 0
         self.flows = self.credited = self.remote = self.local = ()
         self.connection = self.wire = self.group = None
-        self.shared = self.rendezvous = False
+        self.rendezvous = False
         self.counts = None
         self.single = True
         self.classic = False
@@ -385,11 +384,8 @@ def _consume(op: Op) -> dict:
 def _produce(op: Op, consumed: dict) -> None:
     """Fire ``op.actor`` once on ``consumed`` and push its outputs."""
     produced = op.actor.fire(op.index, consumed)
-    for port, fifo, span in op.pushes:
-        if span is None:
-            fifo.push(produced[port])
-        else:
-            fifo.push(produced[port][span[0]:span[1]])
+    for port, fifo in op.pushes:
+        fifo.push(produced[port])
     op.index += 1
 
 
@@ -414,7 +410,7 @@ def _launch(op: Op, now: int, tokens) -> None:
             connection.produced_tokens(edge, tokens)
         )
         parts.append((channel.key, channel.dst_pe, nbytes, deliver))
-    op.wire.send_collective(op.group, remote[0][1].src_pe, parts, now, op.shared)
+    op.wire.send_collective(op.group, remote[0][1].src_pe, parts, now)
 
 
 class PESequencer:
@@ -560,11 +556,8 @@ class PESequencer:
             if op.classic:
                 produced = op.actor.fire(op.index, op.staged)
                 op.staged = None
-                for port, fifo, span in op.pushes:
-                    if span is None:
-                        fifo.push(produced[port])
-                    else:
-                        fifo.push(produced[port][span[0]:span[1]])
+                for port, fifo in op.pushes:
+                    fifo.push(produced[port])
                 op.index += 1
             else:
                 self._finish(op, now)

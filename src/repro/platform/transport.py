@@ -83,16 +83,13 @@ class _TransportStats:
     def _fan_out(
         self,
         parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
-        shared_nbytes: Optional[int],
-    ) -> Tuple[int, Callable[[], None]]:
-        """Account one collective wire transfer serving ``parts``.
-
-        ``shared_nbytes`` is the payload all branches share (broadcast),
-        or None when the branch chunks concatenate (scatter).  Returns
-        the wire bytes and the callback that delivers every branch.
+        wire_nbytes: int,
+    ) -> Callable[[], None]:
+        """Account one collective wire transfer of ``wire_nbytes``, the
+        payload every branch of ``parts`` shares.  Returns the callback
+        that delivers every branch.
         """
         logical = sum(nbytes for _, _, nbytes, _ in parts)
-        wire_nbytes = logical if shared_nbytes is None else shared_nbytes
         self.collective_messages += 1
         self.fan_out_deliveries += len(parts)
         self.wire_bytes_saved += logical - wire_nbytes
@@ -102,7 +99,7 @@ class _TransportStats:
             for deliver in delivers:
                 deliver()
 
-        return wire_nbytes, deliver_all
+        return deliver_all
 
     def _record(
         self,
@@ -174,23 +171,20 @@ class PointToPointTransport(_TransportStats):
         src_pe: int,
         parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
         now: int,
-        shared_payload: bool = True,
     ) -> None:
         """One collective firing: one wire transfer per destination PE.
 
         ``parts`` is ``[(channel_key, dst_pe, nbytes, deliver), ...]`` in
         branch order.  Branches bound for the same destination share one
-        link transfer — the full payload once for a broadcast
-        (``shared_payload``), the concatenated chunks for a scatter — and
-        the avoided bytes are credited to ``wire_bytes_saved``.
+        link transfer carrying the payload once, and the avoided bytes
+        are credited to ``wire_bytes_saved``.
         """
         by_dst: Dict[int, list] = {}
         for part in parts:
             by_dst.setdefault(part[1], []).append(part)
         for dst_pe, group in by_dst.items():
-            wire_nbytes, deliver_all = self._fan_out(
-                group, group[0][2] if shared_payload else None
-            )
+            wire_nbytes = group[0][2]
+            deliver_all = self._fan_out(group, wire_nbytes)
             link = self.interconnect.link(src_pe, dst_pe)
             start, arrival = link.reserve(now, wire_nbytes)
             self._record(
@@ -219,21 +213,18 @@ class _Bus(_TransportStats):
         src_pe: int,
         parts: Sequence[Tuple[Hashable, int, int, Callable[[], None]]],
         now: int,
-        shared_payload: bool = True,
     ) -> None:
         """One collective firing: one bus transfer for the whole fan-out.
 
         A bus is a natural broadcast medium — every consumer snoops the
         same transaction, so the payload crosses the wire once (the
-        largest branch for a shared payload, the chunk total for a
-        scatter) regardless of how many PEs listen.  On the ordered bus
-        the fan-out takes a single slot, keyed by the collective group,
-        so the grant schedule stays one entry per send firing.
+        largest branch) regardless of how many PEs listen.  On the
+        ordered bus the fan-out takes a single slot, keyed by the
+        collective group, so the grant schedule stays one entry per send
+        firing.
         """
-        wire_nbytes, deliver_all = self._fan_out(
-            parts,
-            max(nbytes for _, _, nbytes, _ in parts) if shared_payload else None,
-        )
+        wire_nbytes = max(nbytes for _, _, nbytes, _ in parts)
+        deliver_all = self._fan_out(parts, wire_nbytes)
         self.send(group_key, src_pe, parts[0][1], wire_nbytes, now, deliver_all)
 
 

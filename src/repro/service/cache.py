@@ -49,6 +49,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.mapping.mcm import McmResult
 from repro.mapping.resync import ResynchronizationResult, resynchronize
 from repro.mapping.timed_graph import TimedEdge
+from repro.platform.interconnect import LINK_SPEC
 from repro.spi.runtime import MAX_BBS_MESSAGES
 
 __all__ = [
@@ -68,7 +69,6 @@ _ANALYSIS_CONFIG_FIELDS = (
     "resynchronize",
     "ubs_window",
     "protocol_policy",
-    "word_bytes",
 )
 
 
@@ -196,9 +196,11 @@ def analysis_keys(
                 "graph": fingerprint,
                 "partition": partition_content,
                 "config": {
-                    # the BBS bound shapes channel plans; it stays in the
-                    # key so the published key digests stay valid
+                    # the BBS bound and the link word width shape channel
+                    # plans; they stay in the key so the published key
+                    # digests stay valid
                     "max_bbs_messages": MAX_BBS_MESSAGES,
+                    "word_bytes": LINK_SPEC.word_bytes,
                     **{
                         name: getattr(config, name)
                         for name in _ANALYSIS_CONFIG_FIELDS
@@ -210,7 +212,7 @@ def analysis_keys(
             {
                 "graph": fingerprint,
                 "partition": partition_content,
-                "word_bytes": config.word_bytes,
+                "word_bytes": LINK_SPEC.word_bytes,
             }
         ),
     )

@@ -253,15 +253,13 @@ def compute_op(
     ``wiring`` names, per connected port, the member edges the actor
     reads and writes and ``fifos`` maps edge ids to their
     :class:`LocalFifo` (SPI insertion guarantees that computation actors
-    only ever touch same-PE edges).  A port with one plain member pops
-    it directly; gather and every reduce assemble their members.
+    only ever touch same-PE edges).  A port with one member pops it
+    directly; a gather assembles its members.
     """
     pops = []
     for port, branches, connection in wiring.needs:
         members = tuple((fifos[edge_id], rate) for edge_id, rate in branches)
-        if len(members) == 1 and (
-            connection is None or connection.kind != "reduce"
-        ):
+        if len(members) == 1:
             pops.append((port, members[0][0], members[0][1], None, None))
         else:
             pops.append((port, None, 0, members, connection))
@@ -277,9 +275,9 @@ def compute_op(
         ),
         pops=tuple(pops),
         pushes=tuple(
-            (port, fifos[edge_id], span)
-            for port, branches in wiring.emits
-            for edge_id, span in branches
+            (port, fifos[edge_id])
+            for port, edge_ids in wiring.emits
+            for edge_id in edge_ids
         ),
         counts=counts,
     )
@@ -346,7 +344,6 @@ def send_op(
         connection=connection,
         wire=wire,
         group=group,
-        shared=connection.kind == "broadcast",
         rendezvous=rendezvous,
         counts=counts,
     )

@@ -47,6 +47,7 @@ from repro.mapping.selftimed import (
 )
 from repro.mapping.sync_graph import SynchronizationGraph, derive_sync_graph
 from repro.mapping.timed_graph import TimedGraph
+from repro.platform.interconnect import LINK_SPEC
 
 __all__ = [
     "SpiActorNames",
@@ -69,8 +70,7 @@ RECV_PREFIX = "spi_recv"
 
 #: cycles one SPI_send / SPI_receive firing spends on header handling
 #: (assemble or decode one or two header words in hardware)
-SEND_OVERHEAD_CYCLES = 2
-RECV_OVERHEAD_CYCLES = 2
+HEADER_CYCLES = 2
 #: extra cycle for the size field of a dynamic header
 DYNAMIC_HEADER_EXTRA_CYCLES = 1
 
@@ -85,7 +85,7 @@ class SpiActorNames:
 
 @dataclass(frozen=True)
 class CollectiveSendGroup:
-    """One producer-side collective (broadcast/scatter) send actor.
+    """One producer-side collective (broadcast) send actor.
 
     The send actor fires **once** per producer firing and serves every
     branch of the connection: remote branches each own a member IPC edge
@@ -97,7 +97,6 @@ class CollectiveSendGroup:
     """
 
     name: str                 #: original connection name
-    kind: str                 #: "broadcast" | "scatter"
     send_actor: str
     #: original member edge name per branch (branch order)
     origin_edges: Tuple[str, ...]
@@ -127,32 +126,91 @@ class SpiInsertion:
     channels: Dict[str, Tuple[Edge, SpiActorNames, bool]] = field(
         default_factory=dict
     )
-    #: send-actor name -> producer-side collective group (broadcast/scatter
+    #: send-actor name -> producer-side collective group (broadcast
     #: connections with at least one cross-PE branch)
     collective_sends: Dict[str, CollectiveSendGroup] = field(
         default_factory=dict
     )
 
 
-def _send_cycles(payload_words: int, dynamic: bool) -> int:
-    cycles = SEND_OVERHEAD_CYCLES + payload_words
+def _spi_actor(
+    graph: DataflowGraph,
+    assignment: Dict[str, int],
+    name: str,
+    role: str,
+    origin: str,
+    pe: int,
+    rate: int,
+    token_bytes: int,
+    dynamic: bool = False,
+    collective: Optional[str] = None,
+) -> Actor:
+    """Add one SPI_send or SPI_receive actor on ``pe``.
+
+    The actor forwards ``rate`` tokens per firing and costs the header
+    handling plus one cycle per link word of the payload.
+    """
+    words = max(1, -(-rate * token_bytes // LINK_SPEC.word_bytes))
+    cycles = HEADER_CYCLES + words
     if dynamic:
         cycles += DYNAMIC_HEADER_EXTRA_CYCLES
-    return cycles
+    params = {"spi_role": role, "origin_edge": origin, "dynamic": dynamic}
+    if collective is not None:
+        params["collective"] = collective
+    actor = graph.actor(name, cycles=cycles, params=params)
+    actor.add_input("in", rate=rate, token_bytes=token_bytes)
+    actor.add_output("out", rate=rate, token_bytes=token_bytes)
+    assignment[name] = pe
+    return actor
 
 
-def _recv_cycles(payload_words: int, dynamic: bool) -> int:
-    cycles = RECV_OVERHEAD_CYCLES + payload_words
-    if dynamic:
-        cycles += DYNAMIC_HEADER_EXTRA_CYCLES
-    return cycles
+def _clone_port_ref(new_graph: DataflowGraph, port) -> tuple:
+    return (new_graph.get_actor(port.actor.name), port.name)
+
+
+def _spi_pair(
+    graph: DataflowGraph,
+    assignment: Dict[str, int],
+    channels: Dict[str, Tuple[Edge, SpiActorNames, bool]],
+    edge: Edge,
+    tag: str,
+    dynamic: bool = False,
+    collective: Optional[str] = None,
+) -> Actor:
+    """Carry cross-PE ``edge`` over a send/receive pair named by ``tag``.
+
+    Adds ``producer -> send`` and the IPC edge ``send -> recv``,
+    registers the channel under ``edge.name`` and returns the receive
+    actor, whose ``out`` port the caller connects to the consumer.
+    """
+    names = SpiActorNames(
+        send=f"{SEND_PREFIX}_{tag}_{edge.src_actor.name}",
+        recv=f"{RECV_PREFIX}_{tag}_{edge.snk_actor.name}",
+    )
+    rate, token_bytes = edge.source.rate, edge.token_bytes
+    send = _spi_actor(
+        graph, assignment, names.send, "send", edge.name,
+        assignment[edge.src_actor.name], rate, token_bytes, dynamic, collective,
+    )
+    recv = _spi_actor(
+        graph, assignment, names.recv, "recv", edge.name,
+        assignment[edge.snk_actor.name], rate, token_bytes, dynamic, collective,
+    )
+    graph.connect(
+        _clone_port_ref(graph, edge.source), (send, "in"),
+        name=f"{edge.name}.to_send",
+    )
+    ipc_edge = graph.connect(
+        (send, "out"), (recv, "in"), name=f"{edge.name}.ipc"
+    )
+    channels[edge.name] = (ipc_edge, names, dynamic)
+    return recv
 
 
 def insert_spi_actors(
     graph: DataflowGraph,
     partition: Partition,
     conversion: Optional[VtsConversion] = None,
-    word_bytes: int = 4,
 ) -> SpiInsertion:
     """Insert an SPI_send/SPI_receive pair on every interprocessor edge.
 
@@ -201,83 +259,26 @@ def insert_spi_actors(
     for index, edge in enumerate(graph.edges):
         if id(edge) in collective_edge_ids:
             continue
-        src_pe = partition.assignment[edge.src_actor.name]
-        dst_pe = partition.assignment[edge.snk_actor.name]
-        new_src = new_graph.get_actor(edge.src_actor.name)
-        new_snk = new_graph.get_actor(edge.snk_actor.name)
-        if src_pe == dst_pe:
-            local = new_graph.connect(
-                (new_src, edge.source.name),
-                (new_snk, edge.sink.name),
-                delay=edge.delay,
-                name=edge.name,
+        if assignment[edge.src_actor.name] == assignment[edge.snk_actor.name]:
+            source, name = _clone_port_ref(new_graph, edge.source), edge.name
+        else:
+            recv = _spi_pair(
+                new_graph, assignment, channels, edge, str(index),
+                dynamic=edge.name in converted_names,
             )
-            if edge.initial_tokens is not None:
-                local.set_initial_tokens(edge.initial_tokens)
-            continue
-
-        rate = edge.source.rate
-        cons = edge.sink.rate
-        tok_bytes = edge.token_bytes
-        dynamic = edge.name in converted_names
-        payload_words = max(1, (rate * tok_bytes + word_bytes - 1) // word_bytes)
-
-        send_name = f"{SEND_PREFIX}_{index}_{edge.src_actor.name}"
-        recv_name = f"{RECV_PREFIX}_{index}_{edge.snk_actor.name}"
-        send_actor = new_graph.actor(
-            send_name,
-            cycles=_send_cycles(payload_words, dynamic),
-            params={"spi_role": "send", "origin_edge": edge.name,
-                    "dynamic": dynamic},
-        )
-        recv_actor = new_graph.actor(
-            recv_name,
-            cycles=_recv_cycles(payload_words, dynamic),
-            params={"spi_role": "recv", "origin_edge": edge.name,
-                    "dynamic": dynamic},
-        )
-        send_actor.add_input("in", rate=rate, token_bytes=tok_bytes)
-        send_actor.add_output("out", rate=rate, token_bytes=tok_bytes)
-        recv_actor.add_input("in", rate=rate, token_bytes=tok_bytes)
-        recv_actor.add_output("out", rate=rate, token_bytes=tok_bytes)
-
-        new_graph.connect(
-            (new_src, edge.source.name), (send_actor, "in"),
-            name=f"{edge.name}.to_send",
-        )
-        ipc_edge = new_graph.connect(
-            (send_actor, "out"), (recv_actor, "in"),
-            name=f"{edge.name}.ipc",
-        )
+            source, name = (recv, "out"), f"{edge.name}.to_consumer"
         delivered = new_graph.connect(
-            (recv_actor, "out"), (new_snk, edge.sink.name),
-            delay=edge.delay,
-            name=f"{edge.name}.to_consumer",
+            source, _clone_port_ref(new_graph, edge.sink),
+            delay=edge.delay, name=name,
         )
         if edge.initial_tokens is not None:
             delivered.set_initial_tokens(edge.initial_tokens)
 
-        assignment[send_name] = src_pe
-        assignment[recv_name] = dst_pe
-        channels[edge.name] = (
-            ipc_edge,
-            SpiActorNames(send=send_name, recv=recv_name),
-            dynamic,
-        )
-
     for cidx, conn in enumerate(graph.connections):
-        if not conn.is_collective:
-            continue
-        _insert_collective(
-            new_graph,
-            conn,
-            cidx,
-            partition,
-            assignment,
-            channels,
-            collective_sends,
-            word_bytes,
-        )
+        if conn.is_collective:
+            _insert_collective(
+                new_graph, conn, cidx, assignment, channels, collective_sends
+            )
 
     new_graph.validate()
     new_partition = Partition(new_graph, partition.n_pes, assignment)
@@ -289,13 +290,115 @@ def insert_spi_actors(
     )
 
 
-def _scatter_span(edge: Edge) -> Optional[Tuple[int, int]]:
-    """A scatter member edge's (start, stop) slice of its producer's
-    output, or None when the edge carries the whole output."""
-    connection = edge.connection
-    if connection is not None and connection.kind == "scatter":
-        return connection.branch_span(edge.branch_index)
-    return None
+def _insert_collective(
+    new_graph: DataflowGraph,
+    conn: Connection,
+    cidx: int,
+    assignment: Dict[str, int],
+    channels: Dict[str, Tuple[Edge, SpiActorNames, bool]],
+    collective_sends: Dict[str, CollectiveSendGroup],
+) -> None:
+    """Lower one collective connection into the SPI-inserted graph.
+
+    The connection is rebuilt around its shared *hub* port (the producer
+    of a broadcast, the consumer of a gather) with one member per
+    branch.  A broadcast whose consumers all sit on the hub's PE is
+    copied as it is.  Otherwise a broadcast gets **one** send actor for
+    the whole connection, which feeds local branches directly and each
+    cross-PE branch through its own receive actor and channel; a
+    gather's branches carry distinct payloads, so each cross-PE branch
+    gets an ordinary send/receive pair whose receiver joins the gather
+    at the consumer port (the consumer's firing task concatenates).
+    """
+    fan_out = conn.kind == Connection.BROADCAST
+    hub = conn.edges[0].source if fan_out else conn.edges[0].sink
+    hub_pe = assignment[hub.actor.name]
+    hub_ref = _clone_port_ref(new_graph, hub)
+
+    def far(edge: Edge):
+        return edge.sink if fan_out else edge.source
+
+    remote = [e for e in conn.edges if assignment[far(e).actor.name] != hub_pe]
+    copied = fan_out and not remote
+    if copied:
+        name = conn.name
+    else:
+        name = f"{conn.name}.fanout" if fan_out else f"{conn.name}.assemble"
+    send_name = None
+    if fan_out and remote:
+        send_name = f"{SEND_PREFIX}_c{cidx}_{hub.actor.name}"
+        send = _spi_actor(
+            new_graph, assignment, send_name, "send", conn.name, hub_pe,
+            hub.rate, hub.token_bytes, collective=conn.kind,
+        )
+        new_graph.connect(hub_ref, (send, "in"), name=f"{conn.name}.to_send")
+        hub_ref = (send, "out")
+
+    #: (port, delay, member name or None for the default, initial tokens)
+    members = []
+    fan_recvs: Dict[str, str] = {}
+    for edge in conn.edges:
+        tag = f"c{cidx}_b{edge.branch_index}"
+        if edge not in remote:
+            members.append((
+                _clone_port_ref(new_graph, far(edge)),
+                edge.delay,
+                None if copied else edge.name,
+                edge.initial_tokens,
+            ))
+        elif fan_out:
+            recv = _spi_actor(
+                new_graph, assignment,
+                f"{RECV_PREFIX}_{tag}_{edge.snk_actor.name}", "recv",
+                edge.name, assignment[edge.snk_actor.name],
+                hub.rate, hub.token_bytes, collective=conn.kind,
+            )
+            delivered = new_graph.connect(
+                (recv, "out"), _clone_port_ref(new_graph, edge.sink),
+                delay=edge.delay, name=f"{edge.name}.to_consumer",
+            )
+            if edge.initial_tokens is not None:
+                delivered.set_initial_tokens(edge.initial_tokens)
+            fan_recvs[edge.name] = recv.name
+            members.append(((recv, "in"), 0, f"{edge.name}.ipc", None))
+        else:
+            recv = _spi_pair(
+                new_graph, assignment, channels, edge, tag, collective=conn.kind
+            )
+            members.append((
+                (recv, "out"),
+                edge.delay,
+                f"{edge.name}.to_consumer",
+                edge.initial_tokens,
+            ))
+
+    ports, delays, names, initials = zip(*members)
+    if fan_out:
+        rebuilt = new_graph.add_broadcast(hub_ref, ports, delays=delays, name=name)
+    else:
+        rebuilt = new_graph.add_gather(
+            ports, hub_ref, chunks=list(conn.chunks), delays=delays, name=name
+        )
+    for member, edge, member_name, initial in zip(
+        rebuilt.edges, conn.edges, names, initials
+    ):
+        if member_name is not None:
+            member.name = member_name
+        if initial is not None:
+            member.set_initial_tokens(initial)
+        if edge.name in fan_recvs:
+            channels[edge.name] = (
+                member,
+                SpiActorNames(send=send_name, recv=fan_recvs[edge.name]),
+                False,
+            )
+    if send_name is not None:
+        collective_sends[send_name] = CollectiveSendGroup(
+            name=conn.name,
+            send_actor=send_name,
+            origin_edges=tuple(e.name for e in conn.edges),
+            remote_origins=tuple(e.name for e in remote),
+        )
 
 
 def _branch_order(edges) -> list:
@@ -308,18 +411,14 @@ class ComputeWiring:
 
     ``needs`` holds ``(port name, ((edge id, consumption rate), ...),
     connection)`` per connected input port and ``emits`` holds ``(port
-    name, ((edge id, scatter span), ...))`` per connected output port,
-    both in port order with branches in ``Edge.branch_index`` order.  A
-    port owns several member edges when it is shared by a collective
-    connection (gather/reduce sinks, all-local broadcast sources); a
-    span is a scatter branch's ``(start, stop)`` slice of the producer's
-    output, or None when the edge carries all of it.
+    name, (edge id, ...))`` per connected output port, both in port
+    order with branches in ``Edge.branch_index`` order.  A port owns
+    several member edges when it is shared by a collective connection
+    (gather sinks, all-local broadcast sources).
     """
 
     needs: Tuple[Tuple[str, Tuple[Tuple[int, int], ...], object], ...]
-    emits: Tuple[
-        Tuple[str, Tuple[Tuple[int, Optional[Tuple[int, int]]], ...]], ...
-    ]
+    emits: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
     @classmethod
     def of(
@@ -349,10 +448,7 @@ class ComputeWiring:
         emits = tuple(
             (
                 port.name,
-                tuple(
-                    (e.edge_id, _scatter_span(e))
-                    for e in _branch_order(outputs[port.name])
-                ),
+                tuple(e.edge_id for e in _branch_order(outputs[port.name])),
             )
             for port in actor.output_ports
             if port.name in outputs
@@ -449,8 +545,8 @@ def plan_wiring(insertion: SpiInsertion) -> WiringPlan:
 class Lowering:
     """The compile front half of one graph on one assignment.
 
-    Everything here depends only on the source graph, the actor-to-PE
-    assignment and ``word_bytes``, never on the SPI configuration, so
+    Everything here depends only on the source graph and the actor-to-PE
+    assignment, never on the SPI configuration, so
     one lowering serves every :class:`~repro.spi.runtime.SpiConfig`
     compile and the MPI baseline compile of the same case.  Compiles
     only read it: each SPI compile copies :attr:`sync_graph` before
@@ -461,7 +557,6 @@ class Lowering:
     graph: DataflowGraph
     n_pes: int
     assignment: Dict[str, int]
-    word_bytes: int
     conversion: Optional[VtsConversion]
     insertion: SpiInsertion
     schedule: SelfTimedSchedule
@@ -510,9 +605,7 @@ class Lowering:
 
         return graph_fingerprint(self.graph)
 
-    def check(
-        self, graph: DataflowGraph, partition: Partition, word_bytes: int
-    ) -> None:
+    def check(self, graph: DataflowGraph, partition: Partition) -> None:
         """Raise :class:`ValueError` unless this lowering fits the inputs."""
         if graph is not self.graph:
             raise ValueError(
@@ -535,16 +628,9 @@ class Lowering:
                 f"lowering was built for a different assignment: actors "
                 f"{moved} are mapped differently"
             )
-        if word_bytes != self.word_bytes:
-            raise ValueError(
-                f"lowering was built for word_bytes={self.word_bytes}, the "
-                f"config asks for word_bytes={word_bytes}"
-            )
 
 
-def lower(
-    graph: DataflowGraph, partition: Partition, word_bytes: int = 4
-) -> Lowering:
+def lower(graph: DataflowGraph, partition: Partition) -> Lowering:
     """The compile front half shared by SPI and the MPI baseline.
 
     Validates ``graph``, VTS-converts it when it has dynamic-rate edges,
@@ -564,304 +650,13 @@ def lower(
         static_graph,
         Partition(static_graph, partition.n_pes, assignment),
         conversion=conversion,
-        word_bytes=word_bytes,
     )
     schedule = build_selftimed_schedule(insertion.graph, insertion.partition)
     return Lowering(
         graph=graph,
         n_pes=partition.n_pes,
         assignment=assignment,
-        word_bytes=word_bytes,
         conversion=conversion,
         insertion=insertion,
         schedule=schedule,
-    )
-
-
-def _clone_port_ref(new_graph: DataflowGraph, port) -> tuple:
-    actor = new_graph.get_actor(port.actor.name)
-    return (actor, port.name)
-
-
-def _insert_collective(
-    new_graph: DataflowGraph,
-    conn: Connection,
-    cidx: int,
-    partition: Partition,
-    assignment: Dict[str, int],
-    channels: Dict[str, Tuple[Edge, SpiActorNames, bool]],
-    collective_sends: Dict[str, CollectiveSendGroup],
-    word_bytes: int,
-) -> None:
-    """Lower one collective connection into the SPI-inserted graph.
-
-    Producer-side collectives (broadcast/scatter) get **one** send actor
-    for the whole connection; each cross-PE branch gets its own receive
-    actor and channel, local branches are fed directly by the send actor.
-    Consumer-side collectives (gather/reduce) carry genuinely distinct
-    per-branch payloads, so each cross-PE branch gets an ordinary
-    send/receive pair and the member edges are regrouped into a
-    gather/reduce connection at the consumer port (the consumer's
-    firing task performs the concatenation/combination).
-    """
-    pe_of = partition.assignment
-    branch_delays = [e.delay for e in conn.edges]
-    branch_initial = [e.initial_tokens for e in conn.edges]
-
-    if conn.kind in (Connection.BROADCAST, Connection.SCATTER):
-        producer_port = conn.edges[0].source
-        src_pe = pe_of[producer_port.actor.name]
-        remote = [
-            e for e in conn.edges if pe_of[e.snk_actor.name] != src_pe
-        ]
-        if not remote:
-            # every consumer is local: replicate the connection as-is
-            rebuilt = _rebuild_collective(new_graph, conn, branch_delays)
-            for new_edge, initial in zip(rebuilt.edges, branch_initial):
-                if initial is not None:
-                    new_edge.set_initial_tokens(initial)
-            return
-
-        rate = producer_port.rate
-        tok_bytes = producer_port.token_bytes
-        payload_words = max(
-            1, (rate * tok_bytes + word_bytes - 1) // word_bytes
-        )
-        send_name = f"{SEND_PREFIX}_c{cidx}_{producer_port.actor.name}"
-        send_actor = new_graph.actor(
-            send_name,
-            cycles=_send_cycles(payload_words, False),
-            params={
-                "spi_role": "send",
-                "origin_edge": conn.name,
-                "dynamic": False,
-                "collective": conn.kind,
-            },
-        )
-        send_actor.add_input("in", rate=rate, token_bytes=tok_bytes)
-        send_actor.add_output("out", rate=rate, token_bytes=tok_bytes)
-        assignment[send_name] = src_pe
-        new_graph.connect(
-            _clone_port_ref(new_graph, producer_port),
-            (send_actor, "in"),
-            name=f"{conn.name}.to_send",
-        )
-
-        targets = []
-        fan_delays = []
-        recv_names: Dict[int, str] = {}
-        for edge in conn.edges:
-            dst_pe = pe_of[edge.snk_actor.name]
-            branch_rate = edge.prod_rate
-            branch_words = max(
-                1, (branch_rate * tok_bytes + word_bytes - 1) // word_bytes
-            )
-            if dst_pe == src_pe:
-                targets.append(_clone_port_ref(new_graph, edge.sink))
-                fan_delays.append(edge.delay)
-                continue
-            recv_name = (
-                f"{RECV_PREFIX}_c{cidx}_b{edge.branch_index}_"
-                f"{edge.snk_actor.name}"
-            )
-            recv_actor = new_graph.actor(
-                recv_name,
-                cycles=_recv_cycles(branch_words, False),
-                params={
-                    "spi_role": "recv",
-                    "origin_edge": edge.name,
-                    "dynamic": False,
-                    "collective": conn.kind,
-                },
-            )
-            recv_actor.add_input(
-                "in", rate=branch_rate, token_bytes=tok_bytes
-            )
-            recv_actor.add_output(
-                "out", rate=branch_rate, token_bytes=tok_bytes
-            )
-            assignment[recv_name] = dst_pe
-            recv_names[edge.branch_index] = recv_name
-            targets.append((recv_actor, "in"))
-            fan_delays.append(0)
-            delivered = new_graph.connect(
-                (recv_actor, "out"),
-                _clone_port_ref(new_graph, edge.sink),
-                delay=edge.delay,
-                name=f"{edge.name}.to_consumer",
-            )
-            if edge.initial_tokens is not None:
-                delivered.set_initial_tokens(edge.initial_tokens)
-
-        if conn.kind == Connection.BROADCAST:
-            fanout = new_graph.add_broadcast(
-                (send_actor, "out"),
-                targets,
-                delays=fan_delays,
-                name=f"{conn.name}.fanout",
-            )
-        else:
-            fanout = new_graph.add_scatter(
-                (send_actor, "out"),
-                targets,
-                chunks=list(conn.chunks) if conn.chunks else None,
-                delays=fan_delays,
-                name=f"{conn.name}.fanout",
-            )
-        remote_origins = []
-        for member, edge in zip(fanout.edges, conn.edges):
-            dst_pe = pe_of[edge.snk_actor.name]
-            if dst_pe == src_pe:
-                member.name = edge.name
-                if edge.initial_tokens is not None:
-                    member.set_initial_tokens(edge.initial_tokens)
-                continue
-            member.name = f"{edge.name}.ipc"
-            channels[edge.name] = (
-                member,
-                SpiActorNames(
-                    send=send_name, recv=recv_names[edge.branch_index]
-                ),
-                False,
-            )
-            remote_origins.append(edge.name)
-        collective_sends[send_name] = CollectiveSendGroup(
-            name=conn.name,
-            kind=conn.kind,
-            send_actor=send_name,
-            origin_edges=tuple(e.name for e in conn.edges),
-            remote_origins=tuple(remote_origins),
-        )
-        return
-
-    # gather / reduce: per-branch point-to-point chains regrouped into a
-    # consumer-side collective connection
-    consumer_port = conn.edges[0].sink
-    dst_pe = pe_of[consumer_port.actor.name]
-    tok_bytes = consumer_port.token_bytes
-    sources = []
-    source_delays = []
-    renames: Dict[int, str] = {}
-    for edge in conn.edges:
-        src_pe = pe_of[edge.src_actor.name]
-        if src_pe == dst_pe:
-            sources.append(_clone_port_ref(new_graph, edge.source))
-            source_delays.append(edge.delay)
-            renames[edge.branch_index] = edge.name
-            continue
-        rate = edge.source.rate
-        branch_words = max(
-            1, (rate * tok_bytes + word_bytes - 1) // word_bytes
-        )
-        send_name = (
-            f"{SEND_PREFIX}_c{cidx}_b{edge.branch_index}_"
-            f"{edge.src_actor.name}"
-        )
-        recv_name = (
-            f"{RECV_PREFIX}_c{cidx}_b{edge.branch_index}_"
-            f"{edge.snk_actor.name}"
-        )
-        send_actor = new_graph.actor(
-            send_name,
-            cycles=_send_cycles(branch_words, False),
-            params={
-                "spi_role": "send",
-                "origin_edge": edge.name,
-                "dynamic": False,
-                "collective": conn.kind,
-            },
-        )
-        recv_actor = new_graph.actor(
-            recv_name,
-            cycles=_recv_cycles(branch_words, False),
-            params={
-                "spi_role": "recv",
-                "origin_edge": edge.name,
-                "dynamic": False,
-                "collective": conn.kind,
-            },
-        )
-        send_actor.add_input("in", rate=rate, token_bytes=tok_bytes)
-        send_actor.add_output("out", rate=rate, token_bytes=tok_bytes)
-        recv_actor.add_input("in", rate=rate, token_bytes=tok_bytes)
-        recv_actor.add_output("out", rate=rate, token_bytes=tok_bytes)
-        assignment[send_name] = src_pe
-        assignment[recv_name] = dst_pe
-        new_graph.connect(
-            _clone_port_ref(new_graph, edge.source),
-            (send_actor, "in"),
-            name=f"{edge.name}.to_send",
-        )
-        ipc_edge = new_graph.connect(
-            (send_actor, "out"),
-            (recv_actor, "in"),
-            name=f"{edge.name}.ipc",
-        )
-        channels[edge.name] = (
-            ipc_edge,
-            SpiActorNames(send=send_name, recv=recv_name),
-            False,
-        )
-        sources.append((recv_actor, "out"))
-        source_delays.append(edge.delay)
-        renames[edge.branch_index] = f"{edge.name}.to_consumer"
-
-    sink_ref = _clone_port_ref(new_graph, consumer_port)
-    if conn.kind == Connection.GATHER:
-        regrouped = new_graph.add_gather(
-            sources,
-            sink_ref,
-            chunks=list(conn.chunks) if conn.chunks else None,
-            delays=source_delays,
-            name=f"{conn.name}.assemble",
-        )
-    else:
-        regrouped = new_graph.add_reduce(
-            sources,
-            sink_ref,
-            combine=conn.combine,
-            delays=source_delays,
-            name=f"{conn.name}.assemble",
-        )
-    for member, edge, initial in zip(
-        regrouped.edges, conn.edges, branch_initial
-    ):
-        member.name = renames[edge.branch_index]
-        if initial is not None:
-            member.set_initial_tokens(initial)
-
-
-def _rebuild_collective(
-    new_graph: DataflowGraph, conn: Connection, delays
-) -> Connection:
-    """Replicate an all-local collective connection onto cloned ports."""
-    if conn.kind == Connection.BROADCAST:
-        return new_graph.add_broadcast(
-            _clone_port_ref(new_graph, conn.edges[0].source),
-            [_clone_port_ref(new_graph, e.sink) for e in conn.edges],
-            delays=delays,
-            name=conn.name,
-        )
-    if conn.kind == Connection.SCATTER:
-        return new_graph.add_scatter(
-            _clone_port_ref(new_graph, conn.edges[0].source),
-            [_clone_port_ref(new_graph, e.sink) for e in conn.edges],
-            chunks=list(conn.chunks) if conn.chunks else None,
-            delays=delays,
-            name=conn.name,
-        )
-    if conn.kind == Connection.GATHER:
-        return new_graph.add_gather(
-            [_clone_port_ref(new_graph, e.source) for e in conn.edges],
-            _clone_port_ref(new_graph, conn.edges[0].sink),
-            chunks=list(conn.chunks) if conn.chunks else None,
-            delays=delays,
-            name=conn.name,
-        )
-    return new_graph.add_reduce(
-        [_clone_port_ref(new_graph, e.source) for e in conn.edges],
-        _clone_port_ref(new_graph, conn.edges[0].sink),
-        combine=conn.combine,
-        delays=delays,
-        name=conn.name,
     )

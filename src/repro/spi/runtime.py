@@ -39,7 +39,7 @@ from repro.platform.fpga import (
     UtilizationReport,
     VIRTEX4_SX35,
 )
-from repro.platform.interconnect import Interconnect, LinkSpec
+from repro.platform.interconnect import LINK_SPEC, Interconnect
 from repro.platform.pe import ProcessingElement
 from repro.platform.simulator import INIT, Op, PESequencer, Simulator
 from repro.platform.trace import TraceRecorder
@@ -63,8 +63,6 @@ __all__ = [
     "SpiConfig", "ChannelPlan", "RunResult", "SimRun", "SpiSystem", "simulate",
 ]
 
-#: timing of every link, for SPI and for the MPI baseline alike
-LINK_SPEC = LinkSpec()
 #: BBS is chosen only when the static bound is at most this many messages
 MAX_BBS_MESSAGES = 1024
 #: per-transfer arbitration cost of the shared bus
@@ -79,7 +77,6 @@ class SpiConfig:
     resynchronize: bool = True
     #: UBS acknowledgment window, in messages
     ubs_window: int = 4
-    word_bytes: int = 4
     #: protocol policy: "auto" picks BBS whenever the synchronization
     #: structure bounds the buffer (paper §4); "always_ubs" forces the
     #: UBS protocol everywhere, which is how the resynchronization
@@ -156,8 +153,8 @@ class RunResult:
     #: (:class:`repro.platform.steady_state.SteadyStateReport`; None
     #: when detection was not armed for this run)
     steady_state: Optional[object] = None
-    #: wire transfers performed by collective (broadcast/scatter)
-    #: connections — one per physical link use, not per consumer
+    #: wire transfers performed by broadcast connections — one per
+    #: physical link use, not per consumer
     collective_messages: int = 0
     #: per-consumer deliveries those collective transfers fanned out to
     fan_out_deliveries: int = 0
@@ -420,18 +417,18 @@ class SpiSystem:
         it transparently.
 
         ``lowering`` is the front half (:func:`repro.spi.library.lower`)
-        of this graph, assignment and ``config.word_bytes``, when the
-        caller compiles the same case several times; without one the
-        compile lowers the graph itself.  A lowering built for other
+        of this graph and assignment, when the caller compiles the same
+        case several times; without one the compile lowers the graph
+        itself.  A lowering built for other
         inputs raises :class:`ValueError`.  What does not depend on
         ``config`` (the pre-ack synchronization graph, its min-delay
         matrix, the batch clamp) is computed once per lowering.
         """
         config = config or SpiConfig()
         if lowering is None:
-            lowering = lower(graph, partition, config.word_bytes)
+            lowering = lower(graph, partition)
         else:
-            lowering.check(graph, partition, config.word_bytes)
+            lowering.check(graph, partition)
         schedule = lowering.schedule
 
         analysis_key = structure_key = None
@@ -1048,16 +1045,6 @@ class SpiSystem:
                     transport.per_channel.items(), key=lambda kv: str(kv[0])
                 ),
                 ("messages", "bytes", "queueing_cycles", "contention_cycles"),
-            )
-        )
-        meters.append(
-            ObjectMapMeter(
-                "link",
-                lambda: [
-                    ((link.src_pe, link.dst_pe), link)
-                    for link in interconnect.links
-                ],
-                ("bytes_carried", "messages_carried"),
             )
         )
 

@@ -1,5 +1,5 @@
-"""Graph-level tests for collective connections (broadcast/scatter/
-gather/reduce) and their degenerate single-branch forms."""
+"""Graph-level tests for collective connections (broadcast and gather)
+and their degenerate single-branch forms."""
 
 import pytest
 
@@ -110,36 +110,37 @@ class TestDegenerate:
         assert edge.cons_rate == 4
 
 
-class TestScatterGather:
-    def test_scatter_default_even_chunks(self):
-        graph = _fan_out_graph(n_sinks=2, rate=4, sink_rate=2)
-        conn = graph.add_scatter("src.o", ["snk0.i", "snk1.i"])
-        assert conn.chunks == (2, 2)
-        assert [e.prod_rate for e in conn.edges] == [2, 2]
-        assert conn.branch_span(0) == (0, 2)
-        assert conn.branch_span(1) == (2, 4)
+def _uneven_fan_in_graph():
+    """src a (rate 2) and b (rate 3) into one rate-5 sink port."""
+    graph = DataflowGraph("uneven")
+    a = graph.actor("a", cycles=5)
+    a.add_output("o", rate=2)
+    b = graph.actor("b", cycles=5)
+    b.add_output("o", rate=3)
+    snk = graph.actor("snk", cycles=5)
+    snk.add_input("i", rate=5)
+    return graph
 
-    def test_scatter_uneven_rate_needs_explicit_chunks(self):
-        graph = _fan_out_graph(n_sinks=3, rate=4)
+
+class TestGather:
+    def test_kinds(self):
+        assert Connection.KINDS == ("fifo", "broadcast", "gather")
+
+    def test_gather_uneven_rate_needs_explicit_chunks(self):
+        graph = _fan_in_graph(n_sources=3, rate=1, sink_rate=4)
         with pytest.raises(GraphError, match="split evenly"):
-            graph.add_scatter("src.o", ["snk0.i", "snk1.i", "snk2.i"])
+            graph.add_gather(["src0.o", "src1.o", "src2.o"], "snk.i")
 
-    def test_scatter_explicit_chunks_override_branch_rates(self):
-        graph = DataflowGraph("uneven")
-        src = graph.actor("src", cycles=5)
-        src.add_output("o", rate=5)
-        a = graph.actor("a", cycles=5)
-        a.add_input("i", rate=2)
-        b = graph.actor("b", cycles=5)
-        b.add_input("i", rate=3)
-        conn = graph.add_scatter("src.o", ["a.i", "b.i"], chunks=[2, 3])
-        assert [e.prod_rate for e in conn.edges] == [2, 3]
-        assert conn.produced_tokens(conn.edges[1], [0, 1, 2, 3, 4]) == [2, 3, 4]
+    def test_gather_explicit_chunks_override_branch_rates(self):
+        graph = _uneven_fan_in_graph()
+        conn = graph.add_gather(["a.o", "b.o"], "snk.i", chunks=[2, 3])
+        assert [e.cons_rate for e in conn.edges] == [2, 3]
+        assert conn.assemble([[0, 1], [2, 3, 4]]) == [0, 1, 2, 3, 4]
 
     def test_chunks_must_sum_to_shared_rate(self):
-        graph = _fan_out_graph(n_sinks=2, rate=4, sink_rate=2)
+        graph = _fan_in_graph(n_sources=2, rate=2, sink_rate=4)
         with pytest.raises(GraphError, match="sum to"):
-            graph.add_scatter("src.o", ["snk0.i", "snk1.i"], chunks=[1, 2])
+            graph.add_gather(["src0.o", "src1.o"], "snk.i", chunks=[1, 2])
 
     def test_gather_concatenates_in_branch_order(self):
         graph = _fan_in_graph(n_sources=3, rate=1, sink_rate=3)
@@ -147,22 +148,6 @@ class TestScatterGather:
         assert conn.chunks == (1, 1, 1)
         assert [e.cons_rate for e in conn.edges] == [1, 1, 1]
         assert conn.assemble([[10], [20], [30]]) == [10, 20, 30]
-
-
-class TestReduce:
-    def test_default_combine_is_elementwise_add(self):
-        graph = _fan_in_graph(n_sources=3, rate=2, sink_rate=2)
-        conn = graph.add_reduce(["src0.o", "src1.o", "src2.o"], "snk.i")
-        assert conn.assemble([[1, 2], [10, 20], [100, 200]]) == [111, 222]
-
-    def test_custom_combine(self):
-        graph = _fan_in_graph(n_sources=2, rate=1, sink_rate=1)
-        conn = graph.add_reduce(
-            ["src0.o", "src1.o"],
-            "snk.i",
-            combine=lambda branches: [max(v) for v in zip(*branches)],
-        )
-        assert conn.assemble([[3], [7]]) == [7]
 
 
 class TestCopyStructure:
@@ -178,15 +163,9 @@ class TestCopyStructure:
         copy.validate()
 
     def test_copy_preserves_chunks(self):
-        graph = DataflowGraph("uneven")
-        src = graph.actor("src", cycles=5)
-        src.add_output("o", rate=5)
-        a = graph.actor("a", cycles=5)
-        a.add_input("i", rate=2)
-        b = graph.actor("b", cycles=5)
-        b.add_input("i", rate=3)
-        graph.add_scatter("src.o", ["a.i", "b.i"], chunks=[2, 3])
+        graph = _uneven_fan_in_graph()
+        graph.add_gather(["a.o", "b.o"], "snk.i", chunks=[2, 3])
         copy = graph.copy_structure()
         (conn,) = copy.collective_connections
         assert conn.chunks == (2, 3)
-        assert [e.prod_rate for e in conn.edges] == [2, 3]
+        assert [e.cons_rate for e in conn.edges] == [2, 3]

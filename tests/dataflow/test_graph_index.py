@@ -16,7 +16,7 @@ from repro.dataflow import DataflowGraph, GraphError
 
 ACTORS = 4
 PORTS = 3
-COLLECTIVES = ("broadcast", "scatter", "gather", "reduce")
+COLLECTIVES = ("broadcast", "gather")
 
 
 def build_graph():
@@ -98,7 +98,7 @@ def apply(graph, op):
     _, a, i, branches = op
     shared_src = port(graph, a, "o", i)
     shared_snk = port(graph, a, "i", i)
-    if kind in ("broadcast", "scatter"):
+    if kind == "broadcast":
         sinks = [port(graph, b, "i", j) for b, j in branches]
         ports = [shared_src] + sinks
         args = (shared_src, sinks)

@@ -73,7 +73,7 @@ class TestBroadcast:
         assert result.ack_messages == 0  # eager: no RTS/CTS traffic
 
 
-class TestGatherReduce:
+class TestGather:
     @pytest.mark.parametrize(
         "config, data_messages, control_messages",
         [
@@ -108,26 +108,3 @@ class TestGatherReduce:
         assert collected == [[0, 1]] * 3
         assert result.data_messages == data_messages
         assert result.ack_messages == control_messages
-
-    def test_reduce_combines_at_the_root(self):
-        collected = []
-        graph = DataflowGraph("red")
-        for j in range(3):
-            src = graph.actor(
-                f"src{j}",
-                kernel=(lambda j: lambda k, ins: {"o": [j + 1]})(j),
-                cycles=5,
-            )
-            src.add_output("o", rate=1)
-        snk = graph.actor(
-            "snk",
-            kernel=lambda k, ins: collected.append(ins["i"][0]) or {},
-            cycles=10,
-        )
-        snk.add_input("i", rate=1)
-        graph.add_reduce(["src0.o", "src1.o", "src2.o"], "snk.i")
-        partition = Partition.manual(
-            graph, {"src0": 0, "src1": 1, "src2": 2, "snk": 0}
-        )
-        MpiSystem.compile(graph, partition).run(iterations=2)
-        assert collected == [6, 6]

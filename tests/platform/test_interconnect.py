@@ -57,14 +57,6 @@ class TestLink:
         start, _ = link.reserve(now=100, message_bytes=4)
         assert start == 100
 
-    def test_stats(self):
-        net = Interconnect()
-        link = net.link(0, 1)
-        link.reserve(0, 10)
-        link.reserve(0, 6)
-        assert link.bytes_carried == 16
-        assert link.messages_carried == 2
-
 
 class TestInterconnect:
     def test_directional_links_distinct(self):

@@ -66,7 +66,7 @@ def _edges(edges):
 @pytest.fixture
 def vouching():
     graph, partition = fan_out()
-    lowering = lower(graph, partition, CONFIG.word_bytes)
+    lowering = lower(graph, partition)
     pre_ack = lowering.sync_graph
     # the program orders the test assumes, before the swap
     intra = _edges(e for e in pre_ack.edges if e.kind == EdgeKind.INTRA)

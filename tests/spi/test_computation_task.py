@@ -2,7 +2,7 @@
 runtime and the MPI baseline.
 
 :func:`~repro.spi.actors.compute_op` pre-resolves an actor's ports into
-a flat guard chain, a pop table and scatter spans; the PE sequencer
+a flat guard chain, a pop table and a push table; the PE sequencer
 interprets the record.  These tests run one op on one sequencer and pin
 that lowering against the reference definitions on
 :class:`~repro.dataflow.graph.Connection` (``assemble`` for consumed
@@ -37,9 +37,10 @@ def compute(k, inputs):
 
 
 def hub_graph(cycles=7):
-    """``hub`` consumes a gather and a reduce, produces a broadcast and a
-    scatter; the peers exist only to own the member edges.  Returns the
-    list the kernel records each firing's consumed port values into."""
+    """``hub`` consumes an even and an uneven gather, produces a
+    broadcast and a plain FIFO; the peers exist only to own the member
+    edges.  Returns the list the kernel records each firing's consumed
+    port values into."""
     graph = DataflowGraph("hub")
     seen = []
 
@@ -52,14 +53,14 @@ def hub_graph(cycles=7):
     hub.add_input("r", rate=3)
     hub.add_output("b", rate=2)
     hub.add_output("s", rate=4)
-    for name, rate in (("g0", 2), ("g1", 2), ("r0", 3), ("r1", 3)):
+    for name, rate in (("g0", 2), ("g1", 2), ("r0", 1), ("r1", 2)):
         graph.actor(name).add_output("o", rate=rate)
-    for name, rate in (("b0", 2), ("b1", 2), ("s0", 1), ("s1", 3)):
+    for name, rate in (("b0", 2), ("b1", 2), ("s0", 4)):
         graph.actor(name).add_input("i", rate=rate)
     graph.add_gather(["g0.o", "g1.o"], "hub.g", name="gather")
-    graph.add_reduce(["r0.o", "r1.o"], "hub.r", name="reduce")
+    graph.add_gather(["r0.o", "r1.o"], "hub.r", chunks=[1, 2], name="chunked")
     graph.add_broadcast("hub.b", ["b0.i", "b1.i"], name="bcast")
-    graph.add_scatter("hub.s", ["s0.i", "s1.i"], chunks=[1, 3], name="scat")
+    graph.connect((hub, "s"), (graph.get_actor("s0"), "i"), name="fifo")
     return graph, hub, seen
 
 
@@ -152,7 +153,7 @@ class TestSingleFiring:
         assert "blocked on task 'fire:hub'" in reason
         assert ": starved on " in reason
         assert "'gather[0]' (has 0, needs 2)" in reason
-        assert "'reduce[1]' (has 0, needs 3)" in reason
+        assert "'chunked[1]' (has 0, needs 2)" in reason
         # parked on exactly the four starved member fifos
         assert sum(len(fifo.waitset) for fifo in fifos.values()) == 4
         feed(graph, hub, fifos, firings=1)
@@ -215,26 +216,3 @@ class TestCycleModels:
         assert run.drain() is None
         assert run.durations() == [ACCEL.batch_cycles([5, 6, 7])]
         assert calls == [(k, ["g", "r"]) for k in range(3)]
-
-
-def test_a_single_branch_reduce_still_combines():
-    """A reduce port with one member edge passes its tokens through
-    ``combine``, not straight from the fifo."""
-    graph = DataflowGraph("reduce1")
-    seen = []
-    sink = graph.actor(
-        "sink", kernel=lambda k, inputs: seen.append(inputs) or {}, cycles=1
-    )
-    sink.add_input("r", rate=2)
-    graph.actor("r0").add_output("o", rate=2)
-    graph.add_reduce(
-        ["r0.o"],
-        "sink.r",
-        combine=lambda branches: [10 * v for v in branches[0]],
-        name="reduce",
-    )
-    op, fifos = wire(graph, sink)
-    (edge,) = graph.in_edges(sink)
-    fifos[edge.edge_id].push([1, 2])
-    assert Run(op).drain() is None
-    assert seen == [{"r": [10, 20]}]

@@ -95,16 +95,12 @@ class TestInsertion:
         assert send.execution_cycles(0) == 4
 
 
-def _spi_compile(graph, partition, word_bytes, lowering):
-    return SpiSystem.compile(
-        graph, partition, SpiConfig(word_bytes=word_bytes), lowering=lowering
-    )
+def _spi_compile(graph, partition, lowering):
+    return SpiSystem.compile(graph, partition, SpiConfig(), lowering=lowering)
 
 
-def _mpi_compile(graph, partition, word_bytes, lowering):
-    return MpiSystem.compile(
-        graph, partition, MpiConfig(word_bytes=word_bytes), lowering=lowering
-    )
+def _mpi_compile(graph, partition, lowering):
+    return MpiSystem.compile(graph, partition, MpiConfig(), lowering=lowering)
 
 
 COMPILES = pytest.mark.parametrize(
@@ -117,15 +113,14 @@ class TestLowering:
         self, multirate_graph
     ):
         partition = Partition.manual(multirate_graph, {"A": 0, "B": 1, "C": 1})
-        lowering = lower(multirate_graph, partition, word_bytes=8)
+        lowering = lower(multirate_graph, partition)
         assert lowering.graph is multirate_graph
-        assert lowering.word_bytes == 8
         assert lowering.assignment == partition.assignment
         assert lowering.assignment is not partition.assignment
         assert lowering.conversion is None
         assert lowering.schedule.graph is lowering.insertion.graph
         with pytest.raises(dataclasses.FrozenInstanceError):
-            lowering.word_bytes = 4
+            lowering.n_pes = 4
 
     def test_ipc_graph_built_lazily_and_never_mutated(
         self, chain_graph, two_pe_partition
@@ -164,7 +159,7 @@ class TestLowering:
         twin = chain_graph.copy_structure(chain_graph.name)
         partition = Partition(twin, 2, dict(two_pe_partition.assignment))
         with pytest.raises(ValueError, match="belongs to graph"):
-            compile_fn(twin, partition, 4, lowering)
+            compile_fn(twin, partition, lowering)
 
     @COMPILES
     def test_other_assignment_rejected(
@@ -173,7 +168,7 @@ class TestLowering:
         lowering = lower(chain_graph, two_pe_partition)
         moved = Partition.manual(chain_graph, {"A": 0, "B": 1, "C": 1})
         with pytest.raises(ValueError, match=r"different assignment.*'C'"):
-            compile_fn(chain_graph, moved, 4, lowering)
+            compile_fn(chain_graph, moved, lowering)
 
     @COMPILES
     def test_other_pe_count_rejected(
@@ -182,15 +177,7 @@ class TestLowering:
         lowering = lower(chain_graph, two_pe_partition)
         wider = Partition(chain_graph, 3, dict(two_pe_partition.assignment))
         with pytest.raises(ValueError, match="built for 2 PEs.*has 3"):
-            compile_fn(chain_graph, wider, 4, lowering)
-
-    @COMPILES
-    def test_other_word_bytes_rejected(
-        self, compile_fn, chain_graph, two_pe_partition
-    ):
-        lowering = lower(chain_graph, two_pe_partition, word_bytes=4)
-        with pytest.raises(ValueError, match="word_bytes=4.*word_bytes=8"):
-            compile_fn(chain_graph, two_pe_partition, 8, lowering)
+            compile_fn(chain_graph, wider, lowering)
 
     @COMPILES
     def test_matching_lowering_accepted(
@@ -198,5 +185,5 @@ class TestLowering:
     ):
         lowering = lower(chain_graph, two_pe_partition)
         equal = Partition.manual(chain_graph, dict(two_pe_partition.assignment))
-        system = compile_fn(chain_graph, equal, 4, lowering)
+        system = compile_fn(chain_graph, equal, lowering)
         assert system.insertion is lowering.insertion

@@ -4,7 +4,7 @@ The golden records pin each run's kernel counters, trace rows and
 message log, but only on the interpreter paths their cases reach.  This
 suite runs a small fixed set of cases and requires that every op kind
 and every path of it executed at least once: a batched burst and an
-accelerator burst; broadcast, scatter, gather and reduce; a UBS ack and
+accelerator burst; a broadcast send and a gather assembly; a UBS ack and
 a resynchronization guard and deposit; a dynamic size field; and MPI
 eager and rendezvous transfers.  With it, the goldens pin every
 interpreter path.
@@ -48,16 +48,12 @@ def fired(ops, kind, where=lambda op: True):
 
 
 def collective_graph():
-    """src on PE0 broadcasts to x1, x2 and scatters to y1, y2 (PE1, PE2);
-    x1, x2 gather and y1, y2 reduce into sink on PE0."""
+    """src on PE0 broadcasts to x1 (PE1) and x2 (PE2); x1 and x2 gather
+    into sink on PE0."""
     graph = DataflowGraph("collectives")
-    src = graph.actor(
-        "src", kernel=lambda k, ins: {"b": [k, k], "s": [k, k + 1, k + 2, k + 3]},
-        cycles=3,
-    )
+    src = graph.actor("src", kernel=lambda k, ins: {"b": [k, k]}, cycles=3)
     src.add_output("b", rate=2)
-    src.add_output("s", rate=4)
-    for name in ("x1", "x2", "y1", "y2"):
+    for name in ("x1", "x2"):
         actor = graph.actor(
             name, kernel=lambda k, ins: {"o": list(ins["i"])}, cycles=2
         )
@@ -65,12 +61,9 @@ def collective_graph():
         actor.add_output("o", rate=2)
     sink = graph.actor("sink", kernel=lambda k, ins: {}, cycles=1)
     sink.add_input("g", rate=4)
-    sink.add_input("r", rate=2)
     graph.add_broadcast("src.b", ["x1.i", "x2.i"], name="bcast")
-    graph.add_scatter("src.s", ["y1.i", "y2.i"], name="scat")
     graph.add_gather(["x1.o", "x2.o"], "sink.g", name="gath")
-    graph.add_reduce(["y1.o", "y2.o"], "sink.r", name="red")
-    assignment = {"src": 0, "sink": 0, "x1": 1, "y1": 1, "x2": 2, "y2": 2}
+    assignment = {"src": 0, "sink": 0, "x1": 1, "x2": 2}
     return graph, Partition.manual(graph, assignment)
 
 
@@ -104,14 +97,14 @@ def test_collective_sends_and_assembling_firings(programs):
     result = SpiSystem.compile(graph, partition).run(iterations=3)
     assert result.collective_messages > 0
     kinds = {op.connection.kind for op in fired(programs, SEND, lambda op: op.group)}
-    assert kinds == {"broadcast", "scatter"}
+    assert kinds == {"broadcast"}
     assembled = {
         connection.kind
         for op in fired(programs, FIRE)
         for _, fifo, _, _, connection in op.pops
         if fifo is None
     }
-    assert assembled == {"gather", "reduce"}
+    assert assembled == {"gather"}
     assert fired(programs, INIT)
 
 

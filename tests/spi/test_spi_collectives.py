@@ -52,27 +52,6 @@ class TestSemantics:
         assert collected[1] == expected
         assert collected[2] == expected
 
-    def test_scatter_splits_in_branch_order(self):
-        collected = {0: [], 1: [], 2: []}
-        graph = DataflowGraph("scat")
-        src = graph.actor(
-            "src", kernel=lambda k, ins: {"o": list(range(6))}, cycles=10
-        )
-        src.add_output("o", rate=6)
-        for j in range(3):
-
-            def sink(k, ins, j=j):
-                collected[j].extend(ins["i"])
-                return {}
-
-            snk = graph.actor(f"snk{j}", kernel=sink, cycles=5)
-            snk.add_input("i", rate=2)
-        graph.add_scatter("src.o", ["snk0.i", "snk1.i", "snk2.i"])
-        _run(graph, {"src": 0, "snk0": 1, "snk1": 2, "snk2": 0}, iterations=2)
-        assert collected[0] == [0, 1, 0, 1]
-        assert collected[1] == [2, 3, 2, 3]
-        assert collected[2] == [4, 5, 4, 5]
-
     def test_gather_concatenates_in_branch_order(self):
         collected = []
         graph = DataflowGraph("gath")
@@ -92,26 +71,6 @@ class TestSemantics:
         graph.add_gather(["src0.o", "src1.o", "src2.o"], "snk.i")
         _run(graph, {"src0": 0, "src1": 1, "src2": 2, "snk": 0}, iterations=3)
         assert collected == [[0, 0, 1, 1, 2, 2]] * 3
-
-    def test_reduce_combines_elementwise(self):
-        collected = []
-        graph = DataflowGraph("red")
-        for j in range(3):
-            src = graph.actor(
-                f"src{j}",
-                kernel=(lambda j: lambda k, ins: {"o": [float(j + 1)]})(j),
-                cycles=5,
-            )
-            src.add_output("o", rate=1, token_bytes=8)
-        snk = graph.actor(
-            "snk",
-            kernel=lambda k, ins: collected.append(ins["i"][0]) or {},
-            cycles=10,
-        )
-        snk.add_input("i", rate=1, token_bytes=8)
-        graph.add_reduce(["src0.o", "src1.o", "src2.o"], "snk.i")
-        _run(graph, {"src0": 0, "src1": 1, "src2": 2, "snk": 0}, iterations=2)
-        assert collected == [6.0, 6.0]
 
 
 class TestCounters:

@@ -20,9 +20,11 @@ own.  ``__all__`` lists, ``__init__.py`` re-exports, docstrings and
 comments name a definition without using it, so they do not count.  A
 definition under a decorator other than a plain wrapper (``property``,
 ``classmethod``, ``dataclass`` ...) counts as used: the decorator may
-register it, as ``@register_operation`` does.  Methods match by name, so
-a method sharing its name with anything reachable counts as used: the
-scan errs towards keeping code.
+register it, as ``@register_operation`` does.  A method counts as used
+once its name is used and its own class is reachable, so a dead class
+cannot hide behind a live method of the same name; methods still match
+by name, so a method of a live class sharing its name with anything
+reachable counts as used: the scan errs towards keeping code.
 
 ``ORACLES`` lists the definitions kept on purpose because a retained
 invariant test measures other code with them.  Each must stay test-only:
@@ -51,6 +53,10 @@ ORACLES = {
     "SelfTimedTrace.iteration_period": (
         "the eq. 3 period that tests/mapping/test_mcm.py checks the maximum "
         "cycle mean against; ROADMAP item 3 measures against it"
+    ),
+    "SelfTimedTrace.makespan": (
+        "the eq. 3 reference trace's finish time; tests/mapping/"
+        "test_mcm.py pins the reference schedule's timing through it"
     ),
     "simulate_selftimed": (
         "builds the eq. 3 reference trace the MCM, resync and pipelining "
@@ -140,10 +146,11 @@ def _is_dunder(name):
 
 def definitions(tree, skipped, is_init):
     """Split a module into the names its top-level code uses and
-    ``(qualified name, name, node, names its body uses)`` of every
-    top-level function and class and every method of a top-level class.
-    A class's body holds its bases, decorators, fields and dunder
-    methods; its other methods are definitions of their own."""
+    ``(qualified name, name, node, names its body uses, owning class
+    node or None)`` of every top-level function and class and every
+    method of a top-level class.  A class's body holds its bases,
+    decorators, fields and dunder methods; its other methods are
+    definitions of their own."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     top_level, defs = [], []
 
@@ -152,7 +159,7 @@ def definitions(tree, skipped, is_init):
 
     for node in tree.body:
         if isinstance(node, functions):
-            defs.append((node.name, node.name, node, uses([node])))
+            defs.append((node.name, node.name, node, uses([node]), None))
         elif isinstance(node, ast.ClassDef):
             methods = [item for item in node.body
                        if isinstance(item, functions)
@@ -160,9 +167,9 @@ def definitions(tree, skipped, is_init):
             own = [item for item in node.body if item not in methods]
             defs.append((node.name, node.name, node, uses(
                 own + node.bases + node.keywords + node.decorator_list
-            )))
+            ), None))
             defs += [(f"{node.name}.{item.name}", item.name, item,
-                      uses([item])) for item in methods]
+                      uses([item]), node) for item in methods]
         else:
             top_level.append(node)
     return uses(top_level), defs
@@ -173,9 +180,10 @@ def dead_definitions(sources, callers):
     ``sources`` that no reachable code uses.  Both arguments are
     ``{path: text}`` maps of Python files.  All of ``callers`` and the
     top-level code of ``sources`` is reachable, and so is the body of a
-    definition once reachable code uses it or a decorator registers it;
-    definitions that only reach each other stay dead."""
-    used, pending = set(), []
+    definition once reachable code uses it or a decorator registers it
+    (and, for a method, once its class is reachable); definitions that
+    only reach each other stay dead."""
+    used, reached, pending = set(), set(), []
     for where, text in {**sources, **callers}.items():
         tree = ast.parse(text)
         is_init = Path(where).name == "__init__.py"
@@ -185,15 +193,18 @@ def dead_definitions(sources, callers):
             continue
         top_level, found = definitions(tree, skipped, is_init)
         used |= top_level
-        pending += [(f"{where}:{node.lineno}", qualified, name, node, body)
-                    for qualified, name, node, body in found]
+        pending += [(f"{where}:{found_def[2].lineno}", *found_def)
+                    for found_def in found]
     changed = True
     while changed:
         changed, still = False, []
         for entry in pending:
-            _, _, name, node, body = entry
-            if name in used or _registers(node):
+            _, _, name, node, body, owner = entry
+            if (name in used or _registers(node)) and (
+                owner is None or id(owner) in reached
+            ):
                 used |= body
+                reached.add(id(node))
                 changed = True
             else:
                 still.append(entry)
@@ -396,6 +407,30 @@ class TestScanner:
         assert dead_definitions(src, {}) == {
             "Gauge": ["m.py:1"], "Gauge.as_dict": ["m.py:2"],
             "Registry.gauge": ["m.py:5"],
+        }
+
+    def test_a_dead_class_does_not_hide_behind_a_live_method_name(self):
+        """``Gauge.as_dict`` shares its name with the live
+        ``Counter.as_dict``; it counts only once ``Gauge`` is reachable,
+        so its ``'gauge'`` string no longer keeps ``Registry.gauge``."""
+        src = {
+            "m.py": (
+                "class Counter:\n"
+                "    def as_dict(self):\n"
+                "        return {}\n"
+                "class Gauge:\n"
+                "    def as_dict(self):\n"
+                "        return {'type': 'gauge'}\n"
+                "class Registry:\n"
+                "    def gauge(self):\n"
+                "        return Gauge()\n"
+                "Registry()\n"
+                "Counter().as_dict()\n"
+            )
+        }
+        assert dead_definitions(src, {}) == {
+            "Gauge": ["m.py:4"], "Gauge.as_dict": ["m.py:5"],
+            "Registry.gauge": ["m.py:8"],
         }
 
     def test_a_dead_method_added_to_the_program_is_caught(self):

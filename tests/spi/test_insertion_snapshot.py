@@ -90,13 +90,7 @@ def snapshot(insertion) -> dict:
             for origin, (ipc, pair, dynamic) in insertion.channels.items()
         ],
         "collective_sends": [
-            [
-                send,
-                group.name,
-                group.send_actor,
-                list(group.origin_edges),
-                list(group.remote_origins),
-            ]
+            [send, group.name, list(group.remote_origins)]
             for send, group in insertion.collective_sends.items()
         ],
         "assignment": sorted(insertion.partition.assignment.items()),
@@ -153,10 +147,10 @@ DIGESTS = {
         "29dfcec9a9cf55461b8558a5b21348af2be04fed21d57b2dd28c2843eac34983"
     ),
     "collective_seed3": (
-        "e1f8205559736b89cc0600952c354538ed49ebd2e12ead78dcb8cab5f2700794"
+        "b45d5441e56e17a281c89bd8fdbb6c8e02ed3fe065c623c64abf54864248d1a3"
     ),
     "collective_seed12": (
-        "3ecd614f3267d32e0d8ef0828cd14b17d6071812ee1692f9c2c51ef30a147d19"
+        "11a53ac08b1918c54cfd623de1369db43136fca0ee9d69d8414af605dbeef7d3"
     ),
     "collective_seed16": (
         "ad54f07e0f8678db531c4a8852eb0a7732d679e5b9465e8a70119d5306b92f46"
@@ -171,7 +165,7 @@ DIGESTS = {
         "0467af7769cb3726a0379e29db36b764666c300ad3c8e645ce390791a1e5941b"
     ),
     "collective_seed57": (
-        "cf3518502ffe92d99fcfc9b797cba56e33317f4e2619ccad99a9014fac83bc5a"
+        "580f927c86d724404e212eada7d5f22a1368fafb3e09b2bd8a9f30bbdf662083"
     ),
 }
 

@@ -486,15 +486,6 @@ class Connection:
     def fan_out(self) -> int:
         return len(self.edges)
 
-    def produced_tokens(self, edge: Edge, tokens: Sequence) -> Sequence:
-        """The portion of one firing's output carried by member ``edge``:
-        all of it (every kind carries the whole output on each branch).
-
-        An ndarray block stays an ndarray; any other sequence comes back
-        as a new list.
-        """
-        return _block(tokens)
-
     def assemble(self, branch_values: List[Sequence]) -> Sequence:
         """Combine per-branch consumed tokens (branch order) for the sink.
 

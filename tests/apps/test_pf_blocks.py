@@ -46,11 +46,7 @@ def per_token_run(graph, iterations):
             produced = actor.fire(firings[actor.name], consumed)
             firings[actor.name] += 1
             for edge in converted.out_edges(actor):
-                fifos[edge.edge_id].extend(
-                    edge.connection.produced_tokens(
-                        edge, produced[edge.source.name]
-                    )
-                )
+                fifos[edge.edge_id].extend(produced[edge.source.name])
 
 
 def by_iteration_and_pe(records):

@@ -6,7 +6,7 @@ a flat guard chain, a pop table and a push table; the PE sequencer
 interprets the record.  These tests run one op on one sequencer and pin
 that lowering against the reference definitions on
 :class:`~repro.dataflow.graph.Connection` (``assemble`` for consumed
-port values, ``produced_tokens`` for per-branch pushes) on every
+port values; every branch of an output carries the whole output) on every
 collective kind, through both the classic single-firing path and the
 burst path.
 """
@@ -121,12 +121,12 @@ def feed(graph, hub, fifos, firings):
 
 
 def check_outputs(graph, hub, fifos, consumed):
-    """Every out-edge holds exactly ``produced_tokens`` of each firing."""
+    """Every out-edge holds the whole output of each firing."""
     for edge in graph.out_edges(hub):
         want = []
         for k, inputs in enumerate(consumed):
             values = compute(k, inputs)[edge.source.name]
-            want.extend(edge.connection.produced_tokens(edge, values))
+            want.extend(values)
         assert list(fifos[edge.edge_id].snapshot()) == want, edge.name
 
 

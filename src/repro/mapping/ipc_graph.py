@@ -19,70 +19,56 @@ data.
 
 from __future__ import annotations
 
-
 from repro.dataflow.graph import GraphError
+from repro.mapping.graph_arrays import GraphArrays
 from repro.mapping.selftimed import SelfTimedSchedule
-from repro.mapping.timed_graph import EdgeKind, TimedEdge, TimedGraph, TimedVertex
+from repro.mapping.timed_graph import EdgeKind
 
 __all__ = ["build_ipc_graph"]
 
 
-def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> TimedGraph:
-    """Construct ``G_ipc`` from a self-timed schedule.
+def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> GraphArrays:
+    """Construct ``G_ipc`` from a self-timed schedule, as columns.
 
     The task table of the schedule (the application graph itself, or
-    its HSDF expansion for multirate applications) provides the tasks
-    and the data edges; the per-PE orders provide the sequencing edges.
+    its HSDF expansion for multirate applications) provides the tasks,
+    in task-id order, and the data edges; the per-PE orders provide the
+    sequencing edges.  Vertex ``t`` of the result is task ``t``.
     """
     table = schedule.task_table
+    index = table.index
     suffix = "_ipc" if schedule.homogeneous else "_hsdf_ipc"
-    ipc = TimedGraph(name or schedule.graph.name + suffix)
-    task_pe = schedule.task_pe
-    for task, origin, _, cycles in table.tasks:
-        ipc.add_vertex(
-            TimedVertex(
-                name=task, cycles=cycles, pe=task_pe[task], origin_actor=origin
-            )
-        )
-
-    for pe, order in schedule.orders.items():
+    names = [task[0] for task in table.tasks]
+    pe = [schedule.task_pe[task] for task in names]
+    src, snk, delay, kind, origin_edge = [], [], [], [], []
+    for order in schedule.orders.values():
         if not order:
             continue
-        for earlier, later in zip(order, order[1:]):
-            ipc.add_edge(
-                TimedEdge(
-                    src=earlier,
-                    snk=later,
-                    delay=0,
-                    kind=EdgeKind.INTRA,
-                )
-            )
-        # Processor wrap-around: iteration k+1's first task waits for
-        # iteration k's last task.
-        ipc.add_edge(
-            TimedEdge(
-                src=order[-1],
-                snk=order[0],
-                delay=1,
-                kind=EdgeKind.INTRA,
-            )
-        )
-
-    for s, k, delay, origin_edge in table.deps:
-        src, snk = table.tasks[s][0], table.tasks[k][0]
-        if task_pe[src] == task_pe[snk]:
+        ids = [index[task] for task in order]
+        # Program order, then the processor wrap-around: iteration k+1's
+        # first task waits for iteration k's last task.
+        src += ids
+        snk += ids[1:] + ids[:1]
+        delay += [0] * (len(ids) - 1) + [1]
+        kind += [EdgeKind.INTRA] * len(ids)
+        origin_edge += [None] * len(ids)
+    for s, k, d, origin in table.deps:
+        if pe[s] == pe[k]:
             continue
-        ipc.add_edge(
-            TimedEdge(
-                src=src,
-                snk=snk,
-                delay=delay,
-                kind=EdgeKind.IPC,
-                origin_edge=origin_edge,
-            )
-        )
-
-    if ipc.has_zero_delay_cycle():
+        src.append(s)
+        snk.append(k)
+        delay.append(d)
+        kind.append(EdgeKind.IPC)
+        origin_edge.append(origin)
+    ipc = GraphArrays(
+        name or schedule.graph.name + suffix,
+        names,
+        [task[3] for task in table.tasks],
+        pe,
+        [task[1] for task in table.tasks],
+        src, snk, delay, kind, origin_edge,
+    )
+    if ipc.zero_delay_cycle():
         raise GraphError(
             f"IPC graph {ipc.name!r} has a zero-delay cycle; the schedule "
             f"deadlocks"

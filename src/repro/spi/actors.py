@@ -22,7 +22,13 @@ from numpy import ndarray
 
 from repro.dataflow.graph import Actor, Edge, concat_blocks
 from repro.platform.simulator import FIRE, INIT, RECV, SEND, Op, Waitset
-from repro.spi.library import ComputeWiring, RecvWiring, SendWiring, WiringPlan
+from repro.spi.library import (
+    ComputeWiring,
+    RecvWiring,
+    SendWiring,
+    WiringPlan,
+    static_cycles,
+)
 
 __all__ = [
     "BatchSchedule",
@@ -228,13 +234,6 @@ class SyncLayer:
         op.sync = (layer,) + (op.sync or ())
 
 
-def _static_cycles(actor: Actor) -> Optional[int]:
-    """A non-negative integer cycle model, or None for a callable one
-    (negative integers are left to ``execution_cycles`` to reject)."""
-    cycles = actor.cycles
-    return cycles if isinstance(cycles, int) and cycles >= 0 else None
-
-
 def init_op(pe_index: int) -> Op:
     """SPI_init: charges :data:`INIT_CYCLES` on the PE's first
     dispatch and is free afterwards (the hardware module initialises
@@ -250,35 +249,33 @@ def compute_op(
 ) -> Op:
     """The FIRE op of a computation actor over its same-PE fifos.
 
-    ``wiring`` names, per connected port, the member edges the actor
-    reads and writes and ``fifos`` maps edge ids to their
+    ``wiring`` holds the op's guard, pop and push tables with edge ids
+    for fifos and ``fifos`` maps those edge ids to their
     :class:`LocalFifo` (SPI insertion guarantees that computation actors
     only ever touch same-PE edges).  A port with one member pops it
     directly; a gather assembles its members.
     """
-    pops = []
-    for port, branches, connection in wiring.needs:
-        members = tuple((fifos[edge_id], rate) for edge_id, rate in branches)
-        if len(members) == 1:
-            pops.append((port, members[0][0], members[0][1], None, None))
-        else:
-            pops.append((port, None, 0, members, connection))
     return Op(
         FIRE,
-        f"fire:{actor.name}",
+        wiring.name,
         actor=actor,
-        cycles=_static_cycles(actor),
-        guard=tuple(
-            (fifos[edge_id], rate)
-            for _, branches, _ in wiring.needs
-            for edge_id, rate in branches
+        cycles=wiring.cycles,
+        guard=tuple([(fifos[edge_id], rate) for edge_id, rate in wiring.guard]),
+        pops=tuple(
+            [
+                (port, fifos[edge_id], rate, None, None)
+                if members is None
+                else (
+                    port,
+                    None,
+                    0,
+                    tuple([(fifos[member], n) for member, n in members]),
+                    connection,
+                )
+                for port, edge_id, rate, members, connection in wiring.pops
+            ]
         ),
-        pops=tuple(pops),
-        pushes=tuple(
-            (port, fifos[edge_id])
-            for port, edge_ids in wiring.emits
-            for edge_id in edge_ids
-        ),
+        pushes=tuple([(port, fifos[edge_id]) for port, edge_id in wiring.pushes]),
         counts=counts,
     )
 
@@ -329,7 +326,7 @@ def send_op(
         SEND,
         name or actor.name,
         actor=actor,
-        cycles=_static_cycles(actor) if cost is None else None,
+        cycles=static_cycles(actor) if cost is None else None,
         cost=cost,
         fifo=in_fifo,
         rate=actor.port("in").rate,
@@ -364,7 +361,7 @@ def recv_op(
         RECV,
         name or actor.name,
         actor=actor,
-        cycles=_static_cycles(actor) if cost is None else None,
+        cycles=static_cycles(actor) if cost is None else None,
         cost=cost,
         channel=channel,
         fifo=out_fifo,

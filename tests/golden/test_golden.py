@@ -498,7 +498,7 @@ def record(campaign: str, seed: int) -> Dict:
 
 
 def _selftimed_digest(graph) -> Optional[str]:
-    if graph.has_zero_delay_cycle():
+    if graph.zero_delay_cycle():
         return None
     trace = simulate_selftimed(graph, SELFTIMED_ITERATIONS)
     rows = sorted(
@@ -523,7 +523,7 @@ def _random_record(suite: str, graph) -> Dict:
         return entry
     if suite == "prune":
         _, removed, _ = SyncGraphSnapshot(graph).prune()
-        return {"removed": _edges(removed)}
+        return {"removed": _edges(graph.edges[i] for i in removed)}
     result = resynchronize(graph)
     return {
         "removed": _edges(result.removed),

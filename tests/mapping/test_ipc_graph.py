@@ -1,4 +1,5 @@
-"""Unit tests for IPC-graph construction (paper §4.1)."""
+"""Unit tests for IPC-graph construction (paper §4.1), read through the
+object view of the columns ``build_ipc_graph`` returns."""
 
 
 from repro.mapping import (
@@ -12,13 +13,13 @@ from repro.mapping import (
 def ipc_of(graph, assignment):
     partition = Partition.manual(graph, assignment)
     schedule = build_selftimed_schedule(graph, partition)
-    return build_ipc_graph(schedule)
+    return build_ipc_graph(schedule).graph()
 
 
 class TestConstruction:
     def test_vertices_match_tasks(self, chain_graph, two_pe_partition):
         schedule = build_selftimed_schedule(chain_graph, two_pe_partition)
-        ipc = build_ipc_graph(schedule)
+        ipc = build_ipc_graph(schedule).graph()
         assert {v.name for v in ipc.vertices} == {"A", "B", "C"}
         assert ipc.vertex("B").pe == 1
         assert ipc.vertex("B").cycles == 20
@@ -26,7 +27,7 @@ class TestConstruction:
     def test_intra_edges_follow_program_order(self, chain_graph, two_pe_partition):
         ipc = build_ipc_graph(
             build_selftimed_schedule(chain_graph, two_pe_partition)
-        )
+        ).graph()
         intra = {
             (e.src, e.snk, e.delay) for e in ipc.edges_of_kind(EdgeKind.INTRA)
         }
@@ -39,7 +40,7 @@ class TestConstruction:
     def test_ipc_edges_cross_pe_only(self, chain_graph, two_pe_partition):
         ipc = build_ipc_graph(
             build_selftimed_schedule(chain_graph, two_pe_partition)
-        )
+        ).graph()
         crossing = {(e.src, e.snk) for e in ipc.edges_of_kind(EdgeKind.IPC)}
         assert crossing == {("A", "B"), ("B", "C")}
 
@@ -65,5 +66,5 @@ class TestConstruction:
     def test_eq3_semantics_no_zero_delay_cycle(self, chain_graph, two_pe_partition):
         ipc = build_ipc_graph(
             build_selftimed_schedule(chain_graph, two_pe_partition)
-        )
-        assert not ipc.has_zero_delay_cycle()
+        ).graph()
+        assert not ipc.zero_delay_cycle()

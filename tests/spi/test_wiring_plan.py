@@ -49,9 +49,9 @@ def test_three_configs_and_mpi_build_the_plan_once(case, monkeypatch):
     plan_wiring = library.plan_wiring
     graph_fingerprint = cache_module.graph_fingerprint
 
-    def counting_plan(insertion):
+    def counting_plan(insertion, script):
         plans.append(insertion)
-        return plan_wiring(insertion)
+        return plan_wiring(insertion, script)
 
     def counting_fingerprint(graph):
         fingerprints.append(graph)
@@ -123,8 +123,12 @@ def test_the_plan_wires_what_the_inserted_graph_holds(case):
         else:
             assert isinstance(wiring, ComputeWiring)
             needs = [
-                (name, [edge_id for edge_id, _ in branches])
-                for name, branches, _ in wiring.needs
+                (name, [edge_id] if members is None
+                 else [member for member, _ in members])
+                for name, edge_id, _, members, _ in wiring.pops
+            ]
+            assert [edge_id for edge_id, _ in wiring.guard] == [
+                edge_id for _, edge_ids in needs for edge_id in edge_ids
             ]
             expected = []
             for port in actor.input_ports:

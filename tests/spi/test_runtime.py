@@ -5,7 +5,7 @@ import pytest
 from repro.dataflow import DataflowGraph, DynamicRate
 from repro.mapping import Partition
 from repro.spi import Protocol, SpiConfig, SpiSystem
-from tests.conftest import build_pipeline_graph as pipeline_graph
+from tests.conftest import build_pipeline_graph as pipeline_graph, sync_cost
 
 
 class TestCompile:
@@ -187,7 +187,7 @@ class TestAnalysis:
             if system.resync_result is not None
             else system.sync_graph
         )
-        assert reference.sync_cost() >= 2  # two data channels
+        assert sync_cost(reference) >= 2  # two data channels
 
     def test_fpga_report_spi_only_system(self):
         graph = pipeline_graph()

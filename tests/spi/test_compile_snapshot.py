@@ -78,7 +78,6 @@ def _op(op) -> list:
         [_name(channel) for channel in op.credited],
         [[edge.name, _name(channel)] for edge, channel in op.remote],
         [_name(fifo) for fifo in op.local],
-        None if op.connection is None else op.connection.name,
         op.group,
         op.rendezvous,
         _name(op.channel),
@@ -253,163 +252,163 @@ CASES = {
 
 DIGESTS = {
     "collective_seed1": (
-        "f129da6c1f2884210021535c6f25b590bf6b1beef10bddb53f56b0f5b1cc7d11"
+        "b356d339e69e5d2f27623abb58a1676d422a75e3fa75d0a681db02b6943371e6"
     ),
     "collective_seed12": (
-        "1aad4b5abc6968ba0de3a30fc09baf5c6a8235559fc1fb05e328e43a4ed342e5"
+        "8879d131be25ed373a50d5dd6f9838fee7835aa7ed08e92aa240a340ed132373"
     ),
     "collective_seed16": (
-        "3627128f0cfb4d95760f96001007a1192181ef8f9074e4defa21a1ec1f51f559"
+        "efe7c4d7052f199c804321ba77ef7c06d45689f41b07db9a3cd3c3a3fef63b33"
     ),
     "collective_seed2": (
-        "bf6682513829867e67320c047a1e9245484c600ecc46f7722737f8c5e9807cc3"
+        "cd62bffe7e7b18108cc61feaf3e50125269f869bd29b90a80aef822aae8f011e"
     ),
     "collective_seed21": (
-        "d17796a458237fceea937ac833f9dafaed27fc12f888e12ce8b9550eb9b389fb"
+        "1090a1f210eecf551ea6a8255459111aca230dd69bc5725ee7730e1389e26873"
     ),
     "collective_seed25": (
-        "bc3a63785d01c5a266bf6cbc9c30b915d063ef9aec0e6bba3de25c9147126491"
+        "acd2839deb1f7d6f6f8643d3249a91a6476a50cbc49184f033631dbdbc032259"
     ),
     "collective_seed3": (
-        "26fa9e1c74c54a57d3c6af2fc9cf954f7846cfe2b435d19edc4ec49a5240dbfb"
+        "59fdbbc7ec8ac6df1e01176296914f0441b684a9226f9528638469cf550d423e"
     ),
     "collective_seed41": (
-        "2a0cc7ab190c08b6a55145a24c77957bd58633b4d3a97531b54d5058bc24bbe6"
+        "6007c37bac5d58390b6d1b035bc3bf85b6ae149416a63a806ab4497d35d33b61"
     ),
     "collective_seed5": (
-        "7d8144128e5ada026e73d1c32d83494dc8256d36038109e6e71270e224007cef"
+        "7ac4f1c1c7ae6058e785de42234dbdc465578b9ffeeb550275249b739f622387"
     ),
     "collective_seed57": (
-        "e77c9f664177dc59659adcab274e1e98e2b435426e93060ce1a827b1dd38afee"
+        "45de47f6d6b5799c3457206bf71ed9f65ed03411e4e6b5d4d8b2ec9305187454"
     ),
     "lpc_3pe": (
-        "61faed1369eada543f9d1b21f376666e842d74fb839b3103f4424c5fa1e6853f"
+        "1ba060076cb6f0d09d09dbb5b884805da3cd2c23cbf109d19140de6f434e8946"
     ),
     "pf_2pe": (
-        "e2bf759405cd05bce87c2b603cb098544cc29b6ac3d80a6d5de2d5df6731c3ba"
+        "d1e6677223df0515c30beab2fa8a71d14edc24049420e0fd0aa7577981768c8c"
     ),
     "seed1": (
-        "d43d47b73bbf0ffba5ee93e1d6bcebd1875e88b75ae27f7877731dafcc96d316"
+        "92e43731b223537aef6e91d60d715b028702a2b0b83e727a4ae84e2a75bddf74"
     ),
     "seed10": (
-        "16e5ff32a3a73fd860af9f5b5ee74ecd5540c995298e04ff02ff3f4ec27bb7e6"
+        "9831da738762ab9230b1a93769cae6c38fb2464836d104b51698c7e3e856056b"
     ),
     "seed11": (
-        "61d4a56fe565ac2325b60056a0e880a6f565290ce792cc7b98b578dcc5ac2215"
+        "1dba167c1bc3a31a08416a28b3fa6d86617f3db8b2d4b4c5f8c42bd2ce465ca0"
     ),
     "seed12": (
-        "0560192d71065116751cbc7f922f0bc382ef27716eb84442a3f4d14204983e14"
+        "8f3b4458057f7fe04822f3cd4d8a2a2d6fbcf47abdbc8bd1ec84b823ee0af6dd"
     ),
     "seed13": (
-        "91a29481faf4d44ef7b2075ce09ec320e85c0bbc9997e0499e7f3c5516bd93b4"
+        "d03464613a5f48c4ab18eb352cc550f7705f84dfc59c71d49c24fd93d36bae4c"
     ),
     "seed14": (
-        "53120f29329494a1eaca2a649a491a34c9d4248f31596018627d2b5a1f845df5"
+        "e18562228009b3c0eafccd97428ddccb675118575f6d62a437870988d800f2d0"
     ),
     "seed15": (
-        "c4a7b7ba2caa51b7e47e5ce8d215ecfe9ba57c2c99dd34e22536880ba8619aa9"
+        "36f65d4bafb36f5dab5aa5667ec47799b6339bdfa3e9c74357f2250dede2e6ad"
     ),
     "seed16": (
-        "413483772fe68b76ca314ed2a56e7bfcfe07d223544622fe0a8a83ca82987686"
+        "f8e46d854465f8542a253ae23724578868dbf2046c09a2a09d666f1dbd2f4ebc"
     ),
     "seed17": (
-        "fc694d058a781e747c1386e406eeaf202fd14c2324e131d1a9436f89d8b6e0d6"
+        "8cceca813cbaa62c94f5f887bca5f1a52cf88d7969cd359f0c86d70b6f0ba9ba"
     ),
     "seed18": (
-        "ed69c5d9bca6317640a49dbbd1813352a6a3cd7367f0a0668881375b815e9c65"
+        "1f20306ad2db5ee08aa135f3241f0599a01bfbe554b650afdd7a74deca958390"
     ),
     "seed19": (
-        "8cea08b6884ab64abd66c616f4f08330b9d598846870b7a592e8487a5768582a"
+        "2f4b44ec8d4da0e8b7ecd84d01ce9347081117da873a083f5dc3e1c82108b55d"
     ),
     "seed2": (
-        "bf6682513829867e67320c047a1e9245484c600ecc46f7722737f8c5e9807cc3"
+        "cd62bffe7e7b18108cc61feaf3e50125269f869bd29b90a80aef822aae8f011e"
     ),
     "seed20": (
-        "56559d50ec0e3c2bfe60d429ec4c094acd8b97c884d36de5046467302fe17c7c"
+        "3f222fbcafe90a03e44df5bb0d9414110c85d4b4fedb36aa8a275d0ad190529f"
     ),
     "seed21": (
-        "df0272a74fe2960ccf7aeef1b8c72c279547b2f7dd9e6e3ac1d5ba03620bc494"
+        "90307ab070aabfa8851bd5d662eca18c76ccf6d7294dfc94450fc842715818f2"
     ),
     "seed22": (
-        "188acd2772e21ecdb4b4b14be39677bb02e21a5943cff3a008a1bfb7b2a56b65"
+        "7dad11d3b3f2af4007735d9f4c6a97ebecf0e5a1f72eb80a522948acd69e0c6f"
     ),
     "seed23": (
-        "0b9290ad6eb66a4e0d398492370d8db563c8e232ceca33df8a0d77f74aedf29f"
+        "c39dd453968ef78d29a07702eb7e122969b36c2c0fc7afa3e537d7bca211b4ac"
     ),
     "seed24": (
-        "aa2fcfdfd89aa572b7bcab4263e8d24abb1e9bdddd51eeb72ffa2ebb8b9bd556"
+        "7f9273814cab8c5054ba08bbf4b13801b38f9618364f893d9433f1144c2083aa"
     ),
     "seed25": (
-        "53495d4d2720442174f8966f8532a5c42351cc6d27763e970dea5f872aa54633"
+        "f4e0686810d5c4fb88ac12f215d3da63411c05ce1e894b849f6fa6a22bbadff3"
     ),
     "seed26": (
-        "ddd78010d3aaee40329337b52b1917e10b8bd89c4368d946aefb82f58e0d938c"
+        "a6d33b2e72ca546a825876d4800acb300df72861a2ce6492719f5f8c2fd581c1"
     ),
     "seed27": (
-        "7bcd5a4d51ef7a115786b770e5d8a727255f0b77464b652ffb75e1e26355ea31"
+        "c9a939df8a2406275529105ace6518c9a63940f9d600c74edd9fa8d10cce188f"
     ),
     "seed28": (
-        "adb2ebae94d283e726c2e221ce9c06061dd875dc90a305e4367c340471b83e2d"
+        "5bc7a03bbeb15bfeba49a7d2adfbcdc390a162f830ee0c8e0d9f247a807a3772"
     ),
     "seed29": (
-        "741f17dfce197a9dbe93f1ebd4780f87ea082ca3bac5b38cebf04bd5d8604cf2"
+        "46dd9e7fefeb5cb36e323b7f5dd8b1257dffd9ffdb06edd8a93176ad11c39b19"
     ),
     "seed3": (
-        "94f1cf7829d8167720b1721e84dfd78d4d3483d0fea3e6106e3ef7bf761d9755"
+        "5834273dd604ec93796a5497f8386fc32b21f3787d0fc5c78433ae3187085838"
     ),
     "seed30": (
-        "d79a46e8482911bcb50dd47f1f4bad2a883e9c311d4462a44ca5be79c075eba7"
+        "56e96f9dda8bae3f5426084af4dbb3417c85087ddad7ec48bb3ff41d11de769a"
     ),
     "seed31": (
-        "326b735656c3e8a29504405f1348c7e423c91da323a9497aeec9b1b6d98887b0"
+        "39b4f3bd7a7d0d7377cbff62a7805fa64bab22d5835916cde6a34561a3bb394d"
     ),
     "seed32": (
-        "ce7f217f97a0c85c2fe33f6fc9630fac248264d34c65c954fcbefb9f1932540a"
+        "140ad34d411f0e36e5588b032c3557adffc1e3141ef95e5309776e9cb16ca14c"
     ),
     "seed33": (
-        "29c7fffd3a70f9072719ac3740a7e1e7f24d21ea279acf3796d7ac922e63c17c"
+        "fd4f5b13e30042939a0d13d45692001caccb0bdd7592ce5874e9fd9f109a53be"
     ),
     "seed34": (
-        "8e9313c2b0ec75a64a022ed9105fd82ea3b10bc9351f7b0675d7935e4f9db872"
+        "fb322bb93d35d315429d464c590bdb007c022dc63899002ca68dfcafd8d3fc9c"
     ),
     "seed35": (
-        "fb5975ffa3587b26bc5c4ea71c657de9365a6bba7097e7036e826bf79a1a1055"
+        "850d7b0587edd781f9322a9fc7d24b3bf60ffc6d663cddafc34b955faa1c5668"
     ),
     "seed36": (
-        "f1a0a22ee1e930d2373740f8fb867364728146fc27932e6fa81463559c60f48f"
+        "44f372778966c76300447c34d5d5b837e56888989a1032ffc7e9bdd7ea145555"
     ),
     "seed37": (
-        "8746c50a8a7e4a013cce05fc4ba0422c19e07a3dc3dd6f97a7e57920bca7a522"
+        "7d1d00b2aa64a4d96251e448540b08ded9d02871e07f72c9d77bc0fb247fe4ef"
     ),
     "seed38": (
-        "86e51bb5f17bdb95fd9b5ad68e0c26afd9831f85e06d1138a21622e442f7b1d2"
+        "5ed534824df365712a4174ba576b2e1148cf73cb8a1cffde8dac4c2b21e7a2b0"
     ),
     "seed39": (
-        "a743d3915264b5deb1994513a846642750002181213f645e7e9f0dad86b0089c"
+        "69f66381c9ce8b1f3a8b8fa321fb4a98c646bb2b88fbafc734cc722bb489cd6f"
     ),
     "seed4": (
-        "a2310c3b2109d85b8c30e7828b6bd93159f119058752d1f3e647809258ab8099"
+        "6df4b918116935047de8635e6ab804c869b07367c737fef3e9fc34a80ffd240f"
     ),
     "seed40": (
-        "80e960efe248018150cc18c414bfa639cee979fd27c11e37baed0e98f9006d23"
+        "ca966f80d79cb0e9a6bedf4927839b2733c495bd6f414bbe1c2cb11674a6743a"
     ),
     "seed5": (
-        "83bed3e42f24fe0794b9f4236cf7e14b0a1af05a67391a77bd0e4f063d45c554"
+        "a4f704265a9c6cd3804a582a084da634beaefb6f7173e2d1b33f15094641ace0"
     ),
     "seed6": (
-        "54d85e30dee210e2292565ae7d5ca499b148ea8f892e941b80bcf8df6c9ab44c"
+        "6aa5d936fd801deee3509107f0b8d5be04f5ce79f17788a5ad0effc043019b56"
     ),
     "seed7": (
-        "d70a01fe9e8549c694e13b6e4c18c53ba0139e25be16791ab907e2967ab7c2fe"
+        "ccc0e6d5f4dcf0f0f2da745e1b0a63dda7fd141efdaa208414117cf49891a669"
     ),
     "seed8": (
-        "6004186d7e765e7cf12f9d74e64d118677c5f28ee51ec182fb0aecaa213b0c18"
+        "35cc3d1f219823570911914644de1f52ed274ef9ecf42639ed2f2204f703f322"
     ),
     "seed9": (
-        "1fc60113b1fe1ad02f4b8d7f2e89e65d802a333e847763169da69f6aaf685c6a"
+        "d17edc7c6a369c604c434285df6dd736f0c1decbba852efdea2bd5546a1f5a2f"
     ),
     "vts_pair": (
-        "984083eb3cbe80749da5e042ed0bde03f65b0d298d5c913e8318055a3471c42e"
+        "be11fb157b12a7e65474524762b916960c1b20dba04028b8d4247c8e41af9263"
     ),
 }
 

@@ -341,14 +341,14 @@ class Op:
     __slots__ = (
         "kind", "name", "index", "staged", "sync", "actor", "cycles",
         "cost", "guard", "pops", "pushes", "fifo", "rate", "flows",
-        "credited", "remote", "local", "connection", "wire", "group",
+        "credited", "remote", "local", "wire", "group",
         "rendezvous", "channel", "counts", "single", "classic",
     )
 
     def __init__(
         self, kind: int, name: str, *, actor=None, cycles=None, cost=None,
         guard=(), pops=(), pushes=(), fifo=None, rate=0, flows=(),
-        credited=(), remote=(), local=(), connection=None, wire=None,
+        credited=(), remote=(), local=(), wire=None,
         group=None, rendezvous=False, channel=None, counts=None,
     ) -> None:
         self.kind = kind
@@ -368,7 +368,6 @@ class Op:
         self.credited = credited
         self.remote = remote
         self.local = local
-        self.connection = connection
         self.wire = wire
         self.group = group
         self.rendezvous = rendezvous

@@ -310,15 +310,6 @@ def send_op(
     """
     remote = tuple(sorted(branches, key=lambda item: item[0].branch_index))
     local = tuple(sorted(local, key=lambda fifo: fifo.edge.branch_index))
-    connections = {id(edge.connection): edge.connection for edge, _ in remote}
-    for fifo in local:
-        connections[id(fifo.edge.connection)] = fifo.edge.connection
-    if len(connections) != 1:
-        raise ValueError(
-            f"send {actor.name}: branches belong to "
-            f"{len(connections)} connections, expected exactly 1"
-        )
-    connection = next(iter(connections.values()))
     flows = tuple(
         channel.flow for _, channel in remote if channel.flow is not None
     )
@@ -338,7 +329,6 @@ def send_op(
         ),
         remote=remote,
         local=local,
-        connection=connection,
         wire=wire,
         group=group,
         rendezvous=rendezvous,

@@ -96,7 +96,10 @@ def test_collective_sends_and_assembling_firings(programs):
     graph, partition = collective_graph()
     result = SpiSystem.compile(graph, partition).run(iterations=3)
     assert result.collective_messages > 0
-    kinds = {op.connection.kind for op in fired(programs, SEND, lambda op: op.group)}
+    kinds = {
+        op.remote[0][0].connection.kind
+        for op in fired(programs, SEND, lambda op: op.group)
+    }
     assert kinds == {"broadcast"}
     assembled = {
         connection.kind

@@ -44,10 +44,6 @@ class ShrinkResult:
     steps: int
     attempts: int
 
-    @property
-    def n_actors(self) -> int:
-        return len(self.spec.actors)
-
 
 def _drop_actor(spec: GraphSpec, name: str) -> GraphSpec:
     return replace(

@@ -482,10 +482,6 @@ class Connection:
         """Non-FIFO with more than one branch (degenerates stay FIFO-like)."""
         return self.kind != self.FIFO and len(self.edges) > 1
 
-    @property
-    def fan_out(self) -> int:
-        return len(self.edges)
-
     def assemble(self, branch_values: List[Sequence]) -> Sequence:
         """Combine per-branch consumed tokens (branch order) for the sink.
 
@@ -769,12 +765,6 @@ class DataflowGraph:
 
     def out_edges(self, actor: Actor) -> List[Edge]:
         return list(self._out_edges.get(id(actor), ()))
-
-    def successors(self, actor: Actor) -> List[Actor]:
-        seen: Dict[str, Actor] = {}
-        for edge in self.out_edges(actor):
-            seen.setdefault(edge.snk_actor.name, edge.snk_actor)
-        return list(seen.values())
 
     @property
     def is_dynamic(self) -> bool:

@@ -53,14 +53,6 @@ class SelfTimedSchedule:
     repetitions: Dict[str, int]
     task_pe: Dict[str, int] = field(default_factory=dict)
 
-    def tasks(self) -> List[str]:
-        return [name for order in self.orders.values() for name in order]
-
-    def position(self, task_name: str) -> int:
-        """Index of the task within its PE's cyclic order."""
-        order = self.orders[self.task_pe[task_name]]
-        return order.index(task_name)
-
     def firing_script(self) -> Dict[int, List[Tuple[str, str]]]:
         """Flat per-PE firing plan: ``[(task name, origin actor), ...]``.
 

@@ -43,10 +43,6 @@ class TraceEvent:
                 f"starts ({self.start})"
             )
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
 
 class TraceRecorder:
     """Collects and analyses task execution intervals.

@@ -137,10 +137,6 @@ class RunStore:
         target.write_text(json.dumps(record.to_json(), indent=2) + "\n")
         return target
 
-    def load(self, run_id: str) -> RunRecord:
-        raw = json.loads((self.directory / f"{run_id}.json").read_text())
-        return RunRecord.from_json(raw)
-
     def list(self) -> List[RunRecord]:
         return [
             RunRecord.from_json(json.loads(path.read_text()))

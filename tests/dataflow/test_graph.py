@@ -218,7 +218,7 @@ class TestDataflowGraph:
 
     def test_successors(self, chain_graph):
         b = chain_graph.get_actor("B")
-        assert [a.name for a in chain_graph.successors(b)] == ["C"]
+        assert [e.snk_actor.name for e in chain_graph.out_edges(b)] == ["C"]
 
     def test_edge_between(self, chain_graph):
         edge = chain_graph.edge_between("A", "B")

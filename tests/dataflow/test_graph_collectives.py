@@ -49,7 +49,7 @@ class TestConstruction:
         )
         assert conn.kind == Connection.BROADCAST
         assert conn.is_collective
-        assert conn.fan_out == 3
+        assert len(conn.edges) == 3
         assert [e.name for e in conn.edges] == ["bc[0]", "bc[1]", "bc[2]"]
         for index, edge in enumerate(conn.edges):
             assert edge.connection is conn

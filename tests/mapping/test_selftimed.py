@@ -16,7 +16,7 @@ class TestHomogeneous:
     def test_pe_lookup(self, chain_graph, two_pe_partition):
         schedule = build_selftimed_schedule(chain_graph, two_pe_partition)
         assert schedule.task_pe["B"] == 1
-        assert schedule.position("C") == 1
+        assert schedule.orders[schedule.task_pe["C"]].index("C") == 1
 
     def test_single_pe(self, chain_graph):
         partition = Partition.single_processor(chain_graph)
@@ -56,4 +56,5 @@ class TestMultirate:
 
     def test_tasks_enumeration(self, chain_graph, two_pe_partition):
         schedule = build_selftimed_schedule(chain_graph, two_pe_partition)
-        assert sorted(schedule.tasks()) == ["A", "B", "C"]
+        tasks = [name for order in schedule.orders.values() for name in order]
+        assert sorted(tasks) == ["A", "B", "C"]

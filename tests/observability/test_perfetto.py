@@ -126,7 +126,7 @@ def event_object_chrome_trace(trace, messages, clock_mhz, process_name):
                 "cat": "task",
                 "ph": "X",
                 "ts": to_us(event.start),
-                "dur": to_us(event.duration),
+                "dur": to_us(event.end - event.start),
                 "pid": PE_PID,
                 "tid": event.pe,
                 "args": {"iteration": event.iteration},

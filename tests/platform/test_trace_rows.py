@@ -56,7 +56,7 @@ class EventListRecorder:
                 event.task, {"count": 0, "total": 0, "mean": 0.0}
             )
             entry["count"] += 1
-            entry["total"] += event.duration
+            entry["total"] += event.end - event.start
         for entry in stats.values():
             entry["mean"] = entry["total"] / entry["count"]
         return stats
@@ -78,7 +78,7 @@ class EventListRecorder:
         for event in sorted(self._events, key=lambda e: (e.start, e.pe)):
             lines.append(
                 f"{event.pe},{event.task},{event.iteration},"
-                f"{event.start},{event.end},{event.duration}"
+                f"{event.start},{event.end},{event.end - event.start}"
             )
         return "\n".join(lines)
 

@@ -79,12 +79,12 @@ class TestCampaignLifecycle:
         assert report["failures"][0]["run_id"] == "fails-00001"
         assert "flaky unit exploded" in report["failures"][0]["error"]
 
-        store = RunStore(tmp_path)
-        assert store.load("fails-00000").state == "done"
-        failed = store.load("fails-00001")
+        records = {r.run_id: r for r in RunStore(tmp_path).list()}
+        assert records["fails-00000"].state == "done"
+        failed = records["fails-00001"]
         assert failed.state == "failed"
         assert "flaky unit exploded" in failed.error
-        assert store.load("fails-00002").state == "done"
+        assert records["fails-00002"].state == "done"
 
     def test_malformed_unit_fails_before_any_execution(self, tmp_path):
         from repro.service import RegistryError

@@ -86,13 +86,13 @@ class TestRunStore:
         store.save(first)
         store.save(second)
 
-        assert store.load("test-00001").state == "queued"
-        assert store.load("test-00002").error == "boom"
         listed = store.list()
         assert [record.run_id for record in listed] == [
             "test-00001",
             "test-00002",
         ]
+        assert listed[0].state == "queued"
+        assert listed[1].error == "boom"
 
     def test_save_overwrites_in_place(self, tmp_path):
         store = RunStore(tmp_path)
@@ -101,5 +101,5 @@ class TestRunStore:
         record.mark_running()
         record.mark_done()
         store.save(record)
-        assert store.load(record.run_id).state == "done"
-        assert len(store.list()) == 1
+        (loaded,) = store.list()
+        assert (loaded.run_id, loaded.state) == (record.run_id, "done")

@@ -1,7 +1,6 @@
 """Multiprocessor mapping: partitioning, self-timed scheduling, IPC and
 synchronization graphs, resynchronization, and cycle-mean analysis."""
 
-from repro.mapping.graph_arrays import GraphArrays
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.mcm import (
     McmResult,
@@ -22,14 +21,10 @@ from repro.mapping.resync import (
     resynchronize,
 )
 from repro.mapping.selftimed import SelfTimedSchedule, build_selftimed_schedule
-from repro.mapping.sync_graph import (
-    SynchronizationGraph,
-    derive_sync_graph,
-)
+from repro.mapping.sync_graph import derive_sync_graph
 from repro.mapping.timed_graph import EdgeKind, TimedEdge, TimedGraph, TimedVertex
 
 __all__ = [
-    "GraphArrays",
     "build_ipc_graph",
     "McmResult",
     "SelfTimedTrace",
@@ -45,7 +40,6 @@ __all__ = [
     "resynchronize",
     "SelfTimedSchedule",
     "build_selftimed_schedule",
-    "SynchronizationGraph",
     "derive_sync_graph",
     "EdgeKind",
     "TimedEdge",

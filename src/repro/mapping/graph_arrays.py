@@ -1,19 +1,11 @@
 """Array-backed analysis engine for timed graphs (the §3/§4 fast path).
 
-The compile represents ``G_ipc`` and the synchronization graphs as
-columns, and every exact analysis the SPI methodology runs per graph —
-maximum cycle mean, redundancy detection, resynchronization scoring —
-reads those columns instead of walking a
-:class:`~repro.mapping.timed_graph.TimedGraph` object graph:
+Every exact analysis the SPI methodology runs per graph — maximum cycle
+mean, redundancy detection, resynchronization scoring — reads the
+columns of a :class:`~repro.mapping.timed_graph.TimedGraph`:
 
-* :class:`GraphArrays` — a timed graph as vertex columns (names,
-  execution times, PEs, origin actors) and edge columns (source, sink,
-  delay, kind, origin edge) in edge order.  The compile builds them
-  straight from the schedule's task table; :meth:`GraphArrays.of`
-  converts an object graph a caller holds, and :meth:`GraphArrays.graph`
-  builds one where an API returns objects;
 * :func:`strongly_connected_components` — iterative Tarjan over the
-  out-edge lists;
+  out-edge id lists;
 * :func:`howard_mcm` — Howard's policy iteration for the maximum
   cycle-ratio problem ``max over cycles C of sum(t(src)) / sum(delay)``.
   It runs a handful of O(V+E) policy-evaluation sweeps and terminates
@@ -37,16 +29,13 @@ and there is no finite ratio to iterate towards).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mapping.timed_graph import TimedEdge, TimedGraph, TimedVertex
+from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
-    "GraphArrays",
     "NO_PATH",
     "howard_mcm",
     "insert_edge_min_delay",
@@ -60,154 +49,12 @@ __all__ = [
 #: in int64.
 NO_PATH = 1 << 40
 
-#: One edge as a row: ``(src id, snk id, delay, kind, origin edge)``.
-EdgeRow = Tuple[int, int, int, str, Optional[str]]
 
-
-@dataclass(eq=False)
-class GraphArrays:
-    """A timed graph as columns.
-
-    Vertex ``v`` is ``names[v]``, takes ``cycles[v]`` and runs on
-    ``pe[v]`` as an invocation of ``origin[v]``; edge ``i`` runs from
-    ``src[i]`` to ``snk[i]`` with ``delay[i]``, role ``kind[i]`` and
-    ``origin_edge[i]``.  Every column is a Python list that nothing
-    changes once built: :meth:`select` builds new edge columns over the
-    same vertex columns, so the pre-ack graph, each compile's graph with
-    its acks and the pruned graphs share what they have in common.
-    """
-
-    name: str
-    names: List[str]
-    cycles: List[int]
-    pe: List[int]
-    origin: List[Optional[str]]
-    src: List[int]
-    snk: List[int]
-    delay: List[int]
-    kind: List[str]
-    origin_edge: List[Optional[str]]
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def m(self) -> int:
-        return len(self.src)
-
-    @classmethod
-    def of(cls, graph: TimedGraph) -> "GraphArrays":
-        """The columns of an object graph, in its vertex and edge order."""
-        vertices = graph.vertices
-        index = {v.name: i for i, v in enumerate(vertices)}
-        edges = graph.edges
-        return cls(
-            graph.name,
-            [v.name for v in vertices],
-            [v.cycles for v in vertices],
-            [v.pe for v in vertices],
-            [v.origin_actor for v in vertices],
-            [index[e.src] for e in edges],
-            [index[e.snk] for e in edges],
-            [e.delay for e in edges],
-            [e.kind for e in edges],
-            [e.origin_edge for e in edges],
-        )
-
-    @cached_property
-    def index(self) -> Dict[str, int]:
-        """Vertex id by name."""
-        return {name: v for v, name in enumerate(self.names)}
-
-    def rows(self) -> List[EdgeRow]:
-        """Every edge as an :data:`EdgeRow`, in edge order."""
-        return list(
-            zip(self.src, self.snk, self.delay, self.kind, self.origin_edge)
-        )
-
-    def select(
-        self, keep: Iterable[int], rows: Sequence[EdgeRow] = ()
-    ) -> "GraphArrays":
-        """The graph of edges ``keep``, in the order given: ids below
-        ``m`` are this graph's edges, ``m + k`` is ``rows[k]``."""
-        every = self.rows() + list(rows)
-        columns = tuple(zip(*[every[i] for i in keep])) or ((),) * 5
-        return GraphArrays(
-            self.name, self.names, self.cycles, self.pe, self.origin,
-            *map(list, columns),
-        )
-
-    def with_edges(self, rows: Sequence[EdgeRow]) -> "GraphArrays":
-        """This graph with ``rows`` appended after its edges."""
-        return self.select(range(self.m + len(rows)), rows) if rows else self
-
-    def edge(self, row: EdgeRow) -> TimedEdge:
-        """An :data:`EdgeRow` over these vertices as a :class:`TimedEdge`."""
-        src, snk, delay, kind, origin_edge = row
-        return TimedEdge(
-            self.names[src], self.names[snk], delay, kind, origin_edge
-        )
-
-    def graph(self, cls: Type[TimedGraph] = TimedGraph) -> TimedGraph:
-        """The object graph of these columns (a ``cls`` instance)."""
-        vertices = [
-            TimedVertex(*vertex)
-            for vertex in zip(self.names, self.cycles, self.pe, self.origin)
-        ]
-        edges = [self.edge(row) for row in self.rows()]
-        return cls(self.name, vertices, edges)
-
-    @cached_property
-    def out_edges(self) -> List[List[int]]:
-        """Out-edge ids of every vertex, in edge order."""
-        out: List[List[int]] = [[] for _ in self.names]
-        for eid, u in enumerate(self.src):
-            out[u].append(eid)
-        return out
-
-    def zero_delay_cycle(self) -> List[int]:
-        """Vertex ids of one zero-total-delay cycle, or [] when none
-        exists (a depth-first search over the zero-delay edges, roots
-        and successors in vertex and edge order)."""
-        adjacency: List[List[int]] = [[] for _ in self.names]
-        for u, v, d in zip(self.src, self.snk, self.delay):
-            if d == 0:
-                adjacency[u].append(v)
-        state = [0] * len(adjacency)
-        parent = [0] * len(adjacency)
-        for root in range(len(adjacency)):
-            if state[root]:
-                continue
-            stack = [(root, iter(adjacency[root]))]
-            state[root] = 1
-            while stack:
-                node, successors = stack[-1]
-                for nxt in successors:
-                    mark = state[nxt]
-                    if mark == 1:
-                        # Back edge: unwind the cycle nxt -> ... -> node.
-                        cycle = [node]
-                        while cycle[-1] != nxt:
-                            cycle.append(parent[cycle[-1]])
-                        cycle.reverse()
-                        return cycle
-                    if mark == 0:
-                        parent[nxt] = node
-                        state[nxt] = 1
-                        stack.append((nxt, iter(adjacency[nxt])))
-                        break
-                else:
-                    state[node] = 2
-                    stack.pop()
-        return []
-
-
-def strongly_connected_components(arrays: GraphArrays) -> List[List[int]]:
+def strongly_connected_components(graph: TimedGraph) -> List[List[int]]:
     """Iterative Tarjan over the out-edge lists (vertex-id components)."""
-    n = arrays.n
-    snk = arrays.snk
-    out = arrays.out_edges
+    n = graph.n
+    snk = graph.snk
+    out = graph.out_edge_ids
     ids = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -320,7 +167,7 @@ def _evaluate_policy(
 
 
 def _howard_component(
-    arrays: GraphArrays,
+    graph: TimedGraph,
     component: List[int],
     component_edges: List[int],
 ) -> Optional[Tuple[int, int, List[int]]]:
@@ -332,11 +179,11 @@ def _howard_component(
     """
     local = {v: i for i, v in enumerate(component)}
     n = len(component)
-    src, snk = arrays.src, arrays.snk
+    src, snk = graph.src, graph.snk
     #: ``(w, tau, u, x, edge id)`` per edge, grouped by source ``u`` in
     #: edge-id order (``w`` is the source's execution time)
     edges = [
-        (arrays.cycles[src[eid]], arrays.delay[eid], local[src[eid]],
+        (graph.cycles[src[eid]], graph.delay[eid], local[src[eid]],
          local[snk[eid]], eid)
         for eid in component_edges
     ]
@@ -354,7 +201,7 @@ def _howard_component(
     pol_snk = [first[u][3] for u in range(n)]
     pol_eid = [first[u][4] for u in range(n)]
 
-    eps = 1e-10 * (1.0 + float(sum(pol_w)) + float(sum(arrays.cycles)))
+    eps = 1e-10 * (1.0 + float(sum(pol_w)) + float(sum(graph.cycles)))
     best: Optional[Tuple[int, int, List[int]]] = None
     # Policy iteration converges in far fewer rounds; the cap is a
     # backstop against float-noise oscillation, after which the current
@@ -393,31 +240,31 @@ def _howard_component(
 
 
 def howard_mcm(
-    arrays: GraphArrays,
+    graph: TimedGraph,
 ) -> Tuple[float, int, int, List[int]]:
     """Exact maximum cycle ratio of a timed graph, with witness.
 
     Precondition: no zero-total-delay cycle (the caller returns
-    ``math.inf`` for those before building arrays).  Returns
+    ``math.inf`` for those before calling).  Returns
     ``(value, total_cycles, total_delay, edge ids of a critical cycle)``;
     acyclic graphs yield ``(0.0, 0, 0, [])``.  The value is computed as
     the float division of the witness cycle's exact integer sums, so it
     carries no search tolerance.
     """
-    if arrays.m == 0:
+    if graph.m == 0:
         return 0.0, 0, 0, []
-    components = strongly_connected_components(arrays)
-    component_of = [0] * arrays.n
+    components = strongly_connected_components(graph)
+    component_of = [0] * graph.n
     for cid, component in enumerate(components):
         for v in component:
             component_of[v] = cid
     buckets: Dict[int, List[int]] = {}
-    for eid, (u, v) in enumerate(zip(arrays.src, arrays.snk)):
+    for eid, (u, v) in enumerate(zip(graph.src, graph.snk)):
         if component_of[u] == component_of[v]:
             buckets.setdefault(component_of[u], []).append(eid)
     best: Optional[Tuple[int, int, List[int]]] = None
     for cid, edge_ids in sorted(buckets.items()):
-        result = _howard_component(arrays, components[cid], edge_ids)
+        result = _howard_component(graph, components[cid], edge_ids)
         if result is None:
             continue
         if best is None or result[0] * best[1] > best[0] * result[1]:

@@ -20,15 +20,14 @@ data.
 from __future__ import annotations
 
 from repro.dataflow.graph import GraphError
-from repro.mapping.graph_arrays import GraphArrays
 from repro.mapping.selftimed import SelfTimedSchedule
-from repro.mapping.timed_graph import EdgeKind
+from repro.mapping.timed_graph import EdgeKind, TimedGraph
 
 __all__ = ["build_ipc_graph"]
 
 
-def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> GraphArrays:
-    """Construct ``G_ipc`` from a self-timed schedule, as columns.
+def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> TimedGraph:
+    """Construct ``G_ipc`` from a self-timed schedule.
 
     The task table of the schedule (the application graph itself, or
     its HSDF expansion for multirate applications) provides the tasks,
@@ -60,7 +59,7 @@ def build_ipc_graph(schedule: SelfTimedSchedule, name: str = "") -> GraphArrays:
         delay.append(d)
         kind.append(EdgeKind.IPC)
         origin_edge.append(origin)
-    ipc = GraphArrays(
+    ipc = TimedGraph(
         name or schedule.graph.name + suffix,
         names,
         [task[3] for task in table.tasks],

@@ -24,9 +24,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
-from repro.mapping.graph_arrays import GraphArrays, howard_mcm
+from repro.mapping.graph_arrays import howard_mcm
 from repro.mapping.timed_graph import TimedGraph
 
 __all__ = [
@@ -77,31 +77,27 @@ class McmResult:
         )
 
 
-def maximum_cycle_mean_result(
-    graph: Union[TimedGraph, GraphArrays]
-) -> McmResult:
-    """MCM of ``graph`` (an object graph or its columns) with a
-    critical-cycle witness.
+def maximum_cycle_mean_result(graph: TimedGraph) -> McmResult:
+    """MCM of ``graph`` with a critical-cycle witness.
 
     Deadlocked graphs return ``math.inf`` with a zero-delay cycle as the
     witness; acyclic graphs return 0.0.
     """
-    arrays = graph if isinstance(graph, GraphArrays) else GraphArrays.of(graph)
-    names = arrays.names
-    cycle = arrays.zero_delay_cycle()
+    names = graph.names
+    cycle = graph.zero_delay_cycle()
     if cycle:
         return McmResult(
             value=math.inf,
             cycle=tuple(names[v] for v in cycle),
-            total_cycles=sum(arrays.cycles[v] for v in cycle),
+            total_cycles=sum(graph.cycles[v] for v in cycle),
             total_delay=0,
         )
-    if not arrays.m:
+    if not graph.m:
         return McmResult(value=0.0)
-    value, total_cycles, total_delay, edge_ids = howard_mcm(arrays)
+    value, total_cycles, total_delay, edge_ids = howard_mcm(graph)
     return McmResult(
         value=value,
-        cycle=tuple(names[arrays.src[eid]] for eid in edge_ids),
+        cycle=tuple(names[graph.src[eid]] for eid in edge_ids),
         total_cycles=total_cycles,
         total_delay=total_delay,
     )

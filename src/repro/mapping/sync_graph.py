@@ -20,22 +20,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.mapping.graph_arrays import GraphArrays
 from repro.mapping.timed_graph import TimedGraph
 
-__all__ = [
-    "SynchronizationGraph",
-    "derive_sync_graph",
-]
+__all__ = ["derive_sync_graph"]
 
 
-class SynchronizationGraph(TimedGraph):
-    """The object form of a synchronization graph, as
-    :attr:`repro.spi.runtime.SpiSystem.sync_graph` and
-    :attr:`repro.mapping.resync.ResynchronizationResult.graph` return it."""
-
-
-def derive_sync_graph(ipc_graph: GraphArrays, name: str = "") -> GraphArrays:
+def derive_sync_graph(ipc_graph: TimedGraph, name: str = "") -> TimedGraph:
     """Initial synchronization graph: ``G_ipc`` under its sync name
     (paper §4.1), sharing its columns."""
     return replace(

@@ -46,9 +46,9 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.mapping.graph_arrays import EdgeRow, GraphArrays
 from repro.mapping.mcm import McmResult
 from repro.mapping.resync import ResynchronizationResult, resynchronize
+from repro.mapping.timed_graph import EdgeRow, TimedGraph
 from repro.platform.interconnect import LINK_SPEC
 from repro.spi.runtime import MAX_BBS_MESSAGES
 
@@ -272,7 +272,7 @@ def _encode_resync(result: ResynchronizationResult) -> Dict[str, object]:
 
 
 def _replay_resync(
-    sync_graph: GraphArrays, raw: Dict[str, object]
+    sync_graph: TimedGraph, raw: Dict[str, object]
 ) -> ResynchronizationResult:
     """Apply a stored resynchronization solution to a fresh sync graph.
 
@@ -300,7 +300,7 @@ def _replay_resync(
     left += range(len(rows), len(rows) + len(added))
     return ResynchronizationResult(
         source=sync_graph,
-        arrays=sync_graph.select(left, added),
+        graph=sync_graph.select(left, added),
         removed_ids=removed,
         added_rows=added,
         cost_before=raw["cost_before"],
@@ -475,7 +475,7 @@ class AnalysisCache:
         )
 
     def resynchronize(
-        self, key: Optional[str], sync_graph: GraphArrays, rho=None
+        self, key: Optional[str], sync_graph: TimedGraph, rho=None
     ) -> ResynchronizationResult:
         """Replay the cached resynchronization solution, or compute it
         (``sync_graph`` and ``rho`` as for

@@ -37,7 +37,7 @@ from repro.dataflow.graph import (
     GraphError,
 )
 from repro.dataflow.vts import VtsConversion, vts_convert
-from repro.mapping.graph_arrays import NO_PATH, GraphArrays, min_delay_matrix
+from repro.mapping.graph_arrays import NO_PATH, min_delay_matrix
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.partition import Partition
 from repro.mapping.selftimed import (
@@ -46,6 +46,7 @@ from repro.mapping.selftimed import (
     max_feasible_batch,
 )
 from repro.mapping.sync_graph import derive_sync_graph
+from repro.mapping.timed_graph import TimedGraph
 from repro.platform.interconnect import LINK_SPEC
 
 __all__ = [
@@ -620,7 +621,7 @@ class Lowering:
     one lowering serves every :class:`~repro.spi.runtime.SpiConfig`
     compile and the MPI baseline compile of the same case.  Compiles
     only read it: each SPI compile appends its ack edges to a copy of
-    the columns of :attr:`sync_arrays`.  The derived parts are built on
+    the columns of :attr:`sync_graph`.  The derived parts are built on
     first use and live as long as the lowering.
     """
 
@@ -638,18 +639,18 @@ class Lowering:
     )
 
     @cached_property
-    def sync_arrays(self) -> GraphArrays:
+    def sync_graph(self) -> TimedGraph:
         """The synchronization graph before any ack edge (paper §4.1):
-        ``G_ipc`` of the schedule under its sync name, as columns whose
-        vertex ``t`` is task ``t`` of the schedule's task table.  Built
+        ``G_ipc`` of the schedule under its sync name, whose vertex
+        ``t`` is task ``t`` of the schedule's task table.  Built
         on first use (MPI never asks)."""
         return derive_sync_graph(build_ipc_graph(self.schedule))
 
     @cached_property
     def min_delays(self) -> np.ndarray:
-        """The read-only min-delay matrix of :attr:`sync_arrays`."""
-        arrays = self.sync_arrays
-        rho = min_delay_matrix(arrays.n, arrays.src, arrays.snk, arrays.delay)
+        """The read-only min-delay matrix of :attr:`sync_graph`."""
+        graph = self.sync_graph
+        rho = min_delay_matrix(graph.n, graph.src, graph.snk, graph.delay)
         rho.setflags(write=False)
         return rho
 
@@ -658,7 +659,7 @@ class Lowering:
         """The undecided :class:`ChannelPlan` of every insertion
         channel, in channel order."""
         schedule = self.schedule
-        index = self.sync_arrays.index
+        index = self.sync_graph.index
         rho = self.min_delays
         assignment = self.insertion.partition.assignment
         plans = []

@@ -22,16 +22,14 @@ simulator (``run``), or prices it on the FPGA resource model
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import DataflowGraph, GraphError
-from repro.mapping.graph_arrays import EdgeRow, GraphArrays, insert_edge_min_delay
+from repro.mapping.graph_arrays import insert_edge_min_delay
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
 from repro.mapping.partition import Partition
 from repro.mapping.resync import ResynchronizationResult, resynchronize
-from repro.mapping.sync_graph import SynchronizationGraph
-from repro.mapping.timed_graph import EdgeKind
+from repro.mapping.timed_graph import EdgeKind, EdgeRow, TimedGraph
 from repro.platform.clock import DEFAULT_CLOCK
 from repro.platform.fpga import (
     FpgaDevice,
@@ -343,7 +341,7 @@ class SpiSystem:
         partition: Partition,
         config: SpiConfig,
         lowering: Lowering,
-        sync_arrays: GraphArrays,
+        sync_graph: TimedGraph,
         channel_plans: Dict[str, ChannelPlan],
         resync_result: Optional[ResynchronizationResult],
         cache=None,
@@ -358,8 +356,8 @@ class SpiSystem:
         self.conversion = lowering.conversion
         self.insertion = lowering.insertion
         self.schedule = lowering.schedule
-        #: the post-ack synchronization graph's columns
-        self.sync_arrays = sync_arrays
+        #: the post-ack synchronization graph
+        self.sync_graph = sync_graph
         self.channel_plans = channel_plans
         self.resync_result = resync_result
         #: effective global blocking factor: the partition's requested
@@ -371,12 +369,6 @@ class SpiSystem:
         self._structure_key = structure_key
         self._task_repetitions: Optional[Dict[str, int]] = None
         self._mcm_result: Optional[McmResult] = None
-
-    @cached_property
-    def sync_graph(self) -> SynchronizationGraph:
-        """The post-ack synchronization graph as objects (built on first
-        use; each system builds its own)."""
-        return self.sync_arrays.graph(SynchronizationGraph)
 
     # -- compilation -------------------------------------------------------
 
@@ -403,7 +395,7 @@ class SpiSystem:
         case several times; without one the compile lowers the graph
         itself.  A lowering built for other
         inputs raises :class:`ValueError`.  What does not depend on
-        ``config`` (the pre-ack synchronization graph's columns, its
+        ``config`` (the pre-ack synchronization graph, its
         min-delay matrix, the channel facts, the batch clamp, the
         structure key) is computed once per lowering.
         """
@@ -453,22 +445,22 @@ class SpiSystem:
             for plan in channel_plans.values()
             if batch == 1 and plan.protocol == Protocol.UBS and plan.messages == 1
         ]
-        sync_arrays = lowering.sync_arrays.with_edges(acks)
+        sync_graph = lowering.sync_graph.with_edges(acks)
 
         resync_result: Optional[ResynchronizationResult] = None
         if config.resynchronize and batch == 1:
             # The pre-ack matrix plus one exact relaxation per ack edge
-            # is the matrix of ``sync_arrays``.
+            # is the matrix of ``sync_graph``.
             rho = lowering.min_delays
             for src, snk, delay, _, _ in acks:
                 rho = insert_edge_min_delay(rho, src, snk, delay)
             if cache is not None:
                 resync_result = cache.resynchronize(
-                    analysis_key, sync_arrays, rho
+                    analysis_key, sync_graph, rho
                 )
             else:
-                resync_result = resynchronize(sync_arrays, rho)
-            final = resync_result.arrays
+                resync_result = resynchronize(sync_graph, rho)
+            final = resync_result.graph
             surviving_acks = {
                 origin
                 for kind, origin in zip(final.kind, final.origin_edge)
@@ -488,7 +480,7 @@ class SpiSystem:
             partition=partition,
             config=config,
             lowering=lowering,
-            sync_arrays=sync_arrays,
+            sync_graph=sync_graph,
             channel_plans=channel_plans,
             resync_result=resync_result,
             cache=cache,
@@ -727,7 +719,7 @@ class SpiSystem:
             ops = run.ops
             task_reps = self.task_repetitions()
             tasks = self.schedule.task_table.tasks
-            pe = self.sync_arrays.pe
+            pe = self.sync_graph.pe
             # Sync-graph vertex ids are task ids.
             for src, snk, delay, _, _ in self.resync_result.added_rows:
                 src_name, src_origin, src_phase, _ = tasks[src]
@@ -1163,10 +1155,10 @@ class SpiSystem:
 
             def compute() -> McmResult:
                 if rr is None:
-                    return maximum_cycle_mean_result(self.sync_arrays)
+                    return maximum_cycle_mean_result(self.sync_graph)
                 if rr.mcm is not None:
                     return rr.mcm
-                return maximum_cycle_mean_result(rr.arrays)
+                return maximum_cycle_mean_result(rr.graph)
 
             if self._analysis_cache is not None:
                 self._mcm_result = self._analysis_cache.mcm(

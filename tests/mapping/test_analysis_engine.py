@@ -39,6 +39,7 @@ from repro.spi import SpiConfig, SpiSystem
 from tests.conftest import (
     EditableGraph,
     build_random_timed_graph as random_timed_graph,
+    editable,
 )
 
 
@@ -49,7 +50,7 @@ def ring(cycles, delays, name="ring"):
         graph.add_vertex(TimedVertex(f"t{i}", cycles=c, pe=i))
     for i in range(n):
         graph.add_edge(TimedEdge(f"t{i}", f"t{(i + 1) % n}", delay=delays[i]))
-    return graph
+    return graph.freeze()
 
 
 def assert_witness_consistent(graph, result):
@@ -63,7 +64,7 @@ def assert_witness_consistent(graph, result):
         snk = result.cycle[(i + 1) % n]
         assert (src, snk) in edge_pairs
     assert result.total_cycles == sum(
-        graph.vertex(name).cycles for name in result.cycle
+        graph.cycles[graph.index[name]] for name in result.cycle
     )
 
 
@@ -132,7 +133,7 @@ class TestHowardExactness:
         graph.add_vertex(TimedVertex("a", 5, 0))
         graph.add_vertex(TimedVertex("b", 7, 1))
         graph.add_edge(TimedEdge("a", "b", delay=0))
-        result = maximum_cycle_mean_result(graph)
+        result = maximum_cycle_mean_result(graph.freeze())
         assert result.value == 0.0
         assert result.cycle == ()
 
@@ -150,10 +151,10 @@ class TestHowardExactness:
         assert result.value == 1 / 3
 
     def test_parallel_edges_use_min_delay(self):
-        graph = ring([10, 20], [0, 3])
+        graph = editable(ring([10, 20], [0, 3]))
         # A tighter parallel edge dominates the slack one.
         graph.add_edge(TimedEdge("t1", "t0", delay=1))
-        result = maximum_cycle_mean_result(graph)
+        result = maximum_cycle_mean_result(graph.freeze())
         assert result.value == 30.0
         assert result.total_delay == 1
 
@@ -161,16 +162,16 @@ class TestHowardExactness:
         graph = EditableGraph()
         graph.add_vertex(TimedVertex("solo", 7, 0))
         graph.add_edge(TimedEdge("solo", "solo", delay=2))
-        result = maximum_cycle_mean_result(graph)
+        result = maximum_cycle_mean_result(graph.freeze())
         assert result.value == 3.5
         assert result.cycle == ("solo",)
 
     def test_self_loop_competing_with_ring(self):
-        graph = ring([3, 3], [1, 1])  # ring MCM = 3
+        graph = editable(ring([3, 3], [1, 1]))  # ring MCM = 3
         graph.add_edge(TimedEdge("t0", "t0", delay=1))  # self-loop 3/1 = 3
         graph.add_vertex(TimedVertex("hot", 9, 2))
         graph.add_edge(TimedEdge("hot", "hot", delay=2))  # 4.5 wins
-        result = maximum_cycle_mean_result(graph)
+        result = maximum_cycle_mean_result(graph.freeze())
         assert result.value == 4.5
         assert result.cycle == ("hot",)
 
@@ -201,7 +202,9 @@ class TestMinDelayMatrix:
         """Insertion relaxation and removal row repair stay exact."""
         rng = random.Random(99)
         for _ in range(60):
-            graph = random_timed_graph(rng, max_vertices=9, max_edges=20)
+            graph = editable(
+                random_timed_graph(rng, max_vertices=9, max_edges=20)
+            )
             index = {v.name: i for i, v in enumerate(graph.vertices)}
             n = len(index)
             edges = list(graph.edges)
@@ -245,7 +248,7 @@ class TestMinDelayMatrix:
     def test_removal_repairs_only_rows_through_the_edge(self):
         # t0 -> t1 -> t2 with a slower bypass t0 -> t2; removing t1 -> t2
         # changes row t0 and row t1 only.
-        graph = ring([1, 1, 1], [0, 0, 5])
+        graph = editable(ring([1, 1, 1], [0, 0, 5]))
         bypass = TimedEdge("t0", "t2", delay=3, kind=EdgeKind.SYNC)
         graph.add_edge(bypass)
         edges = list(graph.edges)
@@ -271,7 +274,7 @@ class TestTopologicalDeterminism:
                 graph.add_vertex(TimedVertex(name, 1, 0))
             for src, snk in edge_order:
                 graph.add_edge(TimedEdge(src, snk, delay=0))
-            return graph
+            return graph.freeze()
 
         edges = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
         orders = set()

@@ -11,13 +11,13 @@ from repro.mapping import (
     build_selftimed_schedule,
     derive_sync_graph,
 )
-from tests.conftest import EditableGraph, sync_cost, synchronization_edges
+from tests.conftest import editable, sync_cost, synchronization_edges
 
 
 def two_pe_sync_graph(chain_graph):
     partition = Partition.manual(chain_graph, {"A": 0, "B": 1, "C": 0})
     schedule = build_selftimed_schedule(chain_graph, partition)
-    return derive_sync_graph(build_ipc_graph(schedule)).graph(EditableGraph)
+    return editable(derive_sync_graph(build_ipc_graph(schedule)))
 
 
 class TestTimedGraphDot:

@@ -1,5 +1,5 @@
 """Unit tests for IPC-graph construction (paper §4.1), read through the
-object view of the columns ``build_ipc_graph`` returns."""
+record views of the graph ``build_ipc_graph`` returns."""
 
 
 from repro.mapping import (
@@ -13,21 +13,21 @@ from repro.mapping import (
 def ipc_of(graph, assignment):
     partition = Partition.manual(graph, assignment)
     schedule = build_selftimed_schedule(graph, partition)
-    return build_ipc_graph(schedule).graph()
+    return build_ipc_graph(schedule)
 
 
 class TestConstruction:
     def test_vertices_match_tasks(self, chain_graph, two_pe_partition):
         schedule = build_selftimed_schedule(chain_graph, two_pe_partition)
-        ipc = build_ipc_graph(schedule).graph()
+        ipc = build_ipc_graph(schedule)
         assert {v.name for v in ipc.vertices} == {"A", "B", "C"}
-        assert ipc.vertex("B").pe == 1
-        assert ipc.vertex("B").cycles == 20
+        assert ipc.pe[ipc.index["B"]] == 1
+        assert ipc.cycles[ipc.index["B"]] == 20
 
     def test_intra_edges_follow_program_order(self, chain_graph, two_pe_partition):
         ipc = build_ipc_graph(
             build_selftimed_schedule(chain_graph, two_pe_partition)
-        ).graph()
+        )
         intra = {
             (e.src, e.snk, e.delay) for e in ipc.edges_of_kind(EdgeKind.INTRA)
         }
@@ -40,7 +40,7 @@ class TestConstruction:
     def test_ipc_edges_cross_pe_only(self, chain_graph, two_pe_partition):
         ipc = build_ipc_graph(
             build_selftimed_schedule(chain_graph, two_pe_partition)
-        ).graph()
+        )
         crossing = {(e.src, e.snk) for e in ipc.edges_of_kind(EdgeKind.IPC)}
         assert crossing == {("A", "B"), ("B", "C")}
 
@@ -66,5 +66,5 @@ class TestConstruction:
     def test_eq3_semantics_no_zero_delay_cycle(self, chain_graph, two_pe_partition):
         ipc = build_ipc_graph(
             build_selftimed_schedule(chain_graph, two_pe_partition)
-        ).graph()
+        )
         assert not ipc.zero_delay_cycle()

@@ -14,11 +14,8 @@ from repro.mapping import (
     maximum_cycle_mean_result,
     simulate_selftimed,
 )
-from repro.mapping.graph_arrays import (
-    GraphArrays,
-    strongly_connected_components,
-)
-from tests.conftest import EditableGraph, build_random_timed_graph
+from repro.mapping.graph_arrays import strongly_connected_components
+from tests.conftest import EditableGraph, build_random_timed_graph, editable
 
 
 def ring(cycles, delays):
@@ -31,7 +28,7 @@ def ring(cycles, delays):
         graph.add_edge(
             TimedEdge(f"t{i}", f"t{(i + 1) % n}", delay=delays[i])
         )
-    return graph
+    return graph.freeze()
 
 
 class TestMaximumCycleMean:
@@ -45,26 +42,28 @@ class TestMaximumCycleMean:
         assert maximum_cycle_mean(graph) == pytest.approx(15, rel=1e-5)
 
     def test_max_over_cycles(self):
-        graph = ring([10, 20], [0, 1])
+        graph = editable(ring([10, 20], [0, 1]))
         # add a second, slower cycle through t0
         graph.add_vertex(TimedVertex("slow", cycles=100, pe=2))
         graph.add_edge(TimedEdge("t0", "slow", delay=0))
         graph.add_edge(TimedEdge("slow", "t0", delay=1))
-        assert maximum_cycle_mean(graph) == pytest.approx(110, rel=1e-5)
+        assert maximum_cycle_mean(graph.freeze()) == pytest.approx(
+            110, rel=1e-5
+        )
 
     def test_acyclic_graph_is_zero(self):
         graph = EditableGraph()
         graph.add_vertex(TimedVertex("a", 5, 0))
         graph.add_vertex(TimedVertex("b", 5, 1))
         graph.add_edge(TimedEdge("a", "b", delay=0))
-        assert maximum_cycle_mean(graph) == 0.0
+        assert maximum_cycle_mean(graph.freeze()) == 0.0
 
     def test_zero_delay_cycle_is_infinite(self):
         graph = ring([1, 1], [0, 0])
         assert maximum_cycle_mean(graph) == math.inf
 
     def test_empty_graph(self):
-        assert maximum_cycle_mean(EditableGraph()) == 0.0
+        assert maximum_cycle_mean(EditableGraph().freeze()) == 0.0
 
 
 class TestMcmResultRecord:
@@ -94,14 +93,13 @@ class TestCycleStructure:
         rng = random.Random(3)
         for _ in range(40):
             graph = build_random_timed_graph(rng)
-            arrays = GraphArrays.of(graph)
-            reach = {v: reachable(graph, v) for v in arrays.names}
-            components = strongly_connected_components(arrays)
+            reach = {v: reachable(graph, v) for v in graph.names}
+            components = strongly_connected_components(graph)
             assert sorted(v for c in components for v in c) == list(
-                range(arrays.n)
+                range(graph.n)
             )
             for component in components:
-                names = {arrays.names[v] for v in component}
+                names = {graph.names[v] for v in component}
                 for u in names:
                     assert {w for w in reach[u] if u in reach[w]} == names
 
@@ -109,7 +107,7 @@ class TestCycleStructure:
         rng = random.Random(5)
         for _ in range(40):
             graph = build_random_timed_graph(rng, max_delay=1)
-            cycle = graph.zero_delay_cycle()
+            cycle = [graph.names[v] for v in graph.zero_delay_cycle()]
             assert bool(cycle) == math.isinf(maximum_cycle_mean(graph))
             zero_delay = {
                 (e.src, e.snk) for e in graph.edges if e.delay == 0

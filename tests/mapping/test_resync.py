@@ -31,6 +31,7 @@ from tests.conftest import (
     EditableGraph,
     build_pipeline_graph,
     build_random_sync_graph,
+    editable,
     is_redundant,
     prune_sync_graph,
     sync_cost,
@@ -55,7 +56,7 @@ def fan_graph(n_targets=3):
             TimedEdge("src", name, delay=0, kind=EdgeKind.SYNC)
         )
         previous = name
-    return graph
+    return graph.freeze()
 
 
 class TestRemoveRedundant:
@@ -104,11 +105,11 @@ class TestResynchronize:
         assert result.cost_after <= 1
 
     def test_never_increases_mcm(self):
-        graph = fan_graph(3)
+        graph = editable(fan_graph(3))
         # close the loop so there is a finite MCM to preserve
         graph.add_edge(TimedEdge("t2", "src", delay=1, kind=EdgeKind.SYNC))
-        before = maximum_cycle_mean(graph)
-        result = resynchronize(graph)
+        before = maximum_cycle_mean(graph.freeze())
+        result = resynchronize(graph.freeze())
         assert result.mcm_after <= before * (1 + 1e-5) + 1e-5
 
     def test_no_zero_delay_cycles_introduced(self):
@@ -164,14 +165,15 @@ def edge_keys(edges):
 def reference_prune(graph):
     """Pruning by its definition: drop the first redundant sync/ack edge
     (``is_redundant`` on a freshly computed table) until none is left."""
-    pruned = graph.copy()
+    pruned = editable(graph)
+    pe = {v.name: v.pe for v in graph.vertices}
     while True:
         victim = next(
             (
                 e
                 for e in pruned.edges
                 if e.kind in (EdgeKind.SYNC, EdgeKind.ACK)
-                and pruned.vertex(e.src).pe != pruned.vertex(e.snk).pe
+                and pe[e.src] != pe[e.snk]
                 and is_redundant(pruned, e)
             ),
             None,
@@ -209,7 +211,7 @@ def check_rounds_against_definition(graph):
     for _ in range(32):
         if current.zero_delay_cycle():
             break
-        snapshot = SyncGraphSnapshot(current, threshold)
+        snapshot = SyncGraphSnapshot(current.freeze(), threshold)
         assert snapshot.cost == sync_cost(current)
         pairs = list(snapshot.candidates())
         named = [(snapshot.names[u], snapshot.names[v]) for u, v in pairs]
@@ -220,7 +222,7 @@ def check_rounds_against_definition(graph):
             candidate = TimedEdge(u_name, v_name, delay=0, kind=EdgeKind.SYNC)
             trial = current.copy()
             trial.add_edge(candidate)
-            raises = maximum_cycle_mean(trial) > threshold
+            raises = maximum_cycle_mean(trial.freeze()) > threshold
             assert snapshot.raises_mcm(u, v) == raises
             if u_name in rho[v_name]:
                 verdicts[raises] += 1
@@ -230,19 +232,19 @@ def check_rounds_against_definition(graph):
             removed, cost, trial_rho = snapshot.prune_trial(u, v)
             survivors = [
                 e
-                for i, e in enumerate(current.edges + (candidate,))
+                for i, e in enumerate(current.edges + [candidate])
                 if i not in set(removed)
             ]
             assert edge_keys(survivors) == edge_keys(pruned.edges)
             # the repaired matrix that seeds the next round is exact
-            assert (trial_rho == SyncGraphSnapshot(pruned).rho).all()
+            assert (trial_rho == SyncGraphSnapshot(pruned.freeze()).rho).all()
             assert cost == sync_cost(pruned)
             if cost < best_cost:
                 best_cost, best = cost, (u, v, removed, pruned)
         if best is None:
             break
         adopted, _, _ = snapshot.adopt(*best[:3])
-        assert edge_keys(adopted.graph().edges) == edge_keys(best[3].edges)
+        assert edge_keys(adopted.edges) == edge_keys(best[3].edges)
         current = best[3]
     return current, verdicts
 
@@ -274,7 +276,7 @@ def build_random_chain_graph(rng, trial):
                 kind=rng.choice([EdgeKind.SYNC, EdgeKind.ACK, EdgeKind.IPC]),
             )
         )
-    return graph
+    return graph.freeze()
 
 
 class TestSnapshotScoringDifferential:
@@ -357,12 +359,12 @@ def test_mcm_decision_reproduces_float_rounding(
     graph.add_vertex(TimedVertex("u", u_cycles, 0))
     graph.add_vertex(TimedVertex("v", 0, 1))
     graph.add_edge(TimedEdge("v", "u", delay=delay, kind=EdgeKind.SYNC))
-    snapshot = SyncGraphSnapshot(graph, threshold)
+    snapshot = SyncGraphSnapshot(graph.freeze(), threshold)
     u, v = snapshot.names.index("u"), snapshot.names.index("v")
     assert (u, v) in list(snapshot.candidates())
     trial = graph.copy()
     trial.add_edge(TimedEdge("u", "v", delay=0, kind=EdgeKind.SYNC))
-    assert (maximum_cycle_mean(trial) > threshold) == raises
+    assert (maximum_cycle_mean(trial.freeze()) > threshold) == raises
     assert snapshot.raises_mcm(u, v) == raises
 
 
@@ -396,7 +398,7 @@ def unscreened_search(graph, tight):
     the final graph."""
     current, _, _ = SyncGraphSnapshot(graph).prune()
     if len(graph) > 24 or current.zero_delay_cycle():
-        return current.graph()
+        return current
     threshold = maximum_cycle_mean(graph) * (1 + 1e-6) + 1e-6
     for _ in range(32):
         snapshot = SyncGraphSnapshot(current, threshold)
@@ -411,7 +413,7 @@ def unscreened_search(graph, tight):
         if best is None:
             break
         current, _, _ = snapshot.adopt(*best)
-    return current.graph()
+    return current
 
 
 class TestRemovalScreen:
@@ -435,7 +437,7 @@ class TestRemovalScreen:
         for graph in graph_suite(suite):
             pruned, _, _ = prune_sync_graph(graph)
             before = maximum_cycle_mean_result(graph).value
-            assert maximum_cycle_mean_result(pruned).value == before
+            assert maximum_cycle_mean_result(pruned.freeze()).value == before
             result = resynchronize(graph)
             assert result.mcm_before == before
             assert result.mcm == maximum_cycle_mean_result(result.graph)

@@ -44,7 +44,7 @@ def sync_graphs(draw):
     for index in range(n_tasks):
         src, snk = names[index], names[(index + 1) % n_tasks]
         closing = index == n_tasks - 1
-        cross = graph.vertex(src).pe != graph.vertex(snk).pe
+        cross = index % n_pes != (index + 1) % n_tasks % n_pes
         graph.add_edge(
             TimedEdge(
                 src=src,
@@ -57,7 +57,7 @@ def sync_graphs(draw):
     for _ in range(n_extra):
         i = draw(st.integers(0, n_tasks - 1))
         j = draw(st.integers(0, n_tasks - 1))
-        if i == j or graph.vertex(names[i]).pe == graph.vertex(names[j]).pe:
+        if i == j or i % n_pes == j % n_pes:
             continue
         min_delay = 0 if i < j else 1
         graph.add_edge(
@@ -68,7 +68,7 @@ def sync_graphs(draw):
                 kind=EdgeKind.SYNC,
             )
         )
-    return graph
+    return graph.freeze()
 
 
 class TestPruneSoundness:

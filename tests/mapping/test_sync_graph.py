@@ -23,7 +23,7 @@ from tests.conftest import (
 def sync_of(graph, partition):
     return derive_sync_graph(
         build_ipc_graph(build_selftimed_schedule(graph, partition))
-    ).graph(EditableGraph)
+    )
 
 
 def three_task_graph():

@@ -1,8 +1,24 @@
 """Unit tests for the timed task-graph substrate."""
 
+from dataclasses import fields
+
 import pytest
 
-from repro.mapping import EdgeKind, TimedEdge, TimedGraph, TimedVertex
+from repro.apps.lpc import build_parallel_error_graph, frame_stream
+from repro.apps.particle_filter import (
+    CrackGrowthModel,
+    build_particle_filter_graph,
+    simulate_crack_history,
+)
+from repro.conformance import build_case, generate_spec
+from repro.mapping import (
+    EdgeKind,
+    TimedEdge,
+    TimedGraph,
+    TimedVertex,
+    build_ipc_graph,
+)
+from repro.spi import lower
 from tests.conftest import EditableGraph, synchronization_edges
 
 
@@ -19,13 +35,13 @@ def build_two_pe_loop():
 class TestConstruction:
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            TimedGraph(
+            TimedGraph.from_records(
                 "twins", [TimedVertex("x", 1, 0), TimedVertex("x", 2, 0)]
             )
 
     def test_edge_needs_known_endpoints(self):
         with pytest.raises(ValueError, match="not a task"):
-            TimedGraph(
+            TimedGraph.from_records(
                 "ghost",
                 [TimedVertex("x", 1, 0)],
                 [TimedEdge("x", "ghost", delay=0)],
@@ -110,3 +126,37 @@ class TestZeroDelayCycle:
     def test_delay_breaks_cycle(self):
         graph = build_two_pe_loop()
         assert not graph.zero_delay_cycle()
+
+
+def _lpc_3pe():
+    frames = frame_stream(total_samples=2 * 256, frame_size=256)
+    return build_parallel_error_graph(frames, order=8, n_units=2)
+
+
+def _pf_2pe():
+    model = CrackGrowthModel()
+    _, observations = simulate_crack_history(model, steps=4)
+    return build_particle_filter_graph(
+        model, observations, n_particles=40, n_pes=2
+    )
+
+
+CASES = {
+    "lpc_3pe": _lpc_3pe,
+    "pf_2pe": _pf_2pe,
+    **{
+        f"seed{seed}": (lambda seed=seed: build_case(generate_spec(seed)))
+        for seed in range(1, 11)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_records_rebuild_equal_columns(name):
+    """Rebuilding an IPC graph from its own records gives its columns."""
+    built = CASES[name]()
+    ipc = build_ipc_graph(lower(built.graph, built.partition).schedule)
+    rebuilt = TimedGraph.from_records(ipc.name, ipc.vertices, ipc.edges)
+    assert ipc.m > 0
+    for column in fields(TimedGraph):
+        assert getattr(rebuilt, column.name) == getattr(ipc, column.name)

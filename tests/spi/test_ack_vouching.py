@@ -18,11 +18,9 @@ from dataclasses import replace
 import pytest
 
 from repro.dataflow import DataflowGraph
-from repro.mapping.graph_arrays import GraphArrays
 from repro.mapping.partition import Partition
 from repro.mapping.resync import resynchronize
-from repro.mapping.sync_graph import SynchronizationGraph
-from repro.mapping.timed_graph import EdgeKind
+from repro.mapping.timed_graph import EdgeKind, TimedGraph
 from repro.spi import SpiConfig, SpiSystem
 from repro.spi.library import lower
 
@@ -58,7 +56,7 @@ def _swap_sends(sync_graph):
             src, snk = order[edge.src, edge.snk]
             edge = replace(edge, src=src, snk=snk)
         edges.append(edge)
-    return SynchronizationGraph(sync_graph.name, sync_graph.vertices, edges)
+    return TimedGraph.from_records(sync_graph.name, sync_graph.vertices, edges)
 
 
 def _edges(edges):
@@ -69,13 +67,13 @@ def _edges(edges):
 def vouching():
     graph, partition = fan_out()
     lowering = lower(graph, partition)
-    pre_ack = lowering.sync_arrays.graph(SynchronizationGraph)
+    pre_ack = lowering.sync_graph
     # the program orders the test assumes, before the swap
     intra = _edges(e for e in pre_ack.edges if e.kind == EdgeKind.INTRA)
     assert (SEND0, SEND1, 0, EdgeKind.INTRA) in intra
     assert (RECV0, RECV1, 0, EdgeKind.INTRA) in intra
     # the compile reads the hand-built graph and derives its matrix
-    lowering.__dict__["sync_arrays"] = GraphArrays.of(_swap_sends(pre_ack))
+    lowering.__dict__["sync_graph"] = _swap_sends(pre_ack)
     system = SpiSystem.compile(graph, partition, CONFIG, lowering=lowering)
     return lowering, system
 

@@ -123,13 +123,13 @@ class TestLowering:
         with pytest.raises(dataclasses.FrozenInstanceError):
             lowering.n_pes = 4
 
-    def test_sync_arrays_built_lazily_and_never_mutated(
+    def test_sync_graph_built_lazily_and_never_mutated(
         self, chain_graph, two_pe_partition
     ):
         lowering = lower(chain_graph, two_pe_partition)
         MpiSystem.compile(chain_graph, two_pe_partition, lowering=lowering)
-        assert "sync_arrays" not in vars(lowering)
-        base = lowering.sync_arrays
+        assert "sync_graph" not in vars(lowering)
+        base = lowering.sync_graph
         edges = base.rows()
         # forced UBS adds ack edges to the sync graph, resync prunes it
         raw = SpiSystem.compile(
@@ -148,7 +148,7 @@ class TestLowering:
             lowering=lowering,
         )
         assert resynced.resync_result is not None
-        assert lowering.sync_arrays is base
+        assert lowering.sync_graph is base
         assert base.rows() == edges
         assert "ack" not in base.kind
 

@@ -2,7 +2,7 @@
 
 A :class:`~repro.spi.library.Lowering` holds the config-independent half
 of the compile: the task table of its schedule, the pre-ack
-synchronization graph's columns with their min-delay matrix, the
+synchronization graph with its min-delay matrix, the
 channel facts, the batch clamp and the analysis cache's structure key.
 Compiling the oracle run matrix on one lowering, in any order, must
 equal compiling each configuration on a fresh lowering; the compiled
@@ -19,9 +19,9 @@ import pytest
 from repro.conformance import build_case, generate_spec
 from repro.conformance.oracles import _spi_run_matrix
 from repro.dataflow.graph import DataflowGraph
-from repro.mapping.graph_arrays import GraphArrays, min_delay_matrix
+from repro.mapping.graph_arrays import min_delay_matrix
 from repro.mapping.resync import resynchronize
-from repro.mapping.timed_graph import EdgeKind
+from repro.mapping.timed_graph import EdgeKind, TimedGraph
 from repro.mpi.baseline import MpiSystem
 from repro.service import AnalysisCache
 from repro.spi import SpiConfig, SpiSystem, lower
@@ -107,15 +107,15 @@ def test_systems_of_one_lowering_share_no_graph():
     lowering = lower(case.graph, case.partition)
     first = _compile(case, SpiConfig(), lowering)
     second = _compile(case, SpiConfig(protocol_policy="always_ubs"), lowering)
-    base = lowering.sync_arrays.rows()
+    base = lowering.sync_graph.rows()
     second_edges = list(second.sync_graph.edges)
     assert any(e.kind == EdgeKind.ACK for e in first.sync_graph.edges)
-    assert EdgeKind.ACK not in lowering.sync_arrays.kind
-    assert first.sync_arrays.src is not lowering.sync_arrays.src
+    assert EdgeKind.ACK not in lowering.sync_graph.kind
+    assert first.sync_graph.src is not lowering.sync_graph.src
     assert first.sync_graph is not second.sync_graph
     assert list(second.sync_graph.edges) == second_edges
-    assert lowering.sync_arrays.rows() == base
-    assert first.sync_arrays.rows()[: len(base)] == base
+    assert lowering.sync_graph.rows() == base
+    assert first.sync_graph.rows()[: len(base)] == base
     assert not lowering.min_delays.flags.writeable
 
 
@@ -172,7 +172,7 @@ def test_config_independent_work_runs_once_per_lowering(monkeypatch):
         "min_delay_matrix": 0,
         "structure_parts": 0,
         "hsdf_expand": 0,
-        "GraphArrays.of": 0,
+        "TimedGraph.from_records": 0,
         "hsdf connect": 0,
     }
     _count_everywhere(monkeypatch, ipc_graph, "build_ipc_graph", calls)
@@ -181,20 +181,22 @@ def test_config_independent_work_runs_once_per_lowering(monkeypatch):
     _count_everywhere(monkeypatch, cache_module, "structure_parts", calls)
     _count_everywhere(monkeypatch, hsdf, "hsdf_expand", calls)
 
-    of = GraphArrays.of.__func__
+    from_records = TimedGraph.from_records.__func__
     connect = DataflowGraph.connect
 
-    def counting_of(cls, graph):
-        # an object graph converted to columns: no compile holds one
-        calls["GraphArrays.of"] += 1
-        return of(cls, graph)
+    def counting_from_records(cls, *args, **kwargs):
+        # a graph built from records: every compile builds columns
+        calls["TimedGraph.from_records"] += 1
+        return from_records(cls, *args, **kwargs)
 
     def counting_connect(self, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == hsdf.__name__:
             calls["hsdf connect"] += 1
         return connect(self, *args, **kwargs)
 
-    monkeypatch.setattr(GraphArrays, "of", classmethod(counting_of))
+    monkeypatch.setattr(
+        TimedGraph, "from_records", classmethod(counting_from_records)
+    )
     monkeypatch.setattr(DataflowGraph, "connect", counting_connect)
 
     case = build_case(generate_spec(25))
@@ -215,7 +217,7 @@ def test_config_independent_work_runs_once_per_lowering(monkeypatch):
         "min_delay_matrix": 1,
         "structure_parts": 1,
         "hsdf_expand": 0,
-        "GraphArrays.of": 0,
+        "TimedGraph.from_records": 0,
         "hsdf connect": 0,
     }
 

@@ -77,6 +77,11 @@ ORACLES = {
     "TraceRecorder.events_of": (
         "the trace query both latency measures read a task's firings with"
     ),
+    "TimedGraph.from_records": (
+        "builds the graphs the analysis tests write as records "
+        "(tests/conftest.py's EditableGraph); tests/mapping/"
+        "test_timed_graph.py pins it against build_ipc_graph's columns"
+    ),
 }
 
 
